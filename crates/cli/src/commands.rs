@@ -6,8 +6,8 @@ use std::time::Duration;
 use msccl_faults::{FaultInjector, FaultPlan, FaultUniverse};
 use msccl_metrics::{names, MetricsSnapshot};
 use msccl_runtime::{
-    execute_profiled, execute_with_metrics, execute_with_recovery, reference, Blackbox,
-    RecoveryPolicy, ResumePolicy, RunOptions,
+    execute_profiled, execute_with_metrics, execute_with_recovery, reference, worker_pool_size,
+    Blackbox, RecoveryPolicy, ResumePolicy, RunOptions,
 };
 use msccl_scenario::{
     check_scenario, drive_scenario, run_scenario, DriveConfig, Engine as ScenarioEngine,
@@ -1040,13 +1040,8 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
         mscclang::ReduceOp::Sum,
     )
     .map_err(CliError::new)?;
-    // Mirror the executor's pool sizing so the report states what ran.
-    let workers = if opts.worker_threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        opts.worker_threads
-    }
-    .clamp(1, ir.num_threadblocks().max(1));
+    // The executor's own pool sizing, so the report states what ran.
+    let workers = worker_pool_size(opts.worker_threads, ir.num_threadblocks());
     Ok(format!(
         "{}: executed {} thread blocks on {} worker threads, {} elements/rank — results match the golden collective\n{}{extra}",
         ir.name,

@@ -92,6 +92,14 @@ impl CancelToken {
         Arc::new(Self::default())
     }
 
+    /// Re-arms a tripped token for the next run of the plan that owns
+    /// it. Attached wakers stay attached. Must not race with a run: the
+    /// plan calls it with every worker idle.
+    pub(crate) fn reset(&self) {
+        *self.origin.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        self.cancelled.store(false, Ordering::Release);
+    }
+
     /// Whether some worker has already failed.
     pub(crate) fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Acquire)

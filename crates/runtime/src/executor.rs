@@ -15,9 +15,18 @@
 //! next step, and when, changed — so results stay bit-exact with the
 //! dedicated-thread executor this replaced, at any pool size.
 //!
+//! Nothing about the *program* is derived per call: the lowered
+//! instruction tables, connection and task indices, FIFOs, semaphores,
+//! tasks and scheduler live in an [`ExecPlan`] cached in the
+//! [`ExecArena`] (see [`crate::plan`]), and the pool's workers `1..N`
+//! are threads resident in the arena. A run on a matching plan is reset,
+//! load inputs, wake the workers, interpret, extract; every `execute_*`
+//! entry point goes through that one path, a call without an arena in a
+//! throwaway one.
+//!
 //! Execution can be traced: [`execute_traced`] returns a wall-clock
-//! [`Trace`] built from lock-free per-worker event buffers merged after
-//! the threads join. The untraced [`execute`] path skips every event
+//! [`Trace`] built from lock-free per-task event buffers merged after
+//! the workers quiesce. The untraced [`execute`] path skips every event
 //! push. Independently of tracing, each worker keeps a small ring buffer
 //! of its recent activity, and when the run fails the error carries every
 //! thread block's last few entries — enough to see who stalled on what.
@@ -34,9 +43,9 @@
 //! points: block faults (stall/kill) as an instruction starts, delivery
 //! faults (drop/delay/duplicate/corrupt) as a tile is handed to its FIFO.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use msccl_faults::{corrupt_payload, BlockAction, DeliveryAction, FaultInjector, FaultPlanError};
@@ -44,11 +53,11 @@ use msccl_metrics::{names, Counter, Gauge, Histogram, MetricsSnapshot, Registry}
 use msccl_topology::Protocol;
 use msccl_trace::{ClockDomain, EventKind, Trace, TraceEvent};
 
-use mscclang::{IrProgram, OpCode, ReduceOp, Space};
+use mscclang::{IrProgram, OpCode, ReduceOp};
 
 use mscclang::EpochMode;
 
-use crate::cancel::{CancelToken, FailureCause, FailureOrigin, Poke};
+use crate::cancel::{CancelToken, FailureCause, FailureOrigin};
 use crate::epoch::{EpochCheckpoint, EpochState, EpochStatus, WorkerEpoch};
 use crate::fifo::Fifo;
 use crate::flight::{
@@ -56,9 +65,11 @@ use crate::flight::{
     Moment, StallDiagnosis, TaskStall, WaitForGraph,
 };
 use crate::memory::{RankMemory, SpaceBuffers};
+use crate::plan::{space_slot, worker_pool_size, Dep, ExecPlan, Instr, PlanCounters, TbPlan};
 use crate::pool::{PoolStats, PooledTile, TilePool};
 use crate::sched::{Scheduler, WakeKey};
 use crate::semaphore::Semaphore;
+use crate::workers::Workers;
 
 /// Options controlling an execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -457,15 +468,22 @@ pub fn tile_pool_for(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
     TilePool::new(tile_elems * max_count)
 }
 
-/// Warm, reusable execution state: the tile pool plus recycled rank
-/// memory spaces and (optionally) result vectors. [`execute_in_arena`]
-/// draws every buffer of the data path from here and stashes the space
-/// buffers back after the run, so repeated executions of the same
-/// program allocate nothing in steady state — not tiles, not rank
-/// memory, and, when finished outputs are handed back with
+/// Warm, reusable execution state: the tile pool, recycled rank memory
+/// spaces and (optionally) result vectors, the cached execution plan of
+/// the program that last ran here, and the worker pool's resident
+/// threads. [`execute_in_arena`] draws every buffer of the data path
+/// from here and stashes the space buffers back after the run, so
+/// repeated executions of the same program allocate nothing on the data
+/// path in steady state — not tiles, not rank memory, and, when finished
+/// outputs are handed back with
 /// [`recycle_outputs`](ExecArena::recycle_outputs), not result buffers
-/// either. Beyond skipping `malloc`, reuse keeps the pages faulted in:
-/// for large buffers that is worth more than the allocation itself.
+/// either — and rebuild nothing about the program: a run on a matching
+/// plan is reset, load inputs, wake the workers, interpret, extract.
+/// Beyond skipping `malloc`, reuse keeps the pages faulted in: for large
+/// buffers that is worth more than the allocation itself.
+///
+/// The arena owns workers `1..N` of the pool as threads parked between
+/// runs (worker 0 is the calling thread); dropping the arena joins them.
 pub struct ExecArena {
     pool: Arc<TilePool>,
     spares: Vec<SpaceBuffers>,
@@ -475,30 +493,33 @@ pub struct ExecArena {
     /// the run. Like `spares`, reuse keeps the snapshot path free of
     /// steady-state allocation *and* of fresh page faults.
     snaps: Vec<SpaceBuffers>,
-    /// Metric handles resolved once for the arena's program and reused
-    /// by every metered run whose thread-block layout still matches.
-    /// Counters accumulate across runs; a snapshotting run zeroes them
-    /// first.
-    metrics: Option<Arc<ArenaMetrics>>,
-    /// Flight-recorder rings reused across runs when the worker count
-    /// matches; reset (not reallocated) at the start of each run.
-    flight: Option<Arc<FlightRecorder>>,
+    /// The one cached plan: kept while runs match it (by content — see
+    /// [`crate::plan`]), replaced by the first run that does not.
+    plan: Option<Box<ExecPlan>>,
+    counters: PlanCounters,
+    workers: Workers,
 }
 
 impl ExecArena {
     /// An arena whose tile pool is sized for `ir` under `opts` (see
     /// [`tile_pool_for`]). Memory-space and output buffers are adopted
-    /// from whatever program runs in it, so one arena can serve
-    /// different programs of similar size.
+    /// from whatever program runs in it, and the plan is built by the
+    /// first run, so one arena can serve different programs of similar
+    /// size — each change of program costs one plan build.
     #[must_use]
     pub fn new(ir: &IrProgram, opts: &RunOptions) -> Self {
+        Self::with_pool(tile_pool_for(ir, opts))
+    }
+
+    fn with_pool(pool: Arc<TilePool>) -> Self {
         Self {
-            pool: tile_pool_for(ir, opts),
+            pool,
             spares: Vec::new(),
             outputs: Vec::new(),
             snaps: Vec::new(),
-            metrics: opts.metrics.then(|| Arc::new(ArenaMetrics::new(ir))),
-            flight: None,
+            plan: None,
+            counters: PlanCounters::default(),
+            workers: Workers::new(),
         }
     }
 
@@ -516,7 +537,22 @@ impl ExecArena {
     }
 }
 
-type ConnKey = (usize, usize, usize); // (src rank, dst rank, channel)
+impl fmt::Debug for ExecArena {
+    /// What the arena holds and what building it has cost: a warm arena
+    /// shows `plans_built` and `threads_spawned` standing still.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ExecArena")
+            .field("pool", &self.pool.stats())
+            .field("spare_memories", &self.spares.len())
+            .field("spare_outputs", &self.outputs.len())
+            .field("plan_cached", &self.plan.is_some())
+            .field("plans_built", &self.counters.plans_built)
+            .field("elision_scans", &self.counters.elision_scans)
+            .field("tasks_built", &self.counters.tasks_built)
+            .field("threads_spawned", &self.workers.spawned())
+            .finish()
+    }
+}
 
 /// One in this many instructions (per worker) gets a latency-histogram
 /// observation. Counting every instruction is cheap; *timing* every
@@ -652,12 +688,10 @@ impl WorkerMetrics {
         }
     }
 
-    /// Zeroes this worker's slice of every metric it writes. Called by
-    /// the worker itself at the start of a snapshotting run, so reused
-    /// arena handles yield a per-run snapshot without the main thread
-    /// walking ~50 metrics' worth of cache lines serially: shards are
-    /// disjoint per worker, and the peak-occupancy gauge has the sending
-    /// thread block as its only writer.
+    /// Zeroes this task's slice of every metric it writes, at the start
+    /// of a snapshotting run, so reused plan handles yield a per-run
+    /// snapshot: shards are disjoint per task, and the peak-occupancy
+    /// gauge has the sending thread block as its only writer.
     fn reset_own_shard(&self) {
         self.sem_wait_ns.reset_shard(self.shard);
         self.fifo_send_block_ns.reset_shard(self.shard);
@@ -678,40 +712,29 @@ impl WorkerMetrics {
     }
 }
 
-/// A run's metric infrastructure, resolved once and reused: the registry
-/// plus one [`WorkerMetrics`] per thread block in spawn order. Handle
-/// resolution goes through the registry mutex with owned label strings
-/// and allocates every metric's shard array, so doing it per run costs
-/// tens of microseconds — real money against the <3% always-on overhead
-/// budget at small message sizes. An [`ExecArena`] caches one of these;
-/// [`Registry::reset`] between runs keeps snapshots per-run.
-struct ArenaMetrics {
+/// A program's metric infrastructure, resolved once per execution plan
+/// and reused: the registry plus one [`WorkerMetrics`] per thread block
+/// in spawn order. Handle resolution goes through the registry mutex
+/// with owned label strings and allocates every metric's shard array, so
+/// doing it per run costs tens of microseconds — real money against the
+/// <3% always-on overhead budget at small message sizes.
+pub(crate) struct ArenaMetrics {
     registry: Registry,
     workers: Vec<WorkerMetrics>,
     /// Tile-pool counters, written on shard 0 by the main thread after
-    /// the workers join.
+    /// the workers quiesce.
     pool_allocated: Arc<Counter>,
     pool_reused: Arc<Counter>,
-    /// One [`TbIdentity`] per worker, to detect when a different program
-    /// runs in the same arena and the cached handles would mislabel its
-    /// traffic.
-    layout: Vec<TbIdentity>,
 }
 
-/// `(rank, tb id, channel, send peer, recv peer)` — everything the metric
-/// labels are derived from.
-type TbIdentity = (usize, usize, usize, Option<usize>, Option<usize>);
-
 impl ArenaMetrics {
-    fn new(ir: &IrProgram) -> Self {
-        let num_workers: usize = ir.gpus.iter().map(|g| g.threadblocks.len()).sum();
+    pub(crate) fn new(ir: &IrProgram) -> Self {
+        let num_workers = ir.num_threadblocks();
         let registry = Registry::new(num_workers.max(1));
         let mut workers = Vec::with_capacity(num_workers);
-        let mut layout = Vec::with_capacity(num_workers);
         for gpu in &ir.gpus {
             for tb in &gpu.threadblocks {
                 workers.push(WorkerMetrics::new(&registry, workers.len(), gpu.rank, tb));
-                layout.push((gpu.rank, tb.id, tb.channel, tb.send_peer, tb.recv_peer));
             }
         }
         let pool_allocated = registry.counter(names::POOL_ALLOCATED, &[]);
@@ -721,24 +744,7 @@ impl ArenaMetrics {
             workers,
             pool_allocated,
             pool_reused,
-            layout,
         }
-    }
-
-    /// Whether `ir`'s thread-block layout is the one these handles were
-    /// resolved for.
-    fn matches(&self, ir: &IrProgram) -> bool {
-        let mut expected = self.layout.iter();
-        for gpu in &ir.gpus {
-            for tb in &gpu.threadblocks {
-                if expected.next()
-                    != Some(&(gpu.rank, tb.id, tb.channel, tb.send_peer, tb.recv_peer))
-                {
-                    return false;
-                }
-            }
-        }
-        expected.next().is_none()
     }
 }
 
@@ -872,14 +878,7 @@ pub fn execute_pooled(
     opts: &RunOptions,
     pool: &Arc<TilePool>,
 ) -> Result<(Vec<Vec<f32>>, ExecStats), RuntimeError> {
-    let mut arena = ExecArena {
-        pool: Arc::clone(pool),
-        spares: Vec::new(),
-        outputs: Vec::new(),
-        snaps: Vec::new(),
-        metrics: None,
-        flight: None,
-    };
+    let mut arena = ExecArena::with_pool(Arc::clone(pool));
     execute_impl(
         ir,
         inputs,
@@ -1137,6 +1136,32 @@ type RunProducts = (
     Option<MetricsSnapshot>,
 );
 
+/// Everything one run's workers share, borrowed for exactly the span of
+/// [`Workers::run`]: the plan's tables and reusable primitives, this
+/// run's memories and fault injector, and the per-run scalars. Tasks
+/// keep only their own interpreter state and reach the rest through
+/// here, which is what lets them outlive the run inside the plan.
+struct RunCtx<'r> {
+    tbs: &'r [TbPlan],
+    fifos: &'r [Fifo<PooledTile>],
+    sems: &'r [Semaphore],
+    tasks: &'r [Mutex<TbTask>],
+    sched: &'r Scheduler,
+    cancel: &'r CancelToken,
+    memories: &'r [Arc<RankMemory>],
+    pool: &'r Arc<TilePool>,
+    injector: Option<&'r FaultInjector>,
+    /// One [`WorkerMetrics`] per task, in flat order, when metered.
+    metrics: Option<&'r [WorkerMetrics]>,
+    flight: Option<&'r FlightRecorder>,
+    num_tiles: usize,
+    tile_elems: usize,
+    chunk_elems: usize,
+    op: ReduceOp,
+    timeout: Duration,
+    global_deadline: Option<Instant>,
+}
+
 #[allow(clippy::too_many_arguments)]
 fn execute_impl(
     ir: &IrProgram,
@@ -1150,7 +1175,6 @@ fn execute_impl(
     resume: Option<EpochCheckpoint>,
     epoch_out: Option<&mut EpochStatus>,
 ) -> Result<RunProducts, RuntimeError> {
-    let mut arena = arena;
     validate_options(opts)?;
     let collective = &ir.collective;
     let num_ranks = ir.num_ranks();
@@ -1181,57 +1205,90 @@ fn execute_impl(
         .tile_elems
         .unwrap_or_else(|| ((params.slot_bytes as usize) / std::mem::size_of::<f32>()).max(1));
     let num_tiles = chunk_elems.div_ceil(tile_elems);
-    let op = opts.reduce_op;
 
-    // ---- Tile pool: every payload in flight lives in a recycled buffer.
-    // Counters are read as before/after deltas so a shared pool's history
-    // from earlier runs does not leak into this run's stats.
-    let pool = match &arena {
-        Some(a) => Arc::clone(&a.pool),
-        None => tile_pool_for(ir, opts),
+    // ---- Metrics: one shard per task, so a hot-path update is a relaxed
+    // atomic add with no sharing; merged on snapshot. Arena counters are
+    // cumulative (the Prometheus model): only a run that materializes a
+    // snapshot zeroes the shards first, so plain metered runs pay
+    // nothing but the hot-path adds. With no arena and no snapshot
+    // requested, the counters would be dropped unread, so they are not
+    // collected at all.
+    let metered = opts.metrics && (want_snapshot || arena.is_some());
+
+    // ---- One code path: a call without an arena runs in a throwaway
+    // one — its plan built, used once and dropped, its threads joined.
+    let mut throwaway;
+    let arena = match arena {
+        Some(arena) => arena,
+        None => {
+            throwaway = ExecArena::with_pool(tile_pool_for(ir, opts));
+            &mut throwaway
+        }
     };
+    let ExecArena {
+        pool,
+        spares,
+        outputs: spare_outs,
+        snaps,
+        plan,
+        counters,
+        workers,
+    } = arena;
+    // Tile-pool counters are read as before/after deltas so a shared
+    // pool's history from earlier runs does not leak into this run's
+    // stats.
     let pool_base = pool.stats();
-    let mut spares = arena
-        .as_mut()
-        .map(|a| std::mem::take(&mut a.spares))
-        .unwrap_or_default();
-    let mut spare_outs = arena
-        .as_mut()
-        .map(|a| std::mem::take(&mut a.outputs))
-        .unwrap_or_default();
+
+    // ---- The plan: kept on a content match, rebuilt otherwise. Tasks
+    // outnumbering workers is the normal case — oversubscription is
+    // handled by cooperative yields, not by the OS scheduler thrashing
+    // between threads.
+    let pool_threads = worker_pool_size(opts.worker_threads, ir.num_threadblocks());
+    if !plan
+        .as_ref()
+        .is_some_and(|p| p.matches(ir, params.num_slots, pool_threads))
+    {
+        *plan = Some(Box::new(ExecPlan::build(
+            ir,
+            params.num_slots,
+            pool_threads,
+            counters,
+        )));
+    }
+    let plan = plan.as_deref_mut().expect("plan ensured above");
+    // Worker 0 runs inline on the calling thread — a one-worker pool has
+    // no threads at all. Workers 1.. are resident in the arena.
+    workers.resize(pool_threads - 1);
 
     // ---- Memory, loaded with the inputs. Recycled space buffers keep
     // their warmed-up pages; the input load below completes the
     // fresh-construction semantics `RankMemory::recycled` documents.
-    // Chunks the instruction scan proves write-before-read skip even
-    // the re-zero — their stale recycled contents are unobservable.
+    // Chunks the plan's instruction scan proves write-before-read skip
+    // even the re-zero — their stale recycled contents are unobservable.
+    // Fresh (non-recycled) construction zeroes everything anyway, so the
+    // scan is only ever run for an arena that recycles.
+    if !spares.is_empty() {
+        plan.scan_elision(counters);
+    }
+    let elide_zero = plan.elide_zero.as_deref();
     let memories: Vec<Arc<RankMemory>> = (0..num_ranks)
         .map(|r| {
-            let spare = spares.pop().unwrap_or_default();
-            // Fresh (non-recycled) construction zeroes everything anyway, so
-            // only pay for the write-before-read scan when buffers recycle.
-            let skip = if spare.is_empty() {
-                Default::default()
-            } else {
-                overwrite_only_chunks(ir, collective, r)
-            };
             let mem = RankMemory::recycled_skipping(
                 collective,
                 r,
                 ir.gpu(r).scratch_chunks,
                 chunk_elems,
-                spare,
-                |space, c| skip[space_slot(space)].get(c).copied().unwrap_or(false),
+                spares.pop().unwrap_or_default(),
+                |space, c| {
+                    elide_zero
+                        .and_then(|e| e[r][space_slot(space)].get(c).copied())
+                        .unwrap_or(false)
+                },
             );
-            for index in 0..collective.in_chunks() {
-                let base = index * chunk_elems;
-                mem.write(
-                    collective,
-                    mscclang::BufferKind::Input,
-                    index,
-                    0,
-                    &inputs[r][base..base + chunk_elems],
-                );
+            // The alias map is affine in the chunk index: a rank's input
+            // chunks are one contiguous range of one space.
+            if in_elems > 0 {
+                mem.write_at(plan.input_at[r], 0, &inputs[r]);
             }
             Arc::new(mem)
         })
@@ -1298,7 +1355,6 @@ fn execute_impl(
             mem.restore_from(snap);
         }
     }
-    let num_workers: usize = ir.gpus.iter().map(|g| g.threadblocks.len()).sum();
     let epoch_state: Option<Arc<EpochState>> = if boundaries.is_empty() {
         None
     } else {
@@ -1308,15 +1364,12 @@ fn execute_impl(
         // empty buffers on first use.
         let mut staging: Vec<SpaceBuffers> = match resume {
             Some(cp) => cp.memories,
-            None => arena
-                .as_mut()
-                .map(|a| std::mem::take(&mut a.snaps))
-                .unwrap_or_default(),
+            None => std::mem::take(snaps),
         };
         staging.resize_with(num_ranks, SpaceBuffers::default);
         let state = EpochState::new(
             boundaries,
-            num_workers,
+            plan.tbs.len(),
             memories.clone(),
             staging,
             &start_targets,
@@ -1329,277 +1382,91 @@ fn execute_impl(
         Some(Arc::new(state))
     };
 
-    // ---- Connections: one bounded FIFO per (src, dst, ch), carrying
-    // pooled tiles by ownership (no copy in transit).
-    let mut fifos: HashMap<ConnKey, Arc<Fifo<PooledTile>>> = HashMap::new();
-    for gpu in &ir.gpus {
-        for tb in &gpu.threadblocks {
-            if let Some(peer) = tb.send_peer {
-                fifos.insert(
-                    (gpu.rank, peer, tb.channel),
-                    Arc::new(Fifo::new(params.num_slots)),
-                );
-            }
-        }
-    }
-
-    // ---- Semaphores, per (rank, tb).
-    let semaphores: HashMap<(usize, usize), Arc<Semaphore>> = ir
-        .gpus
-        .iter()
-        .flat_map(|g| {
-            g.threadblocks
-                .iter()
-                .map(|t| ((g.rank, t.id), Arc::new(Semaphore::new())))
-        })
-        .collect();
-
-    // On resume, every semaphore restarts at its block's watermark: the
-    // monotonic encoding *is* the completed-instruction count, so the
-    // checkpoint targets are exactly the values dependents will wait on.
-    if resume_info.is_some() {
-        for (r, g) in start_targets.iter().enumerate() {
-            for (t, &start) in g.iter().enumerate() {
-                semaphores[&(r, t)].set(start);
-            }
-        }
-    }
-
-    // Instruction counts per tb, for monotonic semaphore encoding.
-    let tb_len: HashMap<(usize, usize), u64> = ir
-        .gpus
-        .iter()
-        .flat_map(|g| {
-            g.threadblocks
-                .iter()
-                .map(|t| ((g.rank, t.id), t.instructions.len() as u64))
-        })
-        .collect();
-
     // Shared wall-clock origin so all workers' timestamps are comparable;
     // the global deadline, when set, counts from here too.
     let epoch = Instant::now();
     let global_deadline = opts.deadline.map(|d| epoch + d);
-    let cancel = CancelToken::new();
 
-    // ---- Metrics: one shard per worker thread, so a hot-path update is
-    // a relaxed atomic add with no sharing; merged on snapshot. An arena
-    // that already carries handles for this program lends them;
-    // otherwise they are resolved fresh and, when an arena is present,
-    // cached for the next run. Arena counters are cumulative (the
-    // Prometheus model): only a run that materializes a snapshot zeroes
-    // the shards first — each worker its own, overlapping thread spawn —
-    // so plain metered runs pay nothing but the hot-path adds. With no
-    // arena and no snapshot requested, the counters would be dropped
-    // unread, so they are not collected at all.
-    let run_metrics: Option<Arc<ArenaMetrics>> = if !opts.metrics {
-        None
-    } else if let Some(cached) = arena
-        .as_deref()
-        .and_then(|a| a.metrics.clone())
-        .filter(|m| m.matches(ir))
-    {
-        Some(cached)
-    } else if want_snapshot || arena.is_some() {
-        let m = Arc::new(ArenaMetrics::new(ir));
-        if let Some(a) = arena.as_deref_mut() {
-            a.metrics = Some(Arc::clone(&m));
+    // ---- Reset: FIFOs emptied, semaphores and tasks at their start
+    // watermarks (zero, or the checkpoint targets on a resume), every
+    // task runnable, wait and timer slots clear, cancel token re-armed.
+    plan.reset(&start_targets, metered, opts.flight, |tb, task, start| {
+        let epoch_ctx = epoch_state.as_ref().map(|state| WorkerEpoch {
+            state: Arc::clone(state),
+            targets: state.targets_for(tb.rank, tb.tb_id),
+            // Gates at or before the resumed boundary are never
+            // revisited — by anyone, so they stay consistent.
+            next: resume_info.map_or(0, |(b, _)| b + 1),
+            worker: task.flat,
+        });
+        let straggle = injector
+            .and_then(|i| i.rank_slowdown(tb.rank))
+            .filter(|f| *f > 1.0)
+            .map(|f| Duration::from_nanos((STRAGGLE_UNIT_NS * (f - 1.0)) as u64));
+        task.reset(tb, start, epoch_ctx, straggle, tracing, epoch);
+    });
+    let run_metrics = plan.metrics.as_ref().filter(|_| metered);
+    if let Some(m) = run_metrics.filter(|_| want_snapshot) {
+        for worker in &m.workers {
+            worker.reset_own_shard();
         }
-        Some(m)
-    } else {
-        None
-    };
-    if want_snapshot {
-        if let Some(m) = &run_metrics {
-            m.pool_allocated.reset_shard(0);
-            m.pool_reused.reset_shard(0);
-            m.registry.gauge(names::SCHED_RUNNABLE_PEAK, &[]).reset();
-        }
+        m.pool_allocated.reset_shard(0);
+        m.pool_reused.reset_shard(0);
+        m.registry.gauge(names::SCHED_RUNNABLE_PEAK, &[]).reset();
     }
+    let flight = plan.flight.as_deref().filter(|_| opts.flight);
 
-    // ---- Dense connection indices so FIFO wake keys are plain integers.
-    // The assignment order is arbitrary but fixed for the run; both
-    // endpoints of a connection resolve the same index.
-    let conn_index: HashMap<(usize, usize, usize), usize> =
-        fifos.keys().enumerate().map(|(i, k)| (*k, i)).collect();
-
-    // ---- Flat task indices in spawn order: semaphore wake keys and
-    // metrics shards are addressed by this index, so watermarks and
-    // shard ownership are invariant under worker migration.
-    let flat_index: HashMap<(usize, usize), usize> = ir
-        .gpus
-        .iter()
-        .flat_map(|g| g.threadblocks.iter().map(|t| (g.rank, t.id)))
-        .enumerate()
-        .map(|(i, k)| (k, i))
-        .collect();
-
-    // ---- Worker pool size: `min(num_cpus, num_tbs)` threads by
-    // default, pinned by `worker_threads`. Tasks outnumbering workers is
-    // the normal case — oversubscription is handled by cooperative
-    // yields, not by the OS scheduler thrashing between threads.
-    let pool_threads = {
-        let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let want = if opts.worker_threads == 0 {
-            auto
-        } else {
-            opts.worker_threads
-        };
-        want.clamp(1, flat_index.len().max(1))
+    // ---- Interpret. The caller is worker 0; `Workers::run` returns
+    // only when every resident worker has quiesced, which is what makes
+    // lending them this frame's borrows sound.
+    let ctx = RunCtx {
+        tbs: &plan.tbs,
+        fifos: &plan.fifos,
+        sems: &plan.sems,
+        tasks: &plan.tasks,
+        sched: &plan.sched,
+        cancel: &plan.cancel,
+        memories: &memories,
+        pool,
+        injector,
+        metrics: run_metrics.map(|m| &m.workers[..]),
+        flight,
+        num_tiles,
+        tile_elems,
+        chunk_elems,
+        op: opts.reduce_op,
+        timeout: opts.timeout,
+        global_deadline,
     };
-
-    // ---- Flight recorder: per-worker forensic rings, reused from the
-    // arena when the shard count still matches, reset (not reallocated)
-    // per run. Created before the tasks so each can record through it.
-    let flight: Option<Arc<FlightRecorder>> = opts.flight.then(|| {
-        let cached = arena
-            .as_deref()
-            .and_then(|a| a.flight.clone())
-            .filter(|f| f.shards() == pool_threads);
-        let f = cached.unwrap_or_else(|| Arc::new(FlightRecorder::new(pool_threads)));
-        f.reset();
-        if let Some(a) = arena.as_deref_mut() {
-            a.flight = Some(Arc::clone(&f));
-        }
-        f
-    });
-
-    // ---- One resumable task per thread block, in spawn order. Each
-    // task owns its interpreter state behind a `Mutex`; the scheduler's
-    // ownership discipline guarantees at most one worker holds it at a
-    // time, so the lock is uncontended by construction.
-    let tasks: Vec<Mutex<TbTask>> = ir
-        .gpus
-        .iter()
-        .flat_map(|gpu| gpu.threadblocks.iter().map(move |tb| (gpu, tb)))
-        .map(|(gpu, tb)| {
-            let flat = flat_index[&(gpu.rank, tb.id)];
-            let worker_metrics: Option<&WorkerMetrics> =
-                run_metrics.as_deref().map(|m| &m.workers[flat]);
-            if want_snapshot {
-                if let Some(m) = worker_metrics {
-                    m.reset_own_shard();
-                }
-            }
-            let send = tb.send_peer.map(|p| ConnRef {
-                peer: p,
-                channel: tb.channel,
-                idx: conn_index[&(gpu.rank, p, tb.channel)],
-                fifo: Arc::clone(&fifos[&(gpu.rank, p, tb.channel)]),
-            });
-            let recv = tb.recv_peer.map(|p| ConnRef {
-                peer: p,
-                channel: tb.channel,
-                idx: conn_index[&(p, gpu.rank, tb.channel)],
-                fifo: Arc::clone(&fifos[&(p, gpu.rank, tb.channel)]),
-            });
-            let dep_sems: Vec<Vec<(Arc<Semaphore>, u64, usize)>> = tb
-                .instructions
-                .iter()
-                .map(|i| {
-                    i.deps
-                        .iter()
-                        .map(|d| {
-                            (
-                                Arc::clone(&semaphores[&(gpu.rank, d.tb)]),
-                                tb_len[&(gpu.rank, d.tb)],
-                                flat_index[&(gpu.rank, d.tb)],
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let epoch_ctx: Option<WorkerEpoch> = epoch_state.as_ref().map(|state| WorkerEpoch {
-                state: Arc::clone(state),
-                targets: state.targets_for(gpu.rank, tb.id),
-                // Gates at or before the resumed boundary are
-                // never revisited — by anyone, so they stay
-                // consistent.
-                next: resume_info.map_or(0, |(b, _)| b + 1),
-                worker: flat,
-            });
-            Mutex::new(TbTask::new(TbTaskInit {
-                rank: gpu.rank,
-                tb,
-                flat,
-                collective,
-                mem: Arc::clone(&memories[gpu.rank]),
-                sem: Arc::clone(&semaphores[&(gpu.rank, tb.id)]),
-                pool: Arc::clone(&pool),
-                send,
-                recv,
-                dep_sems,
-                num_tiles,
-                tile_elems,
-                chunk_elems,
-                op,
-                timeout: opts.timeout,
-                global_deadline,
-                cancel: Arc::clone(&cancel),
-                injector,
-                metrics: worker_metrics,
-                epoch_ctx,
-                start: start_targets[gpu.rank][tb.id],
-                tracing,
-                clock_epoch: epoch,
-                flight: flight.as_deref(),
-            }))
-        })
-        .collect();
-
-    let num_tasks = tasks.len();
-    let sched = Scheduler::new(pool_threads, num_tasks, flight.clone());
-    // Cancellation from anywhere wakes every parked worker immediately.
-    cancel.attach(Arc::downgrade(&sched.parker) as Weak<dyn Poke>);
-    std::thread::scope(|scope| {
-        // Worker 0 runs inline on the calling thread — a one-worker pool
-        // spawns no threads at all, which on small runs saves the full
-        // spawn+join round trip. Workers 1.. get their own threads.
-        let handles: Vec<_> = (1..pool_threads)
-            .map(|w| {
-                let sched = &sched;
-                let tasks = &tasks;
-                let cancel = &cancel;
-                scope.spawn(move || worker_loop(w, sched, tasks, cancel))
-            })
-            .collect();
-        // Tasks never unwind past run_task's catch_unwind; a panic out of
-        // the loop itself (inline or joined) means the scheduler broke.
-        let dead_scheduler = |cancel: &CancelToken| {
-            if !cancel.is_cancelled() {
-                cancel.cancel(FailureOrigin {
-                    rank: 0,
-                    tb: 0,
-                    step: 0,
-                    cause: FailureCause::Panic("worker died outside the interpreter".into()),
-                });
-            }
-        };
-        let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(0, &sched, &tasks, &cancel);
+    workers.run(&|w| {
+        // Tasks never unwind past run_task's catch_unwind; a panic out
+        // of the loop itself means the scheduler broke.
+        let looped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            worker_loop(w, &ctx);
         }));
-        if inline.is_err() {
-            dead_scheduler(&cancel);
-        }
-        for h in handles {
-            if h.join().is_err() {
-                dead_scheduler(&cancel);
-            }
+        if looped.is_err() && !ctx.cancel.is_cancelled() {
+            ctx.cancel.cancel(FailureOrigin {
+                rank: 0,
+                tb: 0,
+                step: 0,
+                cause: FailureCause::Panic("worker died outside the interpreter".into()),
+            });
         }
     });
-    let sched_stats = sched.stats();
-    let failed = cancel.origin().is_some();
-    let mut buffers: Vec<Vec<TraceEvent>> = Vec::with_capacity(num_tasks);
+
+    let sched_stats = plan.sched.stats();
+    let origin = plan.cancel.origin();
+    let mut buffers: Vec<Vec<TraceEvent>> = Vec::new();
     let mut stalls: Vec<TaskStall> = Vec::new();
     let mut instructions = 0u64;
-    for task in tasks {
-        let t = task.into_inner().unwrap_or_else(PoisonError::into_inner);
+    for (tb, task) in plan.tbs.iter().zip(&mut plan.tasks) {
+        let t = task.get_mut().unwrap_or_else(PoisonError::into_inner);
         // A task that died (cancelled, panicked, or stranded) matches the
         // old model where a stopped worker contributed no instructions.
         if t.done && !t.dead {
             instructions += t.completed;
         }
-        if failed {
+        if origin.is_some() {
             // Snapshot what the task was (or froze) waiting on, in spawn
             // order, for the wait-for graph. Dead tasks stashed their
             // wait in `die()`; parked tasks still hold it in their `pc`.
@@ -1611,19 +1478,25 @@ fn execute_impl(
                 done: t.done,
                 dead: t.dead,
                 completed: t.completed,
-                wait: t.frozen.clone().or_else(|| t.frozen_wait()),
-                send_peer: t.send.as_ref().map(|c| (c.peer, c.channel)),
-                recv_peer: t.recv.as_ref().map(|c| (c.peer, c.channel)),
+                wait: t.frozen.clone().or_else(|| t.frozen_wait(tb, &plan.sems)),
+                send_peer: tb.send.as_ref().map(|c| (c.peer, c.channel)),
+                recv_peer: tb.recv.as_ref().map(|c| (c.peer, c.channel)),
                 recent: t.ring.dump(),
             });
         }
-        buffers.push(t.rec.events);
+        if tracing {
+            buffers.push(std::mem::take(&mut t.rec.events));
+        }
+        // The task's clone of the epoch state must go before the state
+        // can be unwrapped below.
+        t.epoch_ctx = None;
     }
     // Observed cancellation latency: the failing worker stamped the token
     // when it recorded the origin, and at this point every worker has
-    // joined. This — not wall clock around the whole call — is what
+    // quiesced. This — not wall clock around the whole call — is what
     // "prompt teardown" means on a loaded host.
-    let drain = cancel
+    let drain = plan
+        .cancel
         .cancelled_at()
         .map_or(Duration::ZERO, |at| at.elapsed());
 
@@ -1636,12 +1509,10 @@ fn execute_impl(
         Some(state) => {
             let state = Arc::try_unwrap(state)
                 .ok()
-                .expect("workers joined; no other EpochState refs remain");
-            let (status, staging) = state.finish(start_total, cancel.origin().is_some());
+                .expect("workers quiesced; no other EpochState refs remain");
+            let (status, staging) = state.finish(start_total, origin.is_some());
             if !staging.is_empty() {
-                if let Some(a) = arena.as_deref_mut() {
-                    a.snaps = staging;
-                }
+                *snaps = staging;
             }
             status
         }
@@ -1663,11 +1534,12 @@ fn execute_impl(
     // Scrape model: counters are always recorded, but folding them into
     // a snapshot (key clones, shard sums) happens only for callers that
     // return one — entry points that discard it shouldn't pay for it.
-    let metrics_snapshot = run_metrics.as_deref().filter(|_| want_snapshot).map(|m| {
+    let metrics_snapshot = run_metrics.filter(|_| want_snapshot).map(|m| {
         // The pool is shared by all workers; its per-run deltas land in
-        // shard 0 once the workers have joined. Epoch counters likewise —
-        // resolved lazily so runs without epochs carry no epoch series at
-        // all (the runtime-vs-simulator metric parity depends on that).
+        // shard 0 once the workers have quiesced. Epoch counters likewise
+        // — resolved lazily so runs without epochs carry no epoch series
+        // at all (the runtime-vs-simulator metric parity depends on
+        // that).
         m.pool_allocated.add(0, stats.pool.allocated);
         m.pool_reused.add(0, stats.pool.reused);
         if epoch_status.epochs_completed > 0 {
@@ -1695,7 +1567,7 @@ fn execute_impl(
             // Park *time*, pre-bucketed by the scheduler on its idle
             // path: distinguishes "parked often" from "parked long".
             let park_hist = m.registry.histogram(names::SCHED_PARK_NS, &[]);
-            for (bucket, count, sum) in sched.park_histogram() {
+            for (bucket, count, sum) in plan.sched.park_histogram() {
                 park_hist.record_bucketed(0, bucket, count, sum);
             }
         }
@@ -1712,20 +1584,19 @@ fn execute_impl(
         *out = epoch_status;
     }
 
-    // After the scope the workers' Arc clones are gone, so the memories
-    // unwrap cleanly and their buffers can go back to the arena.
-    let stash = |arena: Option<&mut ExecArena>, memories: Vec<Arc<RankMemory>>| {
-        if let Some(a) = arena {
-            a.spares = memories
-                .into_iter()
-                .filter_map(|m| Arc::try_unwrap(m).ok())
-                .map(RankMemory::into_buffers)
-                .collect();
-        }
+    // Every clone of the memories is gone by now (tasks reach them only
+    // through the run context), so they unwrap cleanly and their buffers
+    // go back to the arena.
+    let stash = |spares: &mut Vec<SpaceBuffers>, memories: Vec<Arc<RankMemory>>| {
+        *spares = memories
+            .into_iter()
+            .filter_map(|m| Arc::try_unwrap(m).ok())
+            .map(RankMemory::into_buffers)
+            .collect();
     };
 
-    if let Some(origin) = cancel.origin() {
-        stash(arena.take(), memories);
+    if let Some(origin) = origin {
+        stash(spares, memories);
         let FailureOrigin { rank, tb, step, .. } = origin;
         let fired: Vec<String> = injector.map_or_else(Vec::new, |inj| {
             inj.fired().into_iter().map(|f| f.to_string()).collect()
@@ -1750,16 +1621,6 @@ fn execute_impl(
         // Post-mortem artifact, only when asked for: the library never
         // touches the filesystem on its own.
         if let Some(dir) = opts.blackbox_dir.as_deref() {
-            let mut conns: Vec<Option<BlackboxConn>> = vec![None; conn_index.len()];
-            for (&(src, dst, channel), &idx) in &conn_index {
-                conns[idx] = Some(BlackboxConn {
-                    src,
-                    dst,
-                    channel,
-                    occupancy: fifos[&(src, dst, channel)].len(),
-                    capacity: fifos[&(src, dst, channel)].capacity(),
-                });
-            }
             let blackbox = Blackbox {
                 version: crate::flight::BLACKBOX_VERSION.to_string(),
                 program: ir.name.clone(),
@@ -1776,12 +1637,21 @@ fn execute_impl(
                     steals: sched_stats.steals,
                     parks: sched_stats.parks,
                     park_ns: sched_stats.park_ns,
-                    waits: sched.captured_waits(),
+                    waits: plan.sched.captured_waits(),
                 },
-                conns: conns.into_iter().flatten().collect(),
-                flight: flight
-                    .as_deref()
-                    .map_or_else(Vec::new, FlightRecorder::drain),
+                conns: plan
+                    .conns
+                    .iter()
+                    .zip(&plan.fifos)
+                    .map(|(&(src, dst, channel), fifo)| BlackboxConn {
+                        src,
+                        dst,
+                        channel,
+                        occupancy: fifo.len(),
+                        capacity: fifo.capacity(),
+                    })
+                    .collect(),
+                flight: flight.map_or_else(Vec::new, FlightRecorder::drain),
                 metrics: vec![
                     ("instructions_completed".to_string(), instructions),
                     ("pool_tiles_allocated".to_string(), stats.pool.allocated),
@@ -1834,7 +1704,6 @@ fn execute_impl(
     }
 
     let trace = tracing.then(|| {
-        let mut buffers = buffers;
         buffers.push(vec![
             TraceEvent {
                 ts_us: 0.0,
@@ -1855,207 +1724,34 @@ fn execute_impl(
         Trace::from_buffers(ClockDomain::Wall, buffers)
     });
 
-    // ---- Extract outputs. When a rank's output chunks map identity-
-    // style onto one whole space, that space's backing vector *is* the
-    // result: steal it via a pointer swap (handing in a recycled vector
-    // so the arena cycle stays allocation-free) instead of copying
-    // `out_chunks × chunk_elems` elements. Ranks whose output layout is
-    // scattered fall back to one `read_into` pass per chunk.
-    let out_chunks = collective.out_chunks();
-    let stealable = |r: usize| -> Option<Space> {
-        if out_chunks == 0 {
-            return None;
-        }
-        let (space, off0) = collective.space_of(r, mscclang::BufferKind::Output, 0);
-        (off0 == 0
-            && collective.space_size(space) == Some(out_chunks)
-            && (1..out_chunks)
-                .all(|i| collective.space_of(r, mscclang::BufferKind::Output, i) == (space, i)))
-        .then_some(space)
-    };
+    // ---- Extract outputs. A rank's output chunks are one contiguous
+    // range of one space. When that range is the whole space, the
+    // space's backing vector *is* the result: steal it via a pointer
+    // swap (handing in a recycled vector so the arena cycle stays
+    // allocation-free) instead of copying `out_chunks × chunk_elems`
+    // elements. Otherwise one `read_into` pass copies the range out.
+    let out_elems = collective.out_chunks() * chunk_elems;
     let outputs = (0..num_ranks)
         .map(|r| {
             let spare = spare_outs.pop().unwrap_or_default();
-            if let Some(space) = stealable(r) {
-                return memories[r].swap_space_buffer(space, spare);
+            let (at, whole_space) = plan.output_at[r];
+            if whole_space {
+                return memories[r].swap_space_buffer(at.space, spare);
             }
-            let elems = out_chunks * chunk_elems;
             let mut out = spare;
             if out.is_empty() {
-                out = vec![0.0; elems];
+                out = vec![0.0; out_elems];
             } else {
-                out.resize(elems, 0.0);
+                out.resize(out_elems, 0.0);
             }
-            for index in 0..out_chunks {
-                let base = index * chunk_elems;
-                memories[r].read_into(
-                    collective,
-                    mscclang::BufferKind::Output,
-                    index,
-                    0,
-                    &mut out[base..base + chunk_elems],
-                );
+            if out_elems > 0 {
+                memories[r].read_into_at(at, 0, &mut out);
             }
             out
         })
         .collect();
-    stash(arena.take(), memories);
+    stash(spares, memories);
     Ok((outputs, trace, stats, metrics_snapshot))
-}
-
-/// Index of a space in the fixed-size per-space tables below.
-fn space_slot(space: Space) -> usize {
-    match space {
-        Space::Data => 0,
-        Space::Output => 1,
-        Space::Scratch => 2,
-    }
-}
-
-/// Per-space bitmap of `rank`'s chunks that the program provably fully
-/// overwrites before ever reading — `[Data, Output, Scratch]`, indexed by
-/// [`space_slot`].
-///
-/// A chunk qualifies when it is the destination of at least one
-/// plain-overwrite instruction (`r`, `cpy`, `rcs` — each writes its full
-/// destination chunks, since the tile loop spans `chunk_elems`) and
-/// every read of it — source of any instruction, or destination of a
-/// reduce-family instruction (read-modify-write) — is ordered *after*
-/// one of those overwrites by the rank's own happens-before relation:
-/// program order within a thread block plus the IR's cross-block dep
-/// edges. Dep semaphore targets are per-tile (`tile * len + step + 1`),
-/// and distinct tiles touch disjoint element ranges, so instruction-
-/// level reachability is exactly the per-element guarantee. Orderings
-/// that exist only through a cross-rank FIFO round trip are not modeled
-/// — such chunks conservatively keep their re-zero.
-///
-/// Stale recycled data in a qualifying chunk is unobservable — output
-/// extraction runs only after every instruction completed, failed runs
-/// never extract, and epoch resume overwrites every space in full — so
-/// [`RankMemory::recycled_skipping`] can keep it instead of re-zeroing.
-fn overwrite_only_chunks(
-    ir: &IrProgram,
-    collective: &mscclang::Collective,
-    rank: usize,
-) -> [Vec<bool>; 3] {
-    let gpu = ir.gpu(rank);
-    let sizes = [
-        collective.space_size(Space::Data).unwrap_or(0),
-        collective.space_size(Space::Output).unwrap_or(0),
-        gpu.scratch_chunks,
-    ];
-    // Flat node ids over the rank's instructions, in (tb, step) order.
-    let mut offsets = Vec::with_capacity(gpu.threadblocks.len());
-    let mut n = 0usize;
-    for tb in &gpu.threadblocks {
-        offsets.push(n);
-        n += tb.instructions.len();
-    }
-
-    // Which nodes overwrite / read each chunk.
-    let mut writes: [Vec<Vec<u32>>; 3] = sizes.map(|s| vec![Vec::new(); s]);
-    let mut reads: [Vec<Vec<u32>>; 3] = sizes.map(|s| vec![Vec::new(); s]);
-    for (t, tb) in gpu.threadblocks.iter().enumerate() {
-        for (s, instr) in tb.instructions.iter().enumerate() {
-            let node = (offsets[t] + s) as u32;
-            let mark = |sets: &mut [Vec<Vec<u32>>; 3], loc: Option<mscclang::IrLoc>| {
-                let Some(loc) = loc else { return };
-                for i in 0..instr.count {
-                    let (space, off) = collective.space_of(rank, loc.buffer, loc.index + i);
-                    if let Some(list) = sets[space_slot(space)].get_mut(off) {
-                        list.push(node);
-                    }
-                }
-            };
-            match instr.op {
-                OpCode::Nop => {}
-                OpCode::Recv | OpCode::RecvCopySend => mark(&mut writes, instr.dst),
-                OpCode::Copy => {
-                    mark(&mut reads, instr.src);
-                    mark(&mut writes, instr.dst);
-                }
-                OpCode::Send | OpCode::RecvReduceSend => mark(&mut reads, instr.src),
-                OpCode::Reduce => {
-                    mark(&mut reads, instr.src);
-                    mark(&mut reads, instr.dst);
-                }
-                OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => mark(&mut reads, instr.dst),
-            }
-        }
-    }
-
-    // Strict-ancestor bitsets via a topological sweep over program order
-    // + dep edges. The graphs are tiny (a rank's instruction count), so
-    // n²/64 words of bitset is nothing.
-    let words = n.div_ceil(64).max(1);
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (t, tb) in gpu.threadblocks.iter().enumerate() {
-        for (s, instr) in tb.instructions.iter().enumerate() {
-            let node = offsets[t] + s;
-            if s > 0 {
-                preds[node].push((node - 1) as u32);
-            }
-            for d in &instr.deps {
-                if gpu
-                    .threadblocks
-                    .get(d.tb)
-                    .is_some_and(|db| d.step < db.instructions.len())
-                {
-                    preds[node].push((offsets[d.tb] + d.step) as u32);
-                }
-            }
-        }
-    }
-    let mut indeg = vec![0u32; n];
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (v, ps) in preds.iter().enumerate() {
-        indeg[v] = ps.len() as u32;
-        for &p in ps {
-            succs[p as usize].push(v as u32);
-        }
-    }
-    let mut anc = vec![0u64; n * words];
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-    let mut processed = 0usize;
-    let mut scratch = vec![0u64; words];
-    while let Some(v) = queue.pop() {
-        processed += 1;
-        let v = v as usize;
-        scratch.copy_from_slice(&anc[v * words..(v + 1) * words]);
-        scratch[v / 64] |= 1 << (v % 64);
-        for &u in &succs[v] {
-            let u = u as usize;
-            for (a, &b) in anc[u * words..(u + 1) * words].iter_mut().zip(&scratch) {
-                *a |= b;
-            }
-            indeg[u] -= 1;
-            if indeg[u] == 0 {
-                queue.push(u as u32);
-            }
-        }
-    }
-    // A dep cycle (malformed hand-built IR — it could not execute anyway)
-    // degrades to the sound special case: only never-read chunks skip.
-    let acyclic = processed == n;
-    let ordered_after_write = |r: u32, ws: &[u32]| -> bool {
-        let base = r as usize * words;
-        ws.iter()
-            .any(|&w| anc[base + w as usize / 64] >> (w % 64) & 1 == 1)
-    };
-
-    let mut skip = sizes.map(|s| vec![false; s]);
-    for slot in 0..3 {
-        for off in 0..sizes[slot] {
-            let (ws, rs) = (&writes[slot][off], &reads[slot][off]);
-            skip[slot][off] = !ws.is_empty()
-                && if acyclic {
-                    rs.iter().all(|&r| ordered_after_write(r, ws))
-                } else {
-                    rs.is_empty()
-                };
-        }
-    }
-    skip
 }
 
 /// Whether a just-expired wait was bounded by the global deadline rather
@@ -2070,20 +1766,11 @@ fn deadline_hit(global_deadline: Option<Instant>) -> bool {
 /// the rank stays slow across tiles, steps and resumed attempts.
 const STRAGGLE_UNIT_NS: f64 = 20_000.0;
 
-/// A connection endpoint as a task sees it: the peer, the channel, the
-/// dense connection index wake keys are built from, and the FIFO itself.
-struct ConnRef {
-    peer: usize,
-    channel: usize,
-    idx: usize,
-    fifo: Arc<Fifo<PooledTile>>,
-}
-
 /// What `TbTask::advance` hands back to its worker.
 enum Yield {
     /// The task must wait for `key`. `timer` is set only when this is a
     /// *fresh* wait (a hang deadline or a sleep expiry to arm); re-blocks
-    /// after a spurious wake pass `None` so the timer heap doesn't grow.
+    /// after a spurious wake pass `None` and keep the armed one.
     Blocked {
         key: WakeKey,
         timer: Option<Instant>,
@@ -2131,34 +1818,6 @@ enum Pc {
     Finished,
 }
 
-/// Everything a [`TbTask`] is built from, in spawn order.
-struct TbTaskInit<'a> {
-    rank: usize,
-    tb: &'a mscclang::IrThreadBlock,
-    flat: usize,
-    collective: &'a mscclang::Collective,
-    mem: Arc<RankMemory>,
-    sem: Arc<Semaphore>,
-    pool: Arc<TilePool>,
-    send: Option<ConnRef>,
-    recv: Option<ConnRef>,
-    dep_sems: Vec<Vec<(Arc<Semaphore>, u64, usize)>>,
-    num_tiles: usize,
-    tile_elems: usize,
-    chunk_elems: usize,
-    op: ReduceOp,
-    timeout: Duration,
-    global_deadline: Option<Instant>,
-    cancel: Arc<CancelToken>,
-    injector: Option<&'a FaultInjector>,
-    metrics: Option<&'a WorkerMetrics>,
-    epoch_ctx: Option<WorkerEpoch>,
-    start: u64,
-    tracing: bool,
-    clock_epoch: Instant,
-    flight: Option<&'a FlightRecorder>,
-}
-
 /// One thread block's interpreter as a resumable state machine (the
 /// tiling outer loop of Figure 5). `advance` runs until the block must
 /// wait, then yields the [`WakeKey`] naming what it waits for instead of
@@ -2168,35 +1827,21 @@ struct TbTaskInit<'a> {
 /// allocates nothing. The per-block sequence of trace events, ring
 /// entries, semaphore values and FIFO operations is identical to the
 /// retired thread-per-block executor at any pool size.
-struct TbTask<'a> {
-    // ---- Identity and wiring (fixed for the run).
+///
+/// A task holds only its own interpreter state; its program
+/// ([`TbPlan`]), wiring and the run's parameters come through the
+/// [`RunCtx`] each call. That keeps it free of borrows, so it lives in
+/// the [`ExecPlan`] across runs and a run starts with
+/// [`reset`](Self::reset) instead of a rebuild.
+pub(crate) struct TbTask {
+    // ---- Identity (fixed for the plan).
     rank: usize,
     tb_id: usize,
-    /// This task's index in spawn order: its semaphore wake key, its
+    /// This task's index in spawn order: its semaphore and wake key, its
     /// metrics shard, and its epoch progress slot.
     flat: usize,
-    tb: &'a mscclang::IrThreadBlock,
-    collective: &'a mscclang::Collective,
-    mem: Arc<RankMemory>,
-    sem: Arc<Semaphore>,
-    pool: Arc<TilePool>,
-    send: Option<ConnRef>,
-    recv: Option<ConnRef>,
-    /// Per instruction, per dep: the dep's semaphore, its block length
-    /// (for the monotonic target encoding), and its task index (for the
-    /// wake key).
-    dep_sems: Vec<Vec<(Arc<Semaphore>, u64, usize)>>,
-    num_tiles: usize,
-    tile_elems: usize,
-    chunk_elems: usize,
-    op: ReduceOp,
-    timeout: Duration,
-    global_deadline: Option<Instant>,
-    cancel: Arc<CancelToken>,
-    injector: Option<&'a FaultInjector>,
-    metrics: Option<&'a WorkerMetrics>,
+    // ---- Per-run parameters.
     epoch_ctx: Option<WorkerEpoch>,
-    flight: Option<&'a FlightRecorder>,
     straggle: Option<Duration>,
     // ---- Interpreter position.
     /// Monotonic completed-instruction count — the same encoding the
@@ -2212,7 +1857,7 @@ struct TbTask<'a> {
     /// The hang deadline of the wait in flight: min(step timeout, global
     /// deadline), fixed when the wait starts and kept across re-blocks.
     fail_at: Option<Instant>,
-    /// Whether the wait's timer has been pushed on the scheduler heap.
+    /// Whether the wait's timer has been handed to the scheduler.
     timer_armed: bool,
     /// When the in-flight dependency wait began (sem_wait_ns base).
     wait_start: Option<Instant>,
@@ -2245,95 +1890,22 @@ struct TbTask<'a> {
     dead: bool,
 }
 
-impl<'a> TbTask<'a> {
-    fn new(init: TbTaskInit<'a>) -> Self {
-        let TbTaskInit {
-            rank,
-            tb,
-            flat,
-            collective,
-            mem,
-            sem,
-            pool,
-            send,
-            recv,
-            dep_sems,
-            num_tiles,
-            tile_elems,
-            chunk_elems,
-            op,
-            timeout,
-            global_deadline,
-            cancel,
-            injector,
-            metrics,
-            epoch_ctx,
-            start,
-            tracing,
-            clock_epoch,
-            flight,
-        } = init;
-        let my_len = tb.instructions.len() as u64;
-        // `start` is 0 for a fresh run, or this block's checkpoint
-        // watermark on resume — the same monotonic encoding the
-        // semaphores use, so `completed` picks up where the checkpointed
-        // run left off.
-        let start_tile = start.checked_div(my_len).unwrap_or(0) as usize;
-        let start_step = start.checked_rem(my_len).unwrap_or(0) as usize;
-        // Resumed FIFO sequence numbers are re-derived from the watermark
-        // by counting the send/recv instructions in the skipped prefix,
-        // so one-shot delivery-fault specs keyed by sequence number keep
-        // addressing the same logical messages across a resume.
-        let count_prefix = |sends: bool, upto: usize| -> u64 {
-            tb.instructions[..upto]
-                .iter()
-                .filter(|i| {
-                    if sends {
-                        i.op.has_send()
-                    } else {
-                        i.op.has_recv()
-                    }
-                })
-                .count() as u64
-        };
-        let send_seq = start_tile as u64 * count_prefix(true, my_len as usize)
-            + count_prefix(true, start_step);
-        let recv_seq = start_tile as u64 * count_prefix(false, my_len as usize)
-            + count_prefix(false, start_step);
-        let straggle = injector
-            .and_then(|i| i.rank_slowdown(rank))
-            .filter(|f| *f > 1.0)
-            .map(|f| Duration::from_nanos((STRAGGLE_UNIT_NS * (f - 1.0)) as u64));
+impl TbTask {
+    /// A task for thread block `tb_id` of `rank`, at flat index `flat`.
+    /// Not runnable until [`reset`](Self::reset).
+    pub(crate) fn new(rank: usize, tb_id: usize, flat: usize) -> Self {
         Self {
             rank,
-            tb_id: tb.id,
+            tb_id,
             flat,
-            tb,
-            collective,
-            mem,
-            sem,
-            pool,
-            send,
-            recv,
-            dep_sems,
-            num_tiles,
-            tile_elems,
-            chunk_elems,
-            op,
-            timeout,
-            global_deadline,
-            cancel,
-            injector,
-            metrics,
-            epoch_ctx,
-            flight,
-            straggle,
-            completed: start,
-            tile: start_tile,
-            step: start_step,
-            send_seq,
-            recv_seq,
-            pc: Pc::StartGate,
+            epoch_ctx: None,
+            straggle: None,
+            completed: 0,
+            tile: 0,
+            step: 0,
+            send_seq: 0,
+            recv_seq: 0,
+            pc: Pc::Finished,
             fail_at: None,
             timer_armed: false,
             wait_start: None,
@@ -2347,31 +1919,91 @@ impl<'a> TbTask<'a> {
             dup_pending: None,
             xmit_bytes: 0,
             rec: Recorder {
-                enabled: tracing,
-                epoch: clock_epoch,
+                enabled: false,
+                epoch: Instant::now(),
                 rank,
-                tb: tb.id,
+                tb: tb_id,
                 events: Vec::new(),
             },
-            ring: EventRing::new(rank, tb.id),
+            ring: EventRing::new(rank, tb_id),
             frozen: None,
-            done: false,
+            done: true,
             dead: false,
         }
+    }
+
+    /// Puts the task at the start of a run, whatever state the previous
+    /// run left it in (parked mid-wait, dead, tiles in hand — those go
+    /// back to the pool here). `start` is 0 for a fresh run, or this
+    /// block's checkpoint watermark on resume — the same monotonic
+    /// encoding the semaphores use, so `completed` picks up where the
+    /// checkpointed run left off.
+    fn reset(
+        &mut self,
+        tb: &TbPlan,
+        start: u64,
+        epoch_ctx: Option<WorkerEpoch>,
+        straggle: Option<Duration>,
+        tracing: bool,
+        clock_epoch: Instant,
+    ) {
+        let my_len = tb.instrs.len() as u64;
+        let start_tile = start.checked_div(my_len).unwrap_or(0);
+        let start_step = start.checked_rem(my_len).unwrap_or(0) as usize;
+        // Resumed FIFO sequence numbers are re-derived from the watermark
+        // by counting the send/recv instructions in the skipped prefix,
+        // so one-shot delivery-fault specs keyed by sequence number keep
+        // addressing the same logical messages across a resume.
+        let count_prefix = |has: fn(OpCode) -> bool, upto: usize| -> u64 {
+            tb.instrs[..upto].iter().filter(|i| has(i.op)).count() as u64
+        };
+        let seq_at_start = |has: fn(OpCode) -> bool| -> u64 {
+            if start == 0 {
+                return 0;
+            }
+            start_tile * count_prefix(has, tb.instrs.len()) + count_prefix(has, start_step)
+        };
+        self.epoch_ctx = epoch_ctx;
+        self.straggle = straggle;
+        self.completed = start;
+        self.tile = start_tile as usize;
+        self.step = start_step;
+        self.send_seq = seq_at_start(OpCode::has_send);
+        self.recv_seq = seq_at_start(OpCode::has_recv);
+        self.pc = Pc::StartGate;
+        self.fail_at = None;
+        self.timer_armed = false;
+        self.wait_start = None;
+        self.blocked_at = None;
+        self.block_emitted = false;
+        self.gate_arrived = None;
+        self.instr_start = None;
+        self.inbox.clear();
+        self.inbound = None;
+        self.outbound = None;
+        self.dup_pending = None;
+        self.xmit_bytes = 0;
+        self.rec.enabled = tracing;
+        self.rec.epoch = clock_epoch;
+        self.rec.events.clear();
+        self.ring = EventRing::new(self.rank, self.tb_id);
+        self.frozen = None;
+        self.done = false;
+        self.dead = false;
     }
 
     /// Each blocking wait runs against min(step deadline, global
     /// deadline); when one expires, `deadline_hit` disambiguates the
     /// cause.
-    fn wait_deadline(&self, now: Instant) -> Instant {
-        let step = now + self.timeout;
-        self.global_deadline.map_or(step, |g| step.min(g))
+    fn wait_deadline(ctx: &RunCtx<'_>, now: Instant) -> Instant {
+        let step = now + ctx.timeout;
+        ctx.global_deadline.map_or(step, |g| step.min(g))
     }
 
     /// Opens a fresh wait at `now`: fixes its hang deadline and marks its
     /// timer unarmed so the first `Blocked` yield pushes it.
-    fn open_wait(&mut self, now: Instant) {
-        self.fail_at = Some(self.wait_deadline(now));
+    fn open_wait(&mut self, ctx: &RunCtx<'_>, now: Instant) {
+        self.fail_at = Some(Self::wait_deadline(ctx, now));
         self.timer_armed = false;
     }
 
@@ -2401,8 +2033,8 @@ impl<'a> TbTask<'a> {
     /// already recorded, or killed. Stashes the wait the task was stuck
     /// on before the program counter is overwritten, so the post-mortem
     /// wait-for graph keeps its edge.
-    fn die(&mut self) -> Yield {
-        self.frozen = self.frozen_wait();
+    fn die(&mut self, ctx: &RunCtx<'_>) -> Yield {
+        self.frozen = self.frozen_wait(&ctx.tbs[self.flat], ctx.sems);
         self.dead = true;
         self.done = true;
         self.pc = Pc::Finished;
@@ -2412,23 +2044,21 @@ impl<'a> TbTask<'a> {
     /// The resource the current program counter is blocked on, typed for
     /// the wait-for graph, or `None` when the task is mid-computation.
     /// Mirrors the probes in [`blocked_ready`](Self::blocked_ready).
-    fn frozen_wait(&self) -> Option<BlockedOn> {
+    fn frozen_wait(&self, tb: &TbPlan, sems: &[Semaphore]) -> Option<BlockedOn> {
         match self.pc {
             Pc::Dep { idx } => {
-                let instr = &self.tb.instructions[self.step];
-                let dep = instr.deps.get(idx)?;
-                let (sem_d, dep_len, _) = self.dep_sems.get(self.step)?.get(idx)?;
+                let dep = tb.instrs.get(self.step)?.deps.get(idx)?;
                 Some(BlockedOn::Sem {
                     dep_tb: dep.tb,
-                    target: self.tile as u64 * dep_len + dep.step as u64 + 1,
-                    current: sem_d.current(),
+                    target: self.dep_target(dep),
+                    current: sems[dep.flat].current(),
                 })
             }
-            Pc::RecvTile => self.recv.as_ref().map(|c| BlockedOn::Recv {
+            Pc::RecvTile => tb.recv.as_ref().map(|c| BlockedOn::Recv {
                 src: c.peer,
                 channel: c.channel,
             }),
-            Pc::Xmit { .. } => self.send.as_ref().map(|c| BlockedOn::Send {
+            Pc::Xmit { .. } => tb.send.as_ref().map(|c| BlockedOn::Send {
                 dst: c.peer,
                 channel: c.channel,
             }),
@@ -2440,20 +2070,27 @@ impl<'a> TbTask<'a> {
         }
     }
 
+    /// The semaphore value `dep` must reach for this tile: the monotonic
+    /// encoding counts instructions across tiles, so a completion from
+    /// tile `t - 1` can never satisfy a wait from tile `t`.
+    fn dep_target(&self, dep: &Dep) -> u64 {
+        self.tile as u64 * dep.len + dep.step + 1
+    }
+
     /// Records this task's own wait-timeout failure and dies.
-    fn fail_own(&mut self) -> Yield {
-        let cause = if deadline_hit(self.global_deadline) {
+    fn fail_own(&mut self, ctx: &RunCtx<'_>) -> Yield {
+        let cause = if deadline_hit(ctx.global_deadline) {
             FailureCause::Deadline
         } else {
             FailureCause::StepTimeout
         };
-        self.cancel.cancel(FailureOrigin {
+        ctx.cancel.cancel(FailureOrigin {
             rank: self.rank,
             tb: self.tb_id,
             step: self.step,
             cause,
         });
-        self.die()
+        self.die(ctx)
     }
 
     /// Parks at every epoch gate `completed` has reached. Blocks whose
@@ -2461,7 +2098,7 @@ impl<'a> TbTask<'a> {
     /// every fresh block a first cut leaves at watermark 0) gate here
     /// before executing anything — the barrier needs all of them.
     /// Returns `None` when no gate is due (or all due gates passed).
-    fn gate_step(&mut self, sched: &Scheduler, w: usize) -> Option<Yield> {
+    fn gate_step(&mut self, ctx: &RunCtx<'_>, w: usize) -> Option<Yield> {
         loop {
             let completed = self.completed;
             let due = match self.epoch_ctx.as_mut() {
@@ -2479,18 +2116,18 @@ impl<'a> TbTask<'a> {
                 // the checkpoint.
                 debug_assert!(self.inbox.is_empty(), "in-flight tile crosses an epoch cut");
                 self.gate_arrived = Some(b);
-                if let Some(fl) = self.flight {
+                if let Some(fl) = ctx.flight {
                     fl.gate(w, self.rank, self.tb_id, b);
                 }
-                self.open_wait(Instant::now());
+                self.open_wait(ctx, Instant::now());
                 let released = {
                     let e = self.epoch_ctx.as_ref().expect("gate implies epoch ctx");
-                    e.state.arrive(b, &self.cancel)
+                    e.state.arrive(b, ctx.cancel)
                 };
                 if released {
                     // Last arriver: the checkpoint is published; free the
                     // whole barrier.
-                    sched.wake(WakeKey::Gate(b), w);
+                    ctx.sched.wake(WakeKey::Gate(b), w);
                 }
             }
             let released = {
@@ -2506,11 +2143,11 @@ impl<'a> TbTask<'a> {
                 self.fail_at = None;
                 continue;
             }
-            if self.cancel.is_cancelled() {
-                return Some(self.die());
+            if ctx.cancel.is_cancelled() {
+                return Some(self.die(ctx));
             }
             if self.fail_at.is_some_and(|at| Instant::now() >= at) {
-                return Some(self.fail_own());
+                return Some(self.fail_own(ctx));
             }
             return Some(Yield::Blocked {
                 key: WakeKey::Gate(b),
@@ -2525,8 +2162,8 @@ impl<'a> TbTask<'a> {
     /// which re-evaluates the same condition authoritatively. Cancellation
     /// and an expired hang deadline always count as ready — the task must
     /// run to observe them and die.
-    fn blocked_ready(&self, now: Instant) -> bool {
-        if self.cancel.is_cancelled() {
+    fn blocked_ready(&self, ctx: &RunCtx<'_>, now: Instant) -> bool {
+        if ctx.cancel.is_cancelled() {
             return true;
         }
         if self.fail_at.is_some_and(|at| now >= at) {
@@ -2535,16 +2172,17 @@ impl<'a> TbTask<'a> {
         match self.pc {
             Pc::Stall { until } | Pc::Straggle { until } | Pc::Delay { until } => now >= until,
             Pc::Dep { idx } => {
-                let instr = &self.tb.instructions[self.step];
-                let dep = &instr.deps[idx];
-                let (sem_d, dep_len, _) = &self.dep_sems[self.step][idx];
-                sem_d.current() > self.tile as u64 * dep_len + dep.step as u64
+                let dep = &ctx.tbs[self.flat].instrs[self.step].deps[idx];
+                ctx.sems[dep.flat].current() >= self.dep_target(dep)
             }
-            Pc::RecvTile => self.recv.as_ref().is_some_and(|c| !c.fifo.is_empty()),
-            Pc::Xmit { .. } => self
-                .send
+            Pc::RecvTile => ctx.tbs[self.flat]
+                .recv
                 .as_ref()
-                .is_some_and(|c| c.fifo.len() < c.fifo.capacity()),
+                .is_some_and(|c| !ctx.fifos[c.idx].is_empty()),
+            Pc::Xmit { .. } => ctx.tbs[self.flat].send.as_ref().is_some_and(|c| {
+                let fifo = &ctx.fifos[c.idx];
+                fifo.len() < fifo.capacity()
+            }),
             Pc::StartGate | Pc::GateCheck => match (self.gate_arrived, &self.epoch_ctx) {
                 (Some(b), Some(e)) => e.state.is_released(b),
                 _ => true,
@@ -2556,14 +2194,16 @@ impl<'a> TbTask<'a> {
     /// Runs the interpreter until it finishes or must wait. The worker
     /// calls this with the task's lock held; on `Blocked` it registers
     /// the key with the scheduler and moves on to other tasks.
-    fn advance(&mut self, sched: &Scheduler, w: usize) -> Yield {
+    fn advance(&mut self, ctx: &RunCtx<'_>, w: usize) -> Yield {
+        let tb = &ctx.tbs[self.flat];
+        let metrics = ctx.metrics.map(|m| &m[self.flat]);
         loop {
             match self.pc {
                 Pc::StartGate => {
-                    if let Some(y) = self.gate_step(sched, w) {
+                    if let Some(y) = self.gate_step(ctx, w) {
                         return y;
                     }
-                    if self.tile >= self.num_tiles {
+                    if self.tile >= ctx.num_tiles {
                         // A checkpoint taken at the very end of the
                         // program resumes to nothing.
                         return self.finish();
@@ -2572,7 +2212,7 @@ impl<'a> TbTask<'a> {
                 }
                 Pc::TileBegin => {
                     self.rec.emit(EventKind::TileBegin { tile: self.tile });
-                    self.pc = if self.step < self.tb.instructions.len() {
+                    self.pc = if self.step < tb.instrs.len() {
                         Pc::PreInstr
                     } else {
                         Pc::PostTile
@@ -2582,7 +2222,7 @@ impl<'a> TbTask<'a> {
                     self.rec.emit(EventKind::TileEnd { tile: self.tile });
                     self.tile += 1;
                     self.step = 0;
-                    if self.tile >= self.num_tiles {
+                    if self.tile >= ctx.num_tiles {
                         return self.finish();
                     }
                     self.pc = Pc::TileBegin;
@@ -2591,22 +2231,22 @@ impl<'a> TbTask<'a> {
                     // A failure elsewhere, or the global deadline, stops
                     // the task between instructions even when it never
                     // blocks.
-                    if self.cancel.is_cancelled() {
-                        return self.die();
+                    if ctx.cancel.is_cancelled() {
+                        return self.die(ctx);
                     }
-                    if deadline_hit(self.global_deadline) {
-                        self.cancel.cancel(FailureOrigin {
+                    if deadline_hit(ctx.global_deadline) {
+                        ctx.cancel.cancel(FailureOrigin {
                             rank: self.rank,
                             tb: self.tb_id,
                             step: self.step,
                             cause: FailureCause::Deadline,
                         });
-                        return self.die();
+                        return self.die(ctx);
                     }
                     // Planned block faults strike as the instruction
                     // starts; `on_block` is one-shot, so it is consulted
                     // exactly once per (rank, tb, step) firing.
-                    match self
+                    match ctx
                         .injector
                         .and_then(|i| i.on_block(self.rank, self.tb_id, self.step))
                     {
@@ -2618,7 +2258,7 @@ impl<'a> TbTask<'a> {
                         }
                         Some(BlockAction::Kill) => {
                             let (rank, tb_id, step) = (self.rank, self.tb_id, self.step);
-                            self.cancel.cancel(FailureOrigin {
+                            ctx.cancel.cancel(FailureOrigin {
                                 rank,
                                 tb: tb_id,
                                 step,
@@ -2626,14 +2266,14 @@ impl<'a> TbTask<'a> {
                                     "kill block r{rank} tb{tb_id} step{step}"
                                 )),
                             });
-                            return self.die();
+                            return self.die(ctx);
                         }
                         None => self.pc = self.after_stall(),
                     }
                 }
                 Pc::Stall { until } => {
-                    if self.cancel.is_cancelled() {
-                        return self.die();
+                    if ctx.cancel.is_cancelled() {
+                        return self.die(ctx);
                     }
                     if Instant::now() < until {
                         return Yield::Blocked {
@@ -2644,8 +2284,8 @@ impl<'a> TbTask<'a> {
                     self.pc = self.after_stall();
                 }
                 Pc::Straggle { until } => {
-                    if self.cancel.is_cancelled() {
-                        return self.die();
+                    if ctx.cancel.is_cancelled() {
+                        return self.die(ctx);
                     }
                     if Instant::now() < until {
                         return Yield::Blocked {
@@ -2659,17 +2299,12 @@ impl<'a> TbTask<'a> {
                     // Cross-thread-block dependencies gate the
                     // instruction, so they trace *before* InstrBegin: a
                     // begin event means they were already satisfied.
-                    let tb = self.tb;
-                    let instr = &tb.instructions[self.step];
+                    let instr = &tb.instrs[self.step];
                     let Some(dep) = instr.deps.get(idx) else {
                         self.pc = Pc::Body;
                         continue;
                     };
-                    let (sem_d, dep_len, dep_flat) = {
-                        let (s, l, f) = &self.dep_sems[self.step][idx];
-                        (Arc::clone(s), *l, *f)
-                    };
-                    let target = self.tile as u64 * dep_len + dep.step as u64 + 1;
+                    let target = self.dep_target(dep);
                     if self.wait_start.is_none() {
                         self.ring.push(
                             self.tile,
@@ -2686,10 +2321,10 @@ impl<'a> TbTask<'a> {
                         });
                         let now = Instant::now();
                         self.wait_start = Some(now);
-                        self.open_wait(now);
+                        self.open_wait(ctx, now);
                     }
-                    if sem_d.current() >= target {
-                        if let Some(m) = self.metrics {
+                    if ctx.sems[dep.flat].current() >= target {
+                        if let Some(m) = metrics {
                             let t0 = self.wait_start.expect("dep wait opened above");
                             m.sem_wait_ns.add(m.shard, t0.elapsed().as_nanos() as u64);
                         }
@@ -2702,20 +2337,19 @@ impl<'a> TbTask<'a> {
                         self.pc = Pc::Dep { idx: idx + 1 };
                         continue;
                     }
-                    if self.cancel.is_cancelled() {
-                        return self.die();
+                    if ctx.cancel.is_cancelled() {
+                        return self.die(ctx);
                     }
                     if Instant::now() >= self.fail_at.expect("dep wait opened above") {
-                        return self.fail_own();
+                        return self.fail_own(ctx);
                     }
                     return Yield::Blocked {
-                        key: WakeKey::Sem(dep_flat),
+                        key: WakeKey::Sem(dep.flat),
                         timer: self.arm_fail(),
                     };
                 }
                 Pc::Body => {
-                    let tb = self.tb;
-                    let instr = &tb.instructions[self.step];
+                    let instr = &tb.instrs[self.step];
                     self.ring
                         .push(self.tile, self.step, instr.op, Moment::Started);
                     self.rec.emit(EventKind::InstrBegin {
@@ -2731,8 +2365,7 @@ impl<'a> TbTask<'a> {
                     // [`LATENCY_SAMPLE_PERIOD`] per block keeps the
                     // histogram's shape; the `instructions` counter
                     // stays exact.
-                    self.instr_start = self
-                        .metrics
+                    self.instr_start = metrics
                         .filter(|_| self.completed.is_multiple_of(LATENCY_SAMPLE_PERIOD))
                         .map(|_| Instant::now());
                     self.pc = if instr.op.has_recv() {
@@ -2743,31 +2376,30 @@ impl<'a> TbTask<'a> {
                 }
                 Pc::RecvTile => {
                     if self.inbox.is_empty() {
-                        let conn = self
+                        let conn = tb
                             .recv
                             .as_ref()
                             .expect("recv op requires a receive connection");
                         // Batched pop: drain everything the peer has
                         // queued under one lock. The freed slots may
                         // unblock the sender — wake it.
-                        if conn.fifo.try_recv_into(&mut self.inbox) > 0 {
+                        if ctx.fifos[conn.idx].try_recv_into(&mut self.inbox) > 0 {
                             let idx = conn.idx;
-                            if let Some(fl) = self.flight {
+                            if let Some(fl) = ctx.flight {
                                 // A batched drain leaves the FIFO empty.
                                 fl.fifo_depth(w, self.rank, self.tb_id, idx, 0);
                             }
-                            sched.wake(WakeKey::Send(idx), w);
+                            ctx.sched.wake(WakeKey::Send(idx), w);
                         }
                     }
                     if self.inbox.is_empty() {
                         let (src, channel, idx) = {
-                            let c = self.recv.as_ref().expect("checked above");
+                            let c = tb.recv.as_ref().expect("checked above");
                             (c.peer, c.channel, c.idx)
                         };
                         if !self.block_emitted {
                             self.block_emitted = true;
-                            let tb = self.tb;
-                            let op = tb.instructions[self.step].op;
+                            let op = tb.instrs[self.step].op;
                             self.ring.push(
                                 self.tile,
                                 self.step,
@@ -2777,13 +2409,13 @@ impl<'a> TbTask<'a> {
                             self.rec.emit(EventKind::RecvBlock { src, channel });
                             let now = Instant::now();
                             self.blocked_at = Some(now);
-                            self.open_wait(now);
+                            self.open_wait(ctx, now);
                         }
-                        if self.cancel.is_cancelled() {
-                            return self.die();
+                        if ctx.cancel.is_cancelled() {
+                            return self.die(ctx);
                         }
                         if Instant::now() >= self.fail_at.expect("recv wait opened above") {
-                            return self.fail_own();
+                            return self.fail_own(ctx);
                         }
                         return Yield::Blocked {
                             key: WakeKey::Recv(idx),
@@ -2792,12 +2424,12 @@ impl<'a> TbTask<'a> {
                     }
                     let value = self.inbox.pop_front().expect("checked non-empty");
                     let (src, channel) = {
-                        let c = self.recv.as_ref().expect("checked above");
+                        let c = tb.recv.as_ref().expect("checked above");
                         (c.peer, c.channel)
                     };
                     if self.block_emitted {
                         self.rec.emit(EventKind::RecvResume { src, channel });
-                        if let (Some(m), Some(t0)) = (self.metrics, self.blocked_at) {
+                        if let (Some(m), Some(t0)) = (metrics, self.blocked_at) {
                             m.fifo_recv_block_ns
                                 .add(m.shard, t0.elapsed().as_nanos() as u64);
                         }
@@ -2812,7 +2444,7 @@ impl<'a> TbTask<'a> {
                         seq: self.recv_seq,
                         bytes,
                     });
-                    if let Some(m) = self.metrics {
+                    if let Some(m) = metrics {
                         if let Some((bytes_recv, recvs)) = &m.recv_conn {
                             bytes_recv.add(m.shard, bytes);
                             recvs.inc(m.shard);
@@ -2823,20 +2455,20 @@ impl<'a> TbTask<'a> {
                     self.pc = Pc::Compute;
                 }
                 Pc::Compute => {
-                    let tb = self.tb;
-                    let instr = &tb.instructions[self.step];
-                    let elem_off = self.tile * self.tile_elems;
-                    let len = (self.chunk_elems - elem_off).min(self.tile_elems);
+                    let instr = &tb.instrs[self.step];
+                    let mem = &*ctx.memories[self.rank];
+                    let elem_off = self.tile * ctx.tile_elems;
+                    let len = (ctx.chunk_elems - elem_off).min(ctx.tile_elems);
                     match instr.op {
                         OpCode::Nop => {}
                         OpCode::Send => {
-                            let mut tile = self.pool.take(instr.count * len);
-                            self.fill_src(instr, elem_off, len, &mut tile);
+                            let mut tile = ctx.pool.take(instr.count * len);
+                            fill_src(mem, instr, elem_off, len, &mut tile);
                             self.outbound = Some(tile);
                         }
                         OpCode::Recv => {
                             let tile = self.inbound.take().expect("recv op received a tile");
-                            self.write_dst(instr, elem_off, len, &tile);
+                            write_dst(mem, instr, elem_off, len, &tile);
                         }
                         OpCode::Copy => {
                             // Local data movement never touches the pool:
@@ -2846,48 +2478,41 @@ impl<'a> TbTask<'a> {
                             let src = instr.src.expect("instruction requires src");
                             let dst = instr.dst.expect("instruction requires dst");
                             for i in 0..instr.count {
-                                self.mem.copy_between(
-                                    self.collective,
-                                    (src.buffer, src.index + i),
-                                    (dst.buffer, dst.index + i),
-                                    elem_off,
-                                    len,
-                                );
+                                mem.copy_between_at(src.plus(i), dst.plus(i), elem_off, len);
                             }
                         }
                         OpCode::Reduce => {
                             let src = instr.src.expect("instruction requires src");
                             let dst = instr.dst.expect("instruction requires dst");
                             for i in 0..instr.count {
-                                self.mem.reduce_between(
-                                    self.collective,
-                                    (src.buffer, src.index + i),
-                                    (dst.buffer, dst.index + i),
+                                mem.reduce_between_at(
+                                    src.plus(i),
+                                    dst.plus(i),
                                     elem_off,
                                     len,
-                                    self.op,
+                                    ctx.op,
                                 );
                             }
                         }
                         OpCode::RecvReduceCopy => {
                             let mut tile = self.inbound.take().expect("recv op received a tile");
-                            self.reduce_merge_dst(instr, elem_off, len, &mut tile);
+                            reduce_merge_dst(mem, instr, elem_off, len, &mut tile, ctx.op);
                         }
                         OpCode::RecvCopySend => {
                             // Zero-copy forward: the received tile is
                             // written to memory and handed onward as-is.
                             let tile = self.inbound.take().expect("recv op received a tile");
-                            self.write_dst(instr, elem_off, len, &tile);
+                            write_dst(mem, instr, elem_off, len, &tile);
                             self.outbound = Some(tile);
                         }
                         OpCode::RecvReduceSend => {
                             let mut tile = self.inbound.take().expect("recv op received a tile");
-                            self.combine_read_src(instr, elem_off, len, &mut tile);
+                            combine_read_src(mem, instr, elem_off, len, &mut tile, ctx.op);
                             self.outbound = Some(tile);
                         }
                         OpCode::RecvReduceCopySend => {
                             let mut tile = self.inbound.take().expect("recv op received a tile");
-                            self.reduce_merge_dst(instr, elem_off, len, &mut tile);
+                            reduce_merge_dst(mem, instr, elem_off, len, &mut tile, ctx.op);
                             self.outbound = Some(tile);
                         }
                     }
@@ -2907,7 +2532,7 @@ impl<'a> TbTask<'a> {
                     // one-shot specs, so it is consulted exactly once per
                     // logical send.
                     let (dst, channel) = {
-                        let c = self
+                        let c = tb
                             .send
                             .as_ref()
                             .expect("send op requires a send connection");
@@ -2916,7 +2541,7 @@ impl<'a> TbTask<'a> {
                     let mut dropped = false;
                     let mut duplicated = false;
                     let mut delay = Duration::ZERO;
-                    if let Some(inj) = self.injector {
+                    if let Some(inj) = ctx.injector {
                         let outbound = self.outbound.as_mut().expect("entered with outbound");
                         for action in inj.on_delivery(self.rank, dst, channel, self.send_seq) {
                             match action {
@@ -2957,8 +2582,8 @@ impl<'a> TbTask<'a> {
                     }
                 }
                 Pc::Delay { until } => {
-                    if self.cancel.is_cancelled() {
-                        return self.die();
+                    if ctx.cancel.is_cancelled() {
+                        return self.die(ctx);
                     }
                     if Instant::now() < until {
                         return Yield::Blocked {
@@ -2975,12 +2600,12 @@ impl<'a> TbTask<'a> {
                         self.dup_pending.take()
                     };
                     let payload = payload.expect("xmit entered with a payload staged");
-                    let (dst, channel, idx, fifo) = {
-                        let c = self
+                    let (dst, channel, idx) = {
+                        let c = tb
                             .send
                             .as_ref()
                             .expect("send op requires a send connection");
-                        (c.peer, c.channel, c.idx, Arc::clone(&c.fifo))
+                        (c.peer, c.channel, c.idx)
                     };
                     let bytes = self.xmit_bytes;
                     let seq = self.send_seq;
@@ -2990,10 +2615,9 @@ impl<'a> TbTask<'a> {
                     // callback — while the queue lock is held — so the
                     // receiver's `Recv` timestamp can never precede them.
                     let rec = &mut self.rec;
-                    let metrics = self.metrics;
-                    let flight = self.flight;
+                    let flight = ctx.flight;
                     let (rank, tb_id) = (self.rank, self.tb_id);
-                    let result = fifo.try_send(payload, |depth| {
+                    let result = ctx.fifos[idx].try_send(payload, |depth| {
                         if let Some(fl) = flight {
                             fl.fifo_depth(w, rank, tb_id, idx, depth);
                         }
@@ -3030,7 +2654,7 @@ impl<'a> TbTask<'a> {
                             self.blocked_at = None;
                             self.fail_at = None;
                             // The enqueued tile may unblock the receiver.
-                            sched.wake(WakeKey::Recv(idx), w);
+                            ctx.sched.wake(WakeKey::Recv(idx), w);
                             if copy == 0 && self.dup_pending.is_some() {
                                 self.pc = Pc::Xmit { copy: 1 };
                             } else {
@@ -3046,8 +2670,7 @@ impl<'a> TbTask<'a> {
                             }
                             if !self.block_emitted {
                                 self.block_emitted = true;
-                                let tb = self.tb;
-                                let op = tb.instructions[self.step].op;
+                                let op = tb.instrs[self.step].op;
                                 self.ring.push(
                                     self.tile,
                                     self.step,
@@ -3057,13 +2680,13 @@ impl<'a> TbTask<'a> {
                                 self.rec.emit(EventKind::SendBlock { dst, channel });
                                 let now = Instant::now();
                                 self.blocked_at = Some(now);
-                                self.open_wait(now);
+                                self.open_wait(ctx, now);
                             }
-                            if self.cancel.is_cancelled() {
-                                return self.die();
+                            if ctx.cancel.is_cancelled() {
+                                return self.die(ctx);
                             }
                             if Instant::now() >= self.fail_at.expect("send wait opened above") {
-                                return self.fail_own();
+                                return self.fail_own(ctx);
                             }
                             return Yield::Blocked {
                                 key: WakeKey::Send(idx),
@@ -3073,9 +2696,8 @@ impl<'a> TbTask<'a> {
                     }
                 }
                 Pc::PostInstr => {
-                    let tb = self.tb;
-                    let instr = &tb.instructions[self.step];
-                    if let Some(m) = self.metrics {
+                    let instr = &tb.instrs[self.step];
+                    if let Some(m) = metrics {
                         let (count, latency) = &m.ops[op_index(instr.op)];
                         count.inc(m.shard);
                         if let Some(t0) = self.instr_start.take() {
@@ -3085,7 +2707,7 @@ impl<'a> TbTask<'a> {
                     self.completed += 1;
                     debug_assert_eq!(
                         self.completed,
-                        self.tile as u64 * self.tb.instructions.len() as u64 + self.step as u64 + 1
+                        self.tile as u64 * tb.instrs.len() as u64 + self.step as u64 + 1
                     );
                     self.ring
                         .push(self.tile, self.step, instr.op, Moment::Completed);
@@ -3104,11 +2726,11 @@ impl<'a> TbTask<'a> {
                         op: instr.op,
                     });
                     if instr.has_dep {
-                        self.sem.set(self.completed);
-                        if let Some(fl) = self.flight {
+                        ctx.sems[self.flat].set(self.completed);
+                        if let Some(fl) = ctx.flight {
                             fl.sem_set(w, self.rank, self.tb_id, self.flat, self.completed);
                         }
-                        sched.wake(WakeKey::Sem(self.flat), w);
+                        ctx.sched.wake(WakeKey::Sem(self.flat), w);
                     }
                     self.pc = Pc::GateCheck;
                 }
@@ -3117,11 +2739,11 @@ impl<'a> TbTask<'a> {
                     // dependents of this instruction must be able to
                     // proceed to their own pre-cut work, or the barrier
                     // could never fill.
-                    if let Some(y) = self.gate_step(sched, w) {
+                    if let Some(y) = self.gate_step(ctx, w) {
                         return y;
                     }
                     self.step += 1;
-                    self.pc = if self.step < self.tb.instructions.len() {
+                    self.pc = if self.step < tb.instrs.len() {
                         Pc::PreInstr
                     } else {
                         Pc::PostTile
@@ -3152,118 +2774,81 @@ impl<'a> TbTask<'a> {
         self.pc = Pc::Finished;
         Yield::Done
     }
+}
 
-    // ---- Tile-shaped memory helpers: each moves `count` chunk segments
-    // directly between rank memory and a pooled tile — no intermediate
-    // Vec on any path.
+// ---- Tile-shaped memory helpers: each moves `count` chunk segments
+// directly between rank memory and a pooled tile — no intermediate Vec on
+// any path.
 
-    fn fill_src(
-        &self,
-        instr: &mscclang::IrInstruction,
-        elem_off: usize,
-        len: usize,
-        tile: &mut PooledTile,
-    ) {
-        let loc = instr.src.expect("instruction requires src");
-        for i in 0..instr.count {
-            self.mem.read_into(
-                self.collective,
-                loc.buffer,
-                loc.index + i,
-                elem_off,
-                &mut tile[i * len..(i + 1) * len],
-            );
-        }
-    }
-
-    fn write_dst(
-        &self,
-        instr: &mscclang::IrInstruction,
-        elem_off: usize,
-        len: usize,
-        values: &[f32],
-    ) {
-        let loc = instr.dst.expect("instruction requires dst");
-        for i in 0..instr.count {
-            self.mem.write(
-                self.collective,
-                loc.buffer,
-                loc.index + i,
-                elem_off,
-                &values[i * len..(i + 1) * len],
-            );
-        }
-    }
-
-    /// dst-memory = op(dst-memory, tile), tile = dst-memory: the in-place
-    /// form of the old read-combine-write round trip, preserving its
-    /// operand order exactly.
-    fn reduce_merge_dst(
-        &self,
-        instr: &mscclang::IrInstruction,
-        elem_off: usize,
-        len: usize,
-        tile: &mut PooledTile,
-    ) {
-        let loc = instr.dst.expect("instruction requires dst");
-        for i in 0..instr.count {
-            self.mem.reduce_merge(
-                self.collective,
-                loc.buffer,
-                loc.index + i,
-                elem_off,
-                &mut tile[i * len..(i + 1) * len],
-                self.op,
-            );
-        }
-    }
-
-    /// tile = op(src-memory, tile): the receive-side merge of
-    /// RecvReduceSend, local operand on the left as before.
-    fn combine_read_src(
-        &self,
-        instr: &mscclang::IrInstruction,
-        elem_off: usize,
-        len: usize,
-        tile: &mut PooledTile,
-    ) {
-        let loc = instr.src.expect("instruction requires src");
-        for i in 0..instr.count {
-            self.mem.combine_read(
-                self.collective,
-                loc.buffer,
-                loc.index + i,
-                elem_off,
-                &mut tile[i * len..(i + 1) * len],
-                self.op,
-            );
-        }
+fn fill_src(mem: &RankMemory, instr: &Instr, elem_off: usize, len: usize, tile: &mut PooledTile) {
+    let loc = instr.src.expect("instruction requires src");
+    for i in 0..instr.count {
+        mem.read_into_at(loc.plus(i), elem_off, &mut tile[i * len..(i + 1) * len]);
     }
 }
 
-/// Runs `tasks[t]` until it parks or finishes. Panics inside the
+fn write_dst(mem: &RankMemory, instr: &Instr, elem_off: usize, len: usize, values: &[f32]) {
+    let loc = instr.dst.expect("instruction requires dst");
+    for i in 0..instr.count {
+        mem.write_at(loc.plus(i), elem_off, &values[i * len..(i + 1) * len]);
+    }
+}
+
+/// dst-memory = op(dst-memory, tile), tile = dst-memory: the in-place
+/// form of the old read-combine-write round trip, preserving its
+/// operand order exactly.
+fn reduce_merge_dst(
+    mem: &RankMemory,
+    instr: &Instr,
+    elem_off: usize,
+    len: usize,
+    tile: &mut PooledTile,
+    op: ReduceOp,
+) {
+    let loc = instr.dst.expect("instruction requires dst");
+    for i in 0..instr.count {
+        mem.reduce_merge_at(loc.plus(i), elem_off, &mut tile[i * len..(i + 1) * len], op);
+    }
+}
+
+/// tile = op(src-memory, tile): the receive-side merge of
+/// RecvReduceSend, local operand on the left as before.
+fn combine_read_src(
+    mem: &RankMemory,
+    instr: &Instr,
+    elem_off: usize,
+    len: usize,
+    tile: &mut PooledTile,
+    op: ReduceOp,
+) {
+    let loc = instr.src.expect("instruction requires src");
+    for i in 0..instr.count {
+        mem.combine_read_at(loc.plus(i), elem_off, &mut tile[i * len..(i + 1) * len], op);
+    }
+}
+
+/// Runs task `t` until it parks or finishes. Panics inside the
 /// interpreter become a cancellation with a recorded origin rather than a
 /// bare thread death the others wait out; every lock in the runtime is
 /// poison-tolerant, so unwinding with locks held cannot wedge the
 /// survivors.
-fn run_task(t: usize, w: usize, sched: &Scheduler, tasks: &[Mutex<TbTask>], cancel: &CancelToken) {
+fn run_task(t: usize, w: usize, ctx: &RunCtx<'_>) {
     // Uncontended by the scheduler's ownership discipline: a task index
-    // lives in exactly one place (a deque, the injector, the wait table,
+    // lives in exactly one place (a deque, the injector, its wait slot,
     // or here), so no other worker holds this lock.
-    let mut task = tasks[t].lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(fl) = task.flight {
+    let mut task = ctx.tasks[t].lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(fl) = ctx.flight {
         fl.run(w, task.rank, task.tb_id, t, task.completed);
     }
     loop {
-        let step =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.advance(sched, w)));
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.advance(ctx, w)));
         match step {
             Ok(Yield::Done) => {
-                sched.task_done();
+                ctx.sched.task_done();
                 return;
             }
             Ok(Yield::Blocked { key, timer }) => {
-                if let Some(fl) = task.flight {
+                if let Some(fl) = ctx.flight {
                     fl.block(
                         w,
                         task.rank,
@@ -3274,7 +2859,9 @@ fn run_task(t: usize, w: usize, sched: &Scheduler, tasks: &[Mutex<TbTask>], canc
                     );
                 }
                 let probe_task = &*task;
-                if !sched.block(t, key, timer, || probe_task.blocked_ready(Instant::now())) {
+                if !ctx.sched.block(t, key, timer, || {
+                    probe_task.blocked_ready(ctx, Instant::now())
+                }) {
                     // Parked: a waker, a timer, or the cancellation drain
                     // re-enqueues it. This worker moves on.
                     return;
@@ -3284,7 +2871,7 @@ fn run_task(t: usize, w: usize, sched: &Scheduler, tasks: &[Mutex<TbTask>], canc
                 // running the task.
             }
             Err(payload) => {
-                cancel.cancel(FailureOrigin {
+                ctx.cancel.cancel(FailureOrigin {
                     rank: task.rank,
                     tb: task.tb_id,
                     step: task.ring.last_step(),
@@ -3296,7 +2883,7 @@ fn run_task(t: usize, w: usize, sched: &Scheduler, tasks: &[Mutex<TbTask>], canc
                 task.dead = true;
                 task.done = true;
                 task.pc = Pc::Finished;
-                sched.task_done();
+                ctx.sched.task_done();
                 return;
             }
         }
@@ -3306,9 +2893,12 @@ fn run_task(t: usize, w: usize, sched: &Scheduler, tasks: &[Mutex<TbTask>], canc
 /// One pool worker: pops tasks (own deque LIFO, then the injector, then
 /// stealing FIFO from peers) and runs each until it parks. When idle it
 /// fires due timers and parks on the scheduler's [`Parker`] until
-/// something is published. Exits when every task is done — or, after a
-/// cancellation, when the queues are drained dry.
-fn worker_loop(w: usize, sched: &Scheduler, tasks: &[Mutex<TbTask>], cancel: &CancelToken) {
+/// something is published. Returns when every task is done — or, after
+/// a cancellation, when the queues are drained dry.
+///
+/// [`Parker`]: crate::sched::Parker
+fn worker_loop(w: usize, ctx: &RunCtx<'_>) {
+    let (sched, cancel) = (ctx.sched, ctx.cancel);
     loop {
         let t = 'find: loop {
             if let Some(t) = sched.pop(w) {
@@ -3348,7 +2938,7 @@ fn worker_loop(w: usize, sched: &Scheduler, tasks: &[Mutex<TbTask>], cancel: &Ca
             }
             sched.park(w, seen, next_timer);
         };
-        run_task(t, w, sched, tasks, cancel);
+        run_task(t, w, ctx);
     }
 }
 
@@ -3794,6 +3384,87 @@ mod tests {
         .unwrap();
     }
 
+    /// A plan hit rebuilds nothing: over 100 warm runs — changing inputs,
+    /// chunk size, tile size and metering, none of which is part of the
+    /// plan's shape — the arena builds no plan (so runs no lowering, no
+    /// `HashMap`, no `TbTask::new`), scans no elision bitmap, spawns no
+    /// thread and never asks the OS for its parallelism again.
+    #[test]
+    fn warm_runs_build_no_plan_and_spawn_no_thread() {
+        use std::sync::atomic::Ordering;
+        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
+        let ir = compile(&p, &CompileOptions::default()).unwrap();
+        // `worker_threads: 0` goes through the host-parallelism helper.
+        let opts = RunOptions::default();
+        let pool = worker_pool_size(0, ir.num_threadblocks());
+        let mut arena = ExecArena::new(&ir, &opts);
+        let run = |arena: &mut ExecArena, seed: u64, chunk_elems: usize, opts: &RunOptions| {
+            let inputs = crate::reference::random_inputs(&ir, chunk_elems, seed);
+            let (outputs, _) = execute_in_arena(&ir, &inputs, chunk_elems, opts, arena).unwrap();
+            crate::reference::check_outputs(
+                &ir.collective,
+                &inputs,
+                &outputs,
+                chunk_elems,
+                ReduceOp::Sum,
+            )
+            .unwrap();
+            arena.recycle_outputs(outputs);
+        };
+        // Cold: the plan is built; fresh memories need no elision scan.
+        run(&mut arena, 0, 32, &opts);
+        assert_eq!(
+            arena.counters,
+            PlanCounters {
+                plans_built: 1,
+                elision_scans: 0,
+                tasks_built: ir.num_threadblocks() as u64,
+            }
+        );
+        // First recycling run: the scan, once per rank, for good.
+        run(&mut arena, 1, 32, &opts);
+        let warm = arena.counters;
+        assert_eq!(warm.elision_scans, ir.num_ranks() as u64);
+        assert_eq!(arena.workers.spawned(), pool as u64 - 1);
+        let probes = crate::plan::HOST_PARALLELISM_PROBES.load(Ordering::Relaxed);
+        assert_eq!(probes, 1, "the OS is asked once per process");
+
+        for i in 0..100u64 {
+            let varied = RunOptions {
+                tile_elems: (i % 3 == 0).then_some(5),
+                metrics: i % 2 == 0,
+                flight: i % 5 != 0,
+                ..RunOptions::default()
+            };
+            run(&mut arena, 2 + i, if i % 4 == 0 { 64 } else { 32 }, &varied);
+        }
+        assert_eq!(arena.counters, warm, "a warm run rebuilt part of the plan");
+        assert_eq!(
+            arena.workers.spawned(),
+            pool as u64 - 1,
+            "a warm run spawned"
+        );
+        assert_eq!(
+            crate::plan::HOST_PARALLELISM_PROBES.load(Ordering::Relaxed),
+            probes
+        );
+        // An IR equal in content but at another address still hits; a
+        // different program misses exactly once.
+        let moved = Box::new(ir.clone());
+        let inputs = crate::reference::random_inputs(&moved, 32, 7);
+        execute_in_arena(&moved, &inputs, 32, &opts, &mut arena).unwrap();
+        assert_eq!(arena.counters, warm);
+        let other = compile(
+            &msccl_algos::allpairs_all_reduce(4).unwrap(),
+            &CompileOptions::default(),
+        )
+        .unwrap();
+        let inputs = crate::reference::random_inputs(&other, 32, 8);
+        execute_in_arena(&other, &inputs, 32, &opts, &mut arena).unwrap();
+        assert_eq!(arena.counters.plans_built, 2);
+        assert!(format!("{arena:?}").contains("plans_built: 2"));
+    }
+
     #[test]
     fn arena_reuse_is_bit_identical_and_allocation_free() {
         let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
@@ -3987,47 +3658,5 @@ mod tests {
         };
         let (_, _, empty) = execute_profiled(&ir, &inputs, chunk_elems, &opts).unwrap();
         assert!(empty.samples.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod zero_elision {
-    use super::*;
-    use mscclang::{compile, CompileOptions};
-
-    /// Recursive-doubling allgather(4): every chunk a rank *receives* is
-    /// provably overwritten before any read of it. The round-2 send of
-    /// the round-1 chunk reads it, but only behind the dep edge on the
-    /// round-1 recv — the happens-before sweep must see through that
-    /// edge instead of conservatively re-zeroing the chunk. The rank's
-    /// own chunk is never elided (the input load covers it instead).
-    #[test]
-    fn rd_allgather_elides_every_received_chunk() {
-        let p = msccl_algos::recursive_doubling_all_gather(4).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        for r in 0..4 {
-            let skip = overwrite_only_chunks(&ir, &ir.collective, r);
-            let want: Vec<bool> = (0..4).map(|c| c != r).collect();
-            assert_eq!(skip[0], want, "rank {r} data-space elision");
-        }
-    }
-
-    /// Ring allreduce reduces in place — every data chunk is the target
-    /// of read-modify-write reduce steps with no prior overwrite, so
-    /// nothing may skip its re-zero (the input load covers the chunks
-    /// instead; this guards against the analysis ever treating a reduce
-    /// destination as a plain overwrite).
-    #[test]
-    fn ring_allreduce_elides_nothing() {
-        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        for r in 0..4 {
-            let skip = overwrite_only_chunks(&ir, &ir.collective, r);
-            assert!(
-                skip[0].iter().all(|&s| !s),
-                "rank {r}: reduce-target chunks must keep their re-zero, got {:?}",
-                skip[0]
-            );
-        }
     }
 }

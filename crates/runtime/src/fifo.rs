@@ -121,6 +121,12 @@ impl<T> Fifo<T> {
         self.len() == 0
     }
 
+    /// Drops every queued tile — the execution plan's between-runs reset:
+    /// a failed run can leave tiles undelivered.
+    pub fn clear(&self) {
+        relock(self.queue.lock()).clear();
+    }
+
     /// Deposits `value` if a slot is free, without blocking. `on_enqueued`
     /// runs under the queue lock with the post-push depth, preserving the
     /// happens-before contract of [`SendMoment::Enqueued`]. On a full

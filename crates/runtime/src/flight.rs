@@ -218,10 +218,6 @@ impl FlightRecorder {
         }
     }
 
-    pub(crate) fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Zeroes every shard head so a warm arena can reuse the rings.
     pub(crate) fn reset(&self) {
         for s in &self.shards {

@@ -36,11 +36,13 @@ mod fifo;
 mod flight;
 pub mod kernels;
 mod memory;
+mod plan;
 mod pool;
 mod recovery;
 pub mod reference;
 mod sched;
 mod semaphore;
+mod workers;
 
 pub use cancel::{FailureCause, FailureOrigin};
 pub use epoch::{EpochCheckpoint, EpochStatus};
@@ -55,6 +57,7 @@ pub use flight::{
     StallDiagnosis, StallKind, TaskStall, WaitEdge, WaitForGraph, BLACKBOX_VERSION,
 };
 pub use memory::{RankMemory, SpaceBuffers};
+pub use plan::worker_pool_size;
 pub use pool::{PoolStats, PooledTile, TilePool};
 pub use recovery::{
     execute_with_recovery, execute_with_recovery_in_arena, RecoveryPolicy, RecoveryReport,

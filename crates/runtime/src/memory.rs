@@ -31,6 +31,39 @@ fn lock_rank(space: Space) -> usize {
     }
 }
 
+/// A chunk position inside one of a rank's spaces: a buffer-relative IR
+/// location already resolved through the collective's alias map. The map
+/// is affine in the chunk index, so `count` consecutive IR chunks are the
+/// `count` consecutive chunks starting at `chunk`. The execution plan
+/// lowers every operand to one of these once; the `*_at` operations
+/// below take them, and the `Collective`-taking public operations
+/// resolve and delegate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Loc {
+    pub(crate) space: Space,
+    pub(crate) chunk: usize,
+}
+
+impl Loc {
+    pub(crate) fn of(
+        collective: &Collective,
+        rank: usize,
+        buffer: BufferKind,
+        index: usize,
+    ) -> Self {
+        let (space, chunk) = collective.space_of(rank, buffer, index);
+        Self { space, chunk }
+    }
+
+    /// The location `i` chunks further on.
+    pub(crate) fn plus(self, i: usize) -> Self {
+        Self {
+            chunk: self.chunk + i,
+            ..self
+        }
+    }
+}
+
 /// The three storage spaces of one rank, in elements.
 ///
 /// Chunk indices from MSCCL-IR resolve through the collective's alias map
@@ -281,10 +314,17 @@ impl RankMemory {
         elem_off: usize,
         values: &[f32],
     ) {
-        let (space, off) = collective.space_of(self.rank, buffer, index);
-        let start = off * self.chunk_elems + elem_off;
+        self.write_at(
+            Loc::of(collective, self.rank, buffer, index),
+            elem_off,
+            values,
+        );
+    }
+
+    pub(crate) fn write_at(&self, loc: Loc, elem_off: usize, values: &[f32]) {
+        let start = loc.chunk * self.chunk_elems + elem_off;
         let mut guard = self
-            .space(space)
+            .space(loc.space)
             .write()
             .unwrap_or_else(PoisonError::into_inner);
         guard[start..start + values.len()].copy_from_slice(values);
@@ -305,25 +345,21 @@ impl RankMemory {
         elem_off: usize,
         dst: &mut [f32],
     ) {
-        let (space, off) = collective.space_of(self.rank, buffer, index);
-        let start = off * self.chunk_elems + elem_off;
+        self.read_into_at(Loc::of(collective, self.rank, buffer, index), elem_off, dst);
+    }
+
+    pub(crate) fn read_into_at(&self, loc: Loc, elem_off: usize, dst: &mut [f32]) {
+        let start = loc.chunk * self.chunk_elems + elem_off;
         let guard = self
-            .space(space)
+            .space(loc.space)
             .read()
             .unwrap_or_else(PoisonError::into_inner);
         dst.copy_from_slice(&guard[start..start + dst.len()]);
     }
 
-    /// Resolves a chunk location to its space and element start offset.
-    fn resolve(
-        &self,
-        collective: &Collective,
-        buffer: BufferKind,
-        index: usize,
-        elem_off: usize,
-    ) -> (Space, usize) {
-        let (space, off) = collective.space_of(self.rank, buffer, index);
-        (space, off * self.chunk_elems + elem_off)
+    /// A location's space and element start offset.
+    fn resolve(&self, loc: Loc, elem_off: usize) -> (Space, usize) {
+        (loc.space, loc.chunk * self.chunk_elems + elem_off)
     }
 
     /// Runs `f` over the source and destination ranges of a two-location
@@ -382,8 +418,17 @@ impl RankMemory {
         elem_off: usize,
         len: usize,
     ) {
-        let s = self.resolve(collective, src.0, src.1, elem_off);
-        let d = self.resolve(collective, dst.0, dst.1, elem_off);
+        self.copy_between_at(
+            Loc::of(collective, self.rank, src.0, src.1),
+            Loc::of(collective, self.rank, dst.0, dst.1),
+            elem_off,
+            len,
+        );
+    }
+
+    pub(crate) fn copy_between_at(&self, src: Loc, dst: Loc, elem_off: usize, len: usize) {
+        let s = self.resolve(src, elem_off);
+        let d = self.resolve(dst, elem_off);
         self.with_src_dst(
             s,
             d,
@@ -415,8 +460,25 @@ impl RankMemory {
         len: usize,
         op: ReduceOp,
     ) {
-        let s = self.resolve(collective, src.0, src.1, elem_off);
-        let d = self.resolve(collective, dst.0, dst.1, elem_off);
+        self.reduce_between_at(
+            Loc::of(collective, self.rank, src.0, src.1),
+            Loc::of(collective, self.rank, dst.0, dst.1),
+            elem_off,
+            len,
+            op,
+        );
+    }
+
+    pub(crate) fn reduce_between_at(
+        &self,
+        src: Loc,
+        dst: Loc,
+        elem_off: usize,
+        len: usize,
+        op: ReduceOp,
+    ) {
+        let s = self.resolve(src, elem_off);
+        let d = self.resolve(dst, elem_off);
         self.with_src_dst(
             s,
             d,
@@ -463,7 +525,22 @@ impl RankMemory {
         tile: &mut [f32],
         op: ReduceOp,
     ) {
-        let (space, start) = self.resolve(collective, buffer, index, elem_off);
+        self.reduce_merge_at(
+            Loc::of(collective, self.rank, buffer, index),
+            elem_off,
+            tile,
+            op,
+        );
+    }
+
+    pub(crate) fn reduce_merge_at(
+        &self,
+        loc: Loc,
+        elem_off: usize,
+        tile: &mut [f32],
+        op: ReduceOp,
+    ) {
+        let (space, start) = self.resolve(loc, elem_off);
         let mut guard = self
             .space(space)
             .write()
@@ -489,7 +566,22 @@ impl RankMemory {
         tile: &mut [f32],
         op: ReduceOp,
     ) {
-        let (space, start) = self.resolve(collective, buffer, index, elem_off);
+        self.combine_read_at(
+            Loc::of(collective, self.rank, buffer, index),
+            elem_off,
+            tile,
+            op,
+        );
+    }
+
+    pub(crate) fn combine_read_at(
+        &self,
+        loc: Loc,
+        elem_off: usize,
+        tile: &mut [f32],
+        op: ReduceOp,
+    ) {
+        let (space, start) = self.resolve(loc, elem_off);
         let guard = self
             .space(space)
             .read()

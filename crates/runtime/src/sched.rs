@@ -4,20 +4,25 @@
 //! machine (`TbTask` in [`crate::executor`]) and runs all of them on a
 //! fixed pool of `min(num_cpus, num_tbs)` worker threads instead of one
 //! OS thread per block. This module is the machinery under that: per-
-//! worker run queues with stealing, a wait table keyed by *what* a task
-//! is blocked on, a timer heap for sleeps and hang deadlines, and a
-//! [`Parker`] that lets idle workers sleep without polling.
+//! worker run queues with stealing, a wait table recording *what* each
+//! task is blocked on, one timer slot per task for sleeps and hang
+//! deadlines, and a [`Parker`] that lets idle workers sleep without
+//! polling. All of it is sized from the execution plan's dense task and
+//! connection indices when the plan is built and [`reset`] between runs:
+//! blocking and waking are a compare-and-swap on a flat slot array, with
+//! no lock, hash or allocation.
 //!
 //! Ownership discipline: a task index lives in **exactly one** place at
-//! any moment — some worker's deque, the global injector, the wait
-//! table, or "running" on a worker. Every transfer is a removal from one
-//! place followed by an insertion into another under the respective
-//! lock, so a task can never be run by two workers at once.
+//! any moment — some worker's deque, the global injector, its wait
+//! slot, or "running" on a worker. Every transfer is a removal from one
+//! place followed by an insertion into another (a deque lock, or the
+//! compare-and-swap that empties a wait slot), so a task can never be
+//! run by two workers at once.
 //!
-//! The blocked path uses *register-then-recheck*: the worker inserts the
-//! blocked task into the wait table, then re-probes the condition. If
-//! the condition turned true in between, whoever removed the entry first
-//! (the worker itself, or a waker that got there between the insert and
+//! The blocked path uses *register-then-recheck*: the worker writes the
+//! key into the task's wait slot, then re-probes the condition. If the
+//! condition turned true in between, whoever empties the slot first
+//! (the worker itself, or a waker that got there between the write and
 //! the probe) owns the single ticket to make the task runnable again.
 //! Combined with wakers that fire *after* publishing their state
 //! (semaphore set, FIFO push, gate release), no wakeup can be lost.
@@ -31,12 +36,12 @@
 //! sliced by a poll interval.
 //!
 //! [`CancelToken`]: crate::cancel::CancelToken
+//! [`reset`]: Scheduler::reset
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use msccl_metrics::{bucket_index, BUCKETS};
 
@@ -64,7 +69,7 @@ pub(crate) enum WakeKey {
     /// Epoch boundary `i`'s gate released.
     Gate(usize),
     /// Task `i`'s private timer (fault stalls, straggle pauses, delivery
-    /// delays) — nothing wakes this key except the timer heap and
+    /// delays) — nothing wakes this key except its timer slot and
     /// cancellation.
     Sleep(usize),
 }
@@ -81,6 +86,25 @@ impl WakeKey {
         }
     }
 
+    /// The key as a wait-slot word: its flight code plus one, so that
+    /// [`NOT_WAITING`] (zero) never names a key.
+    fn slot(self) -> u64 {
+        self.flight_code() + 1
+    }
+
+    /// Inverse of [`slot`](Self::slot) for a non-zero slot word.
+    fn from_slot(word: u64) -> Self {
+        let code = word - 1;
+        let i = (code & 0x0FFF_FFFF) as usize;
+        match code >> 28 {
+            KEY_TAG_SEM => WakeKey::Sem(i),
+            KEY_TAG_RECV => WakeKey::Recv(i),
+            KEY_TAG_SEND => WakeKey::Send(i),
+            KEY_TAG_GATE => WakeKey::Gate(i),
+            _ => WakeKey::Sleep(i),
+        }
+    }
+
     /// Human rendering for the black-box wait-table snapshot.
     pub(crate) fn render(self) -> String {
         match self {
@@ -93,54 +117,68 @@ impl WakeKey {
     }
 }
 
+/// A wait slot holding no key: the task is running, runnable or done.
+const NOT_WAITING: u64 = 0;
+/// A timer slot holding no deadline.
+const NO_DEADLINE: u64 = u64::MAX;
+
 /// The pool's sleep/wake rendezvous: a sequence counter under a mutex
 /// plus a condvar. Producers bump after enqueuing; a worker reads the
 /// sequence, re-probes the queues, and only then sleeps — a bump between
 /// the read and the sleep aborts the sleep, so wakeups cannot be lost.
 pub(crate) struct Parker {
-    seq: Mutex<u64>,
+    /// `(sequence, workers asleep on the condvar)`. The sleeper count
+    /// lives under the same lock as the sequence, so a bump that finds
+    /// nobody asleep can skip the notify (a futex syscall) knowing no
+    /// worker can be between its sequence check and its wait.
+    seq: Mutex<(u64, usize)>,
     cv: Condvar,
 }
 
 impl Parker {
     fn new() -> Arc<Self> {
         Arc::new(Self {
-            seq: Mutex::new(0),
+            seq: Mutex::new((0, 0)),
             cv: Condvar::new(),
         })
     }
 
     /// Current sequence; take this *before* the final queue probe.
     pub(crate) fn epoch(&self) -> u64 {
-        *relock(self.seq.lock())
+        relock(self.seq.lock()).0
     }
 
     /// Advances the sequence and wakes every parked worker. Called after
     /// each enqueue, timer arm, and by cancellation (via [`Poke`]).
     pub(crate) fn bump(&self) {
         let mut guard = relock(self.seq.lock());
-        *guard = guard.wrapping_add(1);
-        self.cv.notify_all();
+        guard.0 = guard.0.wrapping_add(1);
+        if guard.1 > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Sleeps until a bump past `seen`, `until` (when set), or a
     /// spurious wakeup. Returns immediately if the sequence already
     /// moved.
     fn park(&self, seen: u64, until: Option<Instant>) {
-        let guard = relock(self.seq.lock());
-        if *guard != seen {
+        let mut guard = relock(self.seq.lock());
+        if guard.0 != seen {
             return;
         }
-        match until {
+        guard.1 += 1;
+        let mut guard = match until {
             Some(at) => {
                 let remaining = at.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
-                    return;
+                    guard
+                } else {
+                    relock(self.cv.wait_timeout(guard, remaining)).0
                 }
-                drop(relock(self.cv.wait_timeout(guard, remaining)));
             }
-            None => drop(relock(self.cv.wait(guard))),
-        }
+            None => relock(self.cv.wait(guard)),
+        };
+        guard.1 -= 1;
     }
 }
 
@@ -164,11 +202,30 @@ pub(crate) struct SchedStats {
     pub(crate) peak_runnable: u64,
 }
 
-/// The work-stealing scheduler: run queues, wait table, timers, parker.
 /// Wait-table snapshot frozen at cancellation: each blocked key with the
 /// task indices parked on it.
 type CapturedWaits = Vec<(WakeKey, Vec<usize>)>;
 
+/// Who can be waiting on each key — a function of the program alone, so
+/// the plan resolves it once: a connection's FIFO has the receiving
+/// (sending) thread block as the only possible waiter on its `Recv`
+/// (`Send`) key, and a semaphore's waiters are the blocks with a
+/// dependency on its owner. (`Gate` keys can hold any task, `Sleep(i)`
+/// only task `i`.) The lists, not a one-waiter assumption, are what
+/// `wake` walks, so hand-built IR that shares a connection between
+/// blocks still wakes all of them.
+pub(crate) struct Waiters {
+    /// Per connection index: tasks receiving from it.
+    pub(crate) recv: Vec<Vec<usize>>,
+    /// Per connection index: tasks sending into it.
+    pub(crate) send: Vec<Vec<usize>>,
+    /// Per task index: tasks with a dependency on that task's semaphore.
+    pub(crate) sem: Vec<Vec<usize>>,
+}
+
+/// The work-stealing scheduler: run queues, wait table, timers, parker.
+/// Built once per execution plan and [`reset`](Self::reset) between
+/// runs; nothing in it allocates on the run path.
 pub(crate) struct Scheduler {
     /// One deque per worker. Owners pop the back (LIFO, cache-warm);
     /// thieves and wakers touch the front/back under the same mutex.
@@ -176,11 +233,23 @@ pub(crate) struct Scheduler {
     /// Overflow/fairness queue: timer-fired and drained tasks land here
     /// so any worker can pick them up.
     injector: Mutex<VecDeque<usize>>,
-    waits: Mutex<HashMap<WakeKey, Vec<usize>>>,
-    /// Min-heap of (fire time, key, task). Entries are lazily discarded:
-    /// a fired entry whose (key, task) is no longer in the wait table is
-    /// a stale leftover from a wait that already ended.
-    timers: Mutex<BinaryHeap<Reverse<(Instant, WakeKey, usize)>>>,
+    /// The wait table, one slot per task: the key the task is parked on
+    /// ([`WakeKey::slot`]) or [`NOT_WAITING`]. Whoever swings a slot back
+    /// to `NOT_WAITING` holds the single ticket to make that task
+    /// runnable — a waker, a fired timer, the cancellation drain, or the
+    /// blocking worker itself when its re-probe succeeds.
+    waiting: Vec<AtomicU64>,
+    waiters: Waiters,
+    /// One timer per task (a task has at most one wait in flight): the
+    /// hang deadline or sleep expiry of its latest wait, in nanoseconds
+    /// since `origin`, or [`NO_DEADLINE`]. A slot outliving its wait is
+    /// harmless — firing it finds the task not waiting, or wakes it
+    /// spuriously into a re-probe.
+    deadlines: Vec<AtomicU64>,
+    /// The earliest deadline the last idle scan (or a later arm) saw: an
+    /// arm earlier than this re-bounds the parked workers' sleeps.
+    earliest: AtomicU64,
+    origin: Instant,
     pub(crate) parker: Arc<Parker>,
     /// Tasks not yet finished; workers exit when this hits zero.
     remaining: AtomicUsize,
@@ -199,39 +268,73 @@ pub(crate) struct Scheduler {
     /// worker first observes cancellation — *before* `drain_waiting`
     /// scatters the evidence into the injector.
     captured_waits: Mutex<Option<CapturedWaits>>,
-    /// The always-on flight recorder, shared with the executor.
+    /// The always-on flight recorder, when this run keeps one.
     flight: Option<Arc<FlightRecorder>>,
 }
 
 impl Scheduler {
     /// A scheduler for `num_tasks` tasks on `workers` worker threads,
     /// with the initial tasks dealt round-robin across the deques.
-    /// `flight`, when given, receives steal/park/wake records.
-    pub(crate) fn new(
-        workers: usize,
-        num_tasks: usize,
-        flight: Option<Arc<FlightRecorder>>,
-    ) -> Self {
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for t in 0..num_tasks {
-            deques[t % workers].push_back(t);
-        }
-        Self {
-            deques: deques.into_iter().map(Mutex::new).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            waits: Mutex::new(HashMap::new()),
-            timers: Mutex::new(BinaryHeap::new()),
+    pub(crate) fn new(workers: usize, num_tasks: usize, waiters: Waiters) -> Self {
+        let mut sched = Self {
+            deques: (0..workers)
+                .map(|_| Mutex::new(VecDeque::with_capacity(num_tasks)))
+                .collect(),
+            injector: Mutex::new(VecDeque::with_capacity(num_tasks)),
+            waiting: (0..num_tasks).map(|_| AtomicU64::new(0)).collect(),
+            waiters,
+            deadlines: (0..num_tasks).map(|_| AtomicU64::new(0)).collect(),
+            earliest: AtomicU64::new(NO_DEADLINE),
+            origin: Instant::now(),
             parker: Parker::new(),
-            remaining: AtomicUsize::new(num_tasks),
-            runnable: AtomicUsize::new(num_tasks),
-            peak_runnable: AtomicU64::new(num_tasks as u64),
+            remaining: AtomicUsize::new(0),
+            runnable: AtomicUsize::new(0),
+            peak_runnable: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             park_bucket_counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             park_bucket_ns: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             captured_waits: Mutex::new(None),
-            flight,
+            flight: None,
+        };
+        sched.reset(None);
+        sched
+    }
+
+    /// Returns the scheduler to its just-built state for the next run —
+    /// every task runnable and dealt round-robin, wait and timer slots
+    /// empty, counters zero — whatever a failed run left behind. `flight`,
+    /// when given, receives this run's steal/park/wake records.
+    pub(crate) fn reset(&mut self, flight: Option<Arc<FlightRecorder>>) {
+        let num_tasks = self.waiting.len();
+        let workers = self.deques.len();
+        for (w, deque) in self.deques.iter_mut().enumerate() {
+            let deque = relock(deque.get_mut());
+            deque.clear();
+            deque.extend((w..num_tasks).step_by(workers));
         }
+        relock(self.injector.get_mut()).clear();
+        for slot in &mut self.waiting {
+            *slot.get_mut() = NOT_WAITING;
+        }
+        for slot in &mut self.deadlines {
+            *slot.get_mut() = NO_DEADLINE;
+        }
+        *self.earliest.get_mut() = NO_DEADLINE;
+        *self.remaining.get_mut() = num_tasks;
+        *self.runnable.get_mut() = num_tasks;
+        *self.peak_runnable.get_mut() = num_tasks as u64;
+        *self.steals.get_mut() = 0;
+        *self.parks.get_mut() = 0;
+        for b in self
+            .park_bucket_counts
+            .iter_mut()
+            .chain(self.park_bucket_ns.iter_mut())
+        {
+            *b.get_mut() = 0;
+        }
+        *relock(self.captured_waits.get_mut()) = None;
+        self.flight = flight;
     }
 
     /// Counts `n` tasks as runnable. Must be called *before* the tasks
@@ -270,6 +373,20 @@ impl Scheduler {
         None
     }
 
+    /// Takes `task`'s wake ticket if it is parked on `key`. The read-
+    /// modify-write is the ownership transfer: exactly one claimant per
+    /// registration succeeds.
+    fn claim(&self, task: usize, key: u64) -> bool {
+        self.waiting[task]
+            .compare_exchange(key, NOT_WAITING, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    fn since_origin(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.origin).as_nanos())
+            .unwrap_or(NO_DEADLINE - 1)
+    }
+
     /// Registers `task` as blocked on `key`, arms `timer` (a hang
     /// deadline or a sleep expiry) when given, then re-probes the
     /// condition via `probe`. Returns `true` when the condition is
@@ -283,37 +400,48 @@ impl Scheduler {
         timer: Option<Instant>,
         probe: impl FnOnce() -> bool,
     ) -> bool {
-        relock(self.waits.lock()).entry(key).or_default().push(task);
+        // A read-modify-write, not a store: it orders this registration
+        // after a concurrent drain's swap, so the probe below cannot
+        // miss the cancellation that drain was reacting to.
+        self.waiting[task].swap(key.slot(), Ordering::SeqCst);
+        // Armed after registering, so a concurrent timer scan can never
+        // consume the deadline of a task that is not parked yet. Only
+        // the worker holding the task writes its timer slot.
         if let Some(at) = timer {
-            relock(self.timers.lock()).push(Reverse((at, key, task)));
-            // Parked workers compute their sleep bound from the timer
-            // heap; an earlier deadline must re-bound those sleeps.
-            self.parker.bump();
-        }
-        if probe() {
-            let mut waits = relock(self.waits.lock());
-            if let Some(v) = waits.get_mut(&key) {
-                if let Some(pos) = v.iter().position(|&t| t == task) {
-                    v.swap_remove(pos);
-                    if v.is_empty() {
-                        waits.remove(&key);
-                    }
-                    return true;
-                }
+            let at = self.since_origin(at);
+            self.deadlines[task].store(at, Ordering::SeqCst);
+            // Parked workers bound their sleep by the earliest deadline
+            // their idle scan saw; only an earlier one must re-bound
+            // them. (This worker rescans before it parks in any case, so
+            // the bump buys promptness under load, not detection.)
+            if at < self.earliest.fetch_min(at, Ordering::SeqCst) {
+                self.parker.bump();
             }
         }
-        false
+        probe() && self.claim(task, key.slot())
     }
 
     /// Makes every task blocked on `key` runnable on worker `w`'s deque.
     /// Call *after* publishing the state the key stands for. Returns how
     /// many tasks were woken.
     pub(crate) fn wake(&self, key: WakeKey, w: usize) -> usize {
-        let woken = relock(self.waits.lock()).remove(&key).unwrap_or_default();
-        let n = woken.len();
+        let slot = key.slot();
+        let mut n = 0;
+        let mut claim = |t: usize| {
+            if self.waiting[t].load(Ordering::SeqCst) == slot && self.claim(t, slot) {
+                self.note_enqueued(1);
+                relock(self.deques[w].lock()).push_back(t);
+                n += 1;
+            }
+        };
+        match key {
+            WakeKey::Sem(i) => self.waiters.sem[i].iter().copied().for_each(claim),
+            WakeKey::Recv(i) => self.waiters.recv[i].iter().copied().for_each(claim),
+            WakeKey::Send(i) => self.waiters.send[i].iter().copied().for_each(claim),
+            WakeKey::Gate(_) => (0..self.waiting.len()).for_each(claim),
+            WakeKey::Sleep(i) => claim(i),
+        }
         if n > 0 {
-            self.note_enqueued(n);
-            relock(self.deques[w].lock()).extend(woken);
             self.parker.bump();
             if let Some(fl) = &self.flight {
                 fl.wake(w, key.flight_code(), n);
@@ -322,48 +450,38 @@ impl Scheduler {
         n
     }
 
-    /// Fires every timer at or before `now`: each (key, task) still in
-    /// the wait table moves to the injector (the task re-probes its
-    /// condition itself — a fired hang deadline makes it fail, a fired
-    /// sleep makes it continue). Returns whether anything was woken and
-    /// the next pending fire time.
+    /// Fires every timer at or before `now`: each task still parked
+    /// moves to the injector (the task re-probes its condition itself —
+    /// a fired hang deadline makes it fail, a fired sleep makes it
+    /// continue). Returns whether anything was woken and the next
+    /// pending fire time.
     pub(crate) fn fire_timers(&self, now: Instant) -> (bool, Option<Instant>) {
-        let mut due: Vec<(WakeKey, usize)> = Vec::new();
-        let next = {
-            let mut timers = relock(self.timers.lock());
-            loop {
-                match timers.peek() {
-                    Some(Reverse((at, _, _))) if *at <= now => {
-                        let Reverse((_, key, task)) = timers.pop().expect("peeked");
-                        due.push((key, task));
-                    }
-                    Some(Reverse((at, _, _))) => break Some(*at),
-                    None => break None,
-                }
-            }
-        };
+        let now = self.since_origin(now);
+        let mut next = NO_DEADLINE;
         let mut woke = false;
-        if !due.is_empty() {
-            let mut waits = relock(self.waits.lock());
-            let mut fired: Vec<usize> = Vec::new();
-            for (key, task) in due {
-                if let Some(v) = waits.get_mut(&key) {
-                    if let Some(pos) = v.iter().position(|&t| t == task) {
-                        v.swap_remove(pos);
-                        if v.is_empty() {
-                            waits.remove(&key);
-                        }
-                        fired.push(task);
-                    }
-                }
+        for (t, slot) in self.deadlines.iter().enumerate() {
+            let at = slot.load(Ordering::SeqCst);
+            if at > now {
+                next = next.min(at);
+                continue;
             }
-            drop(waits);
-            if !fired.is_empty() {
-                self.note_enqueued(fired.len());
-                relock(self.injector.lock()).extend(fired);
+            // Disarm only the deadline that was read: a fresh wait may
+            // have re-armed the slot since.
+            if slot
+                .compare_exchange(at, NO_DEADLINE, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                continue;
+            }
+            let key = self.waiting[t].load(Ordering::SeqCst);
+            if key != NOT_WAITING && self.claim(t, key) {
+                self.note_enqueued(1);
+                relock(self.injector.lock()).push_back(t);
                 woke = true;
             }
         }
+        self.earliest.store(next, Ordering::SeqCst);
+        let next = (next != NO_DEADLINE).then(|| self.origin + Duration::from_nanos(next));
         (woke, next)
     }
 
@@ -371,13 +489,15 @@ impl Scheduler {
     /// each woken task observes the tripped token and unwinds, so the
     /// run drains within wakeup latency instead of timeout bounds.
     pub(crate) fn drain_waiting(&self) {
-        let drained: Vec<usize> = relock(self.waits.lock())
-            .drain()
-            .flat_map(|(_, v)| v)
-            .collect();
-        if !drained.is_empty() {
-            self.note_enqueued(drained.len());
-            relock(self.injector.lock()).extend(drained);
+        let mut drained = 0;
+        for (t, slot) in self.waiting.iter().enumerate() {
+            if slot.swap(NOT_WAITING, Ordering::SeqCst) != NOT_WAITING {
+                self.note_enqueued(1);
+                relock(self.injector.lock()).push_back(t);
+                drained += 1;
+            }
+        }
+        if drained > 0 {
             self.parker.bump();
         }
     }
@@ -433,11 +553,23 @@ impl Scheduler {
     pub(crate) fn capture_waits(&self) {
         let mut slot = relock(self.captured_waits.lock());
         if slot.is_none() {
-            let mut snap: Vec<(WakeKey, Vec<usize>)> = relock(self.waits.lock())
+            let mut parked: Vec<(WakeKey, usize)> = self
+                .waiting
                 .iter()
-                .map(|(k, v)| (*k, v.clone()))
+                .enumerate()
+                .filter_map(|(t, s)| match s.load(Ordering::SeqCst) {
+                    NOT_WAITING => None,
+                    word => Some((WakeKey::from_slot(word), t)),
+                })
                 .collect();
-            snap.sort();
+            parked.sort_unstable();
+            let mut snap: CapturedWaits = Vec::new();
+            for (key, t) in parked {
+                match snap.last_mut() {
+                    Some((k, tasks)) if *k == key => tasks.push(t),
+                    _ => snap.push((key, vec![t])),
+                }
+            }
             *slot = Some(snap);
         }
     }
@@ -469,11 +601,21 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    /// A scheduler whose every key (8 connections) can hold any task.
+    fn sched(workers: usize, num_tasks: usize) -> Scheduler {
+        let all: Vec<usize> = (0..num_tasks).collect();
+        let waiters = Waiters {
+            recv: vec![all.clone(); 8],
+            send: vec![all.clone(); 8],
+            sem: vec![all; num_tasks],
+        };
+        Scheduler::new(workers, num_tasks, waiters)
+    }
 
     #[test]
     fn seeds_tasks_round_robin_and_pops_own_first() {
-        let s = Scheduler::new(2, 5, None);
+        let s = sched(2, 5);
         // Worker 0 got 0, 2, 4; owner pops LIFO.
         assert_eq!(s.pop(0), Some(4));
         assert_eq!(s.pop(0), Some(2));
@@ -488,7 +630,7 @@ mod tests {
 
     #[test]
     fn block_reclaims_when_probe_turns_true() {
-        let s = Scheduler::new(1, 1, None);
+        let s = sched(1, 1);
         assert_eq!(s.pop(0), Some(0));
         // Condition already true at re-probe: the worker keeps the task.
         assert!(s.block(0, WakeKey::Sem(0), None, || true));
@@ -498,7 +640,7 @@ mod tests {
 
     #[test]
     fn wake_moves_blocked_tasks_to_deque() {
-        let s = Scheduler::new(1, 2, None);
+        let s = sched(1, 2);
         assert_eq!(s.pop(0), Some(1));
         assert_eq!(s.pop(0), Some(0));
         assert!(!s.block(0, WakeKey::Recv(7), None, || false));
@@ -509,7 +651,7 @@ mod tests {
 
     #[test]
     fn timers_fire_into_injector() {
-        let s = Scheduler::new(1, 1, None);
+        let s = sched(1, 1);
         assert_eq!(s.pop(0), Some(0));
         let past = Instant::now() - Duration::from_millis(1);
         assert!(!s.block(0, WakeKey::Sleep(0), Some(past), || false));
@@ -524,7 +666,7 @@ mod tests {
 
     #[test]
     fn drain_wakes_everything() {
-        let s = Scheduler::new(2, 3, None);
+        let s = sched(2, 3);
         for _ in 0..2 {
             s.pop(0);
         }
@@ -543,7 +685,7 @@ mod tests {
 
     #[test]
     fn finish_accounting_reaches_zero() {
-        let s = Scheduler::new(1, 2, None);
+        let s = sched(1, 2);
         assert!(!s.is_finished());
         s.task_done();
         assert!(!s.is_finished());
@@ -555,12 +697,59 @@ mod tests {
     /// park aborts the park, so an enqueue cannot be slept through.
     #[test]
     fn parker_bump_between_probe_and_park_aborts_sleep() {
-        let s = Scheduler::new(1, 1, None);
+        let s = sched(1, 1);
         let seen = s.parker.epoch();
         s.parker.bump();
         let t0 = Instant::now();
         s.park(0, seen, Some(Instant::now() + Duration::from_secs(5)));
         assert!(t0.elapsed() < Duration::from_secs(1));
         assert_eq!(s.stats().parks, 1);
+    }
+
+    /// A waker only claims tasks parked on *its* key, and a claimed task
+    /// cannot be claimed twice (timer fire after wake finds nothing).
+    #[test]
+    fn one_ticket_per_registration() {
+        let s = sched(1, 2);
+        s.pop(0);
+        s.pop(0);
+        let soon = Instant::now() - Duration::from_millis(1);
+        assert!(!s.block(0, WakeKey::Send(2), Some(soon), || false));
+        assert!(!s.block(1, WakeKey::Recv(2), None, || false));
+        assert_eq!(s.wake(WakeKey::Send(2), 0), 1);
+        let (woke, next) = s.fire_timers(Instant::now());
+        assert!(!woke, "the waker already took task 0's ticket");
+        assert_eq!(next, None);
+        assert_eq!(s.pop(0), Some(0));
+        assert_eq!(s.pop(0), None);
+    }
+
+    /// The captured wait table groups tasks under sorted keys, and
+    /// `reset` returns a dirty scheduler (parked tasks, an armed timer, a
+    /// capture) to its just-built state.
+    #[test]
+    fn capture_renders_sorted_and_reset_clears_everything() {
+        let mut s = sched(2, 3);
+        while s.pop(0).is_some() {}
+        let later = Instant::now() + Duration::from_secs(60);
+        assert!(!s.block(2, WakeKey::Sem(1), Some(later), || false));
+        assert!(!s.block(0, WakeKey::Sem(1), None, || false));
+        assert!(!s.block(1, WakeKey::Recv(0), None, || false));
+        s.capture_waits();
+        assert_eq!(
+            s.captured_waits(),
+            vec![
+                ("sem(1)".to_string(), vec![0, 2]),
+                ("recv(0)".to_string(), vec![1]),
+            ]
+        );
+        s.reset(None);
+        assert!(s.captured_waits().is_empty());
+        assert_eq!(s.wake(WakeKey::Sem(1), 0), 0, "wait slots cleared");
+        assert_eq!(s.fire_timers(Instant::now()).1, None, "timer slots cleared");
+        assert_eq!(s.pop(0), Some(2));
+        assert_eq!(s.pop(0), Some(0));
+        assert_eq!(s.pop(1), Some(1));
+        assert!(!s.is_finished());
     }
 }

@@ -64,6 +64,14 @@ impl Semaphore {
         *self.value.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Rewinds the counter to `v` between runs — the one non-monotonic
+    /// operation, for an execution plan reusing its semaphores (zero on
+    /// a fresh run, the block's checkpoint watermark on a resume). Must
+    /// not race with waiters: the plan calls it with every worker idle.
+    pub fn reset(&self, v: u64) {
+        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = v;
+    }
+
     /// Advances the counter to `v` (monotonic; lower values are ignored)
     /// and wakes waiters.
     pub fn set(&self, v: u64) {

@@ -1,0 +1,369 @@
+//! Arena lifecycle tier: a *dirty* execution plan, and the resident
+//! worker threads, must never leak into the next run.
+//!
+//! An `ExecArena` keeps one execution plan — FIFOs, semaphores, tasks,
+//! the scheduler's wait and timer slots, the cancel token — and the
+//! pool's resident threads across runs. A run that fails leaves all of
+//! that mid-flight: tiles stranded in FIFOs and task inboxes, tasks
+//! parked on keys nobody will wake, armed hang deadlines, a tripped
+//! token, poisoned memory locks. Each case here fails a run one way,
+//! then requires the *next* run in the same arena to be bit-exact
+//! against the replay oracle with no error and no diagnosis attached.
+//!
+//! Every test takes [`SERIAL`]: the thread-count case counts this
+//! process's `msccl-worker-*` threads, which a sibling test's arena
+//! would disturb. `MSCCL_SCHED_THREADS=N` pins the pool size like in the
+//! oversubscription tier.
+
+use std::sync::Mutex;
+use std::time::Duration;
+
+use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
+use msccl_runtime::{
+    execute_in_arena, execute_resumable_in_arena, execute_with_recovery_in_arena, reference,
+    ExecArena, RecoveryPolicy, RunOptions, RuntimeError,
+};
+use mscclang::{compile, CompileOptions, EpochMode, IrProgram, Program, ReduceOp};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn pool_sizes() -> Vec<usize> {
+    match std::env::var("MSCCL_SCHED_THREADS") {
+        Ok(pin) => vec![pin
+            .parse::<usize>()
+            .unwrap_or_else(|_| panic!("MSCCL_SCHED_THREADS={pin}: not a pool size"))
+            .max(1)],
+        Err(_) => vec![1, 2],
+    }
+}
+
+fn ring(ranks: usize) -> (Program, IrProgram) {
+    let program = msccl_algos::ring_all_reduce(ranks, 1).unwrap();
+    let ir = compile(&program, &CompileOptions::default()).expect("compiles");
+    (program, ir)
+}
+
+/// Sixteen tiles per chunk and a short step timeout: failures strike
+/// with tiles in flight and resolve fast.
+fn opts(pool: usize) -> RunOptions {
+    RunOptions {
+        tile_elems: Some(4),
+        timeout: Duration::from_millis(300),
+        worker_threads: pool,
+        ..RunOptions::default()
+    }
+}
+
+const CHUNK_ELEMS: usize = 64;
+
+/// A clean run of `ir` in `arena`, bit-exact against the replay oracle.
+fn clean_run(
+    what: &str,
+    program: &Program,
+    ir: &IrProgram,
+    seed: u64,
+    opts: &RunOptions,
+    arena: &mut ExecArena,
+) {
+    let inputs = reference::random_inputs(ir, CHUNK_ELEMS, seed);
+    let golden =
+        reference::replay_program(program, &inputs, CHUNK_ELEMS * ir.refinement, ReduceOp::Sum);
+    let (outputs, _) = execute_in_arena(ir, &inputs, CHUNK_ELEMS, opts, arena)
+        .unwrap_or_else(|e| panic!("{what}: the run after a failure must be clean, got {e}"));
+    assert_eq!(outputs.len(), golden.len(), "{what}: ranks");
+    for (r, (got, want)) in outputs.iter().zip(&golden).enumerate() {
+        assert_eq!(got.len(), want.len(), "{what} rank {r}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits(),
+                "{what} rank {r} element {i}: {a} != {b} (bitwise)"
+            );
+        }
+    }
+    arena.recycle_outputs(outputs);
+}
+
+/// One faulted attempt of `ir` in `arena` under `plan`; returns its error.
+fn faulted_run(
+    ir: &IrProgram,
+    seed: u64,
+    opts: &RunOptions,
+    plan: &FaultPlan,
+    arena: &mut ExecArena,
+) -> RuntimeError {
+    let inputs = reference::random_inputs(ir, CHUNK_ELEMS, seed);
+    let injector = FaultInjector::new(plan);
+    let (result, _) = execute_resumable_in_arena(
+        ir,
+        &inputs,
+        CHUNK_ELEMS,
+        opts,
+        Some(&injector),
+        None,
+        Some(arena),
+    );
+    result.expect_err("the planned fault must fail the run")
+}
+
+fn kill_at(rank: usize, step: usize) -> FaultSpec {
+    FaultSpec {
+        site: FaultSite::Block { rank, tb: 0, step },
+        kind: FaultKind::KillBlock,
+    }
+}
+
+/// An injected kill cancels the run mid-tile: every other task dies
+/// parked or between instructions, with tiles in FIFOs and inboxes.
+#[test]
+fn run_after_an_injected_kill_is_clean() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    for pool in pool_sizes() {
+        let opts = opts(pool);
+        let mut arena = ExecArena::new(&ir, &opts);
+        clean_run("warm-up", &program, &ir, 1, &opts, &mut arena);
+        for round in 0..3u64 {
+            let plan = FaultPlan {
+                seed: 0,
+                specs: vec![kill_at(1 + round as usize % 3, 2)],
+            };
+            let err = faulted_run(&ir, 10 + round, &opts, &plan, &mut arena);
+            assert!(
+                matches!(err, RuntimeError::InjectedFault { .. }),
+                "pool={pool} round {round}: {err}"
+            );
+            assert!(err.diagnosis().is_some());
+            clean_run(
+                &format!("pool={pool} after kill {round}"),
+                &program,
+                &ir,
+                20 + round,
+                &opts,
+                &mut arena,
+            );
+        }
+    }
+}
+
+/// A dropped delivery starves the receiver: the run ends by step
+/// timeout, with the hang deadline having fired from a timer slot,
+/// every surviving task parked in a wait slot and later tiles still
+/// queued behind the missing one.
+#[test]
+fn run_after_a_step_timeout_hang_is_clean() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    let tb = &ir.gpus[0].threadblocks[0];
+    let plan = FaultPlan {
+        seed: 0,
+        specs: vec![FaultSpec {
+            site: FaultSite::Delivery {
+                src: 0,
+                dst: tb.send_peer.unwrap(),
+                channel: tb.channel,
+                seq: 5,
+            },
+            kind: FaultKind::DropDelivery,
+        }],
+    };
+    for pool in pool_sizes() {
+        let opts = opts(pool);
+        let mut arena = ExecArena::new(&ir, &opts);
+        clean_run("warm-up", &program, &ir, 2, &opts, &mut arena);
+        for round in 0..2u64 {
+            let err = faulted_run(&ir, 30 + round, &opts, &plan, &mut arena);
+            assert!(
+                matches!(err, RuntimeError::Hang { .. }),
+                "pool={pool} round {round}: {err}"
+            );
+            clean_run(
+                &format!("pool={pool} after hang {round}"),
+                &program,
+                &ir,
+                40 + round,
+                &opts,
+                &mut arena,
+            );
+        }
+    }
+}
+
+/// A worker panic (an operand far out of range, as in the runtime's own
+/// `worker_panic_is_attributed`) unwinds through the interpreter with a
+/// memory lock held. The panicking program differs from the good one in
+/// a single operand index — same layout, so only a content match tells
+/// them apart — and the two alternate in one arena: the resident
+/// threads, the poisoned space buffers and the tile pool all carry over.
+#[test]
+fn run_after_a_worker_panic_is_clean() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    let mut broken = ir.clone();
+    let victim = broken.gpus[2].threadblocks[0]
+        .instructions
+        .iter_mut()
+        .find_map(|i| i.src.as_mut())
+        .expect("a ring thread block reads some source");
+    victim.index = 9_999;
+    for pool in pool_sizes() {
+        let opts = opts(pool);
+        let mut arena = ExecArena::new(&ir, &opts);
+        clean_run("warm-up", &program, &ir, 3, &opts, &mut arena);
+        for round in 0..3u64 {
+            let inputs = reference::random_inputs(&broken, CHUNK_ELEMS, 50 + round);
+            let err = execute_in_arena(&broken, &inputs, CHUNK_ELEMS, &opts, &mut arena)
+                .expect_err("the out-of-range operand must panic a worker");
+            let RuntimeError::WorkerPanic { rank, .. } = &err else {
+                panic!("pool={pool} round {round}: expected WorkerPanic, got {err}");
+            };
+            assert_eq!(*rank, 2);
+            clean_run(
+                &format!("pool={pool} after panic {round}"),
+                &program,
+                &ir,
+                60 + round,
+                &opts,
+                &mut arena,
+            );
+        }
+    }
+}
+
+/// The recovery ladder in one arena: the primary is killed, retried and
+/// killed again, the fallback — a different program, so a different
+/// plan — completes, and the primary then runs clean on the same arena.
+/// With epochs on, so checkpoint staging recycles through it too.
+#[test]
+fn retry_then_fallback_then_original_in_one_arena() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    let fallback = compile(
+        &msccl_algos::allpairs_all_reduce(4).unwrap(),
+        &CompileOptions::default(),
+    )
+    .expect("compiles");
+    for pool in pool_sizes() {
+        let opts = RunOptions {
+            epochs: EpochMode::Count(2),
+            ..opts(pool)
+        };
+        let mut arena = ExecArena::new(&ir, &opts);
+        clean_run("warm-up", &program, &ir, 4, &opts, &mut arena);
+
+        let inputs = reference::random_inputs(&ir, CHUNK_ELEMS, 70);
+        let golden = reference::replay_program(
+            &program,
+            &inputs,
+            CHUNK_ELEMS * ir.refinement,
+            ReduceOp::Sum,
+        );
+        // One-shot kills: the first attempt dies at step 0, the retry at
+        // step 1; the fallback finds both spent.
+        let plan = FaultPlan {
+            seed: 0,
+            specs: vec![kill_at(1, 0), kill_at(1, 1)],
+        };
+        let injector = FaultInjector::new(&plan);
+        let report = execute_with_recovery_in_arena(
+            &ir,
+            Some(&fallback),
+            &inputs,
+            CHUNK_ELEMS,
+            &opts,
+            &RecoveryPolicy {
+                max_retries: 1,
+                backoff: Duration::from_millis(1),
+                verify: true,
+                ..RecoveryPolicy::default()
+            },
+            Some(&injector),
+            Some(&mut arena),
+        )
+        .unwrap_or_else(|e| panic!("pool={pool}: ladder must end in the fallback, got {e}"));
+        assert!(report.used_fallback, "pool={pool}: {:?}", report.steps);
+        assert_eq!(report.attempts, 3);
+        assert_eq!(report.outputs, golden, "pool={pool}: fallback outputs");
+        arena.recycle_outputs(report.outputs);
+
+        clean_run(
+            &format!("pool={pool} original after fallback"),
+            &program,
+            &ir,
+            71,
+            &opts,
+            &mut arena,
+        );
+    }
+}
+
+/// Threads of this process named like the arena's resident workers.
+/// (`Threads:` in `/proc/self/status` would also count the test
+/// harness's own threads, which come and go.)
+#[cfg(target_os = "linux")]
+fn resident_worker_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(Result::ok)
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|name| name.starts_with("msccl-worker"))
+        })
+        .count()
+}
+
+/// A thousand runs in one arena hold exactly `pool − 1` resident threads
+/// — none spawned per run, none leaked by a failed one — and dropping
+/// the arena joins them.
+#[cfg(target_os = "linux")]
+#[test]
+fn arena_holds_pool_minus_one_threads_and_drop_joins_them() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    let baseline = resident_worker_threads();
+    for pool in [1usize, 2, 3] {
+        let opts = RunOptions {
+            worker_threads: pool,
+            ..RunOptions::default()
+        };
+        let mut arena = ExecArena::new(&ir, &opts);
+        assert_eq!(
+            resident_worker_threads(),
+            baseline,
+            "threads start with the first run"
+        );
+        let inputs = reference::random_inputs(&ir, 16, 80);
+        for run in 0..1_000 {
+            let (outputs, _) = execute_in_arena(&ir, &inputs, 16, &opts, &mut arena)
+                .unwrap_or_else(|e| panic!("pool={pool} run {run}: {e}"));
+            arena.recycle_outputs(outputs);
+            if run % 250 == 0 {
+                assert_eq!(
+                    resident_worker_threads(),
+                    baseline + pool - 1,
+                    "pool={pool} after run {run}"
+                );
+            }
+        }
+        let plan = FaultPlan {
+            seed: 0,
+            specs: vec![kill_at(1, 1)],
+        };
+        let _ = faulted_run(&ir, 81, &opts, &plan, &mut arena);
+        clean_run("after kill", &program, &ir, 82, &opts, &mut arena);
+        assert_eq!(
+            resident_worker_threads(),
+            baseline + pool - 1,
+            "pool={pool}"
+        );
+        drop(arena);
+        assert_eq!(
+            resident_worker_threads(),
+            baseline,
+            "pool={pool}: drop joins"
+        );
+    }
+}

@@ -182,6 +182,169 @@ fn recycled_arena_runs_are_bit_exact_across_changing_inputs() {
     }
 }
 
+/// Panics unless `outputs` equals `golden` bit for bit.
+fn assert_bit_exact(what: &str, outputs: &[Vec<f32>], golden: &[Vec<f32>]) {
+    assert_eq!(outputs.len(), golden.len(), "{what}: ranks");
+    for (r, (got, want)) in outputs.iter().zip(golden).enumerate() {
+        assert_eq!(got.len(), want.len(), "{what} rank {r}: output length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits(),
+                "{what} rank {r} element {i}: {a} != {b} (bitwise)"
+            );
+        }
+    }
+}
+
+/// One arena run of `ir`, checked against the replay oracle of `program`
+/// on inputs drawn from `seed`.
+fn arena_run_is_bit_exact(
+    what: &str,
+    program: &Program,
+    ir: &mscclang::IrProgram,
+    chunk_elems: usize,
+    seed: u64,
+    opts: &RunOptions,
+    arena: &mut ExecArena,
+) {
+    let inputs = reference::random_inputs(ir, chunk_elems, seed);
+    let golden =
+        reference::replay_program(program, &inputs, chunk_elems * ir.refinement, ReduceOp::Sum);
+    let (outputs, _) = execute_in_arena(ir, &inputs, chunk_elems, opts, arena)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_bit_exact(what, &outputs, &golden);
+    arena.recycle_outputs(outputs);
+}
+
+/// `(rank, tb id, channel, send peer, recv peer)` of one thread block.
+type TbIdentity = (usize, usize, usize, Option<usize>, Option<usize>);
+
+fn tb_layout(ir: &mscclang::IrProgram) -> Vec<TbIdentity> {
+    ir.gpus
+        .iter()
+        .flat_map(|g| {
+            g.threadblocks
+                .iter()
+                .map(|t| (g.rank, t.id, t.channel, t.send_peer, t.recv_peer))
+        })
+        .collect()
+}
+
+/// Stale-plan safety (a): the arena's cached execution plan must be
+/// matched by *content*. Ring allreduce, ring allgather and ring
+/// reduce-scatter over the same ranks have the same thread-block layout
+/// — same ranks, block ids, channels and peers, which is all the pre-plan
+/// metric cache compared — but different instruction streams (and
+/// different collectives). Alternating them in one arena, each freshly
+/// compiled into a heap slot the previous one just vacated (so the
+/// allocator is free to hand back the same address), a plan kept by
+/// layout or by address would interpret the wrong program; the replay
+/// oracle would see it in the bits.
+#[test]
+fn one_arena_alternating_programs_of_equal_layout_is_bit_exact() {
+    let chunk_elems = 96;
+    let programs = [
+        msccl_algos::ring_all_reduce(8, 1).unwrap(),
+        msccl_algos::ring_all_gather_program(8, 1).unwrap(),
+        msccl_algos::ring_reduce_scatter_program(8, 1).unwrap(),
+    ];
+    let compiled =
+        |p: &Program| Box::new(compile(p, &CompileOptions::default()).expect("compiles"));
+    {
+        let irs: Vec<_> = programs.iter().map(compiled).collect();
+        for ir in &irs[1..] {
+            assert_eq!(tb_layout(ir), tb_layout(&irs[0]), "layouts must agree");
+            assert_ne!(ir.gpus, irs[0].gpus, "instruction streams must differ");
+        }
+    }
+    for pool in pool_sizes(8) {
+        let opts = RunOptions {
+            tile_elems: Some(25),
+            worker_threads: pool,
+            ..RunOptions::default()
+        };
+        let mut arena = ExecArena::new(&compiled(&programs[0]), &opts);
+        for round in 0..9u64 {
+            let program = &programs[round as usize % programs.len()];
+            let ir = compiled(program);
+            for seed in [round, round + 100] {
+                arena_run_is_bit_exact(
+                    &format!("pool={pool} round {round} {} seed {seed}", ir.name),
+                    program,
+                    &ir,
+                    chunk_elems,
+                    seed,
+                    &opts,
+                    &mut arena,
+                );
+            }
+            drop(ir);
+        }
+    }
+}
+
+/// Stale-plan safety (b): one program, one arena, every protocol (the
+/// FIFO slot count is part of the plan's shape) crossed with a one-tile
+/// and a many-tile chunk size (per-run scalars the plan must not bake
+/// in), in an order that revisits each combination.
+#[test]
+fn one_arena_across_protocols_and_chunk_sizes_is_bit_exact() {
+    let program = msccl_algos::ring_all_reduce(8, 2).unwrap();
+    let ir = compile(&program, &CompileOptions::default()).expect("compiles");
+    for pool in pool_sizes(ir.num_threadblocks()) {
+        let mut arena = ExecArena::new(&ir, &RunOptions::default());
+        for round in 0..2u64 {
+            for protocol in [Protocol::Simple, Protocol::Ll, Protocol::Ll128] {
+                for chunk_elems in [64, 4096] {
+                    let opts = RunOptions {
+                        protocol,
+                        worker_threads: pool,
+                        ..RunOptions::default()
+                    };
+                    arena_run_is_bit_exact(
+                        &format!("pool={pool} round {round} {protocol:?} chunk={chunk_elems}"),
+                        &program,
+                        &ir,
+                        chunk_elems,
+                        17 + round,
+                        &opts,
+                        &mut arena,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Stale-plan safety (c): the pool size is part of the plan's shape and
+/// of the arena's resident thread set. 1 → 2 → 1 → 4 → 2 in one arena
+/// (deliberately ignoring the `MSCCL_SCHED_THREADS` pin: the change is
+/// the test) must rebuild both and stay bit-exact.
+#[test]
+fn one_arena_across_pool_sizes_is_bit_exact() {
+    let chunk_elems = 96;
+    for (name, program) in &algorithms()[..4] {
+        let ir = compile(program, &CompileOptions::default()).expect("compiles");
+        let mut arena = ExecArena::new(&ir, &RunOptions::default());
+        for (i, pool) in [1usize, 2, 1, 4, 2, 2].into_iter().enumerate() {
+            let opts = RunOptions {
+                tile_elems: Some(25),
+                worker_threads: pool,
+                ..RunOptions::default()
+            };
+            arena_run_is_bit_exact(
+                &format!("{name} step {i} pool={pool}"),
+                program,
+                &ir,
+                chunk_elems,
+                i as u64,
+                &opts,
+                &mut arena,
+            );
+        }
+    }
+}
+
 /// A 64-rank ring allreduce completes on the CI host with the default
 /// (auto-sized) pool: 128 thread blocks collapse onto min(cores, 128)
 /// workers instead of spawning one OS thread each, and the answer is
