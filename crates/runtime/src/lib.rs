@@ -42,6 +42,7 @@ mod recovery;
 pub mod reference;
 mod sched;
 mod semaphore;
+mod task;
 mod workers;
 
 pub use cancel::{FailureCause, FailureOrigin};

@@ -29,13 +29,14 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use mscclang::{BufferKind, Collective, IrProgram, OpCode, Space};
 
 use crate::cancel::{CancelToken, Poke};
-use crate::executor::{ArenaMetrics, TbTask};
+use crate::executor::ArenaMetrics;
 use crate::fifo::Fifo;
 use crate::flight::FlightRecorder;
 use crate::memory::Loc;
 use crate::pool::PooledTile;
 use crate::sched::{Scheduler, Waiters};
 use crate::semaphore::Semaphore;
+use crate::task::TbTask;
 
 /// `std::thread::available_parallelism`, resolved once per process: the
 /// call reads cgroup files on Linux (12.5 µs measured), which is real
