@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use msccl_runtime::{execute, execute_traced, reference, RunOptions};
+use msccl_runtime::{execute, reference, run, Run, RunOptions};
 use mscclang::{compile, CompileOptions};
 
 fn bench_runtime(c: &mut Criterion) {
@@ -32,7 +32,7 @@ fn bench_runtime(c: &mut Criterion) {
     }
 
     // Tracing overhead: the same workload with event recording on. The
-    // untraced path above shares `execute_impl` with this one (recording
+    // untraced path above is the same `run` as this one (recording
     // disabled), so comparing the two bounds the cost of the trace hooks.
     {
         let chunk_elems = 4096usize;
@@ -43,13 +43,16 @@ fn bench_runtime(c: &mut Criterion) {
             format!("ring_allreduce_4r_{chunk_elems}elems_traced"),
             |b| {
                 b.iter(|| {
-                    execute_traced(
-                        black_box(&ir),
-                        black_box(&inputs),
-                        chunk_elems,
-                        &RunOptions::default(),
-                    )
-                    .unwrap()
+                    let report = run(Run {
+                        trace: true,
+                        ..Run::new(
+                            black_box(&ir),
+                            black_box(&inputs),
+                            chunk_elems,
+                            &RunOptions::default(),
+                        )
+                    });
+                    (report.result.unwrap(), report.trace)
                 })
             },
         );

@@ -6,8 +6,8 @@ use std::time::Duration;
 use msccl_faults::{FaultInjector, FaultPlan, FaultUniverse};
 use msccl_metrics::{names, MetricsSnapshot};
 use msccl_runtime::{
-    execute_profiled, execute_with_metrics, execute_with_recovery, reference, worker_pool_size,
-    Blackbox, RecoveryPolicy, ResumePolicy, RunOptions,
+    execute_with_recovery, reference, run, worker_pool_size, Blackbox, RecoveryPolicy,
+    ResumePolicy, Run, RunOptions,
 };
 use msccl_scenario::{
     check_scenario, drive_scenario, run_scenario, DriveConfig, Engine as ScenarioEngine,
@@ -521,7 +521,13 @@ fn cmd_profile(args: &Args) -> Result<String, CliError> {
                 epochs,
                 ..RunOptions::default()
             };
-            let (outputs, measured, snapshot) = execute_profiled(&ir, &inputs, chunk_elems, &opts)?;
+            let report = run(Run {
+                trace: true,
+                snapshot: true,
+                ..Run::new(&ir, &inputs, chunk_elems, &opts)
+            });
+            let outputs = report.result?;
+            let measured = report.trace.expect("tracing was requested");
             reference::check_outputs(
                 &ir.collective,
                 &inputs,
@@ -532,7 +538,7 @@ fn cmd_profile(args: &Args) -> Result<String, CliError> {
             .map_err(CliError::new)?;
             (
                 ProfileReport::from_traces(&measured, Some(modeled_trace), threshold),
-                snapshot,
+                report.metrics,
             )
         }
         (None, "sim") => (
@@ -1023,14 +1029,16 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
             fallback,
         );
     }
-    let mut extra = String::new();
-    let (outputs, snapshot) = match trace_path(args)? {
-        Some(path) => {
-            let (outputs, trace, snapshot) = execute_profiled(&ir, &inputs, chunk_elems, &opts)?;
-            extra = write_trace(path, &trace)?;
-            (outputs, snapshot)
-        }
-        None => execute_with_metrics(&ir, &inputs, chunk_elems, &opts)?,
+    let trace_to = trace_path(args)?;
+    let report = run(Run {
+        trace: trace_to.is_some(),
+        snapshot: true,
+        ..Run::new(&ir, &inputs, chunk_elems, &opts)
+    });
+    let (outputs, snapshot) = (report.result?, report.metrics);
+    let extra = match (trace_to, &report.trace) {
+        (Some(path), Some(trace)) => write_trace(path, trace)?,
+        _ => String::new(),
     };
     reference::check_outputs(
         &ir.collective,
@@ -1073,13 +1081,12 @@ fn run_with_recovery(
     };
     let injector = plan.as_ref().map(FaultInjector::new);
     let report = execute_with_recovery(
-        ir,
+        Run {
+            injector: injector.as_ref(),
+            ..Run::new(ir, inputs, chunk_elems, opts)
+        },
         fallback.as_ref(),
-        inputs,
-        chunk_elems,
-        opts,
         &policy,
-        injector.as_ref(),
     )?;
     let mut out = String::new();
     if let Some(plan) = &plan {

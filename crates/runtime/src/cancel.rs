@@ -2,26 +2,20 @@
 //!
 //! The first failure anywhere — a blocking-step timeout, the global
 //! deadline, a panic, an injected kill — cancels the token and records
-//! the *originating* failure. Cancellation is **event-driven**: parked
-//! waiters (the scheduler's worker pool, or a primitive's condvar in the
-//! blocking test APIs) register a [`Poke`] waker on the token, and
-//! [`CancelToken::cancel`] notifies every registered waker after
-//! tripping the flag. No wait anywhere in the runtime polls the token on
-//! a timer; a blocked thread observes cancellation as one wakeup, so the
-//! run reports one precise origin instead of a cascade of secondary
-//! timeouts — and idle workers burn no CPU slicing their sleeps.
+//! the *originating* failure. Cancellation is **event-driven**: the only
+//! threads that ever sleep during a run are pool workers parked on the
+//! scheduler's [`Parker`], so the token holds that parker and
+//! [`CancelToken::cancel`] bumps it after tripping the flag. No wait
+//! anywhere in the runtime polls the token on a timer; a parked worker
+//! observes cancellation as one wakeup, so the run reports one precise
+//! origin instead of a cascade of secondary timeouts — and idle workers
+//! burn no CPU slicing their sleeps.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// A parked waiter that a cancellation must wake. Implementations lock
-/// whatever mutex their condvar waits under before notifying, so the
-/// wakeup can never race past a waiter that has checked the flag but not
-/// yet parked (the classic lost-wakeup window).
-pub(crate) trait Poke: Send + Sync {
-    fn poke(&self);
-}
+use crate::sched::Parker;
 
 /// Why an execution failed, as seen at the point of origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,12 +65,11 @@ pub struct FailureOrigin {
 }
 
 /// A shared flag workers check between instructions, plus the recorded
-/// origin of the first failure and the wakers to notify when it trips.
-#[derive(Default)]
+/// origin of the first failure and the parker to bump when it trips.
 pub(crate) struct CancelToken {
     cancelled: AtomicBool,
     origin: Mutex<Option<(FailureOrigin, Instant)>>,
-    wakers: Mutex<Vec<Weak<dyn Poke>>>,
+    parker: Arc<Parker>,
 }
 
 impl std::fmt::Debug for CancelToken {
@@ -88,13 +81,18 @@ impl std::fmt::Debug for CancelToken {
 }
 
 impl CancelToken {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// A token that wakes the workers parked on `parker` when it trips.
+    pub(crate) fn new(parker: Arc<Parker>) -> Self {
+        Self {
+            cancelled: AtomicBool::new(false),
+            origin: Mutex::new(None),
+            parker,
+        }
     }
 
     /// Re-arms a tripped token for the next run of the plan that owns
-    /// it. Attached wakers stay attached. Must not race with a run: the
-    /// plan calls it with every worker idle.
+    /// it. Must not race with a run: the plan calls it with every worker
+    /// idle.
     pub(crate) fn reset(&self) {
         *self.origin.lock().unwrap_or_else(PoisonError::into_inner) = None;
         self.cancelled.store(false, Ordering::Release);
@@ -105,40 +103,12 @@ impl CancelToken {
         self.cancelled.load(Ordering::Acquire)
     }
 
-    /// Registers a waker to notify when the token trips. Weak: the token
-    /// may outlive the primitive it wakes. If the token has already
-    /// tripped, the waker is poked immediately instead of stored, so a
-    /// waiter that registers after the failure still cannot sleep through
-    /// it.
-    pub(crate) fn attach(&self, waker: Weak<dyn Poke>) {
-        if self.is_cancelled() {
-            if let Some(w) = waker.upgrade() {
-                w.poke();
-            }
-            return;
-        }
-        let mut guard = self.wakers.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.push(waker);
-        drop(guard);
-        // Trip observed between the check and the push: the canceller may
-        // have drained the list already, so poke from here.
-        if self.is_cancelled() {
-            self.poke_all();
-        }
-    }
-
-    fn poke_all(&self) {
-        let wakers = self.wakers.lock().unwrap_or_else(PoisonError::into_inner);
-        for w in wakers.iter() {
-            if let Some(w) = w.upgrade() {
-                w.poke();
-            }
-        }
-    }
-
     /// Records `origin` (with the cancellation instant), trips the flag
-    /// and wakes every attached waiter. Only the first caller's origin is
-    /// kept; returns whether this call was the first.
+    /// and wakes every parked worker. The bump comes after the flag store
+    /// and moves the parker's sequence under its lock, so a worker that
+    /// read the sequence before the trip cannot sleep through it: its
+    /// park sees the sequence changed and returns at once. Only the first
+    /// caller's origin is kept; returns whether this call was the first.
     pub(crate) fn cancel(&self, origin: FailureOrigin) -> bool {
         let mut guard = self.origin.lock().unwrap_or_else(PoisonError::into_inner);
         let first = guard.is_none();
@@ -149,7 +119,7 @@ impl CancelToken {
         // Release-store after the origin write so a worker that observes
         // the flag can rely on the origin being present.
         self.cancelled.store(true, Ordering::Release);
-        self.poke_all();
+        self.parker.bump();
         first
     }
 
@@ -176,7 +146,6 @@ impl CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     fn origin(rank: usize) -> FailureOrigin {
@@ -190,52 +159,56 @@ mod tests {
 
     #[test]
     fn first_cancel_wins() {
-        let t = CancelToken::new();
+        let t = CancelToken::new(Parker::new());
         assert!(!t.is_cancelled());
         assert!(t.origin().is_none());
         assert!(t.cancel(origin(3)));
         assert!(!t.cancel(origin(7)));
         assert!(t.is_cancelled());
         assert_eq!(t.origin().unwrap().rank, 3);
+        t.reset();
+        assert!(!t.is_cancelled());
+        assert!(t.origin().is_none());
     }
 
+    /// The lost-wakeup window: a worker reads the parker sequence, the
+    /// token trips, and only then does the worker park. The trip moved
+    /// the sequence, so the park returns instead of sleeping to its
+    /// bound.
     #[test]
-    fn cancellation_is_visible_across_threads() {
-        let t = CancelToken::new();
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || {
-            while !t2.is_cancelled() {
-                std::thread::yield_now();
-            }
-            t2.origin().unwrap().rank
+    fn trip_after_the_sequence_read_still_wakes() {
+        let parker = Parker::new();
+        let t = CancelToken::new(Arc::clone(&parker));
+        let seen = parker.epoch();
+        t.cancel(origin(0));
+        let t0 = Instant::now();
+        parker.park(seen, Some(t0 + Duration::from_secs(30)));
+        assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A worker already asleep on the parker is woken by a trip on
+    /// another thread long before its own bound, and finds the origin
+    /// recorded.
+    #[test]
+    fn trip_wakes_a_parked_worker() {
+        let parker = Parker::new();
+        let t = CancelToken::new(Arc::clone(&parker));
+        let (ready, go) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let seen = parker.epoch();
+                ready.send(()).unwrap();
+                let t0 = Instant::now();
+                parker.park(seen, Some(t0 + Duration::from_secs(30)));
+                (t.origin().map(|o| o.rank), t0.elapsed())
+            });
+            // Whether the trip lands before or after the worker is
+            // actually asleep, the sequence protocol wakes it.
+            go.recv().unwrap();
+            t.cancel(origin(5));
+            let (rank, took) = worker.join().unwrap();
+            assert_eq!(rank, Some(5));
+            assert!(took < Duration::from_secs(5), "took {took:?}");
         });
-        std::thread::sleep(Duration::from_millis(10));
-        t.cancel(origin(5));
-        assert_eq!(h.join().unwrap(), 5);
-    }
-
-    struct CountingPoke(AtomicUsize);
-    impl Poke for CountingPoke {
-        fn poke(&self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn cancel_pokes_attached_wakers() {
-        let t = CancelToken::new();
-        let p = Arc::new(CountingPoke(AtomicUsize::new(0)));
-        t.attach(Arc::downgrade(&p) as Weak<dyn Poke>);
-        t.cancel(origin(0));
-        assert_eq!(p.0.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn attach_after_cancel_pokes_immediately() {
-        let t = CancelToken::new();
-        t.cancel(origin(0));
-        let p = Arc::new(CountingPoke(AtomicUsize::new(0)));
-        t.attach(Arc::downgrade(&p) as Weak<dyn Poke>);
-        assert_eq!(p.0.load(Ordering::SeqCst), 1);
     }
 }

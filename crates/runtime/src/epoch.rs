@@ -39,9 +39,10 @@ use crate::semaphore::Semaphore;
 
 /// A published epoch checkpoint: everything needed to resume a failed run
 /// from its last consistent cut instead of from scratch. Produced by
-/// [`execute_resumable`](crate::executor::execute_resumable) on transient
-/// failure and consumed by the same entry point (via the recovery
-/// ladder's *resume* decision) on the next attempt.
+/// [`run`](crate::run) on transient failure (in
+/// [`RunReport::epochs`](crate::RunReport::epochs)) and consumed by the
+/// next attempt's [`Run::resume`](crate::Run::resume) — which is what the
+/// recovery ladder's *resume* decision does.
 pub struct EpochCheckpoint {
     /// Index of the boundary this checkpoint was taken at, within the
     /// run's boundary schedule.

@@ -1,43 +1,39 @@
-//! The interpreter proper: one resumable *task* per IR thread block on a
-//! work-stealing worker pool, a tiling outer loop, bounded FIFO
-//! connections and semaphore dependencies (Figure 5).
+//! The run driver: options, errors, the arena, and [`run`] — the one way
+//! to execute a program.
 //!
-//! Each thread block's interpreter loop is compiled into a [`TbTask`]
-//! state machine that runs until it would block — on a dependency
-//! semaphore, a FIFO, an epoch gate, or a fault-injected sleep — and
-//! then suspends with a [`WakeKey`] naming what it waits for. A fixed
-//! pool of `min(num_cpus, num_tbs)` workers (override:
-//! [`RunOptions::worker_threads`]) runs the tasks from per-worker deques
-//! with stealing; the peer that makes a blocked condition true (a
-//! semaphore set, a FIFO push/drain, a gate release) wakes the key and
-//! the task resumes, possibly on a different worker. The compiled
-//! per-block instruction order is untouched — only *who* runs a block's
-//! next step, and when, changed — so results stay bit-exact with the
-//! dedicated-thread executor this replaced, at any pool size.
+//! A request is a [`Run`]: program, inputs, options, and optionally an
+//! arena to run in, a fault injector, a checkpoint to resume from, and
+//! whether to record a trace or fold a metrics snapshot. [`run`] returns a
+//! [`RunReport`] with the result and everything else the run produced.
+//! [`execute`], [`execute_in_arena`] and [`execute_with_metrics`] are
+//! one-expression conveniences over it; the recovery ladder
+//! ([`crate::execute_with_recovery`]) takes the same request.
+//!
+//! Each IR thread block is a resumable task (see [`crate::task`]) on a
+//! work-stealing pool of `min(num_cpus, num_tbs)` workers (override:
+//! [`RunOptions::worker_threads`]). The compiled per-block instruction
+//! order is untouched — only *who* runs a block's next step, and when,
+//! varies — so results are bit-exact at any pool size.
 //!
 //! Nothing about the *program* is derived per call: the lowered
 //! instruction tables, connection and task indices, FIFOs, semaphores,
 //! tasks and scheduler live in an [`ExecPlan`] cached in the
 //! [`ExecArena`] (see [`crate::plan`]), and the pool's workers `1..N`
 //! are threads resident in the arena. A run on a matching plan is reset,
-//! load inputs, wake the workers, interpret, extract; every `execute_*`
-//! entry point goes through that one path, a call without an arena in a
-//! throwaway one.
+//! load inputs, wake the workers, interpret, extract; a request without
+//! an arena takes the same path in a throwaway one.
 //!
-//! Execution can be traced: [`execute_traced`] returns a wall-clock
-//! [`Trace`] built from lock-free per-task event buffers merged after
-//! the workers quiesce. The untraced [`execute`] path skips every event
-//! push. Independently of tracing, each worker keeps a small ring buffer
-//! of its recent activity, and when the run fails the error carries every
+//! Independently of tracing, each task keeps a small ring buffer of its
+//! recent activity, and when the run fails the error carries every
 //! thread block's last few entries — enough to see who stalled on what.
 //!
 //! Failure handling is *cooperative* (see [`crate::cancel`]): the first
-//! worker to fail — step timeout, global deadline, panic, injected kill —
-//! trips a shared [`CancelToken`] recording the originating failure, and
-//! every other worker aborts its blocking waits within milliseconds. The
-//! run therefore reports one precise origin instead of N cascading
-//! timeouts, and a kill anywhere tears the whole execution down in well
-//! under a second regardless of the configured timeouts.
+//! task to fail — step timeout, global deadline, panic, injected kill —
+//! trips the plan's cancel token recording the originating failure, and
+//! every other task aborts its waits within milliseconds. The run
+//! therefore reports one precise origin instead of N cascading timeouts,
+//! and a kill anywhere tears the whole execution down in well under a
+//! second regardless of the configured timeouts.
 //!
 //! Deterministic faults ([`msccl_faults`]) are injected at two hook
 //! points: block faults (stall/kill) as an instruction starts, delivery
@@ -110,7 +106,7 @@ pub struct RunOptions {
     /// to retry than to checkpoint); `Count(n)` forces `n` boundaries,
     /// clamped to the consistent cut positions available. See
     /// [`crate::epoch`] for the machinery and
-    /// [`execute_resumable`] for resuming from a checkpoint.
+    /// [`Run::resume`] for resuming from a checkpoint.
     pub epochs: EpochMode,
     /// Size of the work-stealing worker pool (`--threads`). `0` (the
     /// default) picks `min(available_parallelism, num_tbs)`; any other
@@ -436,23 +432,20 @@ impl RuntimeError {
 }
 
 /// Observability counters for one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Tile-pool behaviour *during this run* (allocation/reuse deltas;
-    /// `free` is the pool's absolute level afterwards). With a warm
-    /// shared pool (see [`execute_pooled`]), `pool.allocated` is zero.
+    /// `free` is the pool's absolute level afterwards). In a warm
+    /// [`ExecArena`], `pool.allocated` is zero.
     pub pool: PoolStats,
     /// Instruction instances completed across all thread blocks and
     /// tiles — the denominator for allocations-per-step.
     pub instructions: u64,
 }
 
-/// The tile pool [`execute`] would create internally for `ir` under
-/// `opts`: buffers sized to one maximal tile (`tile_elems` × the largest
-/// instruction `count`). Create one of these and pass it to
-/// [`execute_pooled`] repeatedly to keep buffers warm across runs.
-#[must_use]
-pub fn tile_pool_for(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
+/// The tile pool for `ir` under `opts`: buffers sized to one maximal tile
+/// (`tile_elems` × the largest instruction `count`).
+fn tile_pool_for(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
     let params = opts.protocol.params();
     let tile_elems = opts
         .tile_elems
@@ -471,9 +464,9 @@ pub fn tile_pool_for(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
 /// Warm, reusable execution state: the tile pool, recycled rank memory
 /// spaces and (optionally) result vectors, the cached execution plan of
 /// the program that last ran here, and the worker pool's resident
-/// threads. [`execute_in_arena`] draws every buffer of the data path
-/// from here and stashes the space buffers back after the run, so
-/// repeated executions of the same program allocate nothing on the data
+/// threads. A [`Run`] with [`Run::arena`] set draws every buffer of the
+/// data path from here and stashes the space buffers back after the run,
+/// so repeated executions of the same program allocate nothing on the data
 /// path in steady state — not tiles, not rank memory, and, when finished
 /// outputs are handed back with
 /// [`recycle_outputs`](ExecArena::recycle_outputs), not result buffers
@@ -501,19 +494,15 @@ pub struct ExecArena {
 }
 
 impl ExecArena {
-    /// An arena whose tile pool is sized for `ir` under `opts` (see
-    /// [`tile_pool_for`]). Memory-space and output buffers are adopted
+    /// An arena whose tile pool is sized for `ir` under `opts` (one
+    /// maximal tile per buffer). Memory-space and output buffers are adopted
     /// from whatever program runs in it, and the plan is built by the
     /// first run, so one arena can serve different programs of similar
     /// size — each change of program costs one plan build.
     #[must_use]
     pub fn new(ir: &IrProgram, opts: &RunOptions) -> Self {
-        Self::with_pool(tile_pool_for(ir, opts))
-    }
-
-    fn with_pool(pool: Arc<TilePool>) -> Self {
         Self {
-            pool,
+            pool: tile_pool_for(ir, opts),
             spares: Vec::new(),
             outputs: Vec::new(),
             snaps: Vec::new(),
@@ -777,10 +766,140 @@ fn validate_options(opts: &RunOptions) -> Result<(), RuntimeError> {
     Ok(())
 }
 
-/// Executes a compiled program over real `f32` buffers.
+/// One execution request: the program, its inputs and options, and the
+/// five things a caller may add to a plain run. Build the plain form
+/// with [`Run::new`] and set what differs with struct-update syntax:
 ///
-/// `inputs[r]` must hold `in_chunks * chunk_elems` elements. Returns each
-/// rank's output buffer (`out_chunks * chunk_elems` elements).
+/// ```
+/// # use msccl_runtime::{reference, run, ExecArena, Run, RunOptions};
+/// # use mscclang::{compile, CompileOptions};
+/// # let program = msccl_algos::ring_all_reduce(4, 1)?;
+/// # let ir = compile(&program, &CompileOptions::default())?;
+/// # let inputs = reference::random_inputs(&ir, 64, 42);
+/// # let opts = RunOptions::default();
+/// let mut arena = ExecArena::new(&ir, &opts);
+/// let report = run(Run {
+///     arena: Some(&mut arena),
+///     trace: true,
+///     ..Run::new(&ir, &inputs, 64, &opts)
+/// });
+/// assert!(report.result.is_ok() && report.trace.is_some());
+/// # Ok::<(), mscclang::Error>(())
+/// ```
+///
+/// The fields compose freely — a traced run in a warm arena, faults with
+/// a metrics snapshot, a resume under tracing — because each is read at
+/// one place in the one run path.
+pub struct Run<'a> {
+    /// The compiled program.
+    pub ir: &'a IrProgram,
+    /// `inputs[r]` must hold `in_chunks * chunk_elems` elements.
+    pub inputs: &'a [Vec<f32>],
+    /// Elements per chunk.
+    pub chunk_elems: usize,
+    /// Protocol, tiling, reduce operator, timeouts, pool size, epochs.
+    pub opts: &'a RunOptions,
+    /// Draw every buffer of the data path — tiles, rank memory, result
+    /// vectors, epoch staging — and the execution plan and worker
+    /// threads from this arena, and return them to it afterwards. After
+    /// one warm-up run (and with outputs handed back via
+    /// [`ExecArena::recycle_outputs`]) a run of the same program
+    /// allocates nothing on the data path and rebuilds nothing about the
+    /// program. `None` runs in a throwaway arena: plan built, used once
+    /// and dropped, threads spawned and joined.
+    pub arena: Option<&'a mut ExecArena>,
+    /// Inject deterministic faults. Injection is one-shot per spec
+    /// *across the injector's lifetime*: running again with the same
+    /// injector models a retry after a transient fault. A disruptive
+    /// fault surfaces as a structured error whose context names the
+    /// faults that struck; a corrupting fault surfaces only through
+    /// output verification (see
+    /// [`reference::check_outputs`](crate::reference::check_outputs) or
+    /// the recovery layer). Costs one branch per instruction and per
+    /// send.
+    pub injector: Option<&'a FaultInjector>,
+    /// Start from this checkpoint instead of from scratch: rank memory is
+    /// restored from the snapshot and every thread block starts at its
+    /// checkpoint watermark, so only the work after the last consistent
+    /// cut is redone. Must have been captured under the same program,
+    /// chunk size and [`RunOptions::epochs`]/tiling; anything else is
+    /// rejected as [`RuntimeError::InvalidOptions`].
+    pub resume: Option<EpochCheckpoint>,
+    /// Record a wall-clock [`Trace`] of every instruction, semaphore
+    /// wait, FIFO block and message. Each task appends to its own buffer
+    /// (no synchronization beyond what execution itself needs); the
+    /// buffers are merged after the workers quiesce. Costs a clock read
+    /// and a push per event; off, every event push is skipped.
+    pub trace: bool,
+    /// Fold the always-on counters — bytes and messages per connection,
+    /// semaphore wait and FIFO block time, per-instruction-kind latency
+    /// histograms, tile-pool behaviour — into [`RunReport::metrics`].
+    /// The counters are kept either way (see [`RunOptions::metrics`]);
+    /// this zeroes them before the run and pays the shard sums and key
+    /// clones after it.
+    pub snapshot: bool,
+}
+
+impl<'a> Run<'a> {
+    /// A plain run: throwaway arena, no faults, from scratch, no trace,
+    /// no snapshot.
+    #[must_use]
+    pub fn new(
+        ir: &'a IrProgram,
+        inputs: &'a [Vec<f32>],
+        chunk_elems: usize,
+        opts: &'a RunOptions,
+    ) -> Self {
+        Self {
+            ir,
+            inputs,
+            chunk_elems,
+            opts,
+            arena: None,
+            injector: None,
+            resume: None,
+            trace: false,
+            snapshot: false,
+        }
+    }
+}
+
+/// Everything one [`run`] produces.
+#[derive(Debug)]
+pub struct RunReport {
+    /// Each rank's output buffer (`out_chunks * chunk_elems` elements),
+    /// or why there is none: shape mismatches, invalid options, hangs,
+    /// deadline overruns, worker panics, injected kills.
+    pub result: Result<Vec<Vec<f32>>, RuntimeError>,
+    /// Tile-pool allocation counters and instructions executed.
+    pub stats: ExecStats,
+    /// The trace, when [`Run::trace`] was set and the run succeeded.
+    pub trace: Option<Trace>,
+    /// The metrics snapshot; empty unless [`Run::snapshot`] and
+    /// [`RunOptions::metrics`] were both on.
+    pub metrics: MetricsSnapshot,
+    /// The attempt's epoch picture: boundary count, checkpoints
+    /// published, instruction instances resumed and executed, and — when
+    /// the run failed transiently with a checkpoint in hand — the
+    /// checkpoint to feed back as the next [`Run::resume`].
+    pub epochs: EpochStatus,
+}
+
+impl RunReport {
+    /// The report of a request rejected before anything ran.
+    fn rejected(error: RuntimeError) -> Self {
+        Self {
+            result: Err(error),
+            stats: ExecStats::default(),
+            trace: None,
+            metrics: MetricsSnapshot::default(),
+            epochs: EpochStatus::default(),
+        }
+    }
+}
+
+/// [`run`] with every [`Run`] field at its default, returning only the
+/// outputs.
 ///
 /// # Errors
 ///
@@ -792,51 +911,11 @@ pub fn execute(
     chunk_elems: usize,
     opts: &RunOptions,
 ) -> Result<Vec<Vec<f32>>, RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, _, _)| outputs)
+    run(Run::new(ir, inputs, chunk_elems, opts)).result
 }
 
-/// Like [`execute`], additionally returning the run's [`ExecStats`]
-/// (tile-pool allocation counters and instructions executed).
-///
-/// # Errors
-///
-/// As for [`execute`].
-pub fn execute_with_stats(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-) -> Result<(Vec<Vec<f32>>, ExecStats), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, stats, _)| (outputs, stats))
-}
-
-/// Like [`execute`], additionally returning the run's [`MetricsSnapshot`]
-/// without recording a trace — the cheapest way to observe the always-on
-/// counters. Empty when [`RunOptions::metrics`] is off.
+/// [`run`] with [`Run::snapshot`] set, returning the outputs and the
+/// [`MetricsSnapshot`] (empty when [`RunOptions::metrics`] is off).
 ///
 /// # Errors
 ///
@@ -847,64 +926,20 @@ pub fn execute_with_metrics(
     chunk_elems: usize,
     opts: &RunOptions,
 ) -> Result<(Vec<Vec<f32>>, MetricsSnapshot), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        true,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, _, m)| (outputs, m.unwrap_or_default()))
+    let report = run(Run {
+        snapshot: true,
+        ..Run::new(ir, inputs, chunk_elems, opts)
+    });
+    report.result.map(|outputs| (outputs, report.metrics))
 }
 
-/// Like [`execute_with_stats`], reusing a caller-owned [`TilePool`]
-/// (typically from [`tile_pool_for`]) so tile buffers stay warm across
-/// runs: after one warmup execution, subsequent runs report zero pool
-/// allocations. For the full steady state — rank memory and result
-/// buffers too — use [`execute_in_arena`].
+/// [`run`] in a caller-owned [`ExecArena`], returning the outputs and
+/// the run's [`ExecStats`] — the steady-state configuration the
+/// benchmark measures.
 ///
 /// # Errors
 ///
-/// As for [`execute`].
-pub fn execute_pooled(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    pool: &Arc<TilePool>,
-) -> Result<(Vec<Vec<f32>>, ExecStats), RuntimeError> {
-    let mut arena = ExecArena::with_pool(Arc::clone(pool));
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        None,
-        Some(&mut arena),
-        None,
-        None,
-    )
-    .map(|(outputs, _, stats, _)| (outputs, stats))
-}
-
-/// Like [`execute_with_stats`], drawing every buffer of the data path —
-/// tiles, rank memory spaces, result vectors — from a caller-owned
-/// [`ExecArena`] and returning the reusable ones to it afterwards. After
-/// one warmup run (and with outputs handed back via
-/// [`ExecArena::recycle_outputs`]), subsequent runs of the same program
-/// perform zero steady-state allocations on the data path; this is the
-/// configuration the throughput bench measures.
-///
-/// # Errors
-///
-/// As for [`execute`].
+/// As [`execute`].
 pub fn execute_in_arena(
     ir: &IrProgram,
     inputs: &[Vec<f32>],
@@ -912,229 +947,12 @@ pub fn execute_in_arena(
     opts: &RunOptions,
     arena: &mut ExecArena,
 ) -> Result<(Vec<Vec<f32>>, ExecStats), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        None,
-        Some(arena),
-        None,
-        None,
-    )
-    .map(|(outputs, _, stats, _)| (outputs, stats))
+    let report = run(Run {
+        arena: Some(arena),
+        ..Run::new(ir, inputs, chunk_elems, opts)
+    });
+    report.result.map(|outputs| (outputs, report.stats))
 }
-
-/// Like [`execute`], additionally recording a wall-clock [`Trace`] of
-/// every instruction, semaphore wait, FIFO block and message.
-///
-/// Each worker thread appends to its own buffer (no synchronization on
-/// the hot path beyond what execution itself needs); the buffers are
-/// merged into one timestamp-sorted trace after the workers join.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError`] on shape mismatches, invalid options, hangs,
-/// deadline overruns and worker panics.
-pub fn execute_traced(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-) -> Result<(Vec<Vec<f32>>, Trace), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        true,
-        false,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, trace, _, _)| (outputs, trace.expect("tracing was enabled")))
-}
-
-/// Like [`execute_traced`], additionally returning the run's
-/// [`MetricsSnapshot`]: the always-on counters — bytes and messages per
-/// connection, semaphore wait and FIFO block time, per-instruction-kind
-/// latency histograms, tile-pool behaviour — merged across the worker
-/// shards at the end of the run. This is the entry point behind
-/// `msccl profile`. The snapshot is empty when `opts.metrics` is off.
-///
-/// # Errors
-///
-/// As for [`execute`].
-pub fn execute_profiled(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-) -> Result<(Vec<Vec<f32>>, Trace, MetricsSnapshot), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        true,
-        true,
-        None,
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, trace, _, m)| {
-        (
-            outputs,
-            trace.expect("tracing was enabled"),
-            m.unwrap_or_default(),
-        )
-    })
-}
-
-/// Like [`execute`], with deterministic faults injected from `injector`.
-///
-/// Injection is one-shot per spec *across the injector's lifetime*:
-/// calling this again with the same injector models a retry after a
-/// transient fault. A disruptive fault surfaces as a structured error
-/// whose context names the faults that struck; a corrupting fault
-/// surfaces only through output verification (see
-/// [`reference::check_outputs`](crate::reference::check_outputs) or the
-/// recovery layer).
-///
-/// # Errors
-///
-/// Returns [`RuntimeError`] like [`execute`], plus
-/// [`RuntimeError::InjectedFault`] when a planned kill strikes.
-pub fn execute_with_faults(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: &FaultInjector,
-) -> Result<Vec<Vec<f32>>, RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        Some(injector),
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, _, _, _)| outputs)
-}
-
-/// [`execute_with_faults`] with tracing, as [`execute_traced`] is to
-/// [`execute`].
-///
-/// # Errors
-///
-/// As for [`execute_with_faults`].
-pub fn execute_with_faults_traced(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: &FaultInjector,
-) -> Result<(Vec<Vec<f32>>, Trace), RuntimeError> {
-    execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        true,
-        false,
-        Some(injector),
-        None,
-        None,
-        None,
-    )
-    .map(|(outputs, trace, _, _)| (outputs, trace.expect("tracing was enabled")))
-}
-
-/// The epoch-aware entry point behind the recovery ladder's *resume*
-/// decision. Executes `ir` with optional fault injection, either from
-/// scratch (`resume: None`) or from a previously captured
-/// [`EpochCheckpoint`]: rank memory is restored from the snapshot and
-/// every thread block starts at its checkpoint watermark, so only the
-/// work after the last consistent cut is redone.
-///
-/// Alongside the result it always returns the attempt's [`EpochStatus`]:
-/// boundary count, checkpoints published, instruction instances resumed
-/// and executed, and — when the attempt failed transiently with a
-/// checkpoint in hand — the checkpoint to feed back into the next call.
-///
-/// # Errors
-///
-/// The `Result` half fails like [`execute_with_faults`]; additionally
-/// [`RuntimeError::InvalidOptions`] when `resume` does not fit `ir`
-/// under `opts` (rank count or boundary schedule mismatch — e.g. a
-/// checkpoint replayed against different options).
-pub fn execute_resumable(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: Option<&FaultInjector>,
-    resume: Option<EpochCheckpoint>,
-) -> (Result<Vec<Vec<f32>>, RuntimeError>, EpochStatus) {
-    execute_resumable_in_arena(ir, inputs, chunk_elems, opts, injector, resume, None)
-}
-
-/// [`execute_resumable`] drawing the data path from a caller-owned
-/// [`ExecArena`] when one is given, as [`execute_in_arena`] is to
-/// [`execute_with_stats`]. This is the attempt primitive behind
-/// [`execute_with_recovery_in_arena`](crate::execute_with_recovery_in_arena):
-/// a long-running process (the service daemon) keeps one arena per
-/// executor worker and every attempt of every request — resume, retry,
-/// fallback — reuses its tiles, rank memory and result buffers.
-///
-/// # Errors
-///
-/// As for [`execute_resumable`].
-pub fn execute_resumable_in_arena(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: Option<&FaultInjector>,
-    resume: Option<EpochCheckpoint>,
-    arena: Option<&mut ExecArena>,
-) -> (Result<Vec<Vec<f32>>, RuntimeError>, EpochStatus) {
-    let mut status = EpochStatus::default();
-    let result = execute_impl(
-        ir,
-        inputs,
-        chunk_elems,
-        opts,
-        false,
-        false,
-        injector,
-        arena,
-        resume,
-        Some(&mut status),
-    )
-    .map(|(outputs, _, _, _)| outputs);
-    (result, status)
-}
-
-/// Everything one run produces: per-rank outputs, the trace when
-/// tracing was on, the pool/instruction statistics, and the metrics
-/// snapshot when metrics were on.
-type RunProducts = (
-    Vec<Vec<f32>>,
-    Option<Trace>,
-    ExecStats,
-    Option<MetricsSnapshot>,
-);
 
 /// Everything one run's workers share, borrowed for exactly the span of
 /// [`Workers::run`]: the plan's tables and reusable primitives, this
@@ -1162,34 +980,22 @@ pub(crate) struct RunCtx<'r> {
     pub(crate) global_deadline: Option<Instant>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_impl(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    tracing: bool,
-    want_snapshot: bool,
-    injector: Option<&FaultInjector>,
-    arena: Option<&mut ExecArena>,
-    resume: Option<EpochCheckpoint>,
-    epoch_out: Option<&mut EpochStatus>,
-) -> Result<RunProducts, RuntimeError> {
-    validate_options(opts)?;
-    let collective = &ir.collective;
-    let num_ranks = ir.num_ranks();
-    if inputs.len() != num_ranks {
+/// What is wrong with the request's shape or options, if anything.
+fn validate(run: &Run<'_>) -> Result<(), RuntimeError> {
+    validate_options(run.opts)?;
+    let num_ranks = run.ir.num_ranks();
+    if run.inputs.len() != num_ranks {
         return Err(RuntimeError::InputShape {
-            message: format!("{} input buffers for {} ranks", inputs.len(), num_ranks),
+            message: format!("{} input buffers for {} ranks", run.inputs.len(), num_ranks),
         });
     }
-    if chunk_elems == 0 {
+    if run.chunk_elems == 0 {
         return Err(RuntimeError::InputShape {
             message: "chunk_elems must be positive".into(),
         });
     }
-    let in_elems = collective.in_chunks() * chunk_elems;
-    for (r, buf) in inputs.iter().enumerate() {
+    let in_elems = run.ir.collective.in_chunks() * run.chunk_elems;
+    for (r, buf) in run.inputs.iter().enumerate() {
         if buf.len() != in_elems {
             return Err(RuntimeError::InputShape {
                 message: format!(
@@ -1199,12 +1005,86 @@ fn execute_impl(
             });
         }
     }
+    Ok(())
+}
+
+/// Executes a compiled program over real `f32` buffers: the one way in.
+/// Everything a caller can ask of an execution is a field of [`Run`];
+/// everything it can get back is a field of [`RunReport`].
+///
+/// The run path is: validate, resolve the epoch schedule, take (or build)
+/// the arena's execution plan, load inputs into recycled rank memory,
+/// reset the plan, interpret on the worker pool, extract outputs, stash
+/// the buffers back.
+#[must_use]
+pub fn run(req: Run<'_>) -> RunReport {
+    if let Err(e) = validate(&req) {
+        return RunReport::rejected(e);
+    }
+    let Run {
+        ir,
+        inputs,
+        chunk_elems,
+        opts,
+        arena,
+        injector,
+        resume,
+        trace: tracing,
+        snapshot: want_snapshot,
+    } = req;
+    let collective = &ir.collective;
+    let num_ranks = ir.num_ranks();
+    let in_elems = collective.in_chunks() * chunk_elems;
 
     let params = opts.protocol.params();
     let tile_elems = opts
         .tile_elems
         .unwrap_or_else(|| ((params.slot_bytes as usize) / std::mem::size_of::<f32>()).max(1));
     let num_tiles = chunk_elems.div_ceil(tile_elems);
+
+    // ---- Epoch schedule. Resolve the mode first (Auto applies its
+    // traffic budget and may decline to checkpoint), then turn the
+    // program's verified cut chain into per-boundary completed-
+    // instruction targets. Hand-built IR that never went through the
+    // compiler gets its cuts computed on the fly.
+    let epoch_mode = opts.epochs.resolve(ir, chunk_elems);
+    let boundaries: Vec<Vec<Vec<u64>>> =
+        if matches!(epoch_mode, EpochMode::Off | EpochMode::Count(0)) {
+            Vec::new()
+        } else {
+            let computed;
+            let cuts = if ir.epoch_cuts.is_empty() {
+                computed = mscclang::passes::epoch_cuts(ir);
+                &computed
+            } else {
+                &ir.epoch_cuts
+            };
+            mscclang::passes::schedule_epochs(ir, cuts, num_tiles, epoch_mode)
+        };
+
+    // ---- Resume validation: a checkpoint only makes sense against the
+    // exact schedule it was captured under — same rank count, and its
+    // boundary present with identical targets. Anything else means the
+    // caller replayed it against different options, and the watermarks
+    // would silently corrupt the run. Rejected here, before the arena is
+    // touched: its warm buffers stay where they are.
+    if let Some(cp) = &resume {
+        let fits = cp.memories.len() == num_ranks
+            && boundaries
+                .get(cp.boundary)
+                .is_some_and(|b| *b == cp.targets);
+        if !fits {
+            return RunReport::rejected(RuntimeError::InvalidOptions {
+                message: format!(
+                    "resume checkpoint (boundary {}, {} ranks) does not match this \
+                     run's epoch schedule ({} boundaries, {num_ranks} ranks)",
+                    cp.boundary,
+                    cp.memories.len(),
+                    boundaries.len()
+                ),
+            });
+        }
+    }
 
     // ---- Metrics: one shard per task, so a hot-path update is a relaxed
     // atomic add with no sharing; merged on snapshot. Arena counters are
@@ -1221,7 +1101,7 @@ fn execute_impl(
     let arena = match arena {
         Some(arena) => arena,
         None => {
-            throwaway = ExecArena::with_pool(tile_pool_for(ir, opts));
+            throwaway = ExecArena::new(ir, opts);
             &mut throwaway
         }
     };
@@ -1294,48 +1174,6 @@ fn execute_impl(
         })
         .collect();
 
-    // ---- Epoch schedule. Resolve the mode first (Auto applies its
-    // traffic budget and may decline to checkpoint), then turn the
-    // program's verified cut chain into per-boundary completed-
-    // instruction targets. Hand-built IR that never went through the
-    // compiler gets its cuts computed on the fly.
-    let epoch_mode = opts.epochs.resolve(ir, chunk_elems);
-    let boundaries: Vec<Vec<Vec<u64>>> =
-        if matches!(epoch_mode, EpochMode::Off | EpochMode::Count(0)) {
-            Vec::new()
-        } else {
-            let computed;
-            let cuts = if ir.epoch_cuts.is_empty() {
-                computed = mscclang::passes::epoch_cuts(ir);
-                &computed
-            } else {
-                &ir.epoch_cuts
-            };
-            mscclang::passes::schedule_epochs(ir, cuts, num_tiles, epoch_mode)
-        };
-
-    // ---- Resume validation: a checkpoint only makes sense against the
-    // exact schedule it was captured under — same rank count, and its
-    // boundary present with identical targets. Anything else means the
-    // caller replayed it against different options, and the watermarks
-    // would silently corrupt the run.
-    if let Some(cp) = &resume {
-        let fits = cp.memories.len() == num_ranks
-            && boundaries
-                .get(cp.boundary)
-                .is_some_and(|b| *b == cp.targets);
-        if !fits {
-            return Err(RuntimeError::InvalidOptions {
-                message: format!(
-                    "resume checkpoint (boundary {}, {} ranks) does not match this \
-                     run's epoch schedule ({} boundaries, {num_ranks} ranks)",
-                    cp.boundary,
-                    cp.memories.len(),
-                    boundaries.len()
-                ),
-            });
-        }
-    }
     let resume_info = resume.as_ref().map(|cp| (cp.boundary, cp.instructions));
     let start_targets: Vec<Vec<u64>> = match &resume {
         Some(cp) => cp.targets.clone(),
@@ -1534,7 +1372,7 @@ fn execute_impl(
     // Scrape model: counters are always recorded, but folding them into
     // a snapshot (key clones, shard sums) happens only for callers that
     // return one — entry points that discard it shouldn't pay for it.
-    let metrics_snapshot = run_metrics.filter(|_| want_snapshot).map(|m| {
+    let metrics = run_metrics.filter(|_| want_snapshot).map(|m| {
         // The pool is shared by all workers; its per-run deltas land in
         // shard 0 once the workers have quiesced. Epoch counters likewise
         // — resolved lazily so runs without epochs carry no epoch series
@@ -1576,13 +1414,7 @@ fn execute_impl(
             .set_max(sched_stats.peak_runnable);
         m.registry.snapshot()
     });
-
-    // Hand the attempt's epoch picture out before the paths below take
-    // over; on failure the checkpoint inside is exactly what a resume
-    // needs.
-    if let Some(out) = epoch_out {
-        *out = epoch_status;
-    }
+    let metrics = metrics.unwrap_or_default();
 
     // Every clone of the memories is gone by now (tasks reach them only
     // through the run context), so they unwrap cleanly and their buffers
@@ -1665,7 +1497,7 @@ fn execute_impl(
         }
         let context = diagnosis.context_lines();
         let diagnosis = Box::new(diagnosis);
-        return Err(match origin.cause {
+        let error = match origin.cause {
             FailureCause::StepTimeout => RuntimeError::Hang {
                 rank,
                 tb,
@@ -1700,7 +1532,16 @@ fn execute_impl(
                 diagnosis,
                 drain,
             },
-        });
+        };
+        // On failure the checkpoint inside `epochs` is exactly what a
+        // resume needs.
+        return RunReport {
+            result: Err(error),
+            stats,
+            trace: None,
+            metrics,
+            epochs: epoch_status,
+        };
     }
 
     let trace = tracing.then(|| {
@@ -1751,7 +1592,13 @@ fn execute_impl(
         })
         .collect();
     stash(spares, memories);
-    Ok((outputs, trace, stats, metrics_snapshot))
+    RunReport {
+        result: Ok(outputs),
+        stats,
+        trace,
+        metrics,
+        epochs: epoch_status,
+    }
 }
 
 #[cfg(test)]
@@ -1866,9 +1713,13 @@ mod tests {
         let chunk_elems = 8;
         let inputs = crate::reference::random_inputs(&ir, chunk_elems, 5);
         let plain = execute(&ir, &inputs, chunk_elems, &RunOptions::default()).unwrap();
-        let (traced, trace) =
-            execute_traced(&ir, &inputs, chunk_elems, &RunOptions::default()).unwrap();
-        assert_eq!(plain, traced);
+        let opts = RunOptions::default();
+        let report = run(Run {
+            trace: true,
+            ..Run::new(&ir, &inputs, chunk_elems, &opts)
+        });
+        let trace = report.trace.expect("tracing was enabled");
+        assert_eq!(plain, report.result.unwrap());
         assert!(!trace.is_empty());
         trace.check_consistency(Some(&ir)).unwrap();
         // Every instruction appears exactly once (single tile).
@@ -1880,22 +1731,10 @@ mod tests {
         let p = msccl_algos::ring_all_reduce(2, 1).unwrap();
         let ir = compile(&p, &CompileOptions::default()).unwrap();
         let inputs = crate::reference::random_inputs(&ir, 4, 9);
-        // The public untraced API returns only outputs; internally the
-        // recorder stays empty.
-        let (_, trace, _, _) = execute_impl(
-            &ir,
-            &inputs,
-            4,
-            &RunOptions::default(),
-            false,
-            false,
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(trace.is_none());
+        let report = run(Run::new(&ir, &inputs, 4, &RunOptions::default()));
+        assert!(report.result.is_ok());
+        assert!(report.trace.is_none());
+        assert!(report.metrics.samples.is_empty());
     }
 
     fn deadlocked_ir() -> mscclang::IrProgram {
@@ -2075,7 +1914,12 @@ mod tests {
             timeout: Duration::from_secs(5),
             ..RunOptions::default()
         };
-        let err = execute_with_faults(&ir, &inputs, chunk_elems, &opts, &injector).unwrap_err();
+        let err = run(Run {
+            injector: Some(&injector),
+            ..Run::new(&ir, &inputs, chunk_elems, &opts)
+        })
+        .result
+        .unwrap_err();
         let d = err.diagnosis().expect("kill carries a diagnosis");
         assert_eq!(d.kind, crate::flight::StallKind::SelfFault, "{d:?}");
         assert_eq!(
@@ -2331,8 +2175,8 @@ mod tests {
             epochs: EpochMode::Count(2),
             ..opts_off
         };
-        let (result, status) = execute_resumable(&ir, &inputs, chunk_elems, &opts_on, None, None);
-        let outputs = result.unwrap();
+        let report = run(Run::new(&ir, &inputs, chunk_elems, &opts_on));
+        let (outputs, status) = (report.result.unwrap(), report.epochs);
         for (a, b) in plain.iter().zip(&outputs) {
             for (x, y) in a.iter().zip(b) {
                 assert_eq!(x.to_bits(), y.to_bits());
@@ -2394,19 +2238,17 @@ mod tests {
                 .collect(),
             instructions: 4,
         };
-        let (result, _) = execute_resumable(
-            &ir,
-            &inputs,
-            chunk_elems,
-            &RunOptions {
-                tile_elems: Some(2),
-                epochs: EpochMode::Count(2),
-                ..RunOptions::default()
-            },
-            None,
-            Some(bogus),
-        );
-        let err = result.unwrap_err();
+        let opts = RunOptions {
+            tile_elems: Some(2),
+            epochs: EpochMode::Count(2),
+            ..RunOptions::default()
+        };
+        let err = run(Run {
+            resume: Some(bogus),
+            ..Run::new(&ir, &inputs, chunk_elems, &opts)
+        })
+        .result
+        .unwrap_err();
         assert!(
             matches!(&err, RuntimeError::InvalidOptions { message } if message.contains("resume checkpoint")),
             "got {err:?}"
@@ -2422,8 +2264,19 @@ mod tests {
         let ir = compile(&p, &CompileOptions::default()).unwrap();
         let chunk_elems = 16;
         let inputs = crate::reference::random_inputs(&ir, chunk_elems, 31);
-        let (outputs, trace, snapshot) =
-            execute_profiled(&ir, &inputs, chunk_elems, &RunOptions::default()).unwrap();
+        let profiled = |opts: &RunOptions| {
+            let report = run(Run {
+                trace: true,
+                snapshot: true,
+                ..Run::new(&ir, &inputs, chunk_elems, opts)
+            });
+            (
+                report.result.unwrap(),
+                report.trace.expect("tracing was enabled"),
+                report.metrics,
+            )
+        };
+        let (outputs, trace, snapshot) = profiled(&RunOptions::default());
         crate::reference::check_outputs(
             &ir.collective,
             &inputs,
@@ -2468,7 +2321,7 @@ mod tests {
             metrics: false,
             ..RunOptions::default()
         };
-        let (_, _, empty) = execute_profiled(&ir, &inputs, chunk_elems, &opts).unwrap();
+        let (_, _, empty) = profiled(&opts);
         assert!(empty.samples.is_empty());
     }
 }

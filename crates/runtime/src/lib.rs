@@ -7,25 +7,45 @@
 //! instruction list sequentially inside an outer *tiling* loop; chunks
 //! larger than a FIFO slot are split into tiles and pipelined exactly as
 //! the GPU interpreter does. Point-to-point connections are bounded
-//! channels with the protocol's FIFO slot count — a send blocks when all
-//! slots are full — and cross-thread-block dependencies use monotonic
-//! semaphores, mirroring the `wait`/`set` pair in Figure 5.
+//! queues with the protocol's FIFO slot count — a task whose send finds
+//! all slots full parks until the receiver drains — and
+//! cross-thread-block dependencies use monotonic atomic semaphores,
+//! mirroring the `wait`/`set` pair in Figure 5.
 //!
 //! Data is real (`f32`), so executing a compiled program end-to-end
 //! validates numerical correctness against the golden results in
 //! [`mod@reference`].
 //!
+//! There is one way to run a program: build a [`Run`] and call [`run`].
+//! The request's optional fields — an [`ExecArena`] to run in, a fault
+//! injector, a checkpoint to resume from, a trace, a metrics snapshot —
+//! compose freely, and the [`RunReport`] carries everything the run
+//! produced. [`execute`], [`execute_in_arena`] and
+//! [`execute_with_metrics`] are shorthands for the commonest shapes;
+//! [`execute_with_recovery`] runs the same request under the
+//! retry/resume/fallback ladder.
+//!
 //! # Example
 //!
 //! ```
-//! use msccl_runtime::{execute, reference, RunOptions};
+//! use msccl_runtime::{execute, reference, run, Run, RunOptions};
 //! use mscclang::{compile, CompileOptions};
 //!
 //! let program = msccl_algos::ring_all_reduce(4, 1)?;
 //! let ir = compile(&program, &CompileOptions::default())?;
 //! let inputs = reference::random_inputs(&ir, 64, 42);
-//! let outputs = execute(&ir, &inputs, 64, &RunOptions::default()).unwrap();
+//! let opts = RunOptions::default();
+//! let outputs = execute(&ir, &inputs, 64, &opts).unwrap();
 //! reference::check_outputs(&ir.collective, &inputs, &outputs, 64, Default::default()).unwrap();
+//!
+//! // The same run, also asking for a trace and the metrics snapshot.
+//! let report = run(Run {
+//!     trace: true,
+//!     snapshot: true,
+//!     ..Run::new(&ir, &inputs, 64, &opts)
+//! });
+//! assert_eq!(report.result.unwrap(), outputs);
+//! assert!(report.trace.is_some() && !report.metrics.samples.is_empty());
 //! # Ok::<(), mscclang::Error>(())
 //! ```
 
@@ -48,10 +68,8 @@ mod workers;
 pub use cancel::{FailureCause, FailureOrigin};
 pub use epoch::{EpochCheckpoint, EpochStatus};
 pub use executor::{
-    execute, execute_in_arena, execute_pooled, execute_profiled, execute_resumable,
-    execute_resumable_in_arena, execute_traced, execute_with_faults, execute_with_faults_traced,
-    execute_with_metrics, execute_with_stats, tile_pool_for, ExecArena, ExecStats, RunOptions,
-    RuntimeError,
+    execute, execute_in_arena, execute_with_metrics, run, ExecArena, ExecStats, Run, RunOptions,
+    RunReport, RuntimeError,
 };
 pub use flight::{
     Blackbox, BlackboxConn, BlackboxFailure, BlackboxSched, BlockedOn, FlightRecord,
@@ -61,6 +79,5 @@ pub use memory::{RankMemory, SpaceBuffers};
 pub use plan::worker_pool_size;
 pub use pool::{PoolStats, PooledTile, TilePool};
 pub use recovery::{
-    execute_with_recovery, execute_with_recovery_in_arena, RecoveryPolicy, RecoveryReport,
-    RecoveryStep, ResumePolicy,
+    execute_with_recovery, RecoveryPolicy, RecoveryReport, RecoveryStep, ResumePolicy,
 };

@@ -1,14 +1,9 @@
 //! Per-rank buffer storage with in-place alias resolution.
 //!
-//! Besides the whole-value [`read`](RankMemory::read)/
-//! [`write`](RankMemory::write) pair, the hot path uses slice-based
-//! in-place operations ([`read_into`](RankMemory::read_into),
-//! [`copy_between`](RankMemory::copy_between),
-//! [`reduce_between`](RankMemory::reduce_between),
-//! [`reduce_merge`](RankMemory::reduce_merge),
-//! [`combine_read`](RankMemory::combine_read)) that move data directly
-//! between spaces or between a space and a pooled tile, with no
-//! intermediate allocation.
+//! Every data operation is slice-based and in place: it moves data
+//! directly between spaces, or between a space and a pooled tile, with no
+//! intermediate allocation, and addresses memory by [`Loc`] — a chunk
+//! position the execution plan resolved through the alias map once.
 //!
 //! **Lock order.** Operations touching two spaces of the same rank always
 //! acquire the space locks in the fixed order `Data < Output < Scratch`
@@ -36,8 +31,7 @@ fn lock_rank(space: Space) -> usize {
 /// is affine in the chunk index, so `count` consecutive IR chunks are the
 /// `count` consecutive chunks starting at `chunk`. The execution plan
 /// lowers every operand to one of these once; the `*_at` operations
-/// below take them, and the `Collective`-taking public operations
-/// resolve and delegate.
+/// below take them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Loc {
     pub(crate) space: Space,
@@ -144,7 +138,7 @@ impl RankMemory {
     /// Like [`recycled`](RankMemory::recycled), additionally skipping the
     /// re-zero of every chunk slot for which `overwritten(space, chunk)`
     /// holds. The caller vouches that the program fully overwrites such a
-    /// chunk before ever reading it (see the executor's per-rank
+    /// chunk before ever reading it (see the execution plan's per-rank
     /// instruction scan), so its stale recycled contents are unobservable
     /// — the same argument that lets input-covered slots skip the zero.
     /// Only the recycled path consults the predicate; fresh allocations
@@ -276,51 +270,9 @@ impl RankMemory {
         }
     }
 
-    /// Reads the element range `[elem_off, elem_off + len)` of chunk
-    /// `index` in `buffer` into a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    #[must_use]
-    pub fn read(
-        &self,
-        collective: &Collective,
-        buffer: BufferKind,
-        index: usize,
-        elem_off: usize,
-        len: usize,
-    ) -> Vec<f32> {
-        let (space, off) = collective.space_of(self.rank, buffer, index);
-        let start = off * self.chunk_elems + elem_off;
-        let guard = self
-            .space(space)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        guard[start..start + len].to_vec()
-    }
-
-    /// Writes `values` at the element range starting at `elem_off` of
-    /// chunk `index` in `buffer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn write(
-        &self,
-        collective: &Collective,
-        buffer: BufferKind,
-        index: usize,
-        elem_off: usize,
-        values: &[f32],
-    ) {
-        self.write_at(
-            Loc::of(collective, self.rank, buffer, index),
-            elem_off,
-            values,
-        );
-    }
-
+    /// Writes `values` at the element range starting at `elem_off` of the
+    /// chunk at `loc`. Panics if the range is out of bounds, like every
+    /// operation below.
     pub(crate) fn write_at(&self, loc: Loc, elem_off: usize, values: &[f32]) {
         let start = loc.chunk * self.chunk_elems + elem_off;
         let mut guard = self
@@ -330,24 +282,8 @@ impl RankMemory {
         guard[start..start + values.len()].copy_from_slice(values);
     }
 
-    /// Copies the element range `[elem_off, elem_off + dst.len())` of
-    /// chunk `index` in `buffer` into `dst` — the allocation-free
-    /// counterpart of [`read`](RankMemory::read).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn read_into(
-        &self,
-        collective: &Collective,
-        buffer: BufferKind,
-        index: usize,
-        elem_off: usize,
-        dst: &mut [f32],
-    ) {
-        self.read_into_at(Loc::of(collective, self.rank, buffer, index), elem_off, dst);
-    }
-
+    /// Copies the element range `[elem_off, elem_off + dst.len())` of the
+    /// chunk at `loc` into `dst`.
     pub(crate) fn read_into_at(&self, loc: Loc, elem_off: usize, dst: &mut [f32]) {
         let start = loc.chunk * self.chunk_elems + elem_off;
         let guard = self
@@ -406,26 +342,6 @@ impl RankMemory {
     /// Copies `len` elements from one chunk location to another without
     /// materializing a temporary, locking both spaces in the fixed order.
     /// Same-space overlap behaves like `memmove`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds.
-    pub fn copy_between(
-        &self,
-        collective: &Collective,
-        src: (BufferKind, usize),
-        dst: (BufferKind, usize),
-        elem_off: usize,
-        len: usize,
-    ) {
-        self.copy_between_at(
-            Loc::of(collective, self.rank, src.0, src.1),
-            Loc::of(collective, self.rank, dst.0, dst.1),
-            elem_off,
-            len,
-        );
-    }
-
     pub(crate) fn copy_between_at(&self, src: Loc, dst: Loc, elem_off: usize, len: usize) {
         let s = self.resolve(src, elem_off);
         let d = self.resolve(dst, elem_off);
@@ -447,28 +363,6 @@ impl RankMemory {
     /// spaces in the fixed order; same-space disjoint ranges split the
     /// buffer, and the (never compiler-emitted) overlapping case falls
     /// back to one temporary copy of the source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds.
-    pub fn reduce_between(
-        &self,
-        collective: &Collective,
-        src: (BufferKind, usize),
-        dst: (BufferKind, usize),
-        elem_off: usize,
-        len: usize,
-        op: ReduceOp,
-    ) {
-        self.reduce_between_at(
-            Loc::of(collective, self.rank, src.0, src.1),
-            Loc::of(collective, self.rank, dst.0, dst.1),
-            elem_off,
-            len,
-            op,
-        );
-    }
-
     pub(crate) fn reduce_between_at(
         &self,
         src: Loc,
@@ -509,30 +403,8 @@ impl RankMemory {
     }
 
     /// Merges a received tile into memory and leaves the merged values in
-    /// both places: `mem[i] = op(mem[i], tile[i]); tile[i] = mem[i]`.
-    /// This is the in-place form of [`combine`](RankMemory::combine) used
-    /// by `rrc`/`rrcs`, reusing the tile for any follow-on send.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn reduce_merge(
-        &self,
-        collective: &Collective,
-        buffer: BufferKind,
-        index: usize,
-        elem_off: usize,
-        tile: &mut [f32],
-        op: ReduceOp,
-    ) {
-        self.reduce_merge_at(
-            Loc::of(collective, self.rank, buffer, index),
-            elem_off,
-            tile,
-            op,
-        );
-    }
-
+    /// both places: `mem[i] = op(mem[i], tile[i]); tile[i] = mem[i]` —
+    /// the `rrc`/`rrcs` merge, reusing the tile for any follow-on send.
     pub(crate) fn reduce_merge_at(
         &self,
         loc: Loc,
@@ -553,27 +425,6 @@ impl RankMemory {
     /// Folds local memory into a received tile without writing memory:
     /// `tile[i] = op(mem[i], tile[i])` — the `rrs` merge, which forwards
     /// the combined value but keeps the local buffer untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn combine_read(
-        &self,
-        collective: &Collective,
-        buffer: BufferKind,
-        index: usize,
-        elem_off: usize,
-        tile: &mut [f32],
-        op: ReduceOp,
-    ) {
-        self.combine_read_at(
-            Loc::of(collective, self.rank, buffer, index),
-            elem_off,
-            tile,
-            op,
-        );
-    }
-
     pub(crate) fn combine_read_at(
         &self,
         loc: Loc,
@@ -588,51 +439,29 @@ impl RankMemory {
             .unwrap_or_else(PoisonError::into_inner);
         kernels::reduce_from_slice(op, tile, &guard[start..start + tile.len()]);
     }
-
-    /// Applies `f` element-wise onto the range, writing the result back
-    /// and returning it (used for in-place reductions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or `other` is shorter than the
-    /// range.
-    pub fn combine(
-        &self,
-        collective: &Collective,
-        buffer: BufferKind,
-        index: usize,
-        elem_off: usize,
-        other: &[f32],
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Vec<f32> {
-        let (space, off) = collective.space_of(self.rank, buffer, index);
-        let start = off * self.chunk_elems + elem_off;
-        let mut guard = self
-            .space(space)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let slice = &mut guard[start..start + other.len()];
-        for (a, &b) in slice.iter_mut().zip(other) {
-            *a = f(*a, b);
-        }
-        slice.to_vec()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The element range `[elem_off, elem_off + len)` of the chunk at
+    /// `loc`, as a vector.
+    fn read(mem: &RankMemory, loc: Loc, elem_off: usize, len: usize) -> Vec<f32> {
+        let mut out = vec![0.0; len];
+        mem.read_into_at(loc, elem_off, &mut out);
+        out
+    }
+
     #[test]
     fn read_write_round_trip() {
         let coll = Collective::all_gather(2, 2, false);
         let mem = RankMemory::new(&coll, 0, 3, 4);
-        mem.write(&coll, BufferKind::Scratch, 2, 1, &[1.0, 2.0]);
-        assert_eq!(
-            mem.read(&coll, BufferKind::Scratch, 2, 1, 2),
-            vec![1.0, 2.0]
-        );
-        assert_eq!(mem.read(&coll, BufferKind::Scratch, 2, 0, 1), vec![0.0]);
+        let at = Loc::of(&coll, 0, BufferKind::Scratch, 2);
+        mem.write_at(at, 1, &[1.0, 2.0]);
+        assert_eq!(read(&mem, at, 1, 2), vec![1.0, 2.0]);
+        assert_eq!(read(&mem, at, 0, 1), vec![0.0]);
+        assert_eq!(at.plus(1).chunk, at.chunk + 1);
     }
 
     #[test]
@@ -640,133 +469,74 @@ mod tests {
         let coll = Collective::all_gather(2, 1, true);
         let mem = RankMemory::new(&coll, 1, 0, 2);
         // Rank 1's input chunk aliases output block 1.
-        mem.write(&coll, BufferKind::Input, 0, 0, &[7.0, 8.0]);
-        assert_eq!(mem.read(&coll, BufferKind::Output, 1, 0, 2), vec![7.0, 8.0]);
-    }
-
-    #[test]
-    fn read_into_matches_read() {
-        let coll = Collective::all_gather(2, 2, false);
-        let mem = RankMemory::new(&coll, 0, 3, 4);
-        mem.write(&coll, BufferKind::Scratch, 2, 1, &[1.0, 2.0]);
-        let mut out = [0.0; 2];
-        mem.read_into(&coll, BufferKind::Scratch, 2, 1, &mut out);
-        assert_eq!(out, [1.0, 2.0]);
-        assert_eq!(out.to_vec(), mem.read(&coll, BufferKind::Scratch, 2, 1, 2));
+        mem.write_at(Loc::of(&coll, 1, BufferKind::Input, 0), 0, &[7.0, 8.0]);
+        let aliased = Loc::of(&coll, 1, BufferKind::Output, 1);
+        assert_eq!(read(&mem, aliased, 0, 2), vec![7.0, 8.0]);
     }
 
     #[test]
     fn copy_between_spaces_moves_data() {
         let coll = Collective::all_gather(2, 1, false);
         let mem = RankMemory::new(&coll, 0, 2, 4);
-        mem.write(&coll, BufferKind::Input, 0, 0, &[1.0, 2.0, 3.0, 4.0]);
+        let input = Loc::of(&coll, 0, BufferKind::Input, 0);
+        let scratch = Loc::of(&coll, 0, BufferKind::Scratch, 1);
+        mem.write_at(input, 0, &[1.0, 2.0, 3.0, 4.0]);
         // Input lives in Data space for a non-inplace allgather; scratch
         // is its own space: a genuine two-lock copy.
-        mem.copy_between(
-            &coll,
-            (BufferKind::Input, 0),
-            (BufferKind::Scratch, 1),
-            0,
-            4,
-        );
-        assert_eq!(
-            mem.read(&coll, BufferKind::Scratch, 1, 0, 4),
-            vec![1.0, 2.0, 3.0, 4.0]
-        );
+        assert_ne!(input.space, scratch.space);
+        mem.copy_between_at(input, scratch, 0, 4);
+        assert_eq!(read(&mem, scratch, 0, 4), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn copy_between_same_space_handles_chunks() {
         let coll = Collective::all_gather(2, 1, false);
         let mem = RankMemory::new(&coll, 1, 0, 2);
-        mem.write(&coll, BufferKind::Output, 0, 0, &[5.0, 6.0]);
-        mem.copy_between(
-            &coll,
-            (BufferKind::Output, 0),
-            (BufferKind::Output, 1),
-            0,
-            2,
-        );
-        assert_eq!(mem.read(&coll, BufferKind::Output, 1, 0, 2), vec![5.0, 6.0]);
+        let out0 = Loc::of(&coll, 1, BufferKind::Output, 0);
+        mem.write_at(out0, 0, &[5.0, 6.0]);
+        mem.copy_between_at(out0, out0.plus(1), 0, 2);
+        assert_eq!(read(&mem, out0.plus(1), 0, 2), vec![5.0, 6.0]);
         // Self-copy is a no-op, not a panic.
-        mem.copy_between(
-            &coll,
-            (BufferKind::Output, 0),
-            (BufferKind::Output, 0),
-            0,
-            2,
-        );
-        assert_eq!(mem.read(&coll, BufferKind::Output, 0, 0, 2), vec![5.0, 6.0]);
+        mem.copy_between_at(out0, out0, 0, 2);
+        assert_eq!(read(&mem, out0, 0, 2), vec![5.0, 6.0]);
     }
 
     #[test]
     fn reduce_between_matches_scalar_combine() {
         let coll = Collective::all_gather(2, 2, false);
         let mem = RankMemory::new(&coll, 0, 2, 2);
-        mem.write(&coll, BufferKind::Scratch, 0, 0, &[1.0, 2.0]);
-        mem.write(&coll, BufferKind::Scratch, 1, 0, &[10.0, 20.0]);
+        let s0 = Loc::of(&coll, 0, BufferKind::Scratch, 0);
+        let s1 = s0.plus(1);
+        mem.write_at(s0, 0, &[1.0, 2.0]);
+        mem.write_at(s1, 0, &[10.0, 20.0]);
         // Same space (scratch), disjoint chunks, both split directions.
-        mem.reduce_between(
-            &coll,
-            (BufferKind::Scratch, 0),
-            (BufferKind::Scratch, 1),
-            0,
-            2,
-            ReduceOp::Sum,
-        );
-        assert_eq!(
-            mem.read(&coll, BufferKind::Scratch, 1, 0, 2),
-            vec![11.0, 22.0]
-        );
-        mem.reduce_between(
-            &coll,
-            (BufferKind::Scratch, 1),
-            (BufferKind::Scratch, 0),
-            0,
-            2,
-            ReduceOp::Max,
-        );
-        assert_eq!(
-            mem.read(&coll, BufferKind::Scratch, 0, 0, 2),
-            vec![11.0, 22.0]
-        );
+        mem.reduce_between_at(s0, s1, 0, 2, ReduceOp::Sum);
+        assert_eq!(read(&mem, s1, 0, 2), vec![11.0, 22.0]);
+        mem.reduce_between_at(s1, s0, 0, 2, ReduceOp::Max);
+        assert_eq!(read(&mem, s0, 0, 2), vec![11.0, 22.0]);
     }
 
     #[test]
     fn reduce_merge_updates_memory_and_tile() {
         let coll = Collective::all_reduce(2, 1, true);
         let mem = RankMemory::new(&coll, 0, 0, 2);
-        mem.write(&coll, BufferKind::Input, 0, 0, &[1.0, 2.0]);
+        let at = Loc::of(&coll, 0, BufferKind::Input, 0);
+        mem.write_at(at, 0, &[1.0, 2.0]);
         let mut tile = [10.0, 20.0];
-        mem.reduce_merge(&coll, BufferKind::Input, 0, 0, &mut tile, ReduceOp::Sum);
+        mem.reduce_merge_at(at, 0, &mut tile, ReduceOp::Sum);
         assert_eq!(tile, [11.0, 22.0]);
-        assert_eq!(
-            mem.read(&coll, BufferKind::Input, 0, 0, 2),
-            vec![11.0, 22.0]
-        );
+        assert_eq!(read(&mem, at, 0, 2), vec![11.0, 22.0]);
     }
 
     #[test]
     fn combine_read_folds_without_writing_memory() {
         let coll = Collective::all_reduce(2, 1, true);
         let mem = RankMemory::new(&coll, 0, 0, 2);
-        mem.write(&coll, BufferKind::Input, 0, 0, &[1.0, 2.0]);
+        let at = Loc::of(&coll, 0, BufferKind::Input, 0);
+        mem.write_at(at, 0, &[1.0, 2.0]);
         let mut tile = [10.0, 20.0];
-        mem.combine_read(&coll, BufferKind::Input, 0, 0, &mut tile, ReduceOp::Sum);
+        mem.combine_read_at(at, 0, &mut tile, ReduceOp::Sum);
         assert_eq!(tile, [11.0, 22.0]);
-        assert_eq!(mem.read(&coll, BufferKind::Input, 0, 0, 2), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn combine_applies_reduction() {
-        let coll = Collective::all_reduce(2, 1, true);
-        let mem = RankMemory::new(&coll, 0, 0, 2);
-        mem.write(&coll, BufferKind::Input, 0, 0, &[1.0, 2.0]);
-        let out = mem.combine(&coll, BufferKind::Input, 0, 0, &[10.0, 20.0], |a, b| a + b);
-        assert_eq!(out, vec![11.0, 22.0]);
-        assert_eq!(
-            mem.read(&coll, BufferKind::Input, 0, 0, 2),
-            vec![11.0, 22.0]
-        );
+        assert_eq!(read(&mem, at, 0, 2), vec![1.0, 2.0]);
     }
 }

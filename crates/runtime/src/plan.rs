@@ -24,11 +24,11 @@
 //! arena keeps hitting.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mscclang::{BufferKind, Collective, IrProgram, OpCode, Space};
 
-use crate::cancel::{CancelToken, Poke};
+use crate::cancel::CancelToken;
 use crate::executor::ArenaMetrics;
 use crate::fifo::Fifo;
 use crate::flight::FlightRecorder;
@@ -145,7 +145,7 @@ pub(crate) struct ExecPlan {
     pub(crate) sems: Vec<Semaphore>,
     pub(crate) tasks: Vec<Mutex<TbTask>>,
     pub(crate) sched: Scheduler,
-    pub(crate) cancel: Arc<CancelToken>,
+    pub(crate) cancel: CancelToken,
     /// Metric handles, resolved by the first metered run (registry
     /// lookups with owned label strings: tens of microseconds) and kept
     /// while later runs switch metering off and on. Counters accumulate
@@ -261,9 +261,8 @@ impl ExecPlan {
         counters.tasks_built += tbs.len() as u64;
         let out_chunks = collective.out_chunks();
         let sched = Scheduler::new(pool_threads, tbs.len(), waiters);
-        let cancel = CancelToken::new();
         // Cancellation from anywhere wakes every parked worker at once.
-        cancel.attach(Arc::downgrade(&sched.parker) as Weak<dyn Poke>);
+        let cancel = CancelToken::new(Arc::clone(&sched.parker));
         Self {
             ir: ir.clone(),
             num_slots,

@@ -10,9 +10,9 @@
 //!
 //! Buffers are allocated at the pool's fixed capacity and zero-filled
 //! once; a take only adjusts the tile's *logical* length, so the hot path
-//! never re-zeroes memory. A pool outlives any single execution: passing
-//! the same pool to repeated runs (see
-//! [`execute_pooled`](crate::execute_pooled)) keeps the warm buffers
+//! never re-zeroes memory. A pool outlives any single execution: it
+//! lives in the [`ExecArena`](crate::ExecArena), so repeated runs in one
+//! arena (see [`Run::arena`](crate::Run::arena)) keep the warm buffers
 //! across calls, which is what the throughput bench measures.
 
 use std::sync::atomic::{AtomicU64, Ordering};

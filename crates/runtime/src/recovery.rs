@@ -9,7 +9,7 @@
 //! rejections (not), and [`RuntimeError::is_resumable`] further marks
 //! the failures that interrupted an otherwise-sound execution — only
 //! those may resume from an epoch checkpoint. Second, injected faults
-//! are one-shot *per injector* ([`FaultInjector`]), so a retry (or
+//! are one-shot *per injector* ([`msccl_faults::FaultInjector`]), so a retry (or
 //! resume) over the same injector runs without the faults that already
 //! struck — precisely the semantics of a transient fault in a real
 //! fabric. Third, epoch checkpoints are published only at
@@ -35,13 +35,12 @@
 
 use std::time::{Duration, Instant};
 
-use msccl_faults::FaultInjector;
 use msccl_metrics::{names, MetricsSnapshot, Registry};
 use msccl_trace::{ClockDomain, EventKind, RecoveryDecision, Trace, TraceEvent};
 use mscclang::IrProgram;
 
-use crate::epoch::{EpochCheckpoint, EpochStatus};
-use crate::executor::{execute_resumable_in_arena, ExecArena, RunOptions, RuntimeError};
+use crate::epoch::EpochStatus;
+use crate::executor::{run, Run, RunOptions, RuntimeError};
 
 /// Whether the ladder may resume failed attempts from epoch checkpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -251,43 +250,41 @@ fn metrics_of(steps: &[RecoveryStep], attempts: usize, totals: &EpochTotals) -> 
     reg.snapshot()
 }
 
-/// One attempt: execute (resuming from `resume` when given), then verify
-/// if asked. Returns the attempt's epoch status alongside, checkpoint
-/// included on transient failure.
-#[allow(clippy::too_many_arguments)]
+/// One attempt: run the request, then verify if asked. Returns the
+/// attempt's epoch status alongside, checkpoint included on transient
+/// failure.
 fn run_attempt(
-    ir: &IrProgram,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    injector: Option<&FaultInjector>,
+    attempt: Run<'_>,
     verify: bool,
-    resume: Option<EpochCheckpoint>,
-    arena: Option<&mut ExecArena>,
 ) -> (Result<Vec<Vec<f32>>, RuntimeError>, EpochStatus) {
-    let (result, status) =
-        execute_resumable_in_arena(ir, inputs, chunk_elems, opts, injector, resume, arena);
-    let result = result.and_then(|outputs| {
+    let (collective, inputs) = (&attempt.ir.collective, attempt.inputs);
+    let (chunk_elems, op) = (attempt.chunk_elems, attempt.opts.reduce_op);
+    let report = run(attempt);
+    let result = report.result.and_then(|outputs| {
         if verify {
-            crate::reference::check_outputs(
-                &ir.collective,
-                inputs,
-                &outputs,
-                chunk_elems,
-                opts.reduce_op,
-            )
-            .map_err(|message| RuntimeError::VerificationFailed { message })?;
+            crate::reference::check_outputs(collective, inputs, &outputs, chunk_elems, op)
+                .map_err(|message| RuntimeError::VerificationFailed { message })?;
         }
         Ok(outputs)
     });
-    (result, status)
+    (result, report.epochs)
 }
 
-/// Executes `primary` under the escalation ladder: transient failures
-/// resume from the last epoch checkpoint when the policy and the failure
-/// allow it, retry from scratch otherwise (both with capped, jittered
-/// exponential backoff), and degrade to `fallback` once retries are
-/// exhausted.
+/// Executes the request's program under the escalation ladder: transient
+/// failures resume from the last epoch checkpoint when the policy and
+/// the failure allow it, retry from scratch otherwise (both with capped,
+/// jittered exponential backoff), and degrade to `fallback` once retries
+/// are exhausted.
+///
+/// Every attempt is the same [`Run`] with only the deadline, the resume
+/// checkpoint and (for the fallback) the program replaced: attempts run
+/// in the request's arena when it has one — the `msccl serve` daemon
+/// keeps one per executor worker, so steady-state traffic allocates
+/// nothing on the data path whatever rung serves it — and under its
+/// fault injector, and a [`Run::resume`] checkpoint seeds the first
+/// attempt. [`Run::trace`] and [`Run::snapshot`] describe a single run
+/// and are not collected across attempts; the ladder's own record is the
+/// report's decision log and metrics.
 ///
 /// `fallback` must implement the same collective over the same ranks
 /// (its outputs are interchangeable with the primary's); it gets a
@@ -307,49 +304,22 @@ fn run_attempt(
 ///
 /// Returns the first permanent [`RuntimeError`] immediately, or the last
 /// transient one once every attempt — retries and fallback — is spent.
+#[allow(clippy::too_many_lines)]
 pub fn execute_with_recovery(
-    primary: &IrProgram,
+    request: Run<'_>,
     fallback: Option<&IrProgram>,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
     policy: &RecoveryPolicy,
-    injector: Option<&FaultInjector>,
 ) -> Result<RecoveryReport, RuntimeError> {
-    execute_with_recovery_in_arena(
-        primary,
-        fallback,
+    let Run {
+        ir: primary,
         inputs,
         chunk_elems,
         opts,
-        policy,
+        mut arena,
         injector,
-        None,
-    )
-}
-
-/// [`execute_with_recovery`] drawing every attempt's data path from a
-/// caller-owned [`ExecArena`] when one is given. This is the execution
-/// primitive of the `msccl serve` daemon: each executor worker owns one
-/// arena for its whole lifetime and runs every admitted request's full
-/// ladder — resume, retry, fallback — on it, so steady-state service
-/// traffic allocates nothing on the data path regardless of how many
-/// tenants or programs share the worker.
-///
-/// # Errors
-///
-/// As for [`execute_with_recovery`].
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub fn execute_with_recovery_in_arena(
-    primary: &IrProgram,
-    fallback: Option<&IrProgram>,
-    inputs: &[Vec<f32>],
-    chunk_elems: usize,
-    opts: &RunOptions,
-    policy: &RecoveryPolicy,
-    injector: Option<&FaultInjector>,
-    mut arena: Option<&mut ExecArena>,
-) -> Result<RecoveryReport, RuntimeError> {
+        resume: mut checkpoint,
+        ..
+    } = request;
     if let Some(fb) = fallback {
         if fb.num_ranks() != primary.num_ranks()
             || fb.collective.in_chunks() != primary.collective.in_chunks()
@@ -396,19 +366,17 @@ pub fn execute_with_recovery_in_arena(
     let mut totals = EpochTotals::default();
 
     let mut attempt = 0usize;
-    let mut checkpoint: Option<EpochCheckpoint> = None;
     let mut last_err: RuntimeError;
     loop {
         let resuming = checkpoint.is_some();
         let (result, status) = run_attempt(
-            primary,
-            inputs,
-            chunk_elems,
-            &attempt_opts(),
-            injector,
+            Run {
+                arena: arena.as_deref_mut(),
+                injector,
+                resume: checkpoint.take(),
+                ..Run::new(primary, inputs, chunk_elems, &attempt_opts())
+            },
             policy.verify,
-            checkpoint.take(),
-            arena.as_deref_mut(),
         );
         totals.absorb(attempt, &status);
         match result {
@@ -494,14 +462,12 @@ pub fn execute_with_recovery_in_arena(
         // The checkpoint belongs to the primary's schedule; the fallback
         // always starts from scratch.
         let (result, status) = run_attempt(
-            fb,
-            inputs,
-            chunk_elems,
-            &attempt_opts(),
-            injector,
+            Run {
+                arena,
+                injector,
+                ..Run::new(fb, inputs, chunk_elems, &attempt_opts())
+            },
             policy.verify,
-            None,
-            arena,
         );
         totals.absorb(attempt, &status);
         match result {
@@ -540,7 +506,7 @@ pub fn execute_with_recovery_in_arena(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msccl_faults::{FaultKind, FaultPlan, FaultSite, FaultSpec};
+    use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
     use mscclang::{compile, CompileOptions, EpochMode};
 
     fn ring_ir(ranks: usize) -> IrProgram {
@@ -573,13 +539,9 @@ mod tests {
         let chunk_elems = 8;
         let inputs = crate::reference::random_inputs(&ir, chunk_elems, 21);
         let report = execute_with_recovery(
-            &ir,
+            Run::new(&ir, &inputs, chunk_elems, &RunOptions::default()),
             None,
-            &inputs,
-            chunk_elems,
-            &RunOptions::default(),
             &RecoveryPolicy::default(),
-            None,
         )
         .unwrap();
         assert_eq!(report.attempts, 1);
@@ -605,16 +567,15 @@ mod tests {
             ..RunOptions::default()
         };
         let report = execute_with_recovery(
-            &ir,
+            Run {
+                injector: Some(&injector),
+                ..Run::new(&ir, &inputs, chunk_elems, &opts)
+            },
             None,
-            &inputs,
-            chunk_elems,
-            &opts,
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
         )
         .unwrap();
         assert_eq!(report.attempts, 2);
@@ -688,16 +649,15 @@ mod tests {
         plan.validate(&ir).unwrap();
         let injector = FaultInjector::new(&plan);
         let report = execute_with_recovery(
-            &ir,
+            Run {
+                injector: Some(&injector),
+                ..Run::new(&ir, &inputs, chunk_elems, &opts)
+            },
             None,
-            &inputs,
-            chunk_elems,
-            &opts,
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
         )
         .unwrap();
         let decisions: Vec<RecoveryDecision> = report.steps.iter().map(|s| s.decision).collect();
@@ -743,17 +703,16 @@ mod tests {
         let inputs = crate::reference::random_inputs(&ir, chunk_elems, 28);
         let injector = FaultInjector::new(&drop_in_tile3(&ir));
         let report = execute_with_recovery(
-            &ir,
+            Run {
+                injector: Some(&injector),
+                ..Run::new(&ir, &inputs, chunk_elems, &opts)
+            },
             None,
-            &inputs,
-            chunk_elems,
-            &opts,
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 resume: ResumePolicy::FullRetry,
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
         )
         .unwrap();
         assert_eq!(report.steps[0].decision, RecoveryDecision::Retry);
@@ -785,21 +744,25 @@ mod tests {
         plan.validate(&ir).unwrap();
         let injector = FaultInjector::new(&plan);
         let report = execute_with_recovery(
-            &ir,
-            None,
-            &inputs,
-            chunk_elems,
-            &RunOptions {
-                // Even with checkpoints available, a verification
-                // failure must never resume.
-                epochs: EpochMode::Count(2),
-                ..RunOptions::default()
+            Run {
+                injector: Some(&injector),
+                ..Run::new(
+                    &ir,
+                    &inputs,
+                    chunk_elems,
+                    &RunOptions {
+                        // Even with checkpoints available, a verification
+                        // failure must never resume.
+                        epochs: EpochMode::Count(2),
+                        ..RunOptions::default()
+                    },
+                )
             },
+            None,
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
         )
         .unwrap();
         assert_eq!(report.attempts, 2);
@@ -825,17 +788,16 @@ mod tests {
             ..RunOptions::default()
         };
         let report = execute_with_recovery(
-            &ir,
+            Run {
+                injector: Some(&injector),
+                ..Run::new(&ir, &inputs, chunk_elems, &opts)
+            },
             Some(&fb),
-            &inputs,
-            chunk_elems,
-            &opts,
             &RecoveryPolicy {
                 max_retries: 0,
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
         )
         .unwrap();
         assert!(report.used_fallback);
@@ -852,13 +814,14 @@ mod tests {
     fn permanent_errors_fail_fast() {
         let ir = ring_ir(2);
         let err = execute_with_recovery(
-            &ir,
+            Run::new(
+                &ir,
+                &[vec![0.0; 3]], // wrong rank count
+                4,
+                &RunOptions::default(),
+            ),
             None,
-            &[vec![0.0; 3]], // wrong rank count
-            4,
-            &RunOptions::default(),
             &RecoveryPolicy::default(),
-            None,
         )
         .unwrap_err();
         assert!(matches!(err, RuntimeError::InputShape { .. }));
@@ -872,13 +835,9 @@ mod tests {
         let fb = compile(&p, &CompileOptions::default()).unwrap();
         let inputs = crate::reference::random_inputs(&ir, 4, 25);
         let err = execute_with_recovery(
-            &ir,
+            Run::new(&ir, &inputs, 4, &RunOptions::default()),
             Some(&fb),
-            &inputs,
-            4,
-            &RunOptions::default(),
             &RecoveryPolicy::default(),
-            None,
         )
         .unwrap_err();
         let RuntimeError::InvalidOptions { message } = &err else {
@@ -903,11 +862,11 @@ mod tests {
         };
         let started = Instant::now();
         let err = execute_with_recovery(
-            &ir,
+            Run {
+                injector: Some(&injector),
+                ..Run::new(&ir, &inputs, chunk_elems, &opts)
+            },
             None,
-            &inputs,
-            chunk_elems,
-            &opts,
             &RecoveryPolicy {
                 // A backoff no 2s budget can cover forces the decision
                 // right after the first (fast) failed attempt.
@@ -915,7 +874,6 @@ mod tests {
                 max_backoff: Duration::from_secs(3600),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
         )
         .unwrap_err();
         let RuntimeError::RecoveryBudgetExhausted {
@@ -990,16 +948,15 @@ mod tests {
             ..RunOptions::default()
         };
         let report = execute_with_recovery(
-            &ir,
+            Run {
+                injector: Some(&injector),
+                ..Run::new(&ir, &inputs, chunk_elems, &opts)
+            },
             None,
-            &inputs,
-            chunk_elems,
-            &opts,
             &RecoveryPolicy {
                 backoff: Duration::from_millis(1),
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
         )
         .unwrap();
         let trace = report.decision_trace();

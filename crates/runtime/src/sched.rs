@@ -1,7 +1,7 @@
 //! Work-stealing scheduler for resumable thread-block tasks.
 //!
 //! The executor compiles each IR thread block into a resumable state
-//! machine (`TbTask` in [`crate::executor`]) and runs all of them on a
+//! machine (`TbTask` in [`crate::task`]) and runs all of them on a
 //! fixed pool of `min(num_cpus, num_tbs)` worker threads instead of one
 //! OS thread per block. This module is the machinery under that: per-
 //! worker run queues with stealing, a wait table recording *what* each
@@ -29,11 +29,10 @@
 //!
 //! Parking uses a sequence lock: producers bump [`Parker::bump`] after
 //! every enqueue, and a worker only sleeps if the sequence is unchanged
-//! from before it last probed the queues. The parker implements
-//! [`Poke`], so attaching it to the run's [`CancelToken`]
-//! (`crate::cancel`) turns a cancellation anywhere into an immediate
-//! wakeup of every parked worker — no sleep anywhere in the executor is
-//! sliced by a poll interval.
+//! from before it last probed the queues. The run's [`CancelToken`]
+//! holds the parker and bumps it when it trips, which turns a
+//! cancellation anywhere into an immediate wakeup of every parked worker
+//! — no sleep anywhere in the executor is sliced by a poll interval.
 //!
 //! [`CancelToken`]: crate::cancel::CancelToken
 //! [`reset`]: Scheduler::reset
@@ -45,7 +44,6 @@ use std::time::{Duration, Instant};
 
 use msccl_metrics::{bucket_index, BUCKETS};
 
-use crate::cancel::Poke;
 use crate::flight::{
     encode_key, FlightRecorder, KEY_TAG_GATE, KEY_TAG_RECV, KEY_TAG_SEM, KEY_TAG_SEND,
     KEY_TAG_SLEEP,
@@ -136,7 +134,7 @@ pub(crate) struct Parker {
 }
 
 impl Parker {
-    fn new() -> Arc<Self> {
+    pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
             seq: Mutex::new((0, 0)),
             cv: Condvar::new(),
@@ -149,7 +147,7 @@ impl Parker {
     }
 
     /// Advances the sequence and wakes every parked worker. Called after
-    /// each enqueue, timer arm, and by cancellation (via [`Poke`]).
+    /// each enqueue and timer arm, and by a tripping cancel token.
     pub(crate) fn bump(&self) {
         let mut guard = relock(self.seq.lock());
         guard.0 = guard.0.wrapping_add(1);
@@ -161,7 +159,7 @@ impl Parker {
     /// Sleeps until a bump past `seen`, `until` (when set), or a
     /// spurious wakeup. Returns immediately if the sequence already
     /// moved.
-    fn park(&self, seen: u64, until: Option<Instant>) {
+    pub(crate) fn park(&self, seen: u64, until: Option<Instant>) {
         let mut guard = relock(self.seq.lock());
         if guard.0 != seen {
             return;
@@ -179,12 +177,6 @@ impl Parker {
             None => relock(self.cv.wait(guard)),
         };
         guard.1 -= 1;
-    }
-}
-
-impl Poke for Parker {
-    fn poke(&self) {
-        self.bump();
     }
 }
 

@@ -1,54 +1,28 @@
 //! Monotonic semaphores for cross-thread-block synchronization.
 //!
 //! The CUDA interpreter (Figure 5) gives every thread block a semaphore in
-//! global memory set to the completed step after each instruction with
-//! `hasDep`; dependent instructions spin until the value is reached. Here
-//! the value counts instructions monotonically *across tiles* so that
-//! waits from tile `t` can never be satisfied by a completion from tile
-//! `t - 1`.
+//! global memory — a plain word — set to the completed step after each
+//! instruction with `hasDep`; dependent instructions spin until the value
+//! is reached. Here it is an [`AtomicU64`], and the value counts
+//! instructions monotonically *across tiles* so that waits from tile `t`
+//! can never be satisfied by a completion from tile `t - 1`.
 //!
-//! The scheduler's hot path never blocks on a semaphore: a task polls
+//! Nothing blocks on a semaphore. A task reads
 //! [`current`](Semaphore::current) and, if the target is not yet reached,
-//! parks in the scheduler's wait table until the setter wakes it. The
-//! blocking [`wait_at_least`](Semaphore::wait_at_least) remains for the
-//! epoch machinery's tests and direct users; its condvar wait runs to the
-//! full deadline and is interrupted by cancellation through the token's
-//! [`Poke`] waker (attach the semaphore to the token for that), not by
-//! slicing the sleep.
+//! parks in the scheduler's wait table until the setter wakes its key.
+//!
+//! **Ordering.** Every operation is `SeqCst`, and the wait table's slots
+//! are too: the setter stores the value and then loads the wait slots,
+//! the waiter stores its wait slot and then loads the value. Each side is
+//! a store followed by a load of the *other* location, which only
+//! sequential consistency keeps in order; with anything weaker both
+//! loads could miss and the wakeup would be lost.
 
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cancel::{CancelToken, Poke};
-
-/// How a cooperative wait ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub enum WaitOutcome {
-    /// The awaited condition became true.
-    Reached,
-    /// The deadline passed first.
-    TimedOut,
-    /// The run was cancelled by another worker's failure.
-    Cancelled,
-}
-
-/// A monotonically increasing counter others can block on.
+/// A monotonically increasing counter tasks probe.
 #[derive(Default)]
-pub struct Semaphore {
-    value: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Poke for Semaphore {
-    /// Wakes blocked waiters so they observe a cancellation. Takes the
-    /// value lock first: a waiter between its flag check and its park
-    /// holds that lock, so the notification cannot slip past it.
-    fn poke(&self) {
-        let _guard = self.value.lock().unwrap_or_else(PoisonError::into_inner);
-        self.cv.notify_all();
-    }
-}
+pub struct Semaphore(AtomicU64);
 
 impl Semaphore {
     /// Creates a semaphore at zero.
@@ -57,135 +31,107 @@ impl Semaphore {
         Self::default()
     }
 
-    /// The current value, without blocking — the scheduler's readiness
-    /// probe for parked dependency waits.
+    /// The current value — the readiness probe for dependency waits.
     #[must_use]
     pub fn current(&self) -> u64 {
-        *self.value.lock().unwrap_or_else(PoisonError::into_inner)
+        self.0.load(Ordering::SeqCst)
     }
 
     /// Rewinds the counter to `v` between runs — the one non-monotonic
     /// operation, for an execution plan reusing its semaphores (zero on
-    /// a fresh run, the block's checkpoint watermark on a resume). Must
-    /// not race with waiters: the plan calls it with every worker idle.
+    /// a fresh run, the block's checkpoint watermark on a resume). The
+    /// plan calls it with every worker idle.
     pub fn reset(&self, v: u64) {
-        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = v;
+        self.0.store(v, Ordering::SeqCst);
     }
 
-    /// Advances the counter to `v` (monotonic; lower values are ignored)
-    /// and wakes waiters.
+    /// Advances the counter to `v` (monotonic; lower values are ignored).
     pub fn set(&self, v: u64) {
-        let mut guard = self.value.lock().unwrap_or_else(PoisonError::into_inner);
-        if v > *guard {
-            *guard = v;
-            self.cv.notify_all();
-        }
+        self.0.fetch_max(v, Ordering::SeqCst);
     }
 
-    /// Adds one to the counter, wakes waiters, and returns the new value
-    /// — the arrival primitive of the epoch barrier: each worker
-    /// contributes one arrival and the last one (the designated
-    /// snapshotter) sees the full count.
+    /// Adds one to the counter and returns the new value — the arrival
+    /// primitive of the epoch barrier: each task contributes one arrival
+    /// and the last one (the designated snapshotter) sees the full count.
     pub fn increment(&self) -> u64 {
-        let mut guard = self.value.lock().unwrap_or_else(PoisonError::into_inner);
-        *guard += 1;
-        self.cv.notify_all();
-        *guard
-    }
-
-    /// Blocks until the counter reaches `v`, the `deadline` passes, or
-    /// `cancel` trips. For the cancellation to interrupt the wait before
-    /// the deadline, the semaphore must be attached to the token as a
-    /// waker (see [`CancelToken::attach`]); the wait itself never polls.
-    #[must_use]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn wait_at_least(&self, v: u64, deadline: Instant, cancel: &CancelToken) -> WaitOutcome {
-        let mut guard = self.value.lock().unwrap_or_else(PoisonError::into_inner);
-        while *guard < v {
-            if cancel.is_cancelled() {
-                return WaitOutcome::Cancelled;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return WaitOutcome::TimedOut;
-            }
-            guard = self
-                .cv
-                .wait_timeout(guard, remaining)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        WaitOutcome::Reached
+        self.0.fetch_add(1, Ordering::SeqCst) + 1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Weak};
-    use std::time::Duration;
-
-    use crate::cancel::{FailureCause, FailureOrigin};
-
-    fn soon(ms: u64) -> Instant {
-        Instant::now() + Duration::from_millis(ms)
-    }
+    use std::sync::Barrier;
 
     #[test]
-    fn set_and_wait() {
+    fn set_is_monotonic_and_reset_rewinds() {
         let s = Semaphore::new();
-        let c = CancelToken::new();
-        s.set(3);
-        assert_eq!(s.current(), 3);
-        assert_eq!(s.wait_at_least(3, soon(10), &c), WaitOutcome::Reached);
-        assert_eq!(s.wait_at_least(4, soon(10), &c), WaitOutcome::TimedOut);
-    }
-
-    #[test]
-    fn set_is_monotonic() {
-        let s = Semaphore::new();
-        let c = CancelToken::new();
+        assert_eq!(s.current(), 0);
         s.set(5);
         s.set(2);
         assert_eq!(s.current(), 5);
-        assert_eq!(s.wait_at_least(5, soon(10), &c), WaitOutcome::Reached);
+        s.reset(1);
+        assert_eq!(s.current(), 1);
+        s.set(3);
+        assert_eq!(s.current(), 3);
     }
 
     #[test]
-    fn cross_thread_wakeup() {
-        let s = Arc::new(Semaphore::new());
-        let c = CancelToken::new();
-        let s2 = Arc::clone(&s);
-        let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || s2.wait_at_least(1, soon(5000), &c2));
-        std::thread::sleep(Duration::from_millis(20));
-        s.set(1);
-        assert_eq!(h.join().unwrap(), WaitOutcome::Reached);
+    fn increment_returns_the_new_value() {
+        let s = Semaphore::new();
+        assert_eq!(s.increment(), 1);
+        assert_eq!(s.increment(), 2);
+        assert_eq!(s.current(), 2);
     }
 
-    /// A cancellation elsewhere must wake an attached waiter long before
-    /// its own deadline — without any polling inside the wait.
+    /// Two threads race interleaved `set`s (one the even values, one the
+    /// odd) while a third watches: the value never moves backwards and
+    /// ends at the largest value either thread set.
     #[test]
-    fn cancellation_interrupts_wait_promptly() {
-        let s = Arc::new(Semaphore::new());
-        let c = CancelToken::new();
-        c.attach(Arc::downgrade(&s) as Weak<dyn Poke>);
-        let s2 = Arc::clone(&s);
-        let c2 = Arc::clone(&c);
-        let h = std::thread::spawn(move || {
-            let start = Instant::now();
-            let outcome = s2.wait_at_least(1, soon(30_000), &c2);
-            (outcome, start.elapsed())
+    fn racing_sets_stay_monotonic() {
+        const TOP: u64 = 200_000;
+        let s = Semaphore::new();
+        let start = Barrier::new(3);
+        std::thread::scope(|scope| {
+            for parity in 0..2 {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for v in (1..=TOP).filter(|v| v % 2 == parity) {
+                        s.set(v);
+                    }
+                });
+            }
+            start.wait();
+            let mut last = 0;
+            while last < TOP {
+                let now = s.current();
+                assert!(now >= last, "semaphore went back from {last} to {now}");
+                last = now;
+            }
         });
-        std::thread::sleep(Duration::from_millis(20));
-        c.cancel(FailureOrigin {
-            rank: 0,
-            tb: 0,
-            step: 0,
-            cause: FailureCause::StepTimeout,
+        assert_eq!(s.current(), TOP);
+    }
+
+    /// Every one of two threads' increments lands: the barrier count is
+    /// exact under contention, and exactly one arrival sees the total.
+    #[test]
+    fn racing_increments_all_land() {
+        const EACH: u64 = 50_000;
+        let s = Semaphore::new();
+        let start = Barrier::new(2);
+        let lasts: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..EACH).filter(|_| s.increment() == 2 * EACH).count() as u64
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
-        let (outcome, took) = h.join().unwrap();
-        assert_eq!(outcome, WaitOutcome::Cancelled);
-        assert!(took < Duration::from_secs(1), "took {took:?}");
+        assert_eq!(s.current(), 2 * EACH);
+        assert_eq!(lasts, 1, "exactly one arrival is the last");
     }
 }

@@ -747,7 +747,7 @@ impl TbTask {
                             // Local data movement never touches the pool:
                             // the chunks move memory-to-memory under the
                             // fixed lock order (see
-                            // `memory::copy_between`).
+                            // `RankMemory::copy_between_at`).
                             let src = instr.src.expect("instruction requires src");
                             let dst = instr.dst.expect("instruction requires dst");
                             for i in 0..instr.count {

@@ -40,7 +40,9 @@ use std::time::{Duration, Instant};
 
 use msccl_algos::{build_by_name, AlgoSpec};
 use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse};
-use msccl_runtime::{execute_with_recovery, reference, RecoveryPolicy, ResumePolicy, RunOptions};
+use msccl_runtime::{
+    execute_with_recovery, reference, RecoveryPolicy, ResumePolicy, Run, RunOptions,
+};
 use msccl_sim::{simulate, SimConfig, SimError};
 use msccl_topology::Machine;
 use mscclang::rng::{mix, Splitmix64};
@@ -608,13 +610,12 @@ fn run_runtime(
             };
             let started = Instant::now();
             match execute_with_recovery(
-                ir,
+                Run {
+                    injector: injector.as_ref(),
+                    ..Run::new(ir, &inputs, chunk_elems, &opts)
+                },
                 fallback_ir,
-                &inputs,
-                chunk_elems,
-                &opts,
                 &policy,
-                injector.as_ref(),
             ) {
                 Ok(report) => {
                     use msccl_metrics::names;

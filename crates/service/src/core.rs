@@ -16,11 +16,11 @@
 //!
 //! Each executor worker owns one [`ExecArena`] for its whole life and
 //! runs every request's full recovery ladder on it
-//! ([`execute_with_recovery_in_arena`]); the request deadline (queue
-//! wait included) becomes the ladder's whole-recovery budget, so a
-//! stuck request fails fast instead of holding arena capacity, and a
-//! failed request leaves a black-box dump when a dump directory is
-//! configured.
+//! ([`execute_with_recovery`] over a [`Run`] in that arena); the request
+//! deadline (queue wait included) becomes the ladder's whole-recovery
+//! budget, so a stuck request fails fast instead of holding arena
+//! capacity, and a failed request leaves a black-box dump when a dump
+//! directory is configured.
 //!
 //! Drain is a contract, not a hint: after [`ServiceCore::drain`] no new
 //! request is admitted (they shed with reason `draining`), every
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use msccl_algos::AlgoSpec;
 use msccl_metrics::{names, Registry};
 use msccl_runtime::{
-    execute_with_recovery_in_arena, reference, ExecArena, RecoveryPolicy, RunOptions, RuntimeError,
+    execute_with_recovery, reference, ExecArena, RecoveryPolicy, Run, RunOptions, RuntimeError,
 };
 use msccl_topology::Protocol;
 use mscclang::{compile, CompileOptions, EpochMode};
@@ -837,15 +837,13 @@ impl ServiceCore {
         let inputs = reference::random_inputs(&job.ir, job.req.chunk_elems, job.req.seed);
         let arena = arena.get_or_insert_with(|| ExecArena::new(&job.ir, &opts));
         let t0 = Instant::now();
-        let result = execute_with_recovery_in_arena(
-            &job.ir,
+        let result = execute_with_recovery(
+            Run {
+                arena: Some(&mut *arena),
+                ..Run::new(&job.ir, &inputs, job.req.chunk_elems, &opts)
+            },
             None,
-            &inputs,
-            job.req.chunk_elems,
-            &opts,
             &policy,
-            None,
-            Some(arena),
         );
         let exec_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
         {

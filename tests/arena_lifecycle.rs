@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
 use msccl_runtime::{
-    execute_in_arena, execute_resumable_in_arena, execute_with_recovery_in_arena, reference,
-    ExecArena, RecoveryPolicy, RunOptions, RuntimeError,
+    execute_in_arena, execute_with_recovery, reference, run, ExecArena, ExecStats, RecoveryPolicy,
+    Run, RunOptions, RuntimeError,
 };
 use mscclang::{compile, CompileOptions, EpochMode, IrProgram, Program, ReduceOp};
 
@@ -60,22 +60,10 @@ fn opts(pool: usize) -> RunOptions {
 
 const CHUNK_ELEMS: usize = 64;
 
-/// A clean run of `ir` in `arena`, bit-exact against the replay oracle.
-fn clean_run(
-    what: &str,
-    program: &Program,
-    ir: &IrProgram,
-    seed: u64,
-    opts: &RunOptions,
-    arena: &mut ExecArena,
-) {
-    let inputs = reference::random_inputs(ir, CHUNK_ELEMS, seed);
-    let golden =
-        reference::replay_program(program, &inputs, CHUNK_ELEMS * ir.refinement, ReduceOp::Sum);
-    let (outputs, _) = execute_in_arena(ir, &inputs, CHUNK_ELEMS, opts, arena)
-        .unwrap_or_else(|e| panic!("{what}: the run after a failure must be clean, got {e}"));
-    assert_eq!(outputs.len(), golden.len(), "{what}: ranks");
-    for (r, (got, want)) in outputs.iter().zip(&golden).enumerate() {
+/// `got` equals `want` bit for bit, rank by rank.
+fn assert_bit_exact(what: &str, got: &[Vec<f32>], want: &[Vec<f32>]) {
+    assert_eq!(got.len(), want.len(), "{what}: ranks");
+    for (r, (got, want)) in got.iter().zip(want).enumerate() {
         assert_eq!(got.len(), want.len(), "{what} rank {r}: length");
         for (i, (a, b)) in got.iter().zip(want).enumerate() {
             assert!(
@@ -84,7 +72,25 @@ fn clean_run(
             );
         }
     }
+}
+
+/// A clean run of `ir` in `arena`, bit-exact against the replay oracle.
+fn clean_run(
+    what: &str,
+    program: &Program,
+    ir: &IrProgram,
+    seed: u64,
+    opts: &RunOptions,
+    arena: &mut ExecArena,
+) -> ExecStats {
+    let inputs = reference::random_inputs(ir, CHUNK_ELEMS, seed);
+    let golden =
+        reference::replay_program(program, &inputs, CHUNK_ELEMS * ir.refinement, ReduceOp::Sum);
+    let (outputs, stats) = execute_in_arena(ir, &inputs, CHUNK_ELEMS, opts, arena)
+        .unwrap_or_else(|e| panic!("{what}: the run after a failure must be clean, got {e}"));
+    assert_bit_exact(what, &outputs, &golden);
     arena.recycle_outputs(outputs);
+    stats
 }
 
 /// One faulted attempt of `ir` in `arena` under `plan`; returns its error.
@@ -97,16 +103,13 @@ fn faulted_run(
 ) -> RuntimeError {
     let inputs = reference::random_inputs(ir, CHUNK_ELEMS, seed);
     let injector = FaultInjector::new(plan);
-    let (result, _) = execute_resumable_in_arena(
-        ir,
-        &inputs,
-        CHUNK_ELEMS,
-        opts,
-        Some(&injector),
-        None,
-        Some(arena),
-    );
-    result.expect_err("the planned fault must fail the run")
+    run(Run {
+        arena: Some(arena),
+        injector: Some(&injector),
+        ..Run::new(ir, &inputs, CHUNK_ELEMS, opts)
+    })
+    .result
+    .expect_err("the planned fault must fail the run")
 }
 
 fn kill_at(rank: usize, step: usize) -> FaultSpec {
@@ -268,20 +271,19 @@ fn retry_then_fallback_then_original_in_one_arena() {
             specs: vec![kill_at(1, 0), kill_at(1, 1)],
         };
         let injector = FaultInjector::new(&plan);
-        let report = execute_with_recovery_in_arena(
-            &ir,
+        let report = execute_with_recovery(
+            Run {
+                arena: Some(&mut arena),
+                injector: Some(&injector),
+                ..Run::new(&ir, &inputs, CHUNK_ELEMS, &opts)
+            },
             Some(&fallback),
-            &inputs,
-            CHUNK_ELEMS,
-            &opts,
             &RecoveryPolicy {
                 max_retries: 1,
                 backoff: Duration::from_millis(1),
                 verify: true,
                 ..RecoveryPolicy::default()
             },
-            Some(&injector),
-            Some(&mut arena),
         )
         .unwrap_or_else(|e| panic!("pool={pool}: ladder must end in the fallback, got {e}"));
         assert!(report.used_fallback, "pool={pool}: {:?}", report.steps);
@@ -296,6 +298,172 @@ fn retry_then_fallback_then_original_in_one_arena() {
             71,
             &opts,
             &mut arena,
+        );
+    }
+}
+
+/// The rank memories stashed in `arena`, from its `Debug` rendering.
+fn spare_memories(arena: &ExecArena) -> usize {
+    let shown = format!("{arena:?}");
+    shown
+        .split_once("spare_memories: ")
+        .and_then(|(_, after)| after.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no spare_memories count in {shown}"))
+}
+
+/// A resume checkpoint that does not fit the run is rejected before the
+/// arena is touched: its warm rank memories stay stashed, and the next
+/// run recycles them — bit-exact, nothing allocated. The checkpoint is a
+/// real one (a late dropped delivery hangs the run past a published
+/// boundary), replayed against options without that boundary schedule.
+#[test]
+fn rejected_checkpoint_leaves_the_arena_warm() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    let tb = &ir.gpus[0].threadblocks[0];
+    let sends_per_tile = tb.instructions.iter().filter(|i| i.op.has_send()).count() as u64;
+    let plan = FaultPlan {
+        seed: 0,
+        specs: vec![FaultSpec {
+            site: FaultSite::Delivery {
+                src: 0,
+                dst: tb.send_peer.unwrap(),
+                channel: tb.channel,
+                // Tile 12 of 16: past both boundaries of the schedule.
+                seq: 12 * sends_per_tile,
+            },
+            kind: FaultKind::DropDelivery,
+        }],
+    };
+    for pool in pool_sizes() {
+        let opts = RunOptions {
+            epochs: EpochMode::Count(2),
+            ..opts(pool)
+        };
+        let mut arena = ExecArena::new(&ir, &opts);
+        clean_run("warm-up", &program, &ir, 5, &opts, &mut arena);
+
+        let inputs = reference::random_inputs(&ir, CHUNK_ELEMS, 90);
+        let injector = FaultInjector::new(&plan);
+        let hung = run(Run {
+            arena: Some(&mut arena),
+            injector: Some(&injector),
+            ..Run::new(&ir, &inputs, CHUNK_ELEMS, &opts)
+        });
+        assert!(
+            matches!(hung.result, Err(RuntimeError::Hang { .. })),
+            "pool={pool}: {:?}",
+            hung.result
+        );
+        let checkpoint = hung
+            .epochs
+            .checkpoint
+            .expect("the hang came after a published boundary");
+        let warm = spare_memories(&arena);
+        assert_eq!(warm, ir.num_ranks(), "pool={pool}: {arena:?}");
+
+        let no_epochs = RunOptions {
+            epochs: EpochMode::Off,
+            ..opts.clone()
+        };
+        let rejected = run(Run {
+            arena: Some(&mut arena),
+            resume: Some(checkpoint),
+            ..Run::new(&ir, &inputs, CHUNK_ELEMS, &no_epochs)
+        });
+        assert!(
+            matches!(&rejected.result, Err(RuntimeError::InvalidOptions { message })
+                if message.contains("resume checkpoint")),
+            "pool={pool}: {:?}",
+            rejected.result
+        );
+        assert_eq!(
+            spare_memories(&arena),
+            warm,
+            "pool={pool}: the rejection dropped warm buffers: {arena:?}"
+        );
+        let stats = clean_run(
+            &format!("pool={pool} after rejected checkpoint"),
+            &program,
+            &ir,
+            91,
+            &opts,
+            &mut arena,
+        );
+        assert_eq!(stats.pool.allocated, 0, "pool={pool}: {stats:?}");
+    }
+}
+
+/// Every `Run` field at once — a trace, a metrics snapshot, a fault plan
+/// (benign: two delivery delays) and a warm arena — a combination no
+/// single entry point could request before. The delays only move
+/// timing: outputs stay bit-exact against the replay oracle, the trace
+/// and the snapshot are both there and agree with the instruction count,
+/// and the warm arena allocates no tile.
+#[test]
+fn one_run_composes_trace_snapshot_faults_and_a_warm_arena() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    let tb = &ir.gpus[0].threadblocks[0];
+    let delay = |seq: u64| FaultSpec {
+        site: FaultSite::Delivery {
+            src: 0,
+            dst: tb.send_peer.unwrap(),
+            channel: tb.channel,
+            seq,
+        },
+        kind: FaultKind::DelayDelivery { micros: 200 },
+    };
+    let plan = FaultPlan {
+        seed: 0,
+        specs: vec![delay(0), delay(5)],
+    };
+    plan.validate(&ir).expect("the delay plan fits the program");
+    for pool in pool_sizes() {
+        let opts = opts(pool);
+        let mut arena = ExecArena::new(&ir, &opts);
+        clean_run("warm-up", &program, &ir, 6, &opts, &mut arena);
+
+        let inputs = reference::random_inputs(&ir, CHUNK_ELEMS, 95);
+        let golden = reference::replay_program(
+            &program,
+            &inputs,
+            CHUNK_ELEMS * ir.refinement,
+            ReduceOp::Sum,
+        );
+        let injector = FaultInjector::new(&plan);
+        let report = run(Run {
+            arena: Some(&mut arena),
+            injector: Some(&injector),
+            trace: true,
+            snapshot: true,
+            ..Run::new(&ir, &inputs, CHUNK_ELEMS, &opts)
+        });
+        let outputs = report
+            .result
+            .unwrap_or_else(|e| panic!("pool={pool}: delays must not fail the run: {e}"));
+        assert_bit_exact(&format!("pool={pool}"), &outputs, &golden);
+        assert_eq!(injector.fired().len(), 2, "pool={pool}: both delays struck");
+        let trace = report.trace.expect("a trace was requested");
+        trace
+            .check_consistency(Some(&ir))
+            .unwrap_or_else(|e| panic!("pool={pool}: {e}"));
+        assert_eq!(
+            trace.executed_instructions().len() as u64,
+            report.stats.instructions
+        );
+        assert_eq!(
+            report
+                .metrics
+                .counter_total(msccl_metrics::names::INSTRUCTIONS),
+            report.stats.instructions,
+            "pool={pool}: the snapshot covers exactly this run"
+        );
+        assert_eq!(
+            report.stats.pool.allocated, 0,
+            "pool={pool}: {:?}",
+            report.stats
         );
     }
 }

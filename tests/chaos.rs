@@ -15,14 +15,29 @@ use std::time::{Duration, Instant};
 
 use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse};
 use msccl_runtime::{
-    execute, execute_with_faults, execute_with_recovery, reference, Blackbox, RecoveryPolicy,
-    RunOptions, RuntimeError, StallKind,
+    execute, execute_with_recovery, reference, run, Blackbox, RecoveryPolicy, Run, RunOptions,
+    RuntimeError, StallKind,
 };
 use msccl_sim::{ParallelBackend, SerialBackend, SimBackend, SimConfig};
 use msccl_topology::{LinkParams, Machine};
 use msccl_trace::RecoveryDecision;
 use mscclang::{compile, CompileOptions, EpochMode, IrProgram, Program, ReduceOp};
 use proptest::prelude::*;
+
+/// One run of `ir` under `injector`.
+fn faulted(
+    ir: &IrProgram,
+    inputs: &[Vec<f32>],
+    chunk_elems: usize,
+    opts: &RunOptions,
+    injector: &FaultInjector,
+) -> Result<Vec<Vec<f32>>, RuntimeError> {
+    run(Run {
+        injector: Some(injector),
+        ..Run::new(ir, inputs, chunk_elems, opts)
+    })
+    .result
+}
 
 /// Every buildable algorithm, at small dimensions.
 fn catalog() -> Vec<Program> {
@@ -65,7 +80,7 @@ fn chaos_invariant(name: &str, ir: &IrProgram, seed: u64) {
     };
     let injector = FaultInjector::new(&plan);
     let start = Instant::now();
-    let result = execute_with_faults(ir, &inputs, chunk_elems, &opts, &injector);
+    let result = faulted(ir, &inputs, chunk_elems, &opts, &injector);
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_secs(8),
@@ -236,7 +251,7 @@ fn killing_one_block_cancels_all_workers_promptly() {
     plan.validate(&ir).unwrap();
     let injector = FaultInjector::new(&plan);
     let inputs = reference::random_inputs(&ir, 8, 1);
-    let err = execute_with_faults(&ir, &inputs, 8, &RunOptions::default(), &injector).unwrap_err();
+    let err = faulted(&ir, &inputs, 8, &RunOptions::default(), &injector).unwrap_err();
     let drain = err
         .drain()
         .expect("an injected kill carries the observed cancellation drain");
@@ -304,13 +319,12 @@ fn resume_invariant(name: &str, ir: &IrProgram) {
         .unwrap_or_else(|e| panic!("{name}: synthesized plan invalid: {e}"));
     let injector = FaultInjector::new(&plan);
     let report = execute_with_recovery(
-        ir,
+        Run {
+            injector: Some(&injector),
+            ..Run::new(ir, &inputs, chunk_elems, &opts)
+        },
         None,
-        &inputs,
-        chunk_elems,
-        &opts,
         &RecoveryPolicy::default(),
-        Some(&injector),
     )
     .unwrap_or_else(|e| {
         panic!(
@@ -409,8 +423,7 @@ fn diagnosis_invariant(name: &str, ir: &IrProgram) {
     plan.validate(ir)
         .unwrap_or_else(|e| panic!("{name}: kill plan invalid: {e}"));
     let injector = FaultInjector::new(&plan);
-    let err = execute_with_faults(ir, &inputs, chunk_elems, &RunOptions::default(), &injector)
-        .unwrap_err();
+    let err = faulted(ir, &inputs, chunk_elems, &RunOptions::default(), &injector).unwrap_err();
     let d = err
         .diagnosis()
         .expect("an injected kill carries a diagnosis");
@@ -439,7 +452,7 @@ fn diagnosis_invariant(name: &str, ir: &IrProgram) {
         deadline: Some(Duration::from_secs(10)),
         ..RunOptions::default()
     };
-    let err = execute_with_faults(ir, &inputs, chunk_elems, &opts, &injector).unwrap_err();
+    let err = faulted(ir, &inputs, chunk_elems, &opts, &injector).unwrap_err();
     let d = err
         .diagnosis()
         .expect("a stall-induced hang carries a diagnosis");
@@ -507,7 +520,7 @@ fn stalled_block_blackbox_names_the_straggler_root() {
         blackbox_dir: Some(dir.clone()),
         ..RunOptions::default()
     };
-    let err = execute_with_faults(&ir, &inputs, 8, &opts, &injector).unwrap_err();
+    let err = faulted(&ir, &inputs, 8, &opts, &injector).unwrap_err();
     let path = err.blackbox_path().expect("failed run wrote a black box");
     let bb = Blackbox::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
     assert_eq!(
@@ -557,7 +570,7 @@ fn concurrent_failures_write_distinct_blackboxes() {
                         blackbox_dir: Some(dir),
                         ..RunOptions::default()
                     };
-                    let err = execute_with_faults(ir, &inputs, 8, &opts, &injector)
+                    let err = faulted(ir, &inputs, 8, &opts, &injector)
                         .expect_err("stalled run must fail");
                     err.blackbox_path()
                         .expect("failed run wrote a black box")
@@ -595,7 +608,7 @@ fn dropped_delivery_hangs_with_the_fault_named_in_context() {
         timeout: Duration::from_millis(200),
         ..RunOptions::default()
     };
-    let err = execute_with_faults(&ir, &inputs, 8, &opts, &injector).unwrap_err();
+    let err = faulted(&ir, &inputs, 8, &opts, &injector).unwrap_err();
     let display = err.to_string();
     assert!(
         matches!(err, RuntimeError::Hang { .. }),

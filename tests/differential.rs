@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use msccl_metrics::names;
-use msccl_runtime::{execute_profiled, reference, RunOptions};
+use msccl_runtime::{reference, run, Run, RunOptions};
 use msccl_sim::{simulate, SimConfig};
 use msccl_topology::Machine;
 use msccl_trace::{EventKind, Trace};
@@ -52,8 +52,14 @@ fn differential(name: &str, program: &Program, machine: Machine) {
         ..RunOptions::default()
     };
     let inputs = reference::random_inputs(&ir, chunk_elems, 3);
-    let (_, run_trace, run_metrics) = execute_profiled(&ir, &inputs, chunk_elems, &opts)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let run_report = run(Run {
+        trace: true,
+        snapshot: true,
+        ..Run::new(&ir, &inputs, chunk_elems, &opts)
+    });
+    run_report.result.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let run_trace = run_report.trace.expect("tracing was requested");
+    let run_metrics = run_report.metrics;
 
     // Simulator over the *same* logical buffer (in_chunks x chunk_elems
     // f32), so each chunk is one tile and per-message byte counts line

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use msccl_runtime::{execute_traced, reference, RunOptions};
+use msccl_runtime::{reference, run, Run, RunOptions};
 use msccl_trace::{EventKind, Trace};
 use mscclang::{compile, CompileOptions, IrProgram, Program};
 
@@ -61,8 +61,12 @@ fn trace_of(algo: Algo, instances: usize, chunk_elems: usize) -> (IrProgram, Tra
     )
     .expect("compiles");
     let inputs = reference::random_inputs(&ir, chunk_elems, 7);
-    let (_, trace) =
-        execute_traced(&ir, &inputs, chunk_elems, &RunOptions::default()).expect("executes");
+    let report = run(Run {
+        trace: true,
+        ..Run::new(&ir, &inputs, chunk_elems, &RunOptions::default())
+    });
+    report.result.expect("executes");
+    let trace = report.trace.expect("tracing was requested");
     (ir, trace)
 }
 
