@@ -70,10 +70,32 @@ impl ChunkValue {
     /// program error the caller reports).
     #[must_use]
     pub fn reduce(&self, other: &ChunkValue) -> Option<ChunkValue> {
-        let mut set = ReductionSet::default();
-        set.absorb(self)?;
-        set.absorb(other)?;
-        Some(ChunkValue::Reduction(set))
+        let (a, b) = (self.contributions()?, other.contributions()?);
+        // Merge the two sorted multisets.
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if b[j] < a[i] {
+                merged.push(b[j]);
+                j += 1;
+            } else {
+                merged.push(a[i]);
+                i += 1;
+            }
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        Some(ChunkValue::Reduction(ReductionSet(merged)))
+    }
+
+    /// The sorted input chunks combined into this value; `None` if
+    /// uninitialized.
+    fn contributions(&self) -> Option<&[InputId]> {
+        match self {
+            ChunkValue::Uninit => None,
+            ChunkValue::Input(id) => Some(std::slice::from_ref(id)),
+            ChunkValue::Reduction(set) => Some(&set.0),
+        }
     }
 }
 
@@ -98,23 +120,6 @@ impl ReductionSet {
         let mut v: Vec<InputId> = inputs.into_iter().collect();
         v.sort_unstable();
         Self(v)
-    }
-
-    /// Adds the contribution of `value` to this multiset. Returns `None` if
-    /// `value` is uninitialized.
-    fn absorb(&mut self, value: &ChunkValue) -> Option<()> {
-        match value {
-            ChunkValue::Uninit => return None,
-            ChunkValue::Input(id) => {
-                let pos = self.0.partition_point(|x| x <= id);
-                self.0.insert(pos, *id);
-            }
-            ChunkValue::Reduction(set) => {
-                self.0.extend_from_slice(&set.0);
-                self.0.sort_unstable();
-            }
-        }
-        Some(())
     }
 
     /// Number of input contributions (with multiplicity).

@@ -423,14 +423,61 @@ impl InstrDag {
         }
     }
 
-    /// Live processing successors of `node`, with edge kinds.
-    #[must_use]
-    pub fn successors(&self, node: usize) -> Vec<(usize, EdgeKind)> {
-        self.proc_edges
-            .iter()
-            .filter(|&&(u, v, _)| u == node && self.nodes[v].alive)
-            .map(|&(_, v, k)| (v, k))
-            .collect()
+    /// Indices into `proc_edges` of each node's outgoing edges, in edge
+    /// order: one O(edges) pass, so a pass can then walk a node's own edges
+    /// instead of rescanning the whole edge list.
+    pub(crate) fn out_edge_index(&self) -> Adjacency {
+        Adjacency::build(
+            self.nodes.len(),
+            self.proc_edges
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, _, _))| (u, i)),
+        )
+    }
+
+    /// The communication edge each node sends on and receives on, indexed
+    /// by node id.
+    pub(crate) fn comm_edge_index(&self) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
+        let mut send = vec![None; self.nodes.len()];
+        let mut recv = vec![None; self.nodes.len()];
+        for (i, e) in self.comm_edges.iter().enumerate() {
+            send[e.send] = Some(i);
+            recv[e.recv] = Some(i);
+        }
+        (send, recv)
+    }
+}
+
+/// Per-node lists in one flat array: node `n`'s items are
+/// `items[start[n]..start[n + 1]]`, in the order they were given.
+pub(crate) struct Adjacency {
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Groups `(node, item)` pairs by node with a counting sort.
+    pub(crate) fn build(nodes: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+        let mut start = vec![0usize; nodes + 1];
+        for (n, _) in pairs.clone() {
+            start[n + 1] += 1;
+        }
+        for n in 0..nodes {
+            start[n + 1] += start[n];
+        }
+        let mut fill = start.clone();
+        let mut items = vec![0usize; start[nodes]];
+        for (n, item) in pairs {
+            items[fill[n]] = item;
+            fill[n] += 1;
+        }
+        Self { start, items }
+    }
+
+    /// The items of `node`.
+    pub(crate) fn of(&self, node: usize) -> &[usize] {
+        &self.items[self.start[node]..self.start[node + 1]]
     }
 }
 

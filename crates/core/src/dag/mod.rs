@@ -12,4 +12,5 @@ mod chunk_dag;
 mod instr_dag;
 
 pub use chunk_dag::{ChunkDag, ChunkNode};
+pub(crate) use instr_dag::Adjacency;
 pub use instr_dag::{EdgeKind, InstrDag, InstrNode, InstrOp};

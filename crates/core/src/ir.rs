@@ -76,6 +76,20 @@ impl OpCode {
         )
     }
 
+    /// Whether the instruction reads its local source operand.
+    #[must_use]
+    pub fn reads_src(self) -> bool {
+        matches!(
+            self,
+            OpCode::Send
+                | OpCode::Copy
+                | OpCode::Reduce
+                | OpCode::RecvReduceCopy
+                | OpCode::RecvReduceSend
+                | OpCode::RecvReduceCopySend
+        )
+    }
+
     /// Whether the instruction writes local memory.
     #[must_use]
     pub fn writes_local(self) -> bool {
@@ -347,6 +361,45 @@ impl IrProgram {
                     }
                     if instr.count == 0 && instr.op != OpCode::Nop {
                         return fail(format!("rank {r} tb {t} step {s}: zero count"));
+                    }
+                    // Operands must lie inside the buffers they name: a read
+                    // source or written destination on this rank, and a
+                    // send's destination on its peer.
+                    let dst_rank = if instr.op.writes_local() {
+                        Some(r)
+                    } else if instr.op == OpCode::Send {
+                        tb.send_peer
+                    } else {
+                        None
+                    };
+                    let operands = [
+                        (
+                            "src",
+                            instr.src.filter(|_| instr.op.reads_src()).map(|l| (r, l)),
+                        ),
+                        ("dst", instr.dst.zip(dst_rank).map(|(l, p)| (p, l))),
+                    ];
+                    for (what, operand) in operands {
+                        let Some((owner, loc)) = operand else {
+                            continue;
+                        };
+                        let owner_gpu = &self.gpus[owner];
+                        let chunks = match loc.buffer {
+                            BufferKind::Input => owner_gpu.input_chunks,
+                            BufferKind::Output => owner_gpu.output_chunks,
+                            BufferKind::Scratch => owner_gpu.scratch_chunks,
+                        };
+                        if loc
+                            .index
+                            .checked_add(instr.count)
+                            .is_none_or(|end| end > chunks)
+                        {
+                            return fail(format!(
+                                "rank {r} tb {t} step {s}: {what} chunks {}..+{} past the \
+                                 {chunks} chunks of rank {owner}'s {} buffer",
+                                loc.index, instr.count, loc.buffer
+                            ));
+                        }
                     }
                     for d in &instr.deps {
                         let Some(dep_tb) = gpu.threadblocks.get(d.tb) else {

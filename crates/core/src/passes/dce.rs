@@ -13,6 +13,7 @@ use crate::dag::{EdgeKind, InstrDag, InstrOp};
 /// Removes dead scratch stores in place and compacts the DAG. Returns the
 /// number of instructions eliminated.
 pub fn eliminate_dead_stores(dag: &mut InstrDag) -> usize {
+    let (_, recv_edge) = dag.comm_edge_index();
     let mut removed = 0usize;
     loop {
         let mut changed = false;
@@ -43,14 +44,12 @@ pub fn eliminate_dead_stores(dag: &mut InstrDag) -> usize {
             }
             // A dead recv still has a matching send; remove the pair.
             if node.op == InstrOp::Recv {
-                let Some(edge_idx) = dag
-                    .comm_edges
-                    .iter()
-                    .position(|e| e.recv == i && dag.nodes[e.send].alive)
+                let Some(send) = recv_edge[i]
+                    .map(|e| dag.comm_edges[e].send)
+                    .filter(|&s| dag.nodes[s].alive)
                 else {
                     continue;
                 };
-                let send = dag.comm_edges[edge_idx].send;
                 // Only a plain send can be dropped with its receive; a
                 // fused sender also stores or forwards elsewhere.
                 if dag.nodes[send].op != InstrOp::Send {

@@ -13,31 +13,36 @@
 
 use std::collections::HashMap;
 
-use crate::dag::{EdgeKind, InstrDag, InstrNode, InstrOp};
+use crate::dag::{Adjacency, EdgeKind, InstrDag, InstrNode, InstrOp};
 
 /// Applies the fusion peepholes in place and compacts the DAG.
 ///
 /// Fusion never crosses channel directives: a receive and send with
 /// distinct explicit channels stay separate, because a chain of fused
 /// instructions must share one channel (§5.2).
+///
+/// Linear in nodes + edges: the per-node edge lists are built once, and
+/// each receive then looks only at its own out-edges and at those of the
+/// send it fuses with. A fused send `v` is not rewired in place; `merged`
+/// maps it to its receive `u`, and every edge endpoint is mapped through
+/// it once at the end.
 pub fn fuse(dag: &mut InstrDag) {
     let rev_depth = reverse_depths(dag);
+    let out = dag.out_edge_index();
 
-    // Predecessor counts per node over all edge kinds, to guarantee the
-    // fused send's only dependency is its receive (merging anything else
-    // could create a cycle).
-    let mut pred: Vec<Vec<usize>> = vec![Vec::new(); dag.nodes.len()];
-    for &(u, v, _) in &dag.proc_edges {
-        pred[v].push(u);
-    }
+    // Predecessors per node over all edge kinds, to guarantee the fused
+    // send's only dependency is its receive (merging anything else could
+    // create a cycle).
+    let pred = Adjacency::build(
+        dag.nodes.len(),
+        dag.proc_edges.iter().map(|&(u, v, _)| (v, u)),
+    );
 
-    // Comm edge lookup by endpoint.
-    let mut send_edge: HashMap<usize, usize> = HashMap::new(); // node -> comm edge idx
-    let mut recv_edge: HashMap<usize, usize> = HashMap::new();
-    for (i, e) in dag.comm_edges.iter().enumerate() {
-        send_edge.insert(e.send, i);
-        recv_edge.insert(e.recv, i);
-    }
+    let (send_edge, recv_edge) = dag.comm_edge_index();
+    // The node each node now lives in: itself, or the receive a send was
+    // fused into. Fused receives are never merged again, so one lookup
+    // resolves any endpoint.
+    let mut merged: Vec<usize> = (0..dag.nodes.len()).collect();
 
     // Monotonicity guard: per (rank, recv_peer, send_peer, channel) the
     // provenance positions of fused pairs must increase on both the receive
@@ -45,7 +50,7 @@ pub fn fuse(dag: &mut InstrDag) {
     // each other and deadlock the schedule.
     let mut last_fused: HashMap<(usize, usize, usize, usize), (usize, usize)> = HashMap::new();
 
-    for u in 0..dag.nodes.len() {
+    for (u, in_edge) in recv_edge.iter().enumerate() {
         if !dag.nodes[u].alive {
             continue;
         }
@@ -56,17 +61,22 @@ pub fn fuse(dag: &mut InstrDag) {
         let u_dst = dag.nodes[u].dst;
         let u_count = dag.nodes[u].count;
         let u_rank = dag.nodes[u].rank;
-        let in_edge = recv_edge[&u];
+        let in_edge = in_edge.expect("recv has a comm edge");
         let in_channel = dag.comm_edges[in_edge].channel;
+        // Live out-edges of a node, endpoints resolved through merges.
+        let live_out = |node: usize| {
+            out.of(node).iter().filter_map(|&i| {
+                let (_, to, kind) = dag.proc_edges[i];
+                let to = merged[to];
+                dag.nodes[to].alive.then_some((to, kind))
+            })
+        };
 
         // Candidate sends: RAW successors reading exactly the received
         // chunk, whose only dependency is this receive.
         let mut best: Option<(usize, usize)> = None; // (rev_depth, node)
         let mut raw_successors = 0usize;
-        for &(from, to, kind) in &dag.proc_edges {
-            if from != u || !dag.nodes[to].alive {
-                continue;
-            }
+        for (to, kind) in live_out(u) {
             if kind == EdgeKind::Raw {
                 raw_successors += 1;
             }
@@ -79,11 +89,11 @@ pub fn fuse(dag: &mut InstrDag) {
                 continue;
             }
             // The send must depend on nothing but this receive.
-            if !(pred[to].len() == 1 && pred[to][0] == u) {
+            if !matches!(pred.of(to), &[p] if merged[p] == u) {
                 continue;
             }
             // Channel directives must be compatible.
-            let out_edge = send_edge[&to];
+            let out_edge = send_edge[to].expect("send has a comm edge");
             let out_channel = dag.comm_edges[out_edge].channel;
             if let (Some(a), Some(b)) = (in_channel, out_channel) {
                 if a != b {
@@ -96,14 +106,13 @@ pub fn fuse(dag: &mut InstrDag) {
             }
         }
         let Some((_, v)) = best else { continue };
+        let out_edge = send_edge[v].expect("send has a comm edge");
 
         // FIFO-order monotonicity guard.
         let send_peer = dag.nodes[v].send_peer.expect("send has a peer");
         let recv_peer = dag.nodes[u].recv_peer.expect("recv has a peer");
-        let unified = in_channel
-            .or(dag.comm_edges[send_edge[&v]].channel)
-            .unwrap_or(0);
-        let key = (u_rank, recv_peer, send_peer, unified);
+        let unified_channel = in_channel.or(dag.comm_edges[out_edge].channel);
+        let key = (u_rank, recv_peer, send_peer, unified_channel.unwrap_or(0));
         let recv_pos = dag.nodes[u].recv_chunk_node;
         let send_pos = dag.nodes[v].chunk_node;
         if let Some(&(lr, ls)) = last_fused.get(&key) {
@@ -121,12 +130,9 @@ pub fn fuse(dag: &mut InstrDag) {
                 // send and the location is later overwritten, so the local
                 // store can be skipped.
                 let only_reader = raw_successors == 1;
-                let overwritten_later = dag.proc_edges.iter().any(|&(from, to, kind)| {
-                    from == u && dag.nodes[to].alive && to != v && matches!(kind, EdgeKind::Waw)
-                });
-                let war_overwrites_send = dag.proc_edges.iter().any(|&(from, to, kind)| {
-                    from == v && dag.nodes[to].alive && kind == EdgeKind::War
-                });
+                let overwritten_later =
+                    live_out(u).any(|(to, kind)| to != v && kind == EdgeKind::Waw);
+                let war_overwrites_send = live_out(v).any(|(_, kind)| kind == EdgeKind::War);
                 if only_reader && (overwritten_later || war_overwrites_send) {
                     InstrOp::RecvReduceSend
                 } else {
@@ -137,7 +143,6 @@ pub fn fuse(dag: &mut InstrDag) {
         };
 
         // Merge v into u.
-        let unified_channel = in_channel.or(dag.comm_edges[send_edge[&v]].channel);
         dag.nodes[u].op = fused_op;
         dag.nodes[u].send_peer = Some(send_peer);
         dag.nodes[u].chunk_node = dag.nodes[v].chunk_node;
@@ -145,34 +150,22 @@ pub fn fuse(dag: &mut InstrDag) {
             dag.nodes[u].dst = None;
         }
         dag.nodes[v].alive = false;
+        merged[v] = u;
 
         // Rewire: v's outgoing comm edge now originates at u; both comm
         // edges carry the unified channel.
-        let out_edge = send_edge[&v];
         dag.comm_edges[out_edge].send = u;
         dag.comm_edges[out_edge].channel = unified_channel;
         dag.comm_edges[in_edge].channel = unified_channel;
-        send_edge.insert(u, out_edge);
-
-        // Rewire v's processing edges onto u (dropping the internal one).
-        for e in &mut dag.proc_edges {
-            if e.0 == v {
-                e.0 = u;
-            }
-            if e.1 == v {
-                e.1 = u;
-            }
-        }
-        dag.proc_edges.retain(|&(a, b, _)| a != b);
-        for p in &mut pred {
-            for x in p.iter_mut() {
-                if *x == v {
-                    *x = u;
-                }
-            }
-        }
     }
 
+    // Move the fused sends' processing edges onto their receives, dropping
+    // the internal ones.
+    for e in &mut dag.proc_edges {
+        e.0 = merged[e.0];
+        e.1 = merged[e.1];
+    }
+    dag.proc_edges.retain(|&(a, b, _)| a != b);
     dag.compact();
 }
 
@@ -185,10 +178,8 @@ pub fn fuse(dag: &mut InstrDag) {
 pub fn unfuse(dag: &mut InstrDag, nodes: &[usize]) {
     use crate::buffer::Loc;
 
-    let mut send_edge_of: HashMap<usize, usize> = HashMap::new();
-    for (i, e) in dag.comm_edges.iter().enumerate() {
-        send_edge_of.insert(e.send, i);
-    }
+    let out = dag.out_edge_index();
+    let (send_edge, _) = dag.comm_edge_index();
     for &u in nodes {
         let op = dag.nodes[u].op;
         let (recv_op, send_src): (InstrOp, Option<Loc>) = match op {
@@ -223,21 +214,17 @@ pub fn unfuse(dag: &mut InstrDag, nodes: &[usize]) {
             alive: true,
         });
         // The outgoing comm edge now originates at the new send.
-        let e = send_edge_of[&u];
+        let e = send_edge[u].expect("fused op has a comm edge");
         dag.comm_edges[e].send = v;
         // The send reads what the receive produced.
         dag.proc_edges.push((u, v, EdgeKind::Raw));
         // Conservatively move ordering that hinged on the send's read: any
         // WAR edge out of the fused node could protect either half, so the
-        // new send inherits copies of them.
-        let outgoing: Vec<(usize, usize, EdgeKind)> = dag
-            .proc_edges
-            .iter()
-            .copied()
-            .filter(|&(from, _, kind)| from == u && kind == EdgeKind::War)
-            .collect();
-        for (_, to, kind) in outgoing {
-            if to != v {
+        // new send inherits copies of them. The edges this loop adds never
+        // leave a fused node as WAR, so `out` built on entry lists them all.
+        for &i in out.of(u) {
+            let (_, to, kind) = dag.proc_edges[i];
+            if kind == EdgeKind::War {
                 dag.proc_edges.push((v, to, kind));
             }
         }
@@ -248,22 +235,15 @@ pub fn unfuse(dag: &mut InstrDag, nodes: &[usize]) {
 /// communication edges.
 fn reverse_depths(dag: &InstrDag) -> Vec<usize> {
     let n = dag.nodes.len();
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg_rev = vec![0usize; n];
-    for &(u, v, _) in &dag.proc_edges {
-        succ[u].push(v);
-        indeg_rev[u] += 1; // reverse in-degree = out-degree
-    }
-    for e in &dag.comm_edges {
-        succ[e.send].push(e.recv);
-        indeg_rev[e.send] += 1;
-    }
+    let proc = dag.proc_edges.iter().map(|&(u, v, _)| (u, v));
+    let comm = dag.comm_edges.iter().map(|e| (e.send, e.recv));
+    let succ = Adjacency::build(n, proc.chain(comm));
     // Process in reverse topological order; node ids are already close to
     // topological (trace) order, so a simple longest-path DP over reversed
     // ids works because every edge goes from a lower to a higher id.
     let mut depth = vec![0usize; n];
     for u in (0..n).rev() {
-        for &v in &succ[u] {
+        for &v in succ.of(u) {
             depth[u] = depth[u].max(depth[v] + 1);
         }
     }

@@ -48,7 +48,11 @@ pub struct ChannelAssignment {
 /// drafts, those drafts unify into one thread block (provided their peer
 /// slots are compatible). A union-find redirect table keeps earlier
 /// placements valid across merges.
-#[derive(Debug, Clone, Default)]
+///
+/// A chain's trial placement is journaled in `undo` and rolled back if any
+/// member conflicts, so a trial costs its own members, not a copy of the
+/// whole registry.
+#[derive(Debug, Default)]
 struct Registry {
     tbs: Vec<TbDraft>,
     /// Union-find parent for merged drafts.
@@ -57,9 +61,56 @@ struct Registry {
     send_claim: HashMap<(usize, usize, usize), usize>,
     /// (rank, peer, channel) -> draft index for the receiving side.
     recv_claim: HashMap<(usize, usize, usize), usize>,
+    /// What the current trial changed, oldest first.
+    undo: Vec<Undo>,
+}
+
+/// One journaled registry change, holding the value it overwrote.
+#[derive(Debug)]
+enum Undo {
+    /// A draft was appended.
+    NewTb,
+    /// A draft's peers were changed.
+    Peers(usize, Option<usize>, Option<usize>),
+    /// A draft was merged into another.
+    Redirect(usize, usize),
+    /// A send claim was set.
+    SendClaim((usize, usize, usize), Option<usize>),
+    /// A receive claim was set.
+    RecvClaim((usize, usize, usize), Option<usize>),
 }
 
 impl Registry {
+    /// Keeps the current trial's changes.
+    fn commit(&mut self) {
+        self.undo.clear();
+    }
+
+    /// Reverts the current trial's changes, newest first.
+    fn rollback(&mut self) {
+        while let Some(change) = self.undo.pop() {
+            match change {
+                Undo::NewTb => {
+                    self.tbs.pop();
+                    self.redirect.pop();
+                }
+                Undo::Peers(tb, send, recv) => {
+                    self.tbs[tb].send_peer = send;
+                    self.tbs[tb].recv_peer = recv;
+                }
+                Undo::Redirect(tb, old) => self.redirect[tb] = old,
+                Undo::SendClaim(key, old) => restore(&mut self.send_claim, key, old),
+                Undo::RecvClaim(key, old) => restore(&mut self.recv_claim, key, old),
+            }
+        }
+    }
+
+    /// Journals `tb`'s peers before they change.
+    fn save_peers(&mut self, tb: usize) {
+        let t = &self.tbs[tb];
+        self.undo.push(Undo::Peers(tb, t.send_peer, t.recv_peer));
+    }
+
     /// Canonical draft index after merges.
     fn find(&self, mut x: usize) -> usize {
         while self.redirect[x] != x {
@@ -95,7 +146,9 @@ impl Registry {
                         if !can_merge {
                             return None;
                         }
+                        self.save_peers(a);
                         self.tbs[a].recv_peer = self.tbs[b].recv_peer;
+                        self.undo.push(Undo::Redirect(b, self.redirect[b]));
                         self.redirect[b] = a;
                         a
                     } else {
@@ -126,13 +179,18 @@ impl Registry {
             },
             (None, None) => unreachable!("placement requires at least one connection"),
         };
+        self.save_peers(tb);
         if let Some(p) = send_peer {
             self.tbs[tb].send_peer = Some(p);
-            self.send_claim.insert((rank, p, channel), tb);
+            let key = (rank, p, channel);
+            let old = self.send_claim.insert(key, tb);
+            self.undo.push(Undo::SendClaim(key, old));
         }
         if let Some(p) = recv_peer {
             self.tbs[tb].recv_peer = Some(p);
-            self.recv_claim.insert((rank, p, channel), tb);
+            let key = (rank, p, channel);
+            let old = self.recv_claim.insert(key, tb);
+            self.undo.push(Undo::RecvClaim(key, old));
         }
         Some(tb)
     }
@@ -145,8 +203,20 @@ impl Registry {
             channel,
         });
         self.redirect.push(self.tbs.len() - 1);
+        self.undo.push(Undo::NewTb);
         self.tbs.len() - 1
     }
+}
+
+fn restore(
+    claims: &mut HashMap<(usize, usize, usize), usize>,
+    key: (usize, usize, usize),
+    old: Option<usize>,
+) {
+    match old {
+        Some(tb) => claims.insert(key, tb),
+        None => claims.remove(&key),
+    };
 }
 
 /// Assigns a channel to every communication edge and forms thread block
@@ -172,14 +242,9 @@ pub fn assign_channels(
         }
         parent[x]
     }
-    let mut node_in: HashMap<usize, usize> = HashMap::new();
-    let mut node_out: HashMap<usize, usize> = HashMap::new();
-    for (i, e) in dag.comm_edges.iter().enumerate() {
-        node_out.insert(e.send, i);
-        node_in.insert(e.recv, i);
-    }
-    for (node, &ein) in &node_in {
-        if let Some(&eout) = node_out.get(node) {
+    let (node_out, node_in) = dag.comm_edge_index();
+    for (&ein, &eout) in node_in.iter().zip(&node_out) {
+        if let (Some(ein), Some(eout)) = (ein, eout) {
             let (a, b) = (find(&mut parent, ein), find(&mut parent, eout));
             if a != b {
                 parent[a] = b;
@@ -188,14 +253,17 @@ pub fn assign_channels(
     }
 
     // Group edges by chain root, ordered by their smallest edge id for
-    // determinism.
-    let mut chains: HashMap<usize, Vec<usize>> = HashMap::new();
+    // determinism: a chain is opened by its first (smallest) edge.
+    let mut chain_of_root = vec![usize::MAX; num_edges];
+    let mut chain_list: Vec<Vec<usize>> = Vec::new();
     for i in 0..num_edges {
         let r = find(&mut parent, i);
-        chains.entry(r).or_default().push(i);
+        if chain_of_root[r] == usize::MAX {
+            chain_of_root[r] = chain_list.len();
+            chain_list.push(Vec::new());
+        }
+        chain_list[chain_of_root[r]].push(i);
     }
-    let mut chain_list: Vec<Vec<usize>> = chains.into_values().collect();
-    chain_list.sort_by_key(|edges| edges.iter().copied().min().unwrap_or(usize::MAX));
 
     let mut registry = Registry::default();
     let mut edge_channel = vec![0usize; num_edges];
@@ -239,14 +307,13 @@ pub fn assign_channels(
             if ch >= MAX_CHANNELS {
                 break;
             }
-            let mut trial = registry.clone();
             let mut trial_tbs: Vec<(usize, usize)> = Vec::new();
             let ok = members.iter().all(|&n| {
                 let node = &dag.nodes[n];
                 // Only the peers whose edges belong to this chain matter,
                 // and by construction a node's connections are entirely
                 // within one chain.
-                match trial.place(node.rank, node.send_peer, node.recv_peer, ch) {
+                match registry.place(node.rank, node.send_peer, node.recv_peer, ch) {
                     Some(tb) => {
                         trial_tbs.push((n, tb));
                         true
@@ -257,18 +324,20 @@ pub fn assign_channels(
                     }
                 }
             });
-            if ok {
-                registry = trial;
-                for &e in edges {
-                    edge_channel[e] = ch;
-                }
-                for (n, tb) in trial_tbs {
-                    node_tb.insert(n, tb);
-                }
-                num_channels = num_channels.max(ch + 1);
-                placed = true;
-                break;
+            if !ok {
+                registry.rollback();
+                continue;
             }
+            registry.commit();
+            for &e in edges {
+                edge_channel[e] = ch;
+            }
+            for (n, tb) in trial_tbs {
+                node_tb.insert(n, tb);
+            }
+            num_channels = num_channels.max(ch + 1);
+            placed = true;
+            break;
         }
         if !placed {
             return match directive {
