@@ -20,7 +20,30 @@ use msccl_sim::{simulate, SimConfig};
 use msccl_topology::{Machine, Protocol};
 use mscclang::{compile, CompileOptions, IrProgram, Program};
 
-use crate::BenchError;
+use crate::{BenchError, Figure, Scale};
+
+/// A figure generator.
+pub type Generator = fn(Scale) -> Result<Figure, BenchError>;
+
+/// Every figure generator under the name the `figures` binary takes, in
+/// the order the full evaluation runs them.
+pub const ALL: [(&str, Generator); 15] = [
+    ("fig8a", fig8a),
+    ("fig8b", fig8b),
+    ("fig8c", fig8c),
+    ("fig8d", fig8d),
+    ("fig8e", fig8e),
+    ("fig8f", fig8f),
+    ("fig8g", fig8g),
+    ("fig8h", fig8h),
+    ("fig11", fig11),
+    ("ablation_pipelining", ablation_pipelining),
+    ("ablation_fusion", ablation_fusion),
+    ("ablation_parallelization", ablation_parallelization),
+    ("ablation_aggregation", ablation_aggregation),
+    ("algorithm_comparison", algorithm_comparison),
+    ("alltoall_generations", alltoall_generations),
+];
 
 /// Compiles a program without post-verification (figure programs are
 /// verified by the unit/integration suites; benchmark compiles skip the
@@ -56,30 +79,15 @@ pub(crate) fn sim_us(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Mode, Scale};
+    use crate::Mode;
 
     /// Every figure generator runs end to end at quick scale and produces
     /// plausible data.
     #[test]
     fn all_figures_generate_at_quick_scale() {
-        let figures = [
-            fig8a(Scale::Quick).unwrap(),
-            fig8b(Scale::Quick).unwrap(),
-            fig8c(Scale::Quick).unwrap(),
-            fig8d(Scale::Quick).unwrap(),
-            fig8e(Scale::Quick).unwrap(),
-            fig8f(Scale::Quick).unwrap(),
-            fig8g(Scale::Quick).unwrap(),
-            fig8h(Scale::Quick).unwrap(),
-            fig11(Scale::Quick).unwrap(),
-            ablation_pipelining(Scale::Quick).unwrap(),
-            ablation_fusion(Scale::Quick).unwrap(),
-            ablation_parallelization(Scale::Quick).unwrap(),
-            ablation_aggregation(Scale::Quick).unwrap(),
-            algorithm_comparison(Scale::Quick).unwrap(),
-            alltoall_generations(Scale::Quick).unwrap(),
-        ];
-        for f in &figures {
+        for (name, generate) in ALL {
+            let f = generate(Scale::Quick).unwrap();
+            assert_eq!(f.id, name, "table name and figure id differ");
             assert!(!f.rows.is_empty(), "{} has no rows", f.id);
             assert!(!f.series.is_empty(), "{} has no series", f.id);
             for (bytes, values) in &f.rows {

@@ -7,8 +7,8 @@
 //! the published series (speedups over the figure's baseline, or raw
 //! latencies for Figure 11).
 //!
-//! Binaries under `src/bin/` print individual figures;
-//! `all_experiments` runs the whole evaluation and emits the content of
+//! The `figures` binary prints one figure by name (see [`figures::ALL`]);
+//! `figures all` runs the whole evaluation and emits the content of
 //! `EXPERIMENTS.md`.
 //!
 //! Scale control: setting `MSCCL_BENCH_QUICK=1` shrinks cluster sizes and

@@ -341,20 +341,19 @@ pub fn assign_threadblocks(
     }
     debug_assert_eq!(popped, n);
 
-    // ---- Thread block budget.
+    // ---- Thread block budget: the lowest over-budget rank is reported.
     if let Some(limit) = max_tbs_per_rank {
-        let mut counts: HashMap<usize, usize> = HashMap::new();
+        let ranks = tbs.iter().map(|tb| tb.rank + 1).max().unwrap_or(0);
+        let mut counts = vec![0usize; ranks];
         for tb in &tbs {
-            *counts.entry(tb.rank).or_default() += 1;
+            counts[tb.rank] += 1;
         }
-        for (&rank, &required) in &counts {
-            if required > limit {
-                return Err(Error::TooManyThreadBlocks {
-                    rank,
-                    required,
-                    limit,
-                });
-            }
+        if let Some((rank, &required)) = counts.iter().enumerate().find(|&(_, &c)| c > limit) {
+            return Err(Error::TooManyThreadBlocks {
+                rank,
+                required,
+                limit,
+            });
         }
     }
 
@@ -543,8 +542,22 @@ mod tests {
         let mut dag = InstrDag::build(&ChunkDag::build(&p, 8).unwrap());
         fuse(&mut dag);
         let ca = assign_channels(&dag, None).unwrap();
-        let err = assign_threadblocks(&dag, &ca, Some(2), FifoOrder::Depth, 8).unwrap_err();
-        assert!(matches!(err, Error::TooManyThreadBlocks { .. }));
+        // Every rank is over budget; the report must name the same one
+        // each time, not whichever a hash order visits first.
+        for _ in 0..16 {
+            let err = assign_threadblocks(&dag, &ca, Some(2), FifoOrder::Depth, 8).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::TooManyThreadBlocks {
+                        rank: 0,
+                        required: 8,
+                        limit: 2
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -33,9 +33,7 @@
 //!
 //! The per-element dispatch loop survives as
 //! [`reduce_into_slice_scalar`], the oracle every SIMD path is tested
-//! bitwise against (including single-NaN lanes and signed-zero ties) and
-//! the baseline the `reduce_kernels` criterion bench measures speedups
-//! over.
+//! bitwise against (including single-NaN lanes and signed-zero ties).
 
 use mscclang::ReduceOp;
 
@@ -166,7 +164,7 @@ pub fn reduce_from_slice(op: ReduceOp, acc: &mut [f32], src: &[f32]) {
 }
 
 /// The per-element dispatch loop the SIMD kernels replace; kept as the
-/// oracle for equivalence tests and as the bench's scalar baseline.
+/// oracle for equivalence tests.
 #[inline]
 pub fn reduce_into_slice_scalar(op: ReduceOp, acc: &mut [f32], src: &[f32]) {
     for (a, &b) in acc.iter_mut().zip(src) {

@@ -528,10 +528,17 @@ fn arena_holds_pool_minus_one_threads_and_drop_joins_them() {
             "pool={pool}"
         );
         drop(arena);
-        assert_eq!(
-            resident_worker_threads(),
-            baseline,
-            "pool={pool}: drop joins"
-        );
+        // `join` returns once the kernel clears the worker's child-tid
+        // futex in `exit_mm`, which is before the task leaves
+        // `/proc/self/task`: poll for up to a second.
+        let mut threads = resident_worker_threads();
+        for _ in 0..100 {
+            if threads == baseline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            threads = resident_worker_threads();
+        }
+        assert_eq!(threads, baseline, "pool={pool}: drop joins");
     }
 }

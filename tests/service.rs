@@ -149,9 +149,14 @@ fn repeated_request_hits_the_compile_cache_with_identical_checksum() {
         json_field(&second, "checksum"),
         "same request, same seed must give bit-identical outputs"
     );
+    // The seed picks the input data, not the program: another seed still
+    // reuses the compiled IR.
+    let (status, _, reseeded) = http(addr, "GET", &path.replace("seed=11", "seed=12"));
+    assert_eq!(status, 200, "body: {reseeded}");
+    assert_eq!(json_field(&reseeded, "cache"), "hit");
 
     let stats = handle.shutdown();
-    assert_eq!(stats.cache.hits, 1);
+    assert_eq!(stats.cache.hits, 2);
     assert_eq!(stats.cache.misses, 1);
 }
 

@@ -152,6 +152,18 @@ fn buffer_sizes_and_epochs_agree() {
     }
 }
 
+/// Multi-node scale: the compiled ring at 16 and 128 ranks spans 2 and 16
+/// NDv4 nodes, so the parallel engine routes across many shards at once.
+#[test]
+fn multi_node_rings_agree_at_scale() {
+    for ranks in [16, 128] {
+        let program = msccl_algos::ring_all_reduce(ranks, 1).unwrap();
+        let ir = compiled(&program);
+        let cfg = SimConfig::new(Machine::ndv4(ranks / 8));
+        assert_backends_agree(program.name(), &ir, &cfg, 1 << 20);
+    }
+}
+
 /// Pinned fault plans produce the same verdict — the identical report,
 /// or the identical structured error naming the same fault — through
 /// both engines. Seeds match the chaos tier's pinning scheme.
