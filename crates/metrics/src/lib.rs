@@ -299,6 +299,23 @@ impl Histogram {
         s.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
+    /// Merges a whole bucket array of observations summing to `sum` into
+    /// the given shard: the bulk form of [`Histogram::record_bucketed`],
+    /// for callers that tally observations in plain integers and fold
+    /// them in once (the simulator's per-opcode latencies).
+    pub fn merge(&self, shard: usize, buckets: &[u64; BUCKETS], sum: u64) {
+        let s = &self.shards[shard % self.shards.len()];
+        let mut count = 0;
+        for (slot, &n) in s.buckets.iter().zip(buckets) {
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+                count += n;
+            }
+        }
+        s.count.fetch_add(count, Ordering::Relaxed);
+        s.sum.fetch_add(sum, Ordering::Relaxed);
+    }
+
     /// Total observations across shards.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -552,6 +569,22 @@ mod tests {
         assert_eq!(h.sum(), 2000);
         let buckets = h.merged_buckets();
         assert_eq!(buckets, vec![(0, 1), (bucket_index(1000) as u8, 2)]);
+    }
+
+    #[test]
+    fn merge_equals_recording_one_by_one() {
+        let values = [0, 1, 7, 1000, 1000, u64::MAX / 4];
+        let one_by_one = Histogram::new(1);
+        let mut buckets = [0; BUCKETS];
+        for v in values {
+            one_by_one.record(0, v);
+            buckets[bucket_index(v)] += 1;
+        }
+        let merged = Histogram::new(1);
+        merged.merge(0, &buckets, values.iter().sum());
+        assert_eq!(merged.count(), one_by_one.count());
+        assert_eq!(merged.sum(), one_by_one.sum());
+        assert_eq!(merged.merged_buckets(), one_by_one.merged_buckets());
     }
 
     #[test]

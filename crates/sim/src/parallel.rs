@@ -49,6 +49,7 @@ use crate::sync::Candidate;
 
 /// Everything a shard needs to process events, shared read-only across
 /// workers.
+#[derive(Clone, Copy)]
 pub(crate) struct RunCtx<'a> {
     pub config: &'a SimConfig,
     pub params: &'a msccl_topology::ProtocolParams,
@@ -151,15 +152,7 @@ fn run_serial(
         };
         let (bound, inclusive) = bound_for(fmin, lookahead);
         for shard in shards.iter_mut() {
-            shard.run_until(
-                bound,
-                inclusive,
-                ctx.config,
-                ctx.params,
-                ctx.tile_bytes,
-                ctx.num_tiles,
-                ctx.injector,
-            );
+            shard.run_until(bound, inclusive, ctx);
         }
         if let Some(err) = resolve_candidates(shards.iter_mut().filter_map(|s| s.candidate.take()))
         {
@@ -201,15 +194,7 @@ fn run_parallel(
                         break;
                     }
                     let mut shard = cells[i].lock().expect("shard mutex");
-                    shard.run_until(
-                        bound,
-                        inc,
-                        ctx.config,
-                        ctx.params,
-                        ctx.tile_bytes,
-                        ctx.num_tiles,
-                        ctx.injector,
-                    );
+                    shard.run_until(bound, inc, ctx);
                 }
                 barrier.wait();
             });

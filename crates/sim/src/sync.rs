@@ -3,7 +3,7 @@
 //!
 //! # The event-ordering contract
 //!
-//! Every shard (one per machine node) runs its own min-heap of
+//! Every shard (one per machine node) runs its own [`EventQueue`] of
 //! [`QueuedEvent`]s ordered by `(time, seq)`. `seq` is a **per-shard**
 //! monotonically increasing insertion counter — the original engine used
 //! one engine-global counter, which only works when there is exactly one
@@ -13,10 +13,20 @@
 //! 1. *Same timestamp ⇒ same winner.* Within a shard, events with equal
 //!    timestamps fire in insertion order, and insertion order is a pure
 //!    function of the shard's own deterministic execution: local pushes
-//!    happen while the shard processes its heap in `(time, seq)` order,
+//!    happen while the shard processes its queue in `(time, seq)` order,
 //!    and cross-shard messages are appended by a single routing pass at
 //!    each round boundary in `(source shard, emission order)` order —
 //!    identically in both backends.
+//!
+//!    The queue is a min-heap plus a *same-time lane*: a FIFO holding
+//!    events pushed at exactly the lane's timestamp (the one being
+//!    processed), which most wake-ups are. Pop takes the heap top when
+//!    its time is ≤ the lane front's, otherwise the lane front. That is
+//!    still `(time, seq)` order: lane entries share one timestamp and
+//!    arrive in `seq` order, the lane's timestamp moves only while the
+//!    lane is empty, so every heap entry at that timestamp was pushed
+//!    before every lane entry and carries a lower `seq`. Times compare
+//!    with `total_cmp`, so `-0.0` and `+0.0` stay distinct.
 //! 2. *Rounds are barriers.* A round processes, on every shard
 //!    independently, all events strictly below the conservative bound
 //!    `fmin + L` (`fmin` = the globally earliest pending event, `L` =
@@ -34,6 +44,7 @@
 //! `tests/sim_parallel.rs`.
 
 use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::config::SimError;
 use crate::flow::FlowId;
@@ -59,7 +70,7 @@ pub(crate) enum Ev {
     CreditArrive { conn: usize },
 }
 
-/// One entry of a shard's event heap, min-ordered by `(time, seq)`.
+/// One entry of a shard's event queue, min-ordered by `(time, seq)`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueuedEvent {
     pub time: f64,
@@ -85,6 +96,84 @@ impl Ord for QueuedEvent {
 impl PartialOrd for QueuedEvent {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// One shard's event queue: a `(time, seq)` min-heap beside a same-time
+/// lane (see the module doc for why the pair pops in exactly the heap's
+/// order). `seq` is assigned here, at push.
+#[derive(Debug)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<QueuedEvent>,
+    /// Events at `lane_time`, in push (hence `seq`) order.
+    lane: VecDeque<QueuedEvent>,
+    /// Timestamp of the lane's events; while the lane is empty, the time
+    /// of the last event popped. Moves only while the lane is empty.
+    lane_time: f64,
+    seq: u64,
+}
+
+impl EventQueue {
+    pub(crate) fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            lane_time: f64::NEG_INFINITY,
+            seq: 0,
+        }
+    }
+
+    /// Enqueues `ev` at `time` behind every event already queued.
+    pub(crate) fn push(&mut self, time: f64, ev: Ev) {
+        let e = QueuedEvent {
+            time,
+            seq: self.seq,
+            ev,
+        };
+        self.seq += 1;
+        if time.total_cmp(&self.lane_time).is_eq() {
+            self.lane.push_back(e);
+        } else {
+            self.heap.push(e);
+        }
+    }
+
+    /// Where the next event sits (`true`: the heap) and its timestamp.
+    /// On a tie the heap wins: its entry has the lower `seq`.
+    fn front(&self) -> Option<(bool, f64)> {
+        match (self.heap.peek(), self.lane.front()) {
+            (Some(h), Some(l)) if h.time.total_cmp(&l.time).is_gt() => Some((false, l.time)),
+            (Some(h), _) => Some((true, h.time)),
+            (None, l) => l.map(|l| (false, l.time)),
+        }
+    }
+
+    /// Timestamp of the next event, if any.
+    pub(crate) fn peek_time(&self) -> Option<f64> {
+        self.front().map(|(_, time)| time)
+    }
+
+    /// Removes and returns the `(time, seq)`-least event if `due` accepts
+    /// its timestamp.
+    pub(crate) fn pop_if(&mut self, due: impl FnOnce(f64) -> bool) -> Option<QueuedEvent> {
+        let (from_heap, time) = self.front()?;
+        if !due(time) {
+            return None;
+        }
+        let e = if from_heap {
+            self.heap.pop()
+        } else {
+            self.lane.pop_front()
+        }?;
+        if self.lane.is_empty() {
+            self.lane_time = e.time;
+        }
+        Some(e)
+    }
+
+    /// Events queued, heap and lane together.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len() + self.lane.len()
     }
 }
 
@@ -139,7 +228,6 @@ impl Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BinaryHeap;
 
     fn ev(time: f64, seq: u64) -> QueuedEvent {
         QueuedEvent {
@@ -171,6 +259,80 @@ mod tests {
         // -0.0 < +0.0 under total_cmp, so seq 2 fires first.
         let order: Vec<u64> = std::iter::from_fn(|| h.pop()).map(|e| e.seq).collect();
         assert_eq!(order, vec![2, 1, 0]);
+    }
+
+    /// Seeded random interleavings of push-at-now, push-later and pop
+    /// (plus the odd push into the past), with heavy timestamp ties and
+    /// both signed zeros: the heap + lane
+    /// queue must pop exactly the sequence a plain `(time, seq)` heap
+    /// pops.
+    #[test]
+    fn event_queue_pops_like_a_plain_heap() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        };
+        let times: [f64; 7] = [-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0];
+        for round in 0..200 {
+            let mut queue = EventQueue::new();
+            let mut reference = BinaryHeap::new();
+            let mut seq = 0;
+            let mut now = if round % 2 == 0 { 0.0 } else { -0.0 };
+            let mut popped = 0;
+            for _ in 0..400 {
+                let time = match next(8) {
+                    // Pop.
+                    0..=2 => {
+                        let got = queue.pop_if(|_| true);
+                        let want = reference.pop();
+                        assert_eq!(got.map(|e| e.seq), want.map(|e: QueuedEvent| e.seq));
+                        assert_eq!(queue.len(), reference.len());
+                        if let Some(e) = got {
+                            assert_eq!(e.time.to_bits(), want.unwrap().time.to_bits());
+                            now = e.time;
+                            popped += 1;
+                        }
+                        continue;
+                    }
+                    // Push at the timestamp being processed.
+                    3..=5 => now,
+                    // Push at now or later, ties likely.
+                    6 => {
+                        let later = times[next(times.len() as u64) as usize];
+                        if later.total_cmp(&now).is_ge() {
+                            later
+                        } else {
+                            now
+                        }
+                    }
+                    // Any time, even one already passed: the engine never
+                    // does this, but the order must not depend on it.
+                    _ => times[next(times.len() as u64) as usize],
+                };
+                let ev = Ev::Deliver { conn: 0 };
+                queue.push(time, ev);
+                reference.push(QueuedEvent { time, seq, ev });
+                seq += 1;
+                assert_eq!(
+                    queue.peek_time().map(f64::to_bits),
+                    reference.peek().map(|e| e.time.to_bits())
+                );
+            }
+            while let Some(want) = reference.pop() {
+                let got = queue.pop_if(|_| true).expect("queue drained early");
+                assert_eq!(
+                    (got.seq, got.time.to_bits()),
+                    (want.seq, want.time.to_bits())
+                );
+                popped += 1;
+            }
+            assert!(queue.pop_if(|_| true).is_none());
+            assert!(popped > 0);
+        }
     }
 
     #[test]
