@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use msccl_runtime::{execute, reference, RunOptions};
+use msccl_runtime::{execute, execute_in_arena, reference, ExecArena, RunOptions};
 use mscclang::{
     compile, verify, BufferKind, ChunkValue, Collective, CompileOptions, Program, ReduceOp,
 };
@@ -272,12 +272,27 @@ proptest! {
         let expected =
             reference::replay_program(&program, &inputs, chunk_elems, ReduceOp::Sum);
         let refined_elems = chunk_elems / ir.refinement;
-        let actual =
-            execute(&ir, &inputs, refined_elems, &RunOptions::default()).expect("executes");
+        let opts = RunOptions::default();
+        let actual = execute(&ir, &inputs, refined_elems, &opts).expect("executes");
         // Only compare locations the program actually wrote: replay leaves
         // unwritten outputs at 0.0 while the runtime may leave garbage-free
         // zeros too (both initialize to zero), so exact equality holds.
-        prop_assert_eq!(actual, expected);
+        prop_assert_eq!(&actual, &expected);
+        // The same program in an arena whose recycled memory and output
+        // vectors earlier all-NaN runs poisoned: any chunk read before it
+        // was loaded or written shows up as NaN, which equals nothing.
+        let mut arena = ExecArena::new(&ir, &opts);
+        let poison: Vec<Vec<f32>> = inputs.iter().map(|i| vec![f32::NAN; i.len()]).collect();
+        // Twice, so the output steal also swaps NaN vectors into the
+        // spaces that back the outputs.
+        for _ in 0..2 {
+            let (stale, _) = execute_in_arena(&ir, &poison, refined_elems, &opts, &mut arena)
+                .expect("executes");
+            arena.recycle_outputs(stale);
+        }
+        let (recycled, _) =
+            execute_in_arena(&ir, &inputs, refined_elems, &opts, &mut arena).expect("executes");
+        prop_assert_eq!(recycled, expected);
     }
 
     /// Every epoch cut the compiler emits for an arbitrary random program
