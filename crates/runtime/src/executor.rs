@@ -441,6 +441,12 @@ pub struct ExecStats {
     /// Instruction instances completed across all thread blocks and
     /// tiles — the denominator for allocations-per-step.
     pub instructions: u64,
+    /// Input elements this run copied into rank memory before
+    /// interpreting. Only input chunks some instruction reads from rank
+    /// memory are copied; every other read of the caller's input happens
+    /// in place (see [`crate::plan`]). Zero for ring allreduce, and on a
+    /// resume, which restores every space from the checkpoint instead.
+    pub input_elems_loaded: u64,
 }
 
 /// The tile pool for `ir` under `opts`: buffers sized to one maximal tile
@@ -543,13 +549,15 @@ impl fmt::Debug for ExecArena {
     }
 }
 
-/// One in this many instructions (per worker) gets a latency-histogram
-/// observation. Counting every instruction is cheap; *timing* every
-/// instruction is not — two clock reads dwarf the relaxed adds the rest
-/// of the instrumentation costs. Sampling keeps the per-op latency
-/// distribution honest while staying inside the <3% always-on budget.
-/// The first instruction of every worker is always sampled, so even a
-/// one-instruction run produces an observation per active opcode.
+/// One in this many instructions of each thread block gets a
+/// latency-histogram observation: a task samples when its own completed-
+/// instruction count is a multiple of this. Counting every instruction is
+/// cheap; *timing* every instruction is not — two clock reads dwarf the
+/// relaxed adds the rest of the instrumentation costs. Sampling keeps the
+/// per-op latency distribution honest while staying inside the <3%
+/// always-on budget. The first instruction of every thread block is
+/// always sampled (on a fresh run), so even a one-instruction run
+/// produces an observation per active opcode.
 pub(crate) const LATENCY_SAMPLE_PERIOD: u64 = 8;
 
 // The per-task diagnostic ring (`EventRing`, `Moment`) lives in
@@ -967,6 +975,8 @@ pub(crate) struct RunCtx<'r> {
     pub(crate) sched: &'r Scheduler,
     pub(crate) cancel: &'r CancelToken,
     pub(crate) memories: &'r [Arc<RankMemory>],
+    /// The caller's inputs, which pristine reads take in place.
+    pub(crate) inputs: &'r [Vec<f32>],
     pub(crate) pool: &'r Arc<TilePool>,
     pub(crate) injector: Option<&'r FaultInjector>,
     /// One [`WorkerMetrics`] per task, in flat order, when metered.
@@ -1013,9 +1023,9 @@ fn validate(run: &Run<'_>) -> Result<(), RuntimeError> {
 /// everything it can get back is a field of [`RunReport`].
 ///
 /// The run path is: validate, resolve the epoch schedule, take (or build)
-/// the arena's execution plan, load inputs into recycled rank memory,
-/// reset the plan, interpret on the worker pool, extract outputs, stash
-/// the buffers back.
+/// the arena's execution plan, load the input chunks the plan reads from
+/// memory into recycled rank memory, reset the plan, interpret on the
+/// worker pool, extract outputs, stash the buffers back.
 #[must_use]
 pub fn run(req: Run<'_>) -> RunReport {
     if let Err(e) = validate(&req) {
@@ -1034,7 +1044,6 @@ pub fn run(req: Run<'_>) -> RunReport {
     } = req;
     let collective = &ir.collective;
     let num_ranks = ir.num_ranks();
-    let in_elems = collective.in_chunks() * chunk_elems;
 
     let params = opts.protocol.params();
     let tile_elems = opts
@@ -1140,19 +1149,18 @@ pub fn run(req: Run<'_>) -> RunReport {
     // no threads at all. Workers 1.. are resident in the arena.
     workers.resize(pool_threads - 1);
 
-    // ---- Memory, loaded with the inputs. Recycled space buffers keep
-    // their warmed-up pages; the input load below completes the
-    // fresh-construction semantics `RankMemory::recycled` documents.
-    // Chunks the plan's instruction scan proves write-before-read skip
-    // even the re-zero — their stale recycled contents are unobservable.
-    // Fresh (non-recycled) construction zeroes everything anyway, so the
-    // scan is only ever run for an arena that recycles.
-    if !spares.is_empty() {
-        plan.scan_elision(counters);
-    }
-    let elide_zero = plan.elide_zero.as_deref();
+    // ---- Memory. Recycled space buffers keep their warmed-up pages.
+    // The plan's happens-before sweep decides what is left to do to
+    // them: chunks it proves written before every read skip even the
+    // re-zero, and of the input chunks only those some instruction reads
+    // from memory before writing them are loaded — every other read takes
+    // the caller's input in place, so stale recycled contents there are
+    // unobservable. A resume restores every space from the checkpoint
+    // below, so it loads nothing.
+    let mut input_elems_loaded = 0u64;
     let memories: Vec<Arc<RankMemory>> = (0..num_ranks)
         .map(|r| {
+            let elide_zero = &plan.elide_zero[r];
             let mem = RankMemory::recycled_skipping(
                 collective,
                 r,
@@ -1160,15 +1168,20 @@ pub fn run(req: Run<'_>) -> RunReport {
                 chunk_elems,
                 spares.pop().unwrap_or_default(),
                 |space, c| {
-                    elide_zero
-                        .and_then(|e| e[r][space_slot(space)].get(c).copied())
+                    elide_zero[space_slot(space)]
+                        .get(c)
+                        .copied()
                         .unwrap_or(false)
                 },
             );
             // The alias map is affine in the chunk index: a rank's input
             // chunks are one contiguous range of one space.
-            if in_elems > 0 {
-                mem.write_at(plan.input_at[r], 0, &inputs[r]);
+            if resume.is_none() {
+                for load in &plan.input_loads[r] {
+                    let elems = load.start * chunk_elems..load.end * chunk_elems;
+                    input_elems_loaded += elems.len() as u64;
+                    mem.write_at(plan.input_at[r].plus(load.start), 0, &inputs[r][elems]);
+                }
             }
             Arc::new(mem)
         })
@@ -1186,9 +1199,8 @@ pub fn run(req: Run<'_>) -> RunReport {
     let start_total: u64 = start_targets.iter().flatten().sum();
     if let Some(cp) = &resume {
         // The snapshot was taken at a consistent cut: restoring every
-        // rank's spaces over the freshly loaded inputs reproduces the
-        // complete distributed state at that cut (FIFOs were drained,
-        // so memory is all there was).
+        // rank's spaces reproduces the complete distributed state at
+        // that cut (FIFOs were drained, so memory is all there was).
         for (mem, snap) in memories.iter().zip(cp.memories.iter()) {
             mem.restore_from(snap);
         }
@@ -1265,6 +1277,7 @@ pub fn run(req: Run<'_>) -> RunReport {
         sched: &plan.sched,
         cancel: &plan.cancel,
         memories: &memories,
+        inputs,
         pool,
         injector,
         metrics: run_metrics.map(|m| &m.workers[..]),
@@ -1368,6 +1381,7 @@ pub fn run(req: Run<'_>) -> RunReport {
             free: pool_now.free,
         },
         instructions,
+        input_elems_loaded,
     };
     // Scrape model: counters are always recorded, but folding them into
     // a snapshot (key clones, shard sums) happens only for callers that
@@ -2043,7 +2057,7 @@ mod tests {
     /// A plan hit rebuilds nothing: over 100 warm runs — changing inputs,
     /// chunk size, tile size and metering, none of which is part of the
     /// plan's shape — the arena builds no plan (so runs no lowering, no
-    /// `HashMap`, no `TbTask::new`), scans no elision bitmap, spawns no
+    /// `HashMap`, no `TbTask::new`, no happens-before sweep), spawns no
     /// thread and never asks the OS for its parallelism again.
     #[test]
     fn warm_runs_build_no_plan_and_spawn_no_thread() {
@@ -2067,20 +2081,18 @@ mod tests {
             .unwrap();
             arena.recycle_outputs(outputs);
         };
-        // Cold: the plan is built; fresh memories need no elision scan.
+        // Cold: the plan is built, with its one sweep per rank.
         run(&mut arena, 0, 32, &opts);
         assert_eq!(
             arena.counters,
             PlanCounters {
                 plans_built: 1,
-                elision_scans: 0,
+                elision_scans: ir.num_ranks() as u64,
                 tasks_built: ir.num_threadblocks() as u64,
             }
         );
-        // First recycling run: the scan, once per rank, for good.
         run(&mut arena, 1, 32, &opts);
         let warm = arena.counters;
-        assert_eq!(warm.elision_scans, ir.num_ranks() as u64);
         assert_eq!(arena.workers.spawned(), pool as u64 - 1);
         let probes = crate::plan::HOST_PARALLELISM_PROBES.load(Ordering::Relaxed);
         assert_eq!(probes, 1, "the OS is asked once per process");
@@ -2219,6 +2231,93 @@ mod tests {
         let (second, _) = execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena).unwrap();
         assert_eq!(fresh, second);
         assert_eq!(arena.snaps.len(), ir.num_ranks());
+    }
+
+    /// Epoch resume from a checkpoint cut before the first write of input
+    /// elements the plan never loads. Two all-NaN runs leave NaN in the
+    /// arena's recycled rank memory; a dropped delivery in the last tile
+    /// hangs the next run after its second boundary, which closes the
+    /// second of four tiles, so the checkpoint holds those stale bytes
+    /// wherever the last two tiles have not written yet. The resumed
+    /// attempt's pristine reads take the caller's input instead:
+    /// bit-exact with a clean run, nothing loaded.
+    #[test]
+    fn resume_before_a_skipped_chunks_first_write_is_bit_exact() {
+        use msccl_faults::{FaultKind, FaultPlan, FaultSite, FaultSpec};
+        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
+        let ir = compile(&p, &CompileOptions::default()).unwrap();
+        let (chunk_elems, tile_elems, num_tiles) = (8, 2, 4);
+        // Boundaries after the first and the second tile.
+        let opts = RunOptions {
+            tile_elems: Some(tile_elems),
+            epochs: EpochMode::Count(2),
+            timeout: Duration::from_millis(400),
+            ..RunOptions::default()
+        };
+        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 47);
+        let clean = execute(&ir, &inputs, chunk_elems, &opts).unwrap();
+        let mut arena = ExecArena::new(&ir, &opts);
+        let poison: Vec<Vec<f32>> = inputs.iter().map(|i| vec![f32::NAN; i.len()]).collect();
+        for _ in 0..2 {
+            let (stale, _) =
+                execute_in_arena(&ir, &poison, chunk_elems, &opts, &mut arena).unwrap();
+            arena.recycle_outputs(stale);
+        }
+
+        let tb = &ir.gpus[0].threadblocks[0];
+        let sends_per_tile = tb.instructions.iter().filter(|i| i.op.has_send()).count() as u64;
+        let faults = FaultPlan {
+            seed: 0,
+            specs: vec![FaultSpec {
+                site: FaultSite::Delivery {
+                    src: 0,
+                    dst: tb.send_peer.unwrap(),
+                    channel: tb.channel,
+                    seq: (num_tiles - 1) * sends_per_tile,
+                },
+                kind: FaultKind::DropDelivery,
+            }],
+        };
+        let injector = FaultInjector::new(&faults);
+        let hung = run(Run {
+            arena: Some(&mut arena),
+            injector: Some(&injector),
+            ..Run::new(&ir, &inputs, chunk_elems, &opts)
+        });
+        assert!(
+            matches!(hung.result, Err(RuntimeError::Hang { .. })),
+            "{:?}",
+            hung.result
+        );
+        assert_eq!(hung.stats.input_elems_loaded, 0);
+        let checkpoint = hung.epochs.checkpoint.expect("both boundaries published");
+        assert_eq!(checkpoint.boundary(), 1);
+        let snap = RankMemory::new(&ir.collective, 0, 0, chunk_elems);
+        snap.restore_from(&checkpoint.memories[0]);
+        let input_at = crate::memory::Loc::of(&ir.collective, 0, mscclang::BufferKind::Input, 0);
+        for c in 0..ir.collective.in_chunks() {
+            let mut chunk = vec![0.0; chunk_elems];
+            snap.read_into_at(input_at.plus(c), 0, &mut chunk);
+            let (done, last) = chunk.split_at(2 * tile_elems);
+            assert!(
+                done.iter().all(|x| x.is_finite()) && last.iter().all(|x| x.is_nan()),
+                "rank 0 input chunk {c} at the cut: {chunk:?}"
+            );
+        }
+
+        let resumed = run(Run {
+            arena: Some(&mut arena),
+            resume: Some(checkpoint),
+            ..Run::new(&ir, &inputs, chunk_elems, &opts)
+        });
+        assert_eq!(resumed.stats.input_elems_loaded, 0);
+        assert!(resumed.epochs.steps_resumed > 0);
+        let outputs = resumed.result.unwrap();
+        for (a, b) in clean.iter().zip(&outputs) {
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
     }
 
     /// A resume checkpoint is only honored against the exact schedule it

@@ -112,11 +112,14 @@ impl RankMemory {
 
     /// Like [`new`](RankMemory::new) but reusing `spare`'s allocations.
     ///
-    /// Observable state is identical to a fresh construction *provided
-    /// the caller loads every input chunk before execution starts* (as
-    /// the executor does): chunk slots that are not the image of an
-    /// input chunk are zeroed here, and input-covered slots keep their
-    /// stale contents only because the input load overwrites them.
+    /// Chunk slots that are not the image of an input chunk are zeroed
+    /// here; input-covered slots keep their stale contents. Observable
+    /// state is therefore identical to a fresh construction *provided no
+    /// input-covered slot is read before something writes it, unless the
+    /// caller loaded it first*. The executor guarantees exactly that: it
+    /// loads the input chunks the execution plan's happens-before sweep
+    /// says are read from memory, and every other read of an input chunk
+    /// either takes the caller's input in place or follows a write.
     #[must_use]
     pub fn recycled(
         collective: &Collective,
@@ -139,8 +142,9 @@ impl RankMemory {
     /// re-zero of every chunk slot for which `overwritten(space, chunk)`
     /// holds. The caller vouches that the program fully overwrites such a
     /// chunk before ever reading it (see the execution plan's per-rank
-    /// instruction scan), so its stale recycled contents are unobservable
-    /// — the same argument that lets input-covered slots skip the zero.
+    /// happens-before sweep), so its stale recycled contents are
+    /// unobservable — the same argument that lets input-covered slots
+    /// skip the zero.
     /// Only the recycled path consults the predicate; fresh allocations
     /// are zero by construction.
     #[must_use]
@@ -154,7 +158,8 @@ impl RankMemory {
     ) -> Self {
         let data_chunks = collective.space_size(Space::Data).unwrap_or(0);
         let output_chunks = collective.space_size(Space::Output).unwrap_or(0);
-        // Which chunk slots the input load will overwrite.
+        // Input-covered chunk slots: the caller loads them or never reads
+        // them before a write (see `recycled`), so they keep their bytes.
         let mut covered_data = vec![false; data_chunks];
         let mut covered_output = vec![false; output_chunks];
         for i in 0..collective.in_chunks() {
@@ -402,42 +407,21 @@ impl RankMemory {
         );
     }
 
-    /// Merges a received tile into memory and leaves the merged values in
-    /// both places: `mem[i] = op(mem[i], tile[i]); tile[i] = mem[i]` —
-    /// the `rrc`/`rrcs` merge, reusing the tile for any follow-on send.
-    pub(crate) fn reduce_merge_at(
+    /// Hands `f` the element range `[elem_off, elem_off + len)` of the
+    /// chunk at `loc`, under the space's read lock.
+    pub(crate) fn read_with_at(
         &self,
         loc: Loc,
         elem_off: usize,
-        tile: &mut [f32],
-        op: ReduceOp,
-    ) {
-        let (space, start) = self.resolve(loc, elem_off);
-        let mut guard = self
-            .space(space)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mem = &mut guard[start..start + tile.len()];
-        kernels::reduce_into_slice(op, mem, tile);
-        tile.copy_from_slice(mem);
-    }
-
-    /// Folds local memory into a received tile without writing memory:
-    /// `tile[i] = op(mem[i], tile[i])` — the `rrs` merge, which forwards
-    /// the combined value but keeps the local buffer untouched.
-    pub(crate) fn combine_read_at(
-        &self,
-        loc: Loc,
-        elem_off: usize,
-        tile: &mut [f32],
-        op: ReduceOp,
+        len: usize,
+        f: impl FnOnce(&[f32]),
     ) {
         let (space, start) = self.resolve(loc, elem_off);
         let guard = self
             .space(space)
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        kernels::reduce_from_slice(op, tile, &guard[start..start + tile.len()]);
+        f(&guard[start..start + len]);
     }
 }
 
@@ -517,26 +501,13 @@ mod tests {
     }
 
     #[test]
-    fn reduce_merge_updates_memory_and_tile() {
+    fn read_with_lends_the_range_without_copying_it_out() {
         let coll = Collective::all_reduce(2, 1, true);
-        let mem = RankMemory::new(&coll, 0, 0, 2);
+        let mem = RankMemory::new(&coll, 0, 0, 4);
         let at = Loc::of(&coll, 0, BufferKind::Input, 0);
-        mem.write_at(at, 0, &[1.0, 2.0]);
-        let mut tile = [10.0, 20.0];
-        mem.reduce_merge_at(at, 0, &mut tile, ReduceOp::Sum);
-        assert_eq!(tile, [11.0, 22.0]);
-        assert_eq!(read(&mem, at, 0, 2), vec![11.0, 22.0]);
-    }
-
-    #[test]
-    fn combine_read_folds_without_writing_memory() {
-        let coll = Collective::all_reduce(2, 1, true);
-        let mem = RankMemory::new(&coll, 0, 0, 2);
-        let at = Loc::of(&coll, 0, BufferKind::Input, 0);
-        mem.write_at(at, 0, &[1.0, 2.0]);
-        let mut tile = [10.0, 20.0];
-        mem.combine_read_at(at, 0, &mut tile, ReduceOp::Sum);
-        assert_eq!(tile, [11.0, 22.0]);
-        assert_eq!(read(&mem, at, 0, 2), vec![1.0, 2.0]);
+        mem.write_at(at, 0, &[1.0, 2.0, 3.0, 4.0]);
+        let mut seen = Vec::new();
+        mem.read_with_at(at, 1, 2, |s| seen.extend_from_slice(s));
+        assert_eq!(seen, vec![2.0, 3.0]);
     }
 }

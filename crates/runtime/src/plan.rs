@@ -10,9 +10,12 @@
 //! assigns dense connection and task indices, and allocates what every
 //! run needs in the same shape: FIFOs, semaphores, the tasks, the
 //! scheduler with its queues and wait slots, the cancel token, and — each
-//! on first use — the write-before-read zero-elision bitmaps, metric
-//! handles and flight rings. A run on a matching plan is [`ExecPlan::reset`],
-//! load inputs, interpret, extract.
+//! on first use — metric handles and flight rings. One happens-before
+//! sweep per rank (see [`sweep_rank`]) decides which reads take the
+//! caller's input in place, which input chunks still have to be loaded
+//! into rank memory, and which chunks a recycled memory may leave
+//! un-zeroed. A run on a matching plan is [`ExecPlan::reset`], load what
+//! the sweep left to load, interpret, extract.
 //!
 //! **The match rule** is by content, never by address: the plan keeps
 //! its own copy of the IR and a hit requires `plan.ir == *ir`, the same
@@ -24,9 +27,10 @@
 //! arena keeps hitting.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use mscclang::{BufferKind, Collective, IrProgram, OpCode, Space};
+use mscclang::{BufferKind, IrInstruction, IrLoc, IrProgram, OpCode, Space};
 
 use crate::cancel::CancelToken;
 use crate::executor::ArenaMetrics;
@@ -81,13 +85,27 @@ pub(crate) struct Dep {
     pub(crate) step: u64,
 }
 
+/// Where a tile helper reads an operand from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// Rank memory, from this location on.
+    Memory(Loc),
+    /// The caller's `inputs[rank]`, in place, from this input chunk on.
+    Input(usize),
+}
+
 /// One instruction, lowered.
 pub(crate) struct Instr {
     pub(crate) op: OpCode,
     pub(crate) count: usize,
     pub(crate) has_dep: bool,
+    /// The rank-memory operands, resolved through the alias map.
     pub(crate) src: Option<Loc>,
     pub(crate) dst: Option<Loc>,
+    /// Where the tile helpers read from: the `src` of `s` and `rrs`, the
+    /// read half of the `dst` of `rrc` and `rrcs`. `None` for every other
+    /// opcode (`cpy` and `re` read rank memory through `src`/`dst`).
+    pub(crate) read: Option<Source>,
     pub(crate) deps: Box<[Dep]>,
 }
 
@@ -114,7 +132,7 @@ pub(crate) struct TbPlan {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PlanCounters {
     pub(crate) plans_built: u64,
-    /// Per-rank [`overwrite_only_chunks`] scans.
+    /// Per-rank [`sweep_rank`] sweeps: one per rank per plan built.
     pub(crate) elision_scans: u64,
     pub(crate) tasks_built: u64,
 }
@@ -130,12 +148,15 @@ pub(crate) struct ExecPlan {
     /// `(src rank, dst rank, channel)` per connection index.
     pub(crate) conns: Vec<(usize, usize, usize)>,
     /// Per rank, `[Data, Output, Scratch]` bitmaps of chunks a recycled
-    /// memory may keep stale (see [`overwrite_only_chunks`]). Scanned by
-    /// the first run that recycles: a throwaway plan's fresh memories
-    /// are zero by construction and never ask.
-    pub(crate) elide_zero: Option<Vec<[Vec<bool>; 3]>>,
+    /// memory may keep stale (see [`sweep_rank`]). A throwaway plan's
+    /// fresh memories are zero by construction and never ask.
+    pub(crate) elide_zero: Vec<[Vec<bool>; 3]>,
     /// Per rank, where input chunk 0 lives.
     pub(crate) input_at: Vec<Loc>,
+    /// Per rank, the runs of input chunks a run copies into rank memory
+    /// before interpreting: those some read still takes from memory
+    /// (see [`sweep_rank`]). Every other input chunk is read in place.
+    pub(crate) input_loads: Vec<Vec<Range<usize>>>,
     /// Per rank, where output chunk 0 lives, and whether the output is
     /// that whole space — in which case extraction steals the backing
     /// vector instead of copying out of it.
@@ -198,49 +219,72 @@ impl ExecPlan {
             ConnEnd { peer, channel, idx }
         };
 
-        let lower = |rank: usize, loc: Option<mscclang::IrLoc>| {
+        let num_ranks = ir.num_ranks();
+        let input_at: Vec<Loc> = (0..num_ranks)
+            .map(|r| Loc::of(collective, r, BufferKind::Input, 0))
+            .collect();
+        let sweeps: Vec<RankSweep> = (0..num_ranks).map(|r| sweep_rank(ir, r)).collect();
+        counters.elision_scans += num_ranks as u64;
+
+        let lower = |rank: usize, loc: Option<IrLoc>| {
             loc.map(|l| Loc::of(collective, rank, l.buffer, l.index))
         };
         let mut tbs = Vec::with_capacity(num_tasks);
-        for (flat, (rank, tb)) in blocks().enumerate() {
-            let send = tb.send_peer.map(|p| conn_end(rank, p, tb.channel, p));
-            let recv = tb.recv_peer.map(|p| conn_end(p, rank, tb.channel, p));
-            let instrs = tb
-                .instructions
-                .iter()
-                .map(|i| Instr {
-                    op: i.op,
-                    count: i.count,
-                    has_dep: i.has_dep,
-                    src: lower(rank, i.src),
-                    dst: lower(rank, i.dst),
-                    deps: i
-                        .deps
-                        .iter()
-                        .map(|d| {
-                            let &(dep_flat, len) = flat_of
-                                .get(&(rank, d.tb))
-                                .expect("dependency names a thread block of its own rank");
-                            if !sem_waiters[dep_flat].contains(&flat) {
-                                sem_waiters[dep_flat].push(flat);
-                            }
-                            Dep {
-                                flat: dep_flat,
-                                len,
-                                tb: d.tb,
-                                step: d.step as u64,
-                            }
-                        })
-                        .collect(),
-                })
-                .collect();
-            tbs.push(TbPlan {
-                rank,
-                tb_id: tb.id,
-                send,
-                recv,
-                instrs,
-            });
+        for g in &ir.gpus {
+            let rank = g.rank;
+            // The sweep's verdicts, in the same (tb, step) order.
+            let mut in_place = sweeps[rank].in_place.iter();
+            for tb in &g.threadblocks {
+                let flat = tbs.len();
+                let send = tb.send_peer.map(|p| conn_end(rank, p, tb.channel, p));
+                let recv = tb.recv_peer.map(|p| conn_end(p, rank, tb.channel, p));
+                let instrs = tb
+                    .instructions
+                    .iter()
+                    .map(|i| {
+                        let pristine = in_place.next() == Some(&true);
+                        Instr {
+                            op: i.op,
+                            count: i.count,
+                            has_dep: i.has_dep,
+                            src: lower(rank, i.src),
+                            dst: lower(rank, i.dst),
+                            read: lower(rank, read_operand(i)).map(|loc| {
+                                if pristine {
+                                    Source::Input(loc.chunk - input_at[rank].chunk)
+                                } else {
+                                    Source::Memory(loc)
+                                }
+                            }),
+                            deps: i
+                                .deps
+                                .iter()
+                                .map(|d| {
+                                    let &(dep_flat, len) = flat_of
+                                        .get(&(rank, d.tb))
+                                        .expect("dependency names a thread block of its own rank");
+                                    if !sem_waiters[dep_flat].contains(&flat) {
+                                        sem_waiters[dep_flat].push(flat);
+                                    }
+                                    Dep {
+                                        flat: dep_flat,
+                                        len,
+                                        tb: d.tb,
+                                        step: d.step as u64,
+                                    }
+                                })
+                                .collect(),
+                        }
+                    })
+                    .collect();
+                tbs.push(TbPlan {
+                    rank,
+                    tb_id: tb.id,
+                    send,
+                    recv,
+                    instrs,
+                });
+            }
         }
         let mut waiters = Waiters {
             recv: vec![Vec::new(); conns.len()],
@@ -256,23 +300,25 @@ impl ExecPlan {
             }
         }
 
-        let num_ranks = ir.num_ranks();
         counters.plans_built += 1;
         counters.tasks_built += tbs.len() as u64;
         let out_chunks = collective.out_chunks();
         let sched = Scheduler::new(pool_threads, tbs.len(), waiters);
         // Cancellation from anywhere wakes every parked worker at once.
         let cancel = CancelToken::new(Arc::clone(&sched.parker));
+        let (elide_zero, input_loads) = sweeps
+            .into_iter()
+            .map(|s| (s.elide_zero, runs_of(&s.load)))
+            .unzip();
         Self {
             ir: ir.clone(),
             num_slots,
             pool_threads,
             fifos: conns.iter().map(|_| Fifo::new(num_slots)).collect(),
             conns,
-            elide_zero: None,
-            input_at: (0..num_ranks)
-                .map(|r| Loc::of(collective, r, BufferKind::Input, 0))
-                .collect(),
+            elide_zero,
+            input_at,
+            input_loads,
             output_at: (0..num_ranks)
                 .map(|r| {
                     let at = Loc::of(collective, r, BufferKind::Output, 0);
@@ -293,19 +339,6 @@ impl ExecPlan {
             cancel,
             metrics: None,
             flight: None,
-        }
-    }
-
-    /// Runs the zero-elision scan if no earlier run of this plan has.
-    pub(crate) fn scan_elision(&mut self, counters: &mut PlanCounters) {
-        if self.elide_zero.is_none() {
-            let ir = &self.ir;
-            counters.elision_scans += ir.num_ranks() as u64;
-            self.elide_zero = Some(
-                (0..ir.num_ranks())
-                    .map(|r| overwrite_only_chunks(ir, &ir.collective, r))
-                    .collect(),
-            );
         }
     }
 
@@ -357,30 +390,70 @@ pub(crate) fn space_slot(space: Space) -> usize {
     }
 }
 
-/// Per-space bitmap of `rank`'s chunks that the program provably fully
-/// overwrites before ever reading — `[Data, Output, Scratch]`, indexed by
-/// [`space_slot`].
+/// The operand whose reads go through the tile helpers, and so may take
+/// the caller's input in place: the `src` of `s` and `rrs`, the `dst` of
+/// `rrc` and `rrcs` (their read half).
+fn read_operand(instr: &IrInstruction) -> Option<IrLoc> {
+    match instr.op {
+        OpCode::Send | OpCode::RecvReduceSend => instr.src,
+        OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => instr.dst,
+        _ => None,
+    }
+}
+
+/// What one happens-before sweep over a rank's instructions decides.
+struct RankSweep {
+    /// `[Data, Output, Scratch]` bitmaps, indexed by [`space_slot`], of
+    /// chunks a recycled memory may keep stale instead of re-zeroing.
+    elide_zero: [Vec<bool>; 3],
+    /// Per instruction, in `(tb, step)` order: whether its read operand
+    /// (see [`Instr::read`]) reads the caller's input in place.
+    in_place: Vec<bool>,
+    /// Per input chunk: whether a run must still copy it into rank memory.
+    load: Vec<bool>,
+}
+
+/// The one per-rank sweep of the plan: strict-ancestor bitsets over the
+/// rank's happens-before relation — program order within a thread block
+/// plus the IR's cross-block dep edges — and three verdicts read off
+/// them. Dep semaphore targets are per tile (`tile * len + step + 1`),
+/// and distinct tiles touch disjoint element ranges, so instruction-level
+/// order is exactly per-element order. Orderings that exist only through
+/// a cross-rank FIFO round trip are not modeled; every verdict below errs
+/// towards the slower, always-sound choice when they would be needed. A
+/// dep cycle (malformed hand-built IR that could not run anyway) keeps
+/// every re-zero a read could observe, reads nothing in place and loads
+/// every input chunk.
 ///
-/// A chunk qualifies when it is the destination of at least one
-/// plain-overwrite instruction (`r`, `cpy`, `rcs` — each writes its full
-/// destination chunks, since the tile loop spans `chunk_elems`) and
-/// every read of it — source of any instruction, or destination of a
-/// reduce-family instruction (read-modify-write) — is ordered *after*
-/// one of those overwrites by the rank's own happens-before relation:
-/// program order within a thread block plus the IR's cross-block dep
-/// edges. Dep semaphore targets are per-tile (`tile * len + step + 1`),
-/// and distinct tiles touch disjoint element ranges, so instruction-
-/// level reachability is exactly the per-element guarantee. Orderings
-/// that exist only through a cross-rank FIFO round trip are not modeled
-/// — such chunks conservatively keep their re-zero.
+/// **Zero elision.** A chunk may skip its re-zero when it is the
+/// destination of at least one plain overwrite (`r`, `cpy`, `rcs` — each
+/// writes its full destination chunks, since the tile loop spans
+/// `chunk_elems`) and every read of it — any source, or the destination
+/// of a reduce-family instruction (read-modify-write) — is ordered after
+/// one of those overwrites.
 ///
-/// Stale recycled data in a qualifying chunk is unobservable — output
-/// extraction runs only after every instruction completed, failed runs
-/// never extract, and epoch resume overwrites every space in full — so
-/// [`RankMemory::recycled_skipping`](crate::RankMemory::recycled_skipping)
-/// can keep it instead of re-zeroing. A pure function of the IR: the
-/// plan runs it once per rank.
-fn overwrite_only_chunks(ir: &IrProgram, collective: &Collective, rank: usize) -> [Vec<bool>; 3] {
+/// **Reads in place.** A read of input chunk *c* by instruction X is
+/// *pristine* when every other write W of *c* has X → W: no write of
+/// those elements can precede X, so rank memory would hold exactly the
+/// caller's input there. The `src` of `s` and `rrs` and the read half of
+/// `rrc` and `rrcs` then read `inputs[rank]` instead, when all `count`
+/// chunks of the operand are pristine. `cpy` and `re` keep reading rank
+/// memory.
+///
+/// **The load.** Input chunk *c* is still copied into rank memory when
+/// some read of it that does not take the input in place has no write
+/// of *c* ordered before it, or when *c* lies in the rank's output range
+/// and nothing writes it.
+///
+/// Stale recycled data in a chunk that skips its re-zero or its load is
+/// unobservable: every read of it is preceded by a write or takes the
+/// input; output extraction runs only after every instruction completed;
+/// failed runs never extract; and epoch resume overwrites every space in
+/// full, while a consistent cut that contains a write also contains every
+/// read ordered before it — so a pristine read after the cut still sees
+/// the untouched input. A pure function of the IR.
+fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
+    let collective = &ir.collective;
     let gpu = ir.gpu(rank);
     let sizes = [
         collective.space_size(Space::Data).unwrap_or(0),
@@ -395,34 +468,49 @@ fn overwrite_only_chunks(ir: &IrProgram, collective: &Collective, rank: usize) -
         n += tb.instructions.len();
     }
 
-    // Which nodes overwrite / read each chunk.
-    let mut writes: [Vec<Vec<u32>>; 3] = sizes.map(|s| vec![Vec::new(); s]);
+    // Per chunk, the nodes that write it (flagged when the write is a
+    // plain overwrite) and the nodes that read it; per node, the operand
+    // it may read in place.
+    let mut writes: [Vec<Vec<(u32, bool)>>; 3] = sizes.map(|s| vec![Vec::new(); s]);
     let mut reads: [Vec<Vec<u32>>; 3] = sizes.map(|s| vec![Vec::new(); s]);
+    let mut candidates: Vec<Option<(Loc, usize)>> = Vec::with_capacity(n);
     for (t, tb) in gpu.threadblocks.iter().enumerate() {
         for (s, instr) in tb.instructions.iter().enumerate() {
             let node = (offsets[t] + s) as u32;
-            let mark = |sets: &mut [Vec<Vec<u32>>; 3], loc: Option<mscclang::IrLoc>| {
-                let Some(loc) = loc else { return };
-                for i in 0..instr.count {
-                    let (space, off) = collective.space_of(rank, loc.buffer, loc.index + i);
-                    if let Some(list) = sets[space_slot(space)].get_mut(off) {
-                        list.push(node);
+            let chunks = |loc: Option<IrLoc>| {
+                loc.into_iter().flat_map(move |l| {
+                    (0..instr.count).map(move |i| {
+                        let (space, off) = collective.space_of(rank, l.buffer, l.index + i);
+                        (space_slot(space), off)
+                    })
+                })
+            };
+            let (src, dst) = (instr.src, instr.dst);
+            candidates.push(
+                read_operand(instr)
+                    .map(|l| (Loc::of(collective, rank, l.buffer, l.index), instr.count)),
+            );
+            // The operands read, and whether dst is written (`true`: a
+            // plain overwrite, `false`: read-modify-write).
+            let (read, overwrite) = match instr.op {
+                OpCode::Nop => ([None, None], None),
+                OpCode::Recv | OpCode::RecvCopySend => ([None, None], Some(true)),
+                OpCode::Copy => ([src, None], Some(true)),
+                OpCode::Send | OpCode::RecvReduceSend => ([src, None], None),
+                OpCode::Reduce => ([src, dst], Some(false)),
+                OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => ([dst, None], Some(false)),
+            };
+            for (slot, off) in read.into_iter().flat_map(chunks) {
+                if let Some(list) = reads[slot].get_mut(off) {
+                    list.push(node);
+                }
+            }
+            if let Some(overwrite) = overwrite {
+                for (slot, off) in chunks(dst) {
+                    if let Some(list) = writes[slot].get_mut(off) {
+                        list.push((node, overwrite));
                     }
                 }
-            };
-            match instr.op {
-                OpCode::Nop => {}
-                OpCode::Recv | OpCode::RecvCopySend => mark(&mut writes, instr.dst),
-                OpCode::Copy => {
-                    mark(&mut reads, instr.src);
-                    mark(&mut writes, instr.dst);
-                }
-                OpCode::Send | OpCode::RecvReduceSend => mark(&mut reads, instr.src),
-                OpCode::Reduce => {
-                    mark(&mut reads, instr.src);
-                    mark(&mut reads, instr.dst);
-                }
-                OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => mark(&mut reads, instr.dst),
             }
         }
     }
@@ -477,47 +565,102 @@ fn overwrite_only_chunks(ir: &IrProgram, collective: &Collective, rank: usize) -
             }
         }
     }
-    // A dep cycle (malformed hand-built IR — it could not execute anyway)
-    // degrades to the sound special case: only never-read chunks skip.
     let acyclic = processed == n;
-    let ordered_after_write = |r: u32, ws: &[u32]| -> bool {
-        let base = r as usize * words;
+    // Whether `a` happens before `b`; whether some write in `ws` (only
+    // plain overwrites, if `plain_only`) happens before read `r`.
+    let before = |a: u32, b: u32| anc[b as usize * words + a as usize / 64] >> (a % 64) & 1 == 1;
+    let written_before = |r: u32, ws: &[(u32, bool)], plain_only: bool| {
         ws.iter()
-            .any(|&w| anc[base + w as usize / 64] >> (w % 64) & 1 == 1)
+            .any(|&(w, plain)| (plain || !plain_only) && before(w, r))
     };
 
-    let mut skip = sizes.map(|s| vec![false; s]);
+    let mut elide_zero = sizes.map(|s| vec![false; s]);
     for slot in 0..3 {
         for off in 0..sizes[slot] {
             let (ws, rs) = (&writes[slot][off], &reads[slot][off]);
-            skip[slot][off] = !ws.is_empty()
+            elide_zero[slot][off] = ws.iter().any(|&(_, plain)| plain)
                 && if acyclic {
-                    rs.iter().all(|&r| ordered_after_write(r, ws))
+                    rs.iter().all(|&r| written_before(r, ws, true))
                 } else {
                     rs.is_empty()
                 };
         }
     }
-    skip
+
+    let input = Loc::of(collective, rank, BufferKind::Input, 0);
+    let in_chunks = collective.in_chunks();
+    let in_slot = space_slot(input.space);
+    let in_place: Vec<bool> = candidates
+        .iter()
+        .enumerate()
+        .map(|(x, candidate)| {
+            let Some((loc, count)) = *candidate else {
+                return false;
+            };
+            let x = x as u32;
+            acyclic
+                && loc.space == input.space
+                && loc.chunk >= input.chunk
+                && loc.chunk + count <= input.chunk + in_chunks
+                && (loc.chunk..loc.chunk + count).all(|off| {
+                    writes[in_slot][off]
+                        .iter()
+                        .all(|&(w, _)| w == x || before(x, w))
+                })
+        })
+        .collect();
+
+    let output = Loc::of(collective, rank, BufferKind::Output, 0);
+    let outputs = output.chunk..output.chunk + collective.out_chunks();
+    let load = (input.chunk..input.chunk + in_chunks)
+        .map(|off| {
+            let (ws, rs) = (&writes[in_slot][off], &reads[in_slot][off]);
+            !acyclic
+                || (ws.is_empty() && output.space == input.space && outputs.contains(&off))
+                || rs
+                    .iter()
+                    .any(|&r| !in_place[r as usize] && !written_before(r, ws, false))
+        })
+        .collect();
+    RankSweep {
+        elide_zero,
+        in_place,
+        load,
+    }
+}
+
+/// The maximal runs of `true` in `bits`, as index ranges.
+fn runs_of(bits: &[bool]) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for i in (0..bits.len()).filter(|&i| bits[i]) {
+        match runs.last_mut() {
+            Some(run) if run.end == i => run.end += 1,
+            _ => runs.push(i..i + 1),
+        }
+    }
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mscclang::{compile, CompileOptions};
+    use mscclang::{compile, Collective, CompileOptions};
+
+    fn compiled(p: &mscclang::Program) -> IrProgram {
+        compile(p, &CompileOptions::default()).unwrap()
+    }
 
     /// Recursive-doubling allgather(4): every chunk a rank *receives* is
     /// provably overwritten before any read of it. The round-2 send of
     /// the round-1 chunk reads it, but only behind the dep edge on the
     /// round-1 recv — the happens-before sweep must see through that
     /// edge instead of conservatively re-zeroing the chunk. The rank's
-    /// own chunk is never elided (the input load covers it instead).
+    /// own chunk is never elided: it is input, and the sweep loads it.
     #[test]
     fn rd_allgather_elides_every_received_chunk() {
-        let p = msccl_algos::recursive_doubling_all_gather(4).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
+        let ir = compiled(&msccl_algos::recursive_doubling_all_gather(4).unwrap());
         for r in 0..4 {
-            let skip = overwrite_only_chunks(&ir, &ir.collective, r);
+            let skip = &sweep_rank(&ir, r).elide_zero;
             let want: Vec<bool> = (0..4).map(|c| c != r).collect();
             assert_eq!(skip[0], want, "rank {r} data-space elision");
         }
@@ -525,20 +668,139 @@ mod tests {
 
     /// Ring allreduce reduces in place — every data chunk is the target
     /// of read-modify-write reduce steps with no prior overwrite, so
-    /// nothing may skip its re-zero (the input load covers the chunks
-    /// instead; this guards against the analysis ever treating a reduce
-    /// destination as a plain overwrite).
+    /// nothing may skip its re-zero (this guards against the analysis
+    /// ever treating a reduce destination as a plain overwrite).
     #[test]
     fn ring_allreduce_elides_nothing() {
-        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
+        let ir = compiled(&msccl_algos::ring_all_reduce(4, 1).unwrap());
         for r in 0..4 {
-            let skip = overwrite_only_chunks(&ir, &ir.collective, r);
+            let skip = &sweep_rank(&ir, r).elide_zero;
             assert!(
                 skip[0].iter().all(|&s| !s),
                 "rank {r}: reduce-target chunks must keep their re-zero, got {:?}",
                 skip[0]
             );
+        }
+    }
+
+    /// Ring allreduce reads every input chunk exactly once, before any
+    /// write of it, through a send, a receive-reduce-send or the final
+    /// receive-reduce-copy-send: every such operand reads the caller's
+    /// input in place and no chunk is loaded.
+    #[test]
+    fn ring_allreduce_loads_nothing_and_reads_the_input_in_place() {
+        for ranks in [4, 16] {
+            let ir = compiled(&msccl_algos::ring_all_reduce(ranks, 1).unwrap());
+            let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default());
+            assert!(
+                plan.input_loads.iter().all(Vec::is_empty),
+                "ring({ranks}) loads {:?}",
+                plan.input_loads
+            );
+            let mut readers = 0;
+            for instr in plan.tbs.iter().flat_map(|tb| tb.instrs.iter()) {
+                if let Some(read) = instr.read {
+                    readers += 1;
+                    assert!(
+                        matches!(read, Source::Input(_)),
+                        "ring({ranks}) {:?} reads {read:?}",
+                        instr.op
+                    );
+                }
+            }
+            assert!(readers >= ranks * ranks, "ring({ranks}): {readers} readers");
+        }
+    }
+
+    /// In-place recursive-doubling allgather: a rank's own chunk is
+    /// output and nothing writes it, so it is the one chunk loaded.
+    #[test]
+    fn in_place_allgather_loads_exactly_its_own_chunk() {
+        let ir = compiled(&msccl_algos::recursive_doubling_all_gather(8).unwrap());
+        assert!(ir.collective.inplace());
+        let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default());
+        let in_chunks = ir.collective.in_chunks();
+        for loads in &plan.input_loads {
+            assert_eq!(*loads, vec![0..in_chunks]);
+        }
+    }
+
+    /// A two-rank allgather by hand: each rank copies its input chunk
+    /// into its output, sends the input chunk to its peer, and receives
+    /// the peer's chunk.
+    fn copy_then_send_ir() -> IrProgram {
+        use mscclang::ir::{IrGpu, IrInstruction, IrLoc, IrThreadBlock};
+        let at = |buffer, index| Some(IrLoc { buffer, index });
+        let instr = |step, op, src, dst| IrInstruction {
+            step,
+            op,
+            src,
+            dst,
+            count: 1,
+            deps: vec![],
+            has_dep: false,
+        };
+        let gpu = |rank: usize| IrGpu {
+            rank,
+            input_chunks: 1,
+            output_chunks: 2,
+            scratch_chunks: 0,
+            threadblocks: vec![IrThreadBlock {
+                id: 0,
+                send_peer: Some(1 - rank),
+                recv_peer: Some(1 - rank),
+                channel: 0,
+                instructions: vec![
+                    instr(
+                        0,
+                        OpCode::Copy,
+                        at(BufferKind::Input, 0),
+                        at(BufferKind::Output, rank),
+                    ),
+                    instr(1, OpCode::Send, at(BufferKind::Input, 0), None),
+                    instr(2, OpCode::Recv, None, at(BufferKind::Output, 1 - rank)),
+                ],
+            }],
+        };
+        IrProgram {
+            name: "copy-then-send".into(),
+            collective: Collective::all_gather(2, 1, false),
+            protocol: None,
+            num_channels: 1,
+            refinement: 1,
+            gpus: vec![gpu(0), gpu(1)],
+            epoch_cuts: vec![],
+        }
+    }
+
+    /// A `cpy` reading an input chunk before any write of it keeps the
+    /// chunk loaded; the `s` of the same chunk still reads in place.
+    #[test]
+    fn copy_of_an_unwritten_input_chunk_keeps_it_loaded() {
+        let ir = copy_then_send_ir();
+        let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default());
+        for (r, tb) in plan.tbs.iter().enumerate() {
+            assert_eq!(plan.input_loads[r], vec![0..1], "rank {r}");
+            assert_eq!(tb.instrs[0].read, None, "cpy reads through src");
+            assert_eq!(tb.instrs[1].read, Some(Source::Input(0)));
+        }
+        let inputs = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let outputs = crate::execute(&ir, &inputs, 2, &crate::RunOptions::default()).unwrap();
+        assert_eq!(outputs, vec![vec![1.0, 2.0, 3.0, 4.0]; 2]);
+    }
+
+    /// A dep cycle has no happens-before order to argue from: every
+    /// input chunk is loaded and nothing reads in place.
+    #[test]
+    fn dep_cycle_loads_everything() {
+        let mut ir = copy_then_send_ir();
+        for g in &mut ir.gpus {
+            g.threadblocks[0].instructions[0].deps = vec![mscclang::ir::IrDep { tb: 0, step: 2 }];
+        }
+        for r in 0..2 {
+            let sweep = sweep_rank(&ir, r);
+            assert_eq!(sweep.load, vec![true], "rank {r}");
+            assert!(sweep.in_place.iter().all(|&p| !p), "rank {r}");
         }
     }
 
@@ -549,12 +811,10 @@ mod tests {
         let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
         let ir = compile(&p, &CompileOptions::default()).unwrap();
         let mut counters = PlanCounters::default();
-        let mut plan = ExecPlan::build(&ir, 8, 2, &mut counters);
+        let plan = ExecPlan::build(&ir, 8, 2, &mut counters);
         assert_eq!(plan.tbs.len(), ir.num_threadblocks());
         assert_eq!(counters.tasks_built, ir.num_threadblocks() as u64);
-        plan.scan_elision(&mut counters);
-        plan.scan_elision(&mut counters);
-        assert_eq!(counters.elision_scans, 4, "scanned once per rank, once");
+        assert_eq!(counters.elision_scans, 4, "one sweep per rank");
         for tb in &plan.tbs {
             if let Some(c) = &tb.send {
                 assert_eq!(plan.conns[c.idx], (tb.rank, c.peer, c.channel));

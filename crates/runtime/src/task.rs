@@ -15,14 +15,15 @@ use std::time::{Duration, Instant};
 
 use msccl_faults::{corrupt_payload, BlockAction, DeliveryAction};
 use msccl_trace::EventKind;
-use mscclang::{OpCode, ReduceOp};
+use mscclang::OpCode;
 
 use crate::cancel::{FailureCause, FailureOrigin};
 use crate::epoch::WorkerEpoch;
 use crate::executor::{op_index, payload_string, Recorder, RunCtx, LATENCY_SAMPLE_PERIOD};
 use crate::flight::{BlockedOn, EventRing, Moment};
+use crate::kernels;
 use crate::memory::RankMemory;
-use crate::plan::{Dep, Instr, TbPlan};
+use crate::plan::{Dep, Instr, Source, TbPlan};
 use crate::pool::PooledTile;
 use crate::sched::WakeKey;
 use crate::semaphore::Semaphore;
@@ -736,7 +737,7 @@ impl TbTask {
                         OpCode::Nop => {}
                         OpCode::Send => {
                             let mut tile = ctx.pool.take(instr.count * len);
-                            fill_src(mem, instr, elem_off, len, &mut tile);
+                            fill_src(ctx, self.rank, instr, elem_off, len, &mut tile);
                             self.outbound = Some(tile);
                         }
                         OpCode::Recv => {
@@ -769,7 +770,7 @@ impl TbTask {
                         }
                         OpCode::RecvReduceCopy => {
                             let mut tile = self.inbound.take().expect("recv op received a tile");
-                            reduce_merge_dst(mem, instr, elem_off, len, &mut tile, ctx.op);
+                            reduce_merge_dst(ctx, self.rank, instr, elem_off, len, &mut tile);
                         }
                         OpCode::RecvCopySend => {
                             // Zero-copy forward: the received tile is
@@ -780,12 +781,12 @@ impl TbTask {
                         }
                         OpCode::RecvReduceSend => {
                             let mut tile = self.inbound.take().expect("recv op received a tile");
-                            combine_read_src(mem, instr, elem_off, len, &mut tile, ctx.op);
+                            combine_read(ctx, self.rank, instr, elem_off, len, &mut tile);
                             self.outbound = Some(tile);
                         }
                         OpCode::RecvReduceCopySend => {
                             let mut tile = self.inbound.take().expect("recv op received a tile");
-                            reduce_merge_dst(mem, instr, elem_off, len, &mut tile, ctx.op);
+                            reduce_merge_dst(ctx, self.rank, instr, elem_off, len, &mut tile);
                             self.outbound = Some(tile);
                         }
                     }
@@ -1049,14 +1050,45 @@ impl TbTask {
     }
 }
 
-// ---- Tile-shaped memory helpers: each moves `count` chunk segments
-// directly between rank memory and a pooled tile — no intermediate Vec on
-// any path.
+// ---- Tile-shaped helpers: each moves `count` chunk segments directly
+// between a pooled tile and rank memory or the caller's input — no
+// intermediate Vec on any path.
 
-fn fill_src(mem: &RankMemory, instr: &Instr, elem_off: usize, len: usize, tile: &mut PooledTile) {
-    let loc = instr.src.expect("instruction requires src");
+/// Hands `f` the `len` elements at `elem_off` of chunk `i` of `instr`'s
+/// read operand: the caller's input in place when the plan proved the
+/// read pristine, rank memory under its read lock otherwise. The one way
+/// the helpers below read.
+fn with_read(
+    ctx: &RunCtx<'_>,
+    rank: usize,
+    instr: &Instr,
+    i: usize,
+    elem_off: usize,
+    len: usize,
+    f: impl FnOnce(&[f32]),
+) {
+    match instr.read.expect("instruction reads an operand") {
+        Source::Memory(loc) => ctx.memories[rank].read_with_at(loc.plus(i), elem_off, len, f),
+        Source::Input(chunk) => {
+            let start = (chunk + i) * ctx.chunk_elems + elem_off;
+            f(&ctx.inputs[rank][start..start + len]);
+        }
+    }
+}
+
+fn fill_src(
+    ctx: &RunCtx<'_>,
+    rank: usize,
+    instr: &Instr,
+    elem_off: usize,
+    len: usize,
+    tile: &mut PooledTile,
+) {
     for i in 0..instr.count {
-        mem.read_into_at(loc.plus(i), elem_off, &mut tile[i * len..(i + 1) * len]);
+        let part = &mut tile[i * len..(i + 1) * len];
+        with_read(ctx, rank, instr, i, elem_off, len, |src| {
+            part.copy_from_slice(src);
+        });
     }
 }
 
@@ -1067,36 +1099,35 @@ fn write_dst(mem: &RankMemory, instr: &Instr, elem_off: usize, len: usize, value
     }
 }
 
-/// dst-memory = op(dst-memory, tile), tile = dst-memory: the in-place
-/// form of the old read-combine-write round trip, preserving its
-/// operand order exactly.
+/// tile = op(dst, tile), then dst-memory = tile: the `rrc`/`rrcs` merge,
+/// local operand on the left, reusing the tile for any follow-on send.
 fn reduce_merge_dst(
-    mem: &RankMemory,
+    ctx: &RunCtx<'_>,
+    rank: usize,
     instr: &Instr,
     elem_off: usize,
     len: usize,
     tile: &mut PooledTile,
-    op: ReduceOp,
 ) {
-    let loc = instr.dst.expect("instruction requires dst");
-    for i in 0..instr.count {
-        mem.reduce_merge_at(loc.plus(i), elem_off, &mut tile[i * len..(i + 1) * len], op);
-    }
+    combine_read(ctx, rank, instr, elem_off, len, tile);
+    write_dst(&ctx.memories[rank], instr, elem_off, len, tile);
 }
 
-/// tile = op(src-memory, tile): the receive-side merge of
-/// RecvReduceSend, local operand on the left as before.
-fn combine_read_src(
-    mem: &RankMemory,
+/// tile = op(read operand, tile): the receive-side merge of `rrs`, and
+/// the first half of the `rrc`/`rrcs` merge. Local operand on the left.
+fn combine_read(
+    ctx: &RunCtx<'_>,
+    rank: usize,
     instr: &Instr,
     elem_off: usize,
     len: usize,
     tile: &mut PooledTile,
-    op: ReduceOp,
 ) {
-    let loc = instr.src.expect("instruction requires src");
     for i in 0..instr.count {
-        mem.combine_read_at(loc.plus(i), elem_off, &mut tile[i * len..(i + 1) * len], op);
+        let part = &mut tile[i * len..(i + 1) * len];
+        with_read(ctx, rank, instr, i, elem_off, len, |src| {
+            kernels::reduce_from_slice(ctx.op, part, src);
+        });
     }
 }
 

@@ -27,6 +27,16 @@ use msccl_topology::Machine;
 use msccl_trace::{EventKind, Trace};
 use mscclang::{compile, verify, CompileOptions, IrProgram, Program};
 
+/// The worker-pool size to run at: `MSCCL_SCHED_THREADS` when set (the
+/// CI `executor-oversub` matrix pins 1 and 2), else the default — the
+/// host's parallelism.
+fn pool_size() -> usize {
+    std::env::var("MSCCL_SCHED_THREADS")
+        .ok()
+        .and_then(|pin| pin.parse().ok())
+        .unwrap_or(0)
+}
+
 /// Per-thread-block `(step, tile)` sequence in `InstrBegin` order — the
 /// program-order skeleton both executors must share.
 fn begin_order(trace: &Trace) -> HashMap<(usize, usize), Vec<(usize, usize)>> {
@@ -49,6 +59,7 @@ fn differential(name: &str, program: &Program, machine: Machine) {
     let chunk_elems = 16;
     let opts = RunOptions {
         tile_elems: Some(chunk_elems),
+        worker_threads: pool_size(),
         ..RunOptions::default()
     };
     let inputs = reference::random_inputs(&ir, chunk_elems, 3);
@@ -288,6 +299,7 @@ fn pooled_executor_is_bit_exact_across_protocols() {
             let opts = RunOptions {
                 protocol,
                 tile_elems: Some(25), // 96 elems -> tiles of 25/25/25/21
+                worker_threads: pool_size(),
                 ..RunOptions::default()
             };
             let outputs = execute(&ir, &inputs, chunk_elems, &opts)
