@@ -24,6 +24,23 @@ pub enum Space {
     Scratch,
 }
 
+impl Space {
+    /// Every space, in slot order.
+    pub(crate) const ALL: [Space; 3] = [Space::Data, Space::Output, Space::Scratch];
+
+    /// The dense index of `rank`'s copy of this space. Per-location tables
+    /// (the verifier's buffers, the DAG builders' hazards) keep the blocks
+    /// of every `(rank, space)` in this order.
+    pub(crate) fn slot(self, rank: usize) -> usize {
+        rank * Self::ALL.len()
+            + match self {
+                Space::Data => 0,
+                Space::Output => 1,
+                Space::Scratch => 2,
+            }
+    }
+}
+
 impl fmt::Display for Space {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

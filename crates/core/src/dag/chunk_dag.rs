@@ -11,10 +11,9 @@
 //! into subchunks and each operation is duplicated into independent
 //! instances, each handling `1/p` of its data on disjoint channels.
 
-use std::collections::HashMap;
-
 use crate::buffer::Loc;
 use crate::collective::Collective;
+use crate::dag::hazard::Hazards;
 use crate::error::Result;
 use crate::program::{Program, TraceOp, TraceOpKind};
 
@@ -108,11 +107,14 @@ impl ChunkDag {
             .max()
             .map_or(1, |c| c + 1);
 
-        let mut nodes: Vec<ChunkNode> = Vec::new();
-        // Per refined location: last writer node and readers since.
-        let mut last_writer: HashMap<(usize, crate::Space, usize), usize> = HashMap::new();
-        let mut readers: HashMap<(usize, crate::Space, usize), Vec<usize>> = HashMap::new();
+        // The table must cover every refined location the trace touches, so
+        // the scratch sizes are known before the first node.
+        let scratch_chunks: Vec<usize> = (0..program.collective().num_ranks())
+            .map(|r| program.scratch_chunks(r) * refinement)
+            .collect();
+        let mut hazards = Hazards::new(&refined, &scratch_chunks);
 
+        let mut nodes: Vec<ChunkNode> = Vec::new();
         for (pos, op) in ops.iter().enumerate() {
             let p = op.fragment_factor * instances;
             let sub = op.count * refinement / p; // refined chunks per instance
@@ -124,85 +126,57 @@ impl ChunkDag {
                 } else {
                     Some(op.channel.unwrap_or(0) + k * stride)
                 };
-                let node = ChunkNode {
+                let src = Loc::new(
+                    op.src.rank,
+                    op.src.buffer,
+                    op.src.index * refinement + k * sub,
+                );
+                let dst = Loc::new(
+                    op.dst.rank,
+                    op.dst.buffer,
+                    op.dst.index * refinement + k * sub,
+                );
+                let src_at = hazards.range(src, sub);
+                let dst_at = hazards.range(dst, sub);
+                // Reads: source range always; destination range too for
+                // reduce (the old value is an operand).
+                let mut true_deps = Vec::new();
+                let reads_dst = if op.kind == TraceOpKind::Reduce {
+                    dst_at.clone()
+                } else {
+                    0..0
+                };
+                for at in src_at.chain(reads_dst) {
+                    true_deps.extend(hazards.last_writer(at));
+                    hazards.read(at, id);
+                }
+                true_deps.sort_unstable();
+                true_deps.dedup();
+                // Writes: destination range. Its last writer (WAW) and its
+                // readers since (WAR) are false dependencies unless they are
+                // already true ones.
+                let mut false_deps = Vec::new();
+                for at in dst_at {
+                    false_deps.extend(hazards.last_writer(at));
+                    false_deps.extend(hazards.readers(at).iter().filter(|&&r| r != id));
+                    hazards.write(at, id);
+                }
+                false_deps.sort_unstable();
+                false_deps.dedup();
+                false_deps.retain(|d| true_deps.binary_search(d).is_err());
+                nodes.push(ChunkNode {
                     kind: op.kind,
-                    src: Loc::new(
-                        op.src.rank,
-                        op.src.buffer,
-                        op.src.index * refinement + k * sub,
-                    ),
-                    dst: Loc::new(
-                        op.dst.rank,
-                        op.dst.buffer,
-                        op.dst.index * refinement + k * sub,
-                    ),
+                    src,
+                    dst,
                     count: sub,
                     channel,
                     instance: k,
                     trace_pos: pos,
-                    true_deps: Vec::new(),
-                    false_deps: Vec::new(),
-                };
-                let mut true_deps = Vec::new();
-                let mut false_deps = Vec::new();
-                // Reads: source range always; destination range too for
-                // reduce (the old value is an operand).
-                let mut read_locs: Vec<(usize, crate::Space, usize)> = Vec::new();
-                for i in 0..sub {
-                    let (s, o) =
-                        refined.space_of(node.src.rank, node.src.buffer, node.src.index + i);
-                    read_locs.push((node.src.rank, s, o));
-                }
-                if op.kind == TraceOpKind::Reduce {
-                    for i in 0..sub {
-                        let (s, o) =
-                            refined.space_of(node.dst.rank, node.dst.buffer, node.dst.index + i);
-                        read_locs.push((node.dst.rank, s, o));
-                    }
-                }
-                for key in &read_locs {
-                    if let Some(&w) = last_writer.get(key) {
-                        true_deps.push(w);
-                    }
-                    readers.entry(*key).or_default().push(id);
-                }
-                // Writes: destination range.
-                for i in 0..sub {
-                    let (s, o) =
-                        refined.space_of(node.dst.rank, node.dst.buffer, node.dst.index + i);
-                    let key = (node.dst.rank, s, o);
-                    if let Some(&w) = last_writer.get(&key) {
-                        if !true_deps.contains(&w) {
-                            false_deps.push(w); // WAW
-                        }
-                    }
-                    if let Some(rs) = readers.get(&key) {
-                        for &r in rs {
-                            if r != id && !true_deps.contains(&r) && !false_deps.contains(&r) {
-                                false_deps.push(r); // WAR
-                            }
-                        }
-                    }
-                    last_writer.insert(key, id);
-                    readers.insert(key, vec![]);
-                }
-                // The op reads its own sources; re-register reads that were
-                // cleared if src == dst space overlap is impossible (checked
-                // at trace time), so nothing to fix up here.
-                true_deps.sort_unstable();
-                true_deps.dedup();
-                false_deps.sort_unstable();
-                false_deps.dedup();
-                let mut node = node;
-                node.true_deps = true_deps;
-                node.false_deps = false_deps;
-                nodes.push(node);
+                    true_deps,
+                    false_deps,
+                });
             }
         }
-
-        let scratch_chunks = (0..program.collective().num_ranks())
-            .map(|r| program.scratch_chunks(r) * refinement)
-            .collect();
 
         Ok(Self {
             nodes,

@@ -9,12 +9,12 @@
 //! hazard kind (RAW/WAR/WAW), which the fusion pass (§4.3) and scheduler
 //! (§5.2) consume.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::buffer::Loc;
-use crate::collective::{Collective, Space};
+use crate::collective::Collective;
 use crate::dag::chunk_dag::ChunkDag;
+use crate::dag::hazard::Hazards;
 use crate::program::TraceOpKind;
 
 /// MSCCL-IR instruction kinds (§4.2).
@@ -166,50 +166,24 @@ pub struct InstrNode {
 }
 
 impl InstrNode {
-    /// Refined locations this instruction reads on its own rank.
-    #[must_use]
-    pub fn reads(&self, collective: &Collective) -> Vec<(usize, Space, usize)> {
-        let mut out = Vec::new();
+    /// The local operands this instruction reads on its own rank (each a
+    /// `Loc` of that rank), `count` chunks long, in read order.
+    fn read_operands(&self) -> [Option<Loc>; 2] {
         match self.op {
-            InstrOp::Send => push_range(&mut out, collective, self.rank, self.src, self.count),
-            InstrOp::Recv => {}
-            InstrOp::Copy => push_range(&mut out, collective, self.rank, self.src, self.count),
-            InstrOp::Reduce => {
-                push_range(&mut out, collective, self.rank, self.src, self.count);
-                push_range(&mut out, collective, self.rank, self.dst, self.count);
-            }
             // Fused receive+reduce reads its local operand.
-            InstrOp::RecvReduceCopy | InstrOp::RecvReduceSend | InstrOp::RecvReduceCopySend => {
-                push_range(&mut out, collective, self.rank, self.src, self.count);
-            }
-            InstrOp::RecvCopySend => {}
+            InstrOp::Send
+            | InstrOp::Copy
+            | InstrOp::RecvReduceCopy
+            | InstrOp::RecvReduceSend
+            | InstrOp::RecvReduceCopySend => [self.src, None],
+            InstrOp::Reduce => [self.src, self.dst],
+            InstrOp::Recv | InstrOp::RecvCopySend => [None, None],
         }
-        out
     }
 
-    /// Refined locations this instruction writes on its own rank.
-    #[must_use]
-    pub fn writes(&self, collective: &Collective) -> Vec<(usize, Space, usize)> {
-        let mut out = Vec::new();
-        if self.op.writes_local() {
-            push_range(&mut out, collective, self.rank, self.dst, self.count);
-        }
-        out
-    }
-}
-
-fn push_range(
-    out: &mut Vec<(usize, Space, usize)>,
-    collective: &Collective,
-    rank: usize,
-    loc: Option<Loc>,
-    count: usize,
-) {
-    if let Some(loc) = loc {
-        for i in 0..count {
-            let (space, off) = collective.space_of(rank, loc.buffer, loc.index + i);
-            out.push((rank, space, off));
-        }
+    /// The local operand this instruction writes on its own rank, if any.
+    pub(crate) fn written(&self) -> Option<Loc> {
+        self.dst.filter(|_| self.op.writes_local())
     }
 }
 
@@ -251,98 +225,84 @@ impl InstrDag {
         let mut nodes: Vec<InstrNode> = Vec::new();
         let mut proc_edges: Vec<(usize, usize, EdgeKind)> = Vec::new();
         let mut comm_edges: Vec<CommEdge> = Vec::new();
-        let mut last_writer: HashMap<(usize, Space, usize), usize> = HashMap::new();
-        let mut readers: HashMap<(usize, Space, usize), Vec<usize>> = HashMap::new();
+        let mut hazards = Hazards::new(&collective, chunk_dag.scratch_chunks());
+        // One node's dependencies, in the order their edges are emitted:
+        // fusion consumes `proc_edges` in this order.
+        let mut raw: Vec<usize> = Vec::new();
+        let mut false_deps: Vec<(usize, EdgeKind)> = Vec::new();
 
-        let add_node = |nodes: &mut Vec<InstrNode>,
-                        proc_edges: &mut Vec<(usize, usize, EdgeKind)>,
-                        last_writer: &mut HashMap<(usize, Space, usize), usize>,
-                        readers: &mut HashMap<(usize, Space, usize), Vec<usize>>,
-                        node: InstrNode| {
+        let mut add_node = |node: InstrNode| {
             let id = nodes.len();
-            let mut raw: Vec<usize> = Vec::new();
-            let mut false_deps: Vec<(usize, EdgeKind)> = Vec::new();
-            for key in node.reads(&collective) {
-                if let Some(&w) = last_writer.get(&key) {
-                    if !raw.contains(&w) {
-                        raw.push(w);
+            raw.clear();
+            false_deps.clear();
+            for loc in node.read_operands().into_iter().flatten() {
+                for at in hazards.range(loc, node.count) {
+                    if let Some(w) = hazards.last_writer(at) {
+                        if !raw.contains(&w) {
+                            raw.push(w);
+                        }
                     }
+                    hazards.read(at, id);
                 }
-                readers.entry(key).or_default().push(id);
             }
-            for key in node.writes(&collective) {
-                if let Some(&w) = last_writer.get(&key) {
-                    if !raw.contains(&w) && !false_deps.iter().any(|&(n, _)| n == w) {
-                        false_deps.push((w, EdgeKind::Waw));
+            // The written chunks are distinct locations, so each can be
+            // checked and then claimed before the next.
+            let known = |n: usize, false_deps: &[(usize, EdgeKind)]| {
+                raw.contains(&n) || false_deps.iter().any(|&(d, _)| d == n)
+            };
+            if let Some(loc) = node.written() {
+                for at in hazards.range(loc, node.count) {
+                    if let Some(w) = hazards.last_writer(at) {
+                        if !known(w, &false_deps) {
+                            false_deps.push((w, EdgeKind::Waw));
+                        }
                     }
-                }
-                if let Some(rs) = readers.get(&key) {
-                    for &r in rs {
-                        if r != id && !raw.contains(&r) && !false_deps.iter().any(|&(n, _)| n == r)
-                        {
+                    for &r in hazards.readers(at) {
+                        if r != id && !known(r, &false_deps) {
                             false_deps.push((r, EdgeKind::War));
                         }
                     }
+                    hazards.write(at, id);
                 }
             }
-            for key in node.writes(&collective) {
-                last_writer.insert(key, id);
-                readers.insert(key, vec![]);
-            }
-            for w in raw {
-                proc_edges.push((w, id, EdgeKind::Raw));
-            }
-            for (n, kind) in false_deps {
-                proc_edges.push((n, id, kind));
-            }
+            proc_edges.extend(raw.iter().map(|&w| (w, id, EdgeKind::Raw)));
+            proc_edges.extend(false_deps.iter().map(|&(n, kind)| (n, id, kind)));
             nodes.push(node);
             id
         };
 
         for (cid, cn) in chunk_dag.nodes().iter().enumerate() {
             if cn.is_remote() {
-                let send = add_node(
-                    &mut nodes,
-                    &mut proc_edges,
-                    &mut last_writer,
-                    &mut readers,
-                    InstrNode {
-                        rank: cn.src.rank,
-                        op: InstrOp::Send,
-                        src: Some(cn.src),
-                        dst: Some(cn.dst),
-                        count: cn.count,
-                        send_peer: Some(cn.dst.rank),
-                        recv_peer: None,
-                        chunk_node: cid,
-                        recv_chunk_node: cid,
-                        alive: true,
-                    },
-                );
+                let send = add_node(InstrNode {
+                    rank: cn.src.rank,
+                    op: InstrOp::Send,
+                    src: Some(cn.src),
+                    dst: Some(cn.dst),
+                    count: cn.count,
+                    send_peer: Some(cn.dst.rank),
+                    recv_peer: None,
+                    chunk_node: cid,
+                    recv_chunk_node: cid,
+                    alive: true,
+                });
                 let recv_op = match cn.kind {
                     TraceOpKind::Copy => InstrOp::Recv,
                     TraceOpKind::Reduce => InstrOp::RecvReduceCopy,
                 };
-                let recv = add_node(
-                    &mut nodes,
-                    &mut proc_edges,
-                    &mut last_writer,
-                    &mut readers,
-                    InstrNode {
-                        rank: cn.dst.rank,
-                        op: recv_op,
-                        // rrc reduces the incoming data with the chunk
-                        // already at the destination.
-                        src: (cn.kind == TraceOpKind::Reduce).then_some(cn.dst),
-                        dst: Some(cn.dst),
-                        count: cn.count,
-                        send_peer: None,
-                        recv_peer: Some(cn.src.rank),
-                        chunk_node: cid,
-                        recv_chunk_node: cid,
-                        alive: true,
-                    },
-                );
+                let recv = add_node(InstrNode {
+                    rank: cn.dst.rank,
+                    op: recv_op,
+                    // rrc reduces the incoming data with the chunk
+                    // already at the destination.
+                    src: (cn.kind == TraceOpKind::Reduce).then_some(cn.dst),
+                    dst: Some(cn.dst),
+                    count: cn.count,
+                    send_peer: None,
+                    recv_peer: Some(cn.src.rank),
+                    chunk_node: cid,
+                    recv_chunk_node: cid,
+                    alive: true,
+                });
                 comm_edges.push(CommEdge {
                     send,
                     recv,
@@ -353,24 +313,18 @@ impl InstrDag {
                     TraceOpKind::Copy => InstrOp::Copy,
                     TraceOpKind::Reduce => InstrOp::Reduce,
                 };
-                let _ = add_node(
-                    &mut nodes,
-                    &mut proc_edges,
-                    &mut last_writer,
-                    &mut readers,
-                    InstrNode {
-                        rank: cn.src.rank,
-                        op,
-                        src: Some(cn.src),
-                        dst: Some(cn.dst),
-                        count: cn.count,
-                        send_peer: None,
-                        recv_peer: None,
-                        chunk_node: cid,
-                        recv_chunk_node: cid,
-                        alive: true,
-                    },
-                );
+                let _ = add_node(InstrNode {
+                    rank: cn.src.rank,
+                    op,
+                    src: Some(cn.src),
+                    dst: Some(cn.dst),
+                    count: cn.count,
+                    send_peer: None,
+                    recv_peer: None,
+                    chunk_node: cid,
+                    recv_chunk_node: cid,
+                    alive: true,
+                });
             }
         }
 
@@ -527,9 +481,10 @@ mod tests {
         assert_eq!(dag.nodes[0].op, InstrOp::Send);
         assert_eq!(dag.nodes[1].op, InstrOp::RecvReduceCopy);
         // rrc reads its local operand (the destination chunk).
-        let reads = dag.nodes[1].reads(&dag.collective);
-        assert_eq!(reads.len(), 1);
-        assert_eq!(reads[0].0, 1);
+        assert_eq!(
+            dag.nodes[1].read_operands(),
+            [Some(Loc::new(1, BufferKind::Input, 0)), None]
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! subchunks and duplicating operations across instances.
 
 mod chunk_dag;
+mod hazard;
 mod instr_dag;
 
 pub use chunk_dag::{ChunkDag, ChunkNode};

@@ -7,7 +7,7 @@
 //! whole dead chains disappear. Output- and data-space writes are always
 //! kept — they may be what the postcondition observes.
 
-use crate::collective::Space;
+use crate::buffer::BufferKind;
 use crate::dag::{EdgeKind, InstrDag, InstrOp};
 
 /// Removes dead scratch stores in place and compacts the DAG. Returns the
@@ -35,10 +35,10 @@ pub fn eliminate_dead_stores(dag: &mut InstrDag) -> usize {
             if !removable_kind {
                 continue;
             }
+            // Only the scratch buffer resolves to the scratch space.
             let all_scratch = node
-                .writes(&dag.collective)
-                .iter()
-                .all(|&(_, space, _)| space == Space::Scratch);
+                .written()
+                .is_some_and(|loc| loc.buffer == BufferKind::Scratch);
             if !all_scratch {
                 continue;
             }

@@ -20,7 +20,7 @@
 //!   semaphore waits all induce ordering);
 //! * **uninitialized reads** at the instruction level.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::buffer::BufferKind;
 use crate::chunk::ChunkValue;
@@ -33,7 +33,11 @@ use crate::ir::{IrLoc, IrProgram, IrThreadBlock, OpCode};
 pub struct VerifyOptions {
     /// FIFO slots per connection (NCCL allows 1 ≤ s ≤ 8).
     pub slots: usize,
-    /// Whether to run vector-clock race detection (slightly slower).
+    /// Whether to run vector-clock race detection. It costs a vector
+    /// clock per thread block, joined at every receive and dependency and
+    /// copied into every message, plus a last-writer and reader record per
+    /// chunk location: it about doubles verification time on the registry
+    /// algorithms at 16–64 ranks. Without it, no clock is kept.
     pub check_races: bool,
 }
 
@@ -60,7 +64,79 @@ pub struct VerifyReport {
     pub rounds: usize,
 }
 
-type Clock = Vec<u32>;
+/// A vector clock over the global thread block numbers, kept sparse:
+/// `(tb, component)` pairs sorted by `tb`, an absent component being zero.
+/// A block's clock names only the blocks it has heard from, directly or
+/// through others, so the clocks of a program whose blocks talk to few
+/// others stay short however many blocks it has.
+#[derive(Clone, Default)]
+struct Clock(Vec<(u32, u32)>);
+
+fn tb_id(tb: usize) -> u32 {
+    u32::try_from(tb).expect("fewer than 2^32 thread blocks")
+}
+
+impl Clock {
+    /// The component of thread block `tb`.
+    fn get(&self, tb: usize) -> u32 {
+        let tb = tb_id(tb);
+        self.0
+            .binary_search_by_key(&tb, |&(t, _)| t)
+            .map_or(0, |i| self.0[i].1)
+    }
+
+    /// Advances thread block `tb`'s own component by one.
+    fn tick(&mut self, tb: usize) {
+        let tb = tb_id(tb);
+        match self.0.binary_search_by_key(&tb, |&(t, _)| t) {
+            Ok(i) => self.0[i].1 += 1,
+            Err(i) => self.0.insert(i, (tb, 1)),
+        }
+    }
+
+    /// Raises every component to at least `other`'s, merging in place:
+    /// one forward pass raises the shared components and counts the new
+    /// ones, then, if there are any, one backward pass moves the entries
+    /// up to interleave them.
+    fn join(&mut self, other: &Clock) {
+        let (a, b) = (&mut self.0, &other.0);
+        let mut new = 0;
+        let mut i = 0;
+        for &(t, c) in b {
+            while i < a.len() && a[i].0 < t {
+                i += 1;
+            }
+            if i < a.len() && a[i].0 == t {
+                a[i].1 = a[i].1.max(c);
+                i += 1;
+            } else {
+                new += 1;
+            }
+        }
+        if new == 0 {
+            return;
+        }
+        let mut i = a.len();
+        a.resize(i + new, (0, 0));
+        let mut k = a.len();
+        for &(t, c) in b.iter().rev() {
+            while i > 0 && a[i - 1].0 > t {
+                i -= 1;
+                k -= 1;
+                a[k] = a[i];
+            }
+            k -= 1;
+            if i > 0 && a[i - 1].0 == t {
+                i -= 1;
+                a[k] = a[i];
+            } else {
+                a[k] = (t, c);
+            }
+        }
+        // Every new entry is placed, so the entries below are in place.
+        debug_assert_eq!(i, k);
+    }
+}
 
 struct Message {
     values: Vec<ChunkValue>,
@@ -91,31 +167,13 @@ struct LocAccess {
     reads: Vec<(usize, u32)>,
 }
 
-/// The three storage spaces of every rank, in slot order: the symbolic
-/// buffers and the race tables of rank `r` live at `r * 3 + slot`.
-const SPACES: [Space; 3] = [Space::Data, Space::Output, Space::Scratch];
-
-fn space_slot(rank: usize, space: Space) -> usize {
-    rank * SPACES.len()
-        + match space {
-            Space::Data => 0,
-            Space::Output => 1,
-            Space::Scratch => 2,
-        }
-}
-
-fn join(a: &mut Clock, b: &Clock) {
-    for (x, y) in a.iter_mut().zip(b) {
-        *x = (*x).max(*y);
-    }
-}
-
 /// Verifies a compiled program; see the [module docs](self).
 ///
 /// All state is indexed by dense integers: buffers and race tables by
-/// `(rank * 3 + space, offset)`, thread blocks by a global number,
+/// `(`[`Space::slot`]`, offset)`, thread blocks by a global number,
 /// connections by a number assigned up front. Clock snapshots are kept
-/// only for the steps some dependency names.
+/// only for the steps some dependency names, and no clock at all without
+/// race detection.
 ///
 /// # Errors
 ///
@@ -132,9 +190,10 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
     let collective = &ir.collective;
     let num_ranks = ir.num_ranks();
     let slots = opts.slots;
+    let races = opts.check_races;
 
     // ---- Buffers and race tables, one per (rank, space).
-    let mut spaces: Vec<Vec<ChunkValue>> = Vec::with_capacity(num_ranks * SPACES.len());
+    let mut spaces: Vec<Vec<ChunkValue>> = Vec::with_capacity(num_ranks * Space::ALL.len());
     for rank in 0..num_ranks {
         let data_size = collective.space_size(Space::Data).unwrap_or(0);
         let mut data = vec![ChunkValue::Uninit; data_size];
@@ -148,7 +207,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
         spaces.push(vec![ChunkValue::Uninit; out_size]);
         spaces.push(vec![ChunkValue::Uninit; ir.gpu(rank).scratch_chunks]);
     }
-    let mut accesses: Vec<Vec<LocAccess>> = if opts.check_races {
+    let mut accesses: Vec<Vec<LocAccess>> = if races {
         spaces
             .iter()
             .map(|s| vec![LocAccess::default(); s.len()])
@@ -198,8 +257,8 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
         }
     }
     for conn in &mut conns {
-        if conn.planned_sends > slots {
-            conn.pop_clocks = vec![Vec::new(); slots];
+        if races && conn.planned_sends > slots {
+            conn.pop_clocks = vec![Clock::default(); slots];
         }
     }
     let mut referenced = vec![false; total_steps];
@@ -230,7 +289,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
     // registers, freeing the upstream slot immediately (otherwise rings of
     // fused instructions would deadlock at low slot counts).
     let mut pending: Vec<Option<Vec<ChunkValue>>> = (0..num_tbs).map(|_| None).collect();
-    let mut clocks: Vec<Clock> = vec![vec![0; num_tbs]; num_tbs];
+    let mut clocks: Vec<Clock> = vec![Clock::default(); num_tbs];
     // Clock after each completed step that some dependency references,
     // for semaphore joins.
     let mut snapshots: Vec<Option<Clock>> = vec![None; total_steps];
@@ -246,7 +305,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
         out.clear();
         out.extend((0..count).map(|i| {
             let (space, off) = collective.space_of(rank, loc.buffer, loc.index + i);
-            (space_slot(rank, space), off)
+            (space.slot(rank), off)
         }));
     };
 
@@ -287,11 +346,13 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 |conns: &mut Vec<Connection>, clocks: &mut Vec<Clock>| -> Result<Vec<ChunkValue>> {
                     let conn = &mut conns[recv_conn[g].expect("checked")];
                     let msg = conn.queue.pop_front().expect("checked non-empty");
-                    if conn.pops + slots < conn.planned_sends {
-                        conn.pop_clocks[conn.pops % slots].clone_from(&clocks[g]);
+                    if races {
+                        if conn.pops + slots < conn.planned_sends {
+                            conn.pop_clocks[conn.pops % slots].clone_from(&clocks[g]);
+                        }
+                        clocks[g].join(&msg.clock);
                     }
                     conn.pops += 1;
-                    join(&mut clocks[g], &msg.clock);
                     if msg.values.len() != instr.count {
                         return Err(fail(format!(
                             "received {} chunks, expected {}",
@@ -314,11 +375,13 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
 
             // --- Execute.
             // Join semaphore clocks.
-            for d in &instr.deps {
-                let snap = snapshots[step_base[tb_base[rank] + d.tb] + d.step]
-                    .as_ref()
-                    .expect("referenced step completed");
-                join(&mut clocks[g], snap);
+            if races {
+                for d in &instr.deps {
+                    let snap = snapshots[step_base[tb_base[rank] + d.tb] + d.step]
+                        .as_ref()
+                        .expect("referenced step completed");
+                    clocks[g].join(snap);
+                }
             }
 
             // Receive, if any (possibly already popped while blocked).
@@ -390,13 +453,14 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             }
 
             // --- Race bookkeeping.
-            if opts.check_races {
-                let me = clocks[g][g];
+            if races {
+                let clock = &clocks[g];
+                let me = clock.get(g);
                 let race = |kind: &str, (slot, off): (usize, usize)| {
                     Err::<(), Error>(Error::Verification {
                         message: format!(
                             "data race ({kind}) on rank {rank} {} chunk {off} at tb {} step {pc}",
-                            SPACES[slot % SPACES.len()],
+                            Space::ALL[slot % Space::ALL.len()],
                             tb.id
                         ),
                     })
@@ -416,7 +480,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 for &key in src_reads.iter().chain(dst_reads) {
                     let acc = &mut accesses[key.0][key.1];
                     if let Some((wt, wc)) = acc.write {
-                        if clocks[g][wt] < wc {
+                        if clock.get(wt) < wc {
                             race("read-write", key)?;
                         }
                     }
@@ -433,12 +497,12 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                             continue;
                         };
                         if let Some((wt, wc)) = acc.write {
-                            if clocks[g][wt] < wc {
+                            if clock.get(wt) < wc {
                                 race("write-write", key)?;
                             }
                         }
                         for &(rt, rc) in &acc.reads {
-                            if rt != g && clocks[g][rt] < rc {
+                            if rt != g && clock.get(rt) < rc {
                                 race("write-read", key)?;
                             }
                         }
@@ -469,25 +533,28 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 let conn = &mut conns[send_conn[g].expect("checked")];
                 // FIFO slot reuse ordering: the k-th send happens after the
                 // (k - slots)-th pop.
-                if conn.sends >= slots {
-                    join(
-                        &mut clocks[g],
-                        &conn.pop_clocks[(conn.sends - slots) % slots],
-                    );
+                if races && conn.sends >= slots {
+                    clocks[g].join(&conn.pop_clocks[(conn.sends - slots) % slots]);
                 }
                 conn.sends += 1;
                 conn.queue.push_back(Message {
                     values: results,
-                    clock: clocks[g].clone(),
+                    clock: if races {
+                        clocks[g].clone()
+                    } else {
+                        Clock::default()
+                    },
                 });
                 max_queue_depth = max_queue_depth.max(conn.queue.len());
             }
 
             // --- Complete.
-            clocks[g][g] += 1;
-            let step = step_base[g] + pc;
-            if referenced[step] {
-                snapshots[step] = Some(clocks[g].clone());
+            if races {
+                clocks[g].tick(g);
+                let step = step_base[g] + pc;
+                if referenced[step] {
+                    snapshots[step] = Some(clocks[g].clone());
+                }
             }
             pcs[g] += 1;
             executed += 1;
@@ -537,7 +604,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 continue;
             };
             let (space, off) = collective.space_of(rank, BufferKind::Output, index);
-            let actual = &spaces[space_slot(rank, space)][off];
+            let actual = &spaces[space.slot(rank)][off];
             if actual != expected {
                 return Err(Error::Verification {
                     message: format!(
@@ -565,8 +632,9 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Verification`] naming the first connection left with
-/// an in-flight message or the first dependency crossing the cut.
+/// Returns [`Error::Verification`] naming the first dependency crossing
+/// the cut or, failing that, the first connection in `(src, dst,
+/// channel)` order left with an in-flight message.
 pub fn check_epoch_cut(ir: &IrProgram, cut: &crate::ir::EpochCut) -> Result<()> {
     let fail = |message: String| Err(Error::Verification { message });
     if cut.watermarks.len() != ir.gpus.len() {
@@ -579,7 +647,7 @@ pub fn check_epoch_cut(ir: &IrProgram, cut: &crate::ir::EpochCut) -> Result<()> 
     // In-flight messages: count sends and receives before the cut on each
     // connection; any imbalance is a message crossing the frontier (or a
     // receive waiting on one).
-    let mut balance: HashMap<(usize, usize, usize), (usize, usize)> = HashMap::new();
+    let mut balance: BTreeMap<(usize, usize, usize), (usize, usize)> = BTreeMap::new();
     for (r, gpu) in ir.gpus.iter().enumerate() {
         let marks = &cut.watermarks[r];
         if marks.len() != gpu.threadblocks.len() {

@@ -6,11 +6,15 @@
 //! proves deadlock-free, data-race-free and postcondition-correct, under
 //! any instance count, with or without fusion, at any FIFO slot depth.
 
+use std::collections::{BTreeSet, HashMap};
+
 use proptest::prelude::*;
 
 use msccl_runtime::{execute, execute_in_arena, reference, ExecArena, RunOptions};
+use mscclang::dag::{ChunkDag, EdgeKind, InstrDag, InstrOp};
 use mscclang::{
-    compile, verify, BufferKind, ChunkValue, Collective, CompileOptions, Program, ReduceOp,
+    compile, verify, BufferKind, ChunkValue, Collective, CompileOptions, Loc, Program, ReduceOp,
+    Space, TraceOpKind,
 };
 
 /// One intended operation, interpreted against the evolving program state;
@@ -122,6 +126,170 @@ fn build_program(ranks: usize, chunks: usize, intents: &[OpIntent]) -> Option<Pr
     (applied > 0).then_some(p)
 }
 
+type Key = (usize, Space, usize);
+
+/// Last writer and readers since, per `(rank, space, offset)`, in hash
+/// maps: the reference the DAG builders' dense hazard table must agree
+/// with.
+#[derive(Default)]
+struct HashedHazards {
+    last_writer: HashMap<Key, usize>,
+    readers: HashMap<Key, Vec<usize>>,
+}
+
+fn keys(collective: &Collective, rank: usize, loc: Option<Loc>, count: usize) -> Vec<Key> {
+    loc.map_or_else(Vec::new, |loc| {
+        (0..count)
+            .map(|i| {
+                let (space, off) = collective.space_of(rank, loc.buffer, loc.index + i);
+                (rank, space, off)
+            })
+            .collect()
+    })
+}
+
+/// Each Chunk DAG node's `(true_deps, false_deps)`, recomputed.
+fn chunk_deps_reference(dag: &ChunkDag) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let c = dag.collective();
+    let mut h = HashedHazards::default();
+    let mut out = Vec::new();
+    for (id, n) in dag.nodes().iter().enumerate() {
+        let mut reads = keys(c, n.src.rank, Some(n.src), n.count);
+        if n.kind == TraceOpKind::Reduce {
+            reads.extend(keys(c, n.dst.rank, Some(n.dst), n.count));
+        }
+        let mut true_deps = BTreeSet::new();
+        for key in reads {
+            true_deps.extend(h.last_writer.get(&key).copied());
+            h.readers.entry(key).or_default().push(id);
+        }
+        let mut false_deps = BTreeSet::new();
+        for key in keys(c, n.dst.rank, Some(n.dst), n.count) {
+            false_deps.extend(h.last_writer.insert(key, id));
+            let readers = h.readers.insert(key, Vec::new()).unwrap_or_default();
+            false_deps.extend(readers.into_iter().filter(|&r| r != id));
+        }
+        out.push((
+            true_deps.iter().copied().collect(),
+            false_deps.difference(&true_deps).copied().collect(),
+        ));
+    }
+    out
+}
+
+/// The Instruction DAG's processing edges, recomputed in emission order.
+fn instr_edges_reference(dag: &InstrDag) -> Vec<(usize, usize, EdgeKind)> {
+    let c = &dag.collective;
+    let mut h = HashedHazards::default();
+    let mut edges = Vec::new();
+    for (id, n) in dag.nodes.iter().enumerate() {
+        let mut reads = Vec::new();
+        match n.op {
+            InstrOp::Recv | InstrOp::RecvCopySend => {}
+            InstrOp::Reduce => {
+                reads = keys(c, n.rank, n.src, n.count);
+                reads.extend(keys(c, n.rank, n.dst, n.count));
+            }
+            _ => reads = keys(c, n.rank, n.src, n.count),
+        }
+        let writes = if n.op.writes_local() {
+            keys(c, n.rank, n.dst, n.count)
+        } else {
+            Vec::new()
+        };
+        let mut deps: Vec<(usize, EdgeKind)> = Vec::new();
+        let mut add = |d: usize, kind: EdgeKind| {
+            if !deps.iter().any(|&(n, _)| n == d) {
+                deps.push((d, kind));
+            }
+        };
+        for key in reads {
+            if let Some(&w) = h.last_writer.get(&key) {
+                add(w, EdgeKind::Raw);
+            }
+            h.readers.entry(key).or_default().push(id);
+        }
+        for key in &writes {
+            if let Some(&w) = h.last_writer.get(key) {
+                add(w, EdgeKind::Waw);
+            }
+            for &r in h.readers.get(key).into_iter().flatten() {
+                if r != id {
+                    add(r, EdgeKind::War);
+                }
+            }
+        }
+        for key in writes {
+            h.last_writer.insert(key, id);
+            h.readers.insert(key, Vec::new());
+        }
+        edges.extend(deps.into_iter().map(|(d, kind)| (d, id, kind)));
+    }
+    edges
+}
+
+/// Builds both DAGs of `program` (a debug build checks every hazard table
+/// index against its block) and compares their dependencies with the
+/// hash-map reference.
+fn assert_hazards_match_reference(program: &Program, instances: usize) {
+    let chunk_dag = ChunkDag::build(program, instances).expect("builds");
+    let deps: Vec<_> = chunk_dag
+        .nodes()
+        .iter()
+        .map(|n| (n.true_deps.clone(), n.false_deps.clone()))
+        .collect();
+    assert_eq!(deps, chunk_deps_reference(&chunk_dag), "chunk DAG deps");
+    let instr_dag = InstrDag::build(&chunk_dag);
+    assert_eq!(
+        instr_dag.proc_edges,
+        instr_edges_reference(&instr_dag),
+        "instruction DAG processing edges"
+    );
+}
+
+/// The dense hazard table is sized from the collective and the refined
+/// scratch counts; these programs touch the last location of each kind of
+/// block it has.
+#[test]
+fn hazard_tables_cover_every_location() {
+    // In place, input and output alias into one data space at an offset
+    // of `rank x chunks`; the last rank's block is the space's end.
+    for instances in [1, 2] {
+        let ag = msccl_algos::ring_all_gather_program(4, 2).unwrap();
+        assert_hazards_match_reference(&ag, instances);
+        let rs = msccl_algos::ring_reduce_scatter_program(4, 2).unwrap();
+        assert_hazards_match_reference(&rs, instances);
+        compile(&ag, &CompileOptions::default().with_instances(instances)).unwrap();
+        compile(&rs, &CompileOptions::default().with_instances(instances)).unwrap();
+    }
+
+    // The highest scratch index is written by the last traced op.
+    let mut p = Program::new("scratch_last", Collective::all_gather(2, 1, false));
+    let c = p.chunk(0, BufferKind::Input, 0, 1).unwrap();
+    let s = p.copy(&c, 0, BufferKind::Scratch, 1).unwrap();
+    let _ = p.copy(&s, 1, BufferKind::Output, 0).unwrap();
+    let c = p.chunk(1, BufferKind::Input, 0, 1).unwrap();
+    let _ = p.copy(&c, 0, BufferKind::Scratch, 4).unwrap();
+    assert_eq!(p.scratch_chunks(0), 5);
+    assert_hazards_match_reference(&p, 3);
+
+    // Three instances over a `parallelize(2)` fragment refine by 6, in
+    // place and through scratch.
+    let mut p = Program::new("refined", Collective::all_reduce(2, 2, true));
+    p.parallelize(2, |p| {
+        let c0 = p.chunk(0, BufferKind::Input, 0, 2)?;
+        let c1 = p.chunk(1, BufferKind::Input, 0, 2)?;
+        let _ = p.reduce(&c1, &c0)?;
+        Ok(())
+    })
+    .unwrap();
+    let c = p.chunk(1, BufferKind::Input, 0, 2).unwrap();
+    let s = p.copy(&c, 1, BufferKind::Scratch, 0).unwrap();
+    let _ = p.copy(&s, 0, BufferKind::Output, 0).unwrap();
+    assert_eq!(ChunkDag::build(&p, 3).unwrap().refinement(), 6);
+    assert_hazards_match_reference(&p, 3);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -222,6 +390,19 @@ proptest! {
         program.validate().expect("source validates");
         // compile() runs the IR verifier by default.
         compile(&program, &CompileOptions::default()).expect("IR verifies too");
+    }
+
+    /// Both DAG builders' dense hazard table agrees with the hash-map
+    /// reference on arbitrary programs, scratch traffic included, at any
+    /// instance count. Two ranks of two chunks make long programs read
+    /// and overwrite the same locations many times.
+    #[test]
+    fn hazard_tables_match_the_reference(
+        intents in proptest::collection::vec(intent_strategy(2, 2), 1..30),
+        instances in 1usize..4,
+    ) {
+        let Some(program) = build_program(2, 2, &intents) else { return Ok(()) };
+        assert_hazards_match_reference(&program, instances);
     }
 
     /// Compilation is a pure function: the same program and options
