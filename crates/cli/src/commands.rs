@@ -6,8 +6,8 @@ use std::time::Duration;
 use msccl_faults::{FaultInjector, FaultPlan, FaultUniverse};
 use msccl_metrics::{names, MetricsSnapshot};
 use msccl_runtime::{
-    execute_with_recovery, reference, run, worker_pool_size, Blackbox, RecoveryPolicy,
-    ResumePolicy, Run, RunOptions,
+    execute_with_recovery, reference, run, worker_pool_size, Blackbox, RecoveryPolicy, Run,
+    RunOptions,
 };
 use msccl_scenario::{
     check_scenario, drive_scenario, run_scenario, DriveConfig, Engine as ScenarioEngine,
@@ -63,8 +63,7 @@ COMMANDS:
                                    docs/simulator.md)
     run <file.xml> [--elems N] [--threads N] [--trace F] [--deadline-ms N]
                    [--fault-seed N | --fault-plan F] [--retries N]
-                   [--fallback FILE.xml] [--epochs off|auto|N]
-                   [--resume-policy epoch|retry] [--blackbox-dir DIR]
+                   [--fallback FILE.xml] [--blackbox-dir DIR]
                                    execute on real data and check numerics;
                                    --threads sizes the scheduler's worker
                                    pool (default 0 = min(cores, thread
@@ -77,11 +76,7 @@ COMMANDS:
                                    faults (seeded, or from a plan file);
                                    --retries/--fallback enable collective-
                                    level recovery, with every decision
-                                   reported (and traced); --epochs snapshots
-                                   rank memory at provably quiescent cuts so
-                                   --resume-policy epoch (default) restarts a
-                                   failed attempt from the last complete
-                                   epoch instead of from scratch;
+                                   reported (and traced);
                                    --blackbox-dir writes a post-mortem
                                    black-box dump (flight records, wait-for
                                    graph, stall diagnosis) there when the
@@ -150,7 +145,7 @@ COMMANDS:
                                    (see docs/service.md)
     profile <file.xml> [--elems N] [--mode run|sim] [--machine M]
                        [--from-trace F.csv] [--format text|json|prom]
-                       [--threshold X] [--out FILE] [--epochs off|auto|N]
+                       [--threshold X] [--out FILE]
                                    per-step performance attribution: compute
                                    vs send vs sync-wait vs FIFO-block per
                                    thread block, per-channel traffic, and a
@@ -493,8 +488,7 @@ fn cmd_profile(args: &Args) -> Result<String, CliError> {
     // run sees the same per-chunk payload when the buffer holds exactly
     // in_chunks × chunk_elems f32 values.
     let buffer_bytes = (ir.collective.in_chunks() * chunk_elems * 4) as u64;
-    let epochs = epoch_mode_opt(args)?;
-    let cfg = SimConfig::new(machine).with_trace(true).with_epochs(epochs);
+    let cfg = SimConfig::new(machine).with_trace(true);
     let modeled = simulate(&ir, &cfg, buffer_bytes)?;
     let modeled_trace = modeled.trace.as_ref().expect("requested via with_trace");
 
@@ -518,7 +512,6 @@ fn cmd_profile(args: &Args) -> Result<String, CliError> {
                 // structurally identical schedules and the per-step
                 // comparison is meaningful.
                 tile_elems: Some(chunk_elems),
-                epochs,
                 ..RunOptions::default()
             };
             let report = run(Run {
@@ -585,18 +578,6 @@ fn epoch_mode_opt(args: &Args) -> Result<EpochMode, CliError> {
         Some(v) => EpochMode::parse(v).ok_or_else(|| {
             CliError::new(format!(
                 "invalid value '{v}' for --epochs (expected off, auto or a boundary count)"
-            ))
-        }),
-    }
-}
-
-/// Parses `--resume-policy epoch|retry`; the default policy when absent.
-fn resume_policy_opt(args: &Args) -> Result<ResumePolicy, CliError> {
-    match args.options.get("resume-policy") {
-        None => Ok(ResumePolicy::default()),
-        Some(v) => ResumePolicy::parse(v).ok_or_else(|| {
-            CliError::new(format!(
-                "invalid value '{v}' for --resume-policy (expected epoch or retry)"
             ))
         }),
     }
@@ -1006,7 +987,6 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     // results are bit-exact at every pool size — so no validation beyond
     // the parse.
     opts.worker_threads = args.opt_or("threads", 0)?;
-    opts.epochs = epoch_mode_opt(args)?;
     opts.blackbox_dir = blackbox_dir(args)?;
     let plan = load_fault_plan(args, &ir)?;
     let retries: Option<usize> = args.opt("retries")?;
@@ -1076,7 +1056,6 @@ fn run_with_recovery(
 ) -> Result<String, CliError> {
     let policy = RecoveryPolicy {
         max_retries: retries.unwrap_or(RecoveryPolicy::default().max_retries),
-        resume: resume_policy_opt(args)?,
         ..RecoveryPolicy::default()
     };
     let injector = plan.as_ref().map(FaultInjector::new);
@@ -1113,13 +1092,6 @@ fn run_with_recovery(
             step.attempt,
             step.decision.label(),
             step.detail
-        );
-    }
-    if report.epochs_completed > 0 || report.steps_resumed > 0 || report.steps_redone > 0 {
-        let _ = writeln!(
-            out,
-            "  epochs: {} completed, {} step(s) resumed, {} step(s) redone",
-            report.epochs_completed, report.steps_resumed, report.steps_redone
         );
     }
     if let Some(path) = trace_path(args)? {
@@ -1680,15 +1652,13 @@ mod tests {
         let _ = std::fs::remove_file(trace);
     }
 
-    /// `--epochs` is accepted by run, simulate and profile; a forced
-    /// count charges the simulator's snapshot model and leaves a clean
-    /// runtime execution bit-exact (the numerics check still passes).
+    /// `simulate --epochs`: a forced count charges the simulator's
+    /// snapshot model; an invalid value is rejected with a pointer at the
+    /// flag.
     #[test]
-    fn epoch_flags_reach_run_simulate_and_profile() {
+    fn simulate_epoch_flag_charges_the_snapshot_model() {
         let path = tmp("epochs.xml");
         let _ = run(&format!("compile ring-allreduce --ranks 4 -o {path}")).unwrap();
-        let r = run(&format!("run {path} --elems 16 --epochs 2")).unwrap();
-        assert!(r.contains("results match"), "got: {r}");
         // 1 MB fits in one tile so there is no interior frontier to cut
         // at; 16 MB tiles into 8 and the forced schedule places both.
         let s = run(&format!(
@@ -1698,38 +1668,12 @@ mod tests {
         assert!(s.contains("2 epoch snapshot(s)"), "got: {s}");
         let off = run(&format!("simulate {path} --machine ndv4:1 --size 16MB")).unwrap();
         assert!(!off.contains("epoch snapshot"), "got: {off}");
-        let p = run(&format!("profile {path} --elems 32 --epochs auto")).unwrap();
-        assert!(p.contains("thread block"), "got: {p}");
-        for cmd in [
-            format!("run {path} --elems 16 --epochs banana"),
-            format!("simulate {path} --machine ndv4:1 --size 1MB --epochs banana"),
-        ] {
-            let err = run(&cmd).unwrap_err();
-            assert!(err.to_string().contains("--epochs"), "got: {err}");
-        }
-        let _ = std::fs::remove_file(path);
-    }
-
-    /// `--resume-policy` reaches the recovery loop; invalid values are
-    /// rejected with a pointer at the flag.
-    #[test]
-    fn resume_policy_flag_is_parsed_and_validated() {
-        let path = tmp("resume-policy.xml");
-        let plan_file = tmp("resume-policy.plan");
-        let _ = run(&format!("compile ring-allreduce --ranks 4 -o {path}")).unwrap();
-        std::fs::write(&plan_file, "kill block r0 tb0 step0\n").unwrap();
-        let out = run(&format!(
-            "run {path} --elems 16 --fault-plan {plan_file} --retries 2 --resume-policy retry"
-        ))
-        .unwrap();
-        assert!(out.contains("verified after 2 attempt(s)"), "got: {out}");
         let err = run(&format!(
-            "run {path} --elems 16 --retries 1 --resume-policy sometimes"
+            "simulate {path} --machine ndv4:1 --size 1MB --epochs banana"
         ))
         .unwrap_err();
-        assert!(err.to_string().contains("--resume-policy"), "got: {err}");
+        assert!(err.to_string().contains("--epochs"), "got: {err}");
         let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(plan_file);
     }
 
     #[test]

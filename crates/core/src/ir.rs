@@ -244,7 +244,7 @@ pub struct IrProgram {
     pub gpus: Vec<IrGpu>,
     /// Chain of consistent epoch cuts within one tile iteration, strictly
     /// increasing, ending at the full tile. Empty for hand-built or legacy
-    /// IR (the runtime then treats the whole run as one epoch).
+    /// IR (the simulator then computes them on the fly).
     pub epoch_cuts: Vec<EpochCut>,
 }
 

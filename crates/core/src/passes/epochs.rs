@@ -13,9 +13,13 @@
 //!
 //! At such a frontier the entire distributed state is captured by rank
 //! memory alone: a checkpoint of each rank's buffers, restored together
-//! with per-block watermarks, resumes the execution exactly (the runtime
-//! rebuilds FIFO sequence numbers and semaphore values from the
-//! watermarks, and FIFOs restart empty because nothing crossed the cut).
+//! with per-block watermarks, would resume the execution exactly (FIFO
+//! sequence numbers and semaphore values follow from the watermarks, and
+//! FIFOs restart empty because nothing crossed the cut). The threaded
+//! runtime does not checkpoint — measured, a resume lost to a plain
+//! restart (`docs/robustness.md`) — so the cuts serve
+//! [`verify::check_epoch_cut`](crate::verify::check_epoch_cut) and the
+//! simulator's checkpoint cost model (`simulate --epochs`).
 //!
 //! [`epoch_cuts`] computes the canonical chain of cuts for a program by
 //! iterated frontier advance: from the previous cut, every unfinished
@@ -27,7 +31,7 @@
 //!
 //! [`schedule`] turns the chain into concrete *epoch boundaries* for a
 //! run with `num_tiles` tile iterations: global positions `(tile, cut)`
-//! at which the runtime snapshots rank memory, expressed as monotonic
+//! at which a run would snapshot rank memory, expressed as monotonic
 //! per-block completed-instruction targets (the same encoding the
 //! runtime's semaphores use: `tile * len + watermark`).
 
@@ -76,8 +80,7 @@ pub fn auto_boundaries(run_bytes: u64, snapshot_bytes: u64) -> usize {
 /// Payload bytes one run of `ir` moves end to end: every instruction
 /// instance touches `count` chunk segments of `chunk_elems` `f32`s,
 /// summed over all tile iterations. The [`EpochMode::Auto`] cost model's
-/// numerator; the simulator and runtime use the same estimate so both
-/// resolve Auto to the same schedule.
+/// numerator.
 #[must_use]
 pub fn traffic_bytes(ir: &IrProgram, chunk_elems: usize) -> u64 {
     let segments: u64 = ir

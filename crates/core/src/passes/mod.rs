@@ -7,8 +7,8 @@
 //! The optional [`fn@aggregate`] pass merges contiguous sends on one
 //! connection into multi-count transfers (automating §5.1's aggregation).
 //! The [`epochs`] pass runs over the finished IR instead of the DAG,
-//! annotating the chain of consistent checkpoint frontiers the runtime's
-//! epoch-resume recovery builds on.
+//! annotating the chain of consistent checkpoint frontiers that the
+//! verifier checks and the simulator's checkpoint cost model charges.
 
 pub mod aggregate;
 pub mod dce;

@@ -275,20 +275,14 @@ pub fn assign_threadblocks(
     }
 
     // ---- Global topological order via the priority heap.
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    {
-        let mut indeg0 = indeg.clone();
-        for i in 0..n {
-            if indeg0[i] == 0 {
-                heap.push(HeapEntry {
-                    depth: depth[i],
-                    rev_depth: rev_depth[i],
-                    id: i,
-                });
-            }
-            indeg0[i] = 0; // silence unused warnings path
-        }
-    }
+    let mut heap: BinaryHeap<HeapEntry> = (0..n)
+        .filter(|&i| indeg[i] == 0)
+        .map(|i| HeapEntry {
+            depth: depth[i],
+            rev_depth: rev_depth[i],
+            id: i,
+        })
+        .collect();
     let mut remaining = indeg;
     let mut node_place = vec![(usize::MAX, usize::MAX); n];
     let mut tb_last_seq: Vec<i64> = vec![-1; tbs.len()];

@@ -69,18 +69,9 @@ pub mod names {
     pub const RECOVERY_FALLBACKS: &str = "msccl_recovery_fallbacks_total";
     /// Counter, no labels: attempts cancelled by a worker failure.
     pub const RECOVERY_CANCELLATIONS: &str = "msccl_recovery_cancellations_total";
-    /// Counter, no labels: transient failures recovered by resuming from
-    /// the last published epoch checkpoint instead of a full retry.
-    pub const RECOVERY_RESUMES: &str = "msccl_recovery_resumes_total";
-    /// Counter, no labels: epoch checkpoints published (one per rank per
-    /// epoch boundary crossed without a fault).
+    /// Counter, no labels: epoch checkpoints the simulator's cost model
+    /// charged (one per epoch boundary, `simulate --epochs`).
     pub const EPOCHS_COMPLETED: &str = "msccl_epochs_completed_total";
-    /// Counter, no labels: instruction executions skipped by epoch
-    /// resume (the per-block watermarks the resumed attempt started at).
-    pub const STEPS_RESUMED: &str = "msccl_steps_resumed_total";
-    /// Counter, no labels: instruction executions redone after a failure
-    /// (work the failed attempt had completed past its resume point).
-    pub const STEPS_REDONE: &str = "msccl_steps_redone_total";
     /// Counter, no labels: tasks taken from another worker's deque by the
     /// work-stealing scheduler.
     pub const SCHED_STEALS: &str = "msccl_sched_steals_total";

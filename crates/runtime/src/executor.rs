@@ -2,9 +2,9 @@
 //! to execute a program.
 //!
 //! A request is a [`Run`]: program, inputs, options, and optionally an
-//! arena to run in, a fault injector, a checkpoint to resume from, and
-//! whether to record a trace or fold a metrics snapshot. [`run`] returns a
-//! [`RunReport`] with the result and everything else the run produced.
+//! arena to run in, a fault injector, and whether to record a trace or
+//! fold a metrics snapshot. [`run`] returns a [`RunReport`] with the
+//! result and everything else the run produced.
 //! [`execute`], [`execute_in_arena`] and [`execute_with_metrics`] are
 //! one-expression conveniences over it; the recovery ladder
 //! ([`crate::execute_with_recovery`]) takes the same request.
@@ -50,10 +50,7 @@ use msccl_trace::{ClockDomain, EventKind, Trace, TraceEvent};
 
 use mscclang::{IrProgram, OpCode, ReduceOp};
 
-use mscclang::EpochMode;
-
 use crate::cancel::{CancelToken, FailureCause, FailureOrigin};
-use crate::epoch::{EpochCheckpoint, EpochState, EpochStatus, WorkerEpoch};
 use crate::fifo::Fifo;
 use crate::flight::{
     Blackbox, BlackboxConn, BlackboxFailure, BlackboxSched, FlightRecorder, StallDiagnosis,
@@ -100,14 +97,6 @@ pub struct RunOptions {
     /// shard, and the throughput bench gates the total overhead below a
     /// few percent. Disable only to measure that overhead.
     pub metrics: bool,
-    /// Epoch checkpoint placement (`--epochs`). `Off` (the default) runs
-    /// without barriers or snapshots; `Auto` lets the traffic-budget
-    /// cost model pick a count (possibly zero — short runs are cheaper
-    /// to retry than to checkpoint); `Count(n)` forces `n` boundaries,
-    /// clamped to the consistent cut positions available. See
-    /// [`crate::epoch`] for the machinery and
-    /// [`Run::resume`] for resuming from a checkpoint.
-    pub epochs: EpochMode,
     /// Size of the work-stealing worker pool (`--threads`). `0` (the
     /// default) picks `min(available_parallelism, num_tbs)`; any other
     /// value is clamped to `[1, num_tbs]`. Results are bit-exact at
@@ -117,11 +106,11 @@ pub struct RunOptions {
     /// Whether to keep the always-on flight recorder: per-worker
     /// fixed-capacity ring buffers of compact binary records (task
     /// dispatches, blocks, wakes, steals, parks, semaphore sets, FIFO
-    /// depths, gate arrivals). On by default — the hot path is two
-    /// relaxed atomic stores into a preallocated ring with no clock
-    /// reads, and the throughput bench gates the overhead below the
-    /// same few-percent budget as metrics. The rings feed the
-    /// post-mortem black box; disable only to measure the overhead.
+    /// depths). On by default — the hot path is two relaxed atomic
+    /// stores into a preallocated ring with no clock reads, and the
+    /// throughput bench gates the overhead below the same few-percent
+    /// budget as metrics. The rings feed the post-mortem black box;
+    /// disable only to measure the overhead.
     pub flight: bool,
     /// Directory for post-mortem black-box dumps. When set, every failed
     /// run (hang, deadline, panic, injected kill) serializes a versioned
@@ -142,7 +131,6 @@ impl Default for RunOptions {
             timeout: Duration::from_secs(20),
             deadline: None,
             metrics: true,
-            epochs: EpochMode::Off,
             worker_threads: 0,
             flight: true,
             blackbox_dir: None,
@@ -379,21 +367,6 @@ impl RuntimeError {
         )
     }
 
-    /// Whether this failure interrupted an otherwise-sound execution, so
-    /// resuming from an epoch checkpoint is safe. Verification failures
-    /// are excluded deliberately: a corrupting fault may have poisoned
-    /// memory *before* the checkpoint was taken, so only a from-scratch
-    /// retry clears it.
-    #[must_use]
-    pub fn is_resumable(&self) -> bool {
-        matches!(
-            self,
-            RuntimeError::Hang { .. }
-                | RuntimeError::WorkerPanic { .. }
-                | RuntimeError::InjectedFault { .. }
-        )
-    }
-
     /// The observed cancellation latency — time from the failing worker
     /// tripping the cancel token to the last worker joining — for the
     /// failure variants that tear a run down. This, not wall clock around
@@ -444,8 +417,7 @@ pub struct ExecStats {
     /// Input elements this run copied into rank memory before
     /// interpreting. Only input chunks some instruction reads from rank
     /// memory are copied; every other read of the caller's input happens
-    /// in place (see [`crate::plan`]). Zero for ring allreduce, and on a
-    /// resume, which restores every space from the checkpoint instead.
+    /// in place (see [`crate::plan`]). Zero for ring allreduce.
     pub input_elems_loaded: u64,
 }
 
@@ -487,11 +459,6 @@ pub struct ExecArena {
     pool: Arc<TilePool>,
     spares: Vec<SpaceBuffers>,
     outputs: Vec<Vec<f32>>,
-    /// Recycled epoch-checkpoint staging buffers: drawn when a run's
-    /// [`RunOptions::epochs`] schedule places boundaries, returned after
-    /// the run. Like `spares`, reuse keeps the snapshot path free of
-    /// steady-state allocation *and* of fresh page faults.
-    snaps: Vec<SpaceBuffers>,
     /// The one cached plan: kept while runs match it (by content — see
     /// [`crate::plan`]), replaced by the first run that does not.
     plan: Option<Box<ExecPlan>>,
@@ -511,7 +478,6 @@ impl ExecArena {
             pool: tile_pool_for(ir, opts),
             spares: Vec::new(),
             outputs: Vec::new(),
-            snaps: Vec::new(),
             plan: None,
             counters: PlanCounters::default(),
             workers: Workers::new(),
@@ -775,7 +741,7 @@ fn validate_options(opts: &RunOptions) -> Result<(), RuntimeError> {
 }
 
 /// One execution request: the program, its inputs and options, and the
-/// five things a caller may add to a plain run. Build the plain form
+/// four things a caller may add to a plain run. Build the plain form
 /// with [`Run::new`] and set what differs with struct-update syntax:
 ///
 /// ```
@@ -796,8 +762,8 @@ fn validate_options(opts: &RunOptions) -> Result<(), RuntimeError> {
 /// ```
 ///
 /// The fields compose freely — a traced run in a warm arena, faults with
-/// a metrics snapshot, a resume under tracing — because each is read at
-/// one place in the one run path.
+/// a metrics snapshot — because each is read at one place in the one run
+/// path.
 pub struct Run<'a> {
     /// The compiled program.
     pub ir: &'a IrProgram,
@@ -805,15 +771,14 @@ pub struct Run<'a> {
     pub inputs: &'a [Vec<f32>],
     /// Elements per chunk.
     pub chunk_elems: usize,
-    /// Protocol, tiling, reduce operator, timeouts, pool size, epochs.
+    /// Protocol, tiling, reduce operator, timeouts, pool size.
     pub opts: &'a RunOptions,
     /// Draw every buffer of the data path — tiles, rank memory, result
-    /// vectors, epoch staging — and the execution plan and worker
-    /// threads from this arena, and return them to it afterwards. After
-    /// one warm-up run (and with outputs handed back via
-    /// [`ExecArena::recycle_outputs`]) a run of the same program
-    /// allocates nothing on the data path and rebuilds nothing about the
-    /// program. `None` runs in a throwaway arena: plan built, used once
+    /// vectors — and the execution plan and worker threads from this
+    /// arena, and return them to it afterwards. After one warm-up run
+    /// (and with outputs handed back via [`ExecArena::recycle_outputs`])
+    /// a run of the same program allocates nothing on the data path and
+    /// rebuilds nothing about the program. `None` runs in a throwaway arena: plan built, used once
     /// and dropped, threads spawned and joined.
     pub arena: Option<&'a mut ExecArena>,
     /// Inject deterministic faults. Injection is one-shot per spec
@@ -826,13 +791,6 @@ pub struct Run<'a> {
     /// the recovery layer). Costs one branch per instruction and per
     /// send.
     pub injector: Option<&'a FaultInjector>,
-    /// Start from this checkpoint instead of from scratch: rank memory is
-    /// restored from the snapshot and every thread block starts at its
-    /// checkpoint watermark, so only the work after the last consistent
-    /// cut is redone. Must have been captured under the same program,
-    /// chunk size and [`RunOptions::epochs`]/tiling; anything else is
-    /// rejected as [`RuntimeError::InvalidOptions`].
-    pub resume: Option<EpochCheckpoint>,
     /// Record a wall-clock [`Trace`] of every instruction, semaphore
     /// wait, FIFO block and message. Each task appends to its own buffer
     /// (no synchronization beyond what execution itself needs); the
@@ -849,8 +807,7 @@ pub struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    /// A plain run: throwaway arena, no faults, from scratch, no trace,
-    /// no snapshot.
+    /// A plain run: throwaway arena, no faults, no trace, no snapshot.
     #[must_use]
     pub fn new(
         ir: &'a IrProgram,
@@ -865,7 +822,6 @@ impl<'a> Run<'a> {
             opts,
             arena: None,
             injector: None,
-            resume: None,
             trace: false,
             snapshot: false,
         }
@@ -886,11 +842,6 @@ pub struct RunReport {
     /// The metrics snapshot; empty unless [`Run::snapshot`] and
     /// [`RunOptions::metrics`] were both on.
     pub metrics: MetricsSnapshot,
-    /// The attempt's epoch picture: boundary count, checkpoints
-    /// published, instruction instances resumed and executed, and — when
-    /// the run failed transiently with a checkpoint in hand — the
-    /// checkpoint to feed back as the next [`Run::resume`].
-    pub epochs: EpochStatus,
 }
 
 impl RunReport {
@@ -901,7 +852,6 @@ impl RunReport {
             stats: ExecStats::default(),
             trace: None,
             metrics: MetricsSnapshot::default(),
-            epochs: EpochStatus::default(),
         }
     }
 }
@@ -1022,10 +972,10 @@ fn validate(run: &Run<'_>) -> Result<(), RuntimeError> {
 /// Everything a caller can ask of an execution is a field of [`Run`];
 /// everything it can get back is a field of [`RunReport`].
 ///
-/// The run path is: validate, resolve the epoch schedule, take (or build)
-/// the arena's execution plan, load the input chunks the plan reads from
-/// memory into recycled rank memory, reset the plan, interpret on the
-/// worker pool, extract outputs, stash the buffers back.
+/// The run path is: validate, take (or build) the arena's execution
+/// plan, load the input chunks the plan reads from memory into recycled
+/// rank memory, reset the plan, interpret on the worker pool, extract
+/// outputs, stash the buffers back.
 #[must_use]
 pub fn run(req: Run<'_>) -> RunReport {
     if let Err(e) = validate(&req) {
@@ -1038,7 +988,6 @@ pub fn run(req: Run<'_>) -> RunReport {
         opts,
         arena,
         injector,
-        resume,
         trace: tracing,
         snapshot: want_snapshot,
     } = req;
@@ -1050,50 +999,6 @@ pub fn run(req: Run<'_>) -> RunReport {
         .tile_elems
         .unwrap_or_else(|| ((params.slot_bytes as usize) / std::mem::size_of::<f32>()).max(1));
     let num_tiles = chunk_elems.div_ceil(tile_elems);
-
-    // ---- Epoch schedule. Resolve the mode first (Auto applies its
-    // traffic budget and may decline to checkpoint), then turn the
-    // program's verified cut chain into per-boundary completed-
-    // instruction targets. Hand-built IR that never went through the
-    // compiler gets its cuts computed on the fly.
-    let epoch_mode = opts.epochs.resolve(ir, chunk_elems);
-    let boundaries: Vec<Vec<Vec<u64>>> =
-        if matches!(epoch_mode, EpochMode::Off | EpochMode::Count(0)) {
-            Vec::new()
-        } else {
-            let computed;
-            let cuts = if ir.epoch_cuts.is_empty() {
-                computed = mscclang::passes::epoch_cuts(ir);
-                &computed
-            } else {
-                &ir.epoch_cuts
-            };
-            mscclang::passes::schedule_epochs(ir, cuts, num_tiles, epoch_mode)
-        };
-
-    // ---- Resume validation: a checkpoint only makes sense against the
-    // exact schedule it was captured under — same rank count, and its
-    // boundary present with identical targets. Anything else means the
-    // caller replayed it against different options, and the watermarks
-    // would silently corrupt the run. Rejected here, before the arena is
-    // touched: its warm buffers stay where they are.
-    if let Some(cp) = &resume {
-        let fits = cp.memories.len() == num_ranks
-            && boundaries
-                .get(cp.boundary)
-                .is_some_and(|b| *b == cp.targets);
-        if !fits {
-            return RunReport::rejected(RuntimeError::InvalidOptions {
-                message: format!(
-                    "resume checkpoint (boundary {}, {} ranks) does not match this \
-                     run's epoch schedule ({} boundaries, {num_ranks} ranks)",
-                    cp.boundary,
-                    cp.memories.len(),
-                    boundaries.len()
-                ),
-            });
-        }
-    }
 
     // ---- Metrics: one shard per task, so a hot-path update is a relaxed
     // atomic add with no sharing; merged on snapshot. Arena counters are
@@ -1118,7 +1023,6 @@ pub fn run(req: Run<'_>) -> RunReport {
         pool,
         spares,
         outputs: spare_outs,
-        snaps,
         plan,
         counters,
         workers,
@@ -1155,8 +1059,7 @@ pub fn run(req: Run<'_>) -> RunReport {
     // re-zero, and of the input chunks only those some instruction reads
     // from memory before writing them are loaded — every other read takes
     // the caller's input in place, so stale recycled contents there are
-    // unobservable. A resume restores every space from the checkpoint
-    // below, so it loads nothing.
+    // unobservable.
     let mut input_elems_loaded = 0u64;
     let memories: Vec<Arc<RankMemory>> = (0..num_ranks)
         .map(|r| {
@@ -1176,84 +1079,28 @@ pub fn run(req: Run<'_>) -> RunReport {
             );
             // The alias map is affine in the chunk index: a rank's input
             // chunks are one contiguous range of one space.
-            if resume.is_none() {
-                for load in &plan.input_loads[r] {
-                    let elems = load.start * chunk_elems..load.end * chunk_elems;
-                    input_elems_loaded += elems.len() as u64;
-                    mem.write_at(plan.input_at[r].plus(load.start), 0, &inputs[r][elems]);
-                }
+            for load in &plan.input_loads[r] {
+                let elems = load.start * chunk_elems..load.end * chunk_elems;
+                input_elems_loaded += elems.len() as u64;
+                mem.write_at(plan.input_at[r].plus(load.start), 0, &inputs[r][elems]);
             }
             Arc::new(mem)
         })
         .collect();
-
-    let resume_info = resume.as_ref().map(|cp| (cp.boundary, cp.instructions));
-    let start_targets: Vec<Vec<u64>> = match &resume {
-        Some(cp) => cp.targets.clone(),
-        None => ir
-            .gpus
-            .iter()
-            .map(|g| vec![0u64; g.threadblocks.len()])
-            .collect(),
-    };
-    let start_total: u64 = start_targets.iter().flatten().sum();
-    if let Some(cp) = &resume {
-        // The snapshot was taken at a consistent cut: restoring every
-        // rank's spaces reproduces the complete distributed state at
-        // that cut (FIFOs were drained, so memory is all there was).
-        for (mem, snap) in memories.iter().zip(cp.memories.iter()) {
-            mem.restore_from(snap);
-        }
-    }
-    let epoch_state: Option<Arc<EpochState>> = if boundaries.is_empty() {
-        None
-    } else {
-        // Staging for the checkpoint slot: the consumed resume
-        // checkpoint's own buffers are the natural recycling source;
-        // otherwise the arena's stash from the previous run, grown with
-        // empty buffers on first use.
-        let mut staging: Vec<SpaceBuffers> = match resume {
-            Some(cp) => cp.memories,
-            None => std::mem::take(snaps),
-        };
-        staging.resize_with(num_ranks, SpaceBuffers::default);
-        let state = EpochState::new(
-            boundaries,
-            plan.tbs.len(),
-            memories.clone(),
-            staging,
-            &start_targets,
-        );
-        if let Some((b, instructions)) = resume_info {
-            // An attempt that fails again before publishing a new
-            // boundary must still hand the same checkpoint back out.
-            state.seed_resume(b, instructions);
-        }
-        Some(Arc::new(state))
-    };
 
     // Shared wall-clock origin so all workers' timestamps are comparable;
     // the global deadline, when set, counts from here too.
     let epoch = Instant::now();
     let global_deadline = opts.deadline.map(|d| epoch + d);
 
-    // ---- Reset: FIFOs emptied, semaphores and tasks at their start
-    // watermarks (zero, or the checkpoint targets on a resume), every
+    // ---- Reset: FIFOs emptied, semaphores and tasks at zero, every
     // task runnable, wait and timer slots clear, cancel token re-armed.
-    plan.reset(&start_targets, metered, opts.flight, |tb, task, start| {
-        let epoch_ctx = epoch_state.as_ref().map(|state| WorkerEpoch {
-            state: Arc::clone(state),
-            targets: state.targets_for(tb.rank, tb.tb_id),
-            // Gates at or before the resumed boundary are never
-            // revisited — by anyone, so they stay consistent.
-            next: resume_info.map_or(0, |(b, _)| b + 1),
-            worker: task.flat,
-        });
+    plan.reset(metered, opts.flight, |tb, task| {
         let straggle = injector
             .and_then(|i| i.rank_slowdown(tb.rank))
             .filter(|f| *f > 1.0)
             .map(|f| Duration::from_nanos((STRAGGLE_UNIT_NS * (f - 1.0)) as u64));
-        task.reset(tb, start, epoch_ctx, straggle, tracing, epoch);
+        task.reset(straggle, tracing, epoch);
     });
     let run_metrics = plan.metrics.as_ref().filter(|_| metered);
     if let Some(m) = run_metrics.filter(|_| want_snapshot) {
@@ -1338,9 +1185,6 @@ pub fn run(req: Run<'_>) -> RunReport {
         if tracing {
             buffers.push(std::mem::take(&mut t.rec.events));
         }
-        // The task's clone of the epoch state must go before the state
-        // can be unwrapped below.
-        t.epoch_ctx = None;
     }
     // Observed cancellation latency: the failing worker stamped the token
     // when it recorded the origin, and at this point every worker has
@@ -1350,28 +1194,6 @@ pub fn run(req: Run<'_>) -> RunReport {
         .cancel
         .cancelled_at()
         .map_or(Duration::ZERO, |at| at.elapsed());
-
-    // ---- Epoch teardown, before the memories are stashed: the state
-    // holds `Arc` clones of them, and only after dropping it can
-    // `Arc::try_unwrap` recycle the buffers. On failure the latest
-    // published checkpoint travels out in the status; on success the
-    // staging buffers go back to the arena.
-    let epoch_status = match epoch_state {
-        Some(state) => {
-            let state = Arc::try_unwrap(state)
-                .ok()
-                .expect("workers quiesced; no other EpochState refs remain");
-            let (status, staging) = state.finish(start_total, origin.is_some());
-            if !staging.is_empty() {
-                *snaps = staging;
-            }
-            status
-        }
-        None => EpochStatus {
-            executed: instructions,
-            ..EpochStatus::default()
-        },
-    };
 
     let pool_now = pool.stats();
     let stats = ExecStats {
@@ -1388,23 +1210,10 @@ pub fn run(req: Run<'_>) -> RunReport {
     // return one — entry points that discard it shouldn't pay for it.
     let metrics = run_metrics.filter(|_| want_snapshot).map(|m| {
         // The pool is shared by all workers; its per-run deltas land in
-        // shard 0 once the workers have quiesced. Epoch counters likewise
-        // — resolved lazily so runs without epochs carry no epoch series
-        // at all (the runtime-vs-simulator metric parity depends on
-        // that).
+        // shard 0 once the workers have quiesced.
         m.pool_allocated.add(0, stats.pool.allocated);
         m.pool_reused.add(0, stats.pool.reused);
-        if epoch_status.epochs_completed > 0 {
-            m.registry
-                .counter(names::EPOCHS_COMPLETED, &[])
-                .add(0, epoch_status.epochs_completed);
-        }
-        if epoch_status.steps_resumed > 0 {
-            m.registry
-                .counter(names::STEPS_RESUMED, &[])
-                .add(0, epoch_status.steps_resumed);
-        }
-        // Scheduler counters, likewise lazy: a run whose pool never
+        // Scheduler counters, resolved lazily: a run whose pool never
         // stole or parked carries no scheduler series, so the
         // runtime-vs-simulator metric parity is undisturbed.
         if sched_stats.steals > 0 {
@@ -1547,14 +1356,11 @@ pub fn run(req: Run<'_>) -> RunReport {
                 drain,
             },
         };
-        // On failure the checkpoint inside `epochs` is exactly what a
-        // resume needs.
         return RunReport {
             result: Err(error),
             stats,
             trace: None,
             metrics,
-            epochs: epoch_status,
         };
     }
 
@@ -1611,7 +1417,6 @@ pub fn run(req: Run<'_>) -> RunReport {
         stats,
         trace,
         metrics,
-        epochs: epoch_status,
     }
 }
 
@@ -2167,191 +1972,6 @@ mod tests {
             stats.pool
         );
         assert!(stats.pool.reused > 0, "pool was bypassed entirely");
-    }
-
-    /// Epoch barriers are pure synchronization on the clean path: outputs
-    /// with checkpointing on are bit-identical to epochs-off, and the
-    /// status reports every scheduled boundary as published.
-    #[test]
-    fn epochs_on_clean_run_is_bit_exact() {
-        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        let chunk_elems = 8;
-        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 41);
-        let opts_off = RunOptions {
-            tile_elems: Some(2),
-            ..RunOptions::default()
-        };
-        let plain = execute(&ir, &inputs, chunk_elems, &opts_off).unwrap();
-        let opts_on = RunOptions {
-            epochs: EpochMode::Count(2),
-            ..opts_off
-        };
-        let report = run(Run::new(&ir, &inputs, chunk_elems, &opts_on));
-        let (outputs, status) = (report.result.unwrap(), report.epochs);
-        for (a, b) in plain.iter().zip(&outputs) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        assert_eq!(status.boundaries, 2);
-        assert_eq!(status.epochs_completed, 2);
-        assert_eq!(status.steps_resumed, 0);
-        assert_eq!(status.executed, (ir.num_instructions() * 4) as u64);
-        assert!(
-            status.checkpoint.is_none(),
-            "successful runs must not hand out a checkpoint"
-        );
-    }
-
-    /// Epoch snapshot staging buffers recycle through the arena: the
-    /// first epochs-on run grows them, later runs reuse them, and the
-    /// data path stays bit-exact.
-    #[test]
-    fn arena_recycles_epoch_snapshot_buffers() {
-        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        let chunk_elems = 8;
-        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 43);
-        let opts = RunOptions {
-            tile_elems: Some(2),
-            epochs: EpochMode::Count(2),
-            ..RunOptions::default()
-        };
-        let fresh = execute(&ir, &inputs, chunk_elems, &opts).unwrap();
-        let mut arena = ExecArena::new(&ir, &opts);
-        let (first, _) = execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena).unwrap();
-        assert_eq!(fresh, first);
-        assert_eq!(
-            arena.snaps.len(),
-            ir.num_ranks(),
-            "snapshot staging buffers must return to the arena"
-        );
-        arena.recycle_outputs(first);
-        let (second, _) = execute_in_arena(&ir, &inputs, chunk_elems, &opts, &mut arena).unwrap();
-        assert_eq!(fresh, second);
-        assert_eq!(arena.snaps.len(), ir.num_ranks());
-    }
-
-    /// Epoch resume from a checkpoint cut before the first write of input
-    /// elements the plan never loads. Two all-NaN runs leave NaN in the
-    /// arena's recycled rank memory; a dropped delivery in the last tile
-    /// hangs the next run after its second boundary, which closes the
-    /// second of four tiles, so the checkpoint holds those stale bytes
-    /// wherever the last two tiles have not written yet. The resumed
-    /// attempt's pristine reads take the caller's input instead:
-    /// bit-exact with a clean run, nothing loaded.
-    #[test]
-    fn resume_before_a_skipped_chunks_first_write_is_bit_exact() {
-        use msccl_faults::{FaultKind, FaultPlan, FaultSite, FaultSpec};
-        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        let (chunk_elems, tile_elems, num_tiles) = (8, 2, 4);
-        // Boundaries after the first and the second tile.
-        let opts = RunOptions {
-            tile_elems: Some(tile_elems),
-            epochs: EpochMode::Count(2),
-            timeout: Duration::from_millis(400),
-            ..RunOptions::default()
-        };
-        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 47);
-        let clean = execute(&ir, &inputs, chunk_elems, &opts).unwrap();
-        let mut arena = ExecArena::new(&ir, &opts);
-        let poison: Vec<Vec<f32>> = inputs.iter().map(|i| vec![f32::NAN; i.len()]).collect();
-        for _ in 0..2 {
-            let (stale, _) =
-                execute_in_arena(&ir, &poison, chunk_elems, &opts, &mut arena).unwrap();
-            arena.recycle_outputs(stale);
-        }
-
-        let tb = &ir.gpus[0].threadblocks[0];
-        let sends_per_tile = tb.instructions.iter().filter(|i| i.op.has_send()).count() as u64;
-        let faults = FaultPlan {
-            seed: 0,
-            specs: vec![FaultSpec {
-                site: FaultSite::Delivery {
-                    src: 0,
-                    dst: tb.send_peer.unwrap(),
-                    channel: tb.channel,
-                    seq: (num_tiles - 1) * sends_per_tile,
-                },
-                kind: FaultKind::DropDelivery,
-            }],
-        };
-        let injector = FaultInjector::new(&faults);
-        let hung = run(Run {
-            arena: Some(&mut arena),
-            injector: Some(&injector),
-            ..Run::new(&ir, &inputs, chunk_elems, &opts)
-        });
-        assert!(
-            matches!(hung.result, Err(RuntimeError::Hang { .. })),
-            "{:?}",
-            hung.result
-        );
-        assert_eq!(hung.stats.input_elems_loaded, 0);
-        let checkpoint = hung.epochs.checkpoint.expect("both boundaries published");
-        assert_eq!(checkpoint.boundary(), 1);
-        let snap = RankMemory::new(&ir.collective, 0, 0, chunk_elems);
-        snap.restore_from(&checkpoint.memories[0]);
-        let input_at = crate::memory::Loc::of(&ir.collective, 0, mscclang::BufferKind::Input, 0);
-        for c in 0..ir.collective.in_chunks() {
-            let mut chunk = vec![0.0; chunk_elems];
-            snap.read_into_at(input_at.plus(c), 0, &mut chunk);
-            let (done, last) = chunk.split_at(2 * tile_elems);
-            assert!(
-                done.iter().all(|x| x.is_finite()) && last.iter().all(|x| x.is_nan()),
-                "rank 0 input chunk {c} at the cut: {chunk:?}"
-            );
-        }
-
-        let resumed = run(Run {
-            arena: Some(&mut arena),
-            resume: Some(checkpoint),
-            ..Run::new(&ir, &inputs, chunk_elems, &opts)
-        });
-        assert_eq!(resumed.stats.input_elems_loaded, 0);
-        assert!(resumed.epochs.steps_resumed > 0);
-        let outputs = resumed.result.unwrap();
-        for (a, b) in clean.iter().zip(&outputs) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    /// A resume checkpoint is only honored against the exact schedule it
-    /// was captured under; anything else is a structural error, not a
-    /// silent corruption.
-    #[test]
-    fn mismatched_resume_checkpoint_is_rejected() {
-        let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
-        let ir = compile(&p, &CompileOptions::default()).unwrap();
-        let chunk_elems = 8;
-        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 44);
-        let bogus = crate::epoch::EpochCheckpoint {
-            boundary: 7,
-            targets: vec![vec![1]; 4],
-            memories: (0..4)
-                .map(|_| crate::memory::SpaceBuffers::default())
-                .collect(),
-            instructions: 4,
-        };
-        let opts = RunOptions {
-            tile_elems: Some(2),
-            epochs: EpochMode::Count(2),
-            ..RunOptions::default()
-        };
-        let err = run(Run {
-            resume: Some(bogus),
-            ..Run::new(&ir, &inputs, chunk_elems, &opts)
-        })
-        .result
-        .unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::InvalidOptions { message } if message.contains("resume checkpoint")),
-            "got {err:?}"
-        );
     }
 
     /// The metrics snapshot agrees with the trace recorded in the same

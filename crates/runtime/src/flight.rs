@@ -10,13 +10,13 @@
 //! 1. **Flight recorder** ([`FlightRecorder`]): per-worker fixed-capacity
 //!    ring buffers of compact binary records (task dispatch, blocks with
 //!    their wake keys, wakes, steals, parks, semaphore sets, FIFO depth
-//!    changes, gate arrivals). The hot path is one relaxed `fetch_add`
+//!    changes). The hot path is one relaxed `fetch_add`
 //!    plus two relaxed stores into a preallocated ring — no locks, no
 //!    allocation, no clock reads — in the spirit of the sharded metric
 //!    counters. Always on; the throughput bench gates its overhead.
 //! 2. **Wait-for graph** ([`WaitForGraph`]): at teardown of a failed run
 //!    the executor freezes every task's blocked-on resource (semaphore
-//!    target, FIFO connection, epoch gate, injected sleep) into a
+//!    target, FIFO connection, injected sleep) into a
 //!    [`TaskStall`], resolves each resource to the task expected to
 //!    signal it (from the IR's dependency/connection structure), and
 //!    classifies the shape: a cycle is a deadlock, a wait on a finished
@@ -145,7 +145,6 @@ const FK_STEAL: u8 = 4;
 const FK_PARK: u8 = 5;
 const FK_SEM_SET: u8 = 6;
 const FK_FIFO: u8 = 7;
-const FK_GATE: u8 = 8;
 
 /// Sentinel packed where a record has no rank/tb attribution
 /// (worker-level events: wakes, steals, parks).
@@ -155,7 +154,6 @@ const NO_ID: u64 = 0xFFF;
 const KEY_SEM: u64 = 0;
 const KEY_RECV: u64 = 1;
 const KEY_SEND: u64 = 2;
-const KEY_GATE: u64 = 3;
 const KEY_SLEEP: u64 = 4;
 
 /// Packs a wake key as `tag << 28 | index` for a flight record payload.
@@ -166,7 +164,6 @@ pub(crate) fn encode_key(tag: u64, idx: usize) -> u64 {
 pub(crate) const KEY_TAG_SEM: u64 = KEY_SEM;
 pub(crate) const KEY_TAG_RECV: u64 = KEY_RECV;
 pub(crate) const KEY_TAG_SEND: u64 = KEY_SEND;
-pub(crate) const KEY_TAG_GATE: u64 = KEY_GATE;
 pub(crate) const KEY_TAG_SLEEP: u64 = KEY_SLEEP;
 
 /// One worker's ring: a monotone head plus `2 * FLIGHT_CAPACITY` words.
@@ -291,12 +288,6 @@ impl FlightRecorder {
         );
     }
 
-    /// Task arrived at epoch gate `boundary`.
-    #[inline]
-    pub(crate) fn gate(&self, w: usize, rank: usize, tb: usize, boundary: usize) {
-        self.shards[w].record(pack_w0(FK_GATE, rank as u64, tb as u64, boundary as u64), 0);
-    }
-
     /// Decodes every shard's surviving records, oldest first per worker.
     pub(crate) fn drain(&self) -> Vec<FlightRecord> {
         let mut out = Vec::new();
@@ -353,7 +344,6 @@ fn key_name(key: u64) -> String {
         KEY_SEM => format!("sem({idx})"),
         KEY_RECV => format!("recv({idx})"),
         KEY_SEND => format!("send({idx})"),
-        KEY_GATE => format!("gate({idx})"),
         KEY_SLEEP => format!("sleep({idx})"),
         other => format!("key{other}({idx})"),
     }
@@ -371,7 +361,6 @@ impl FlightRecord {
             FK_PARK => "park",
             FK_SEM_SET => "sem_set",
             FK_FIFO => "fifo_depth",
-            FK_GATE => "gate",
             _ => "unknown",
         }
     }
@@ -385,7 +374,6 @@ impl FlightRecord {
             "park" => FK_PARK,
             "sem_set" => FK_SEM_SET,
             "fifo_depth" => FK_FIFO,
-            "gate" => FK_GATE,
             _ => 0,
         }
     }
@@ -410,7 +398,6 @@ impl FlightRecord {
             FK_PARK => format!("{who}: parked {}us", self.a),
             FK_SEM_SET => format!("{who}: semaphore -> {}", self.b),
             FK_FIFO => format!("{who}: fifo conn {} depth -> {}", self.a, self.b),
-            FK_GATE => format!("{who}: arrived at epoch gate {}", self.a),
             _ => format!("{who}: ? a={} b={}", self.a, self.b),
         }
     }
@@ -446,11 +433,6 @@ pub enum BlockedOn {
         /// Channel id.
         channel: usize,
     },
-    /// Waiting at an epoch-boundary gate.
-    Gate {
-        /// Boundary index.
-        boundary: usize,
-    },
     /// Sleeping: an injected stall/straggle pause or a delivery delay.
     Sleep,
 }
@@ -471,7 +453,6 @@ impl BlockedOn {
             BlockedOn::Send { dst, channel } => {
                 format!("send to rank {dst} channel {channel} (FIFO full)")
             }
-            BlockedOn::Gate { boundary } => format!("epoch gate {boundary}"),
             BlockedOn::Sleep => "timed sleep (injected stall/straggle/delay)".to_string(),
         }
     }
@@ -624,9 +605,6 @@ impl WaitForGraph {
                 BlockedOn::Send { dst, channel } => tasks
                     .iter()
                     .position(|o| o.rank == *dst && o.recv_peer == Some((t.rank, *channel))),
-                BlockedOn::Gate { .. } => tasks
-                    .iter()
-                    .position(|o| !o.done && !matches!(o.wait, Some(BlockedOn::Gate { .. }))),
                 BlockedOn::Sleep => None,
             };
             edges.push(WaitEdge {
@@ -957,9 +935,6 @@ impl Blackbox {
                 Some(BlockedOn::Send { dst, channel }) => {
                     format!("{{\"kind\": \"send\", \"dst\": {dst}, \"channel\": {channel}}}")
                 }
-                Some(BlockedOn::Gate { boundary }) => {
-                    format!("{{\"kind\": \"gate\", \"boundary\": {boundary}}}")
-                }
                 Some(BlockedOn::Sleep) => "{\"kind\": \"sleep\"}".to_string(),
             };
             let peer = |p: Option<(usize, usize)>| match p {
@@ -1118,9 +1093,6 @@ impl Blackbox {
                     "send" => BlockedOn::Send {
                         dst: w.get_usize("dst")?,
                         channel: w.get_usize("channel")?,
-                    },
-                    "gate" => BlockedOn::Gate {
-                        boundary: w.get_usize("boundary")?,
                     },
                     "sleep" => BlockedOn::Sleep,
                     other => return Err(format!("unknown wait kind {other:?}")),

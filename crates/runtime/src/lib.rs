@@ -18,12 +18,11 @@
 //!
 //! There is one way to run a program: build a [`Run`] and call [`run`].
 //! The request's optional fields — an [`ExecArena`] to run in, a fault
-//! injector, a checkpoint to resume from, a trace, a metrics snapshot —
-//! compose freely, and the [`RunReport`] carries everything the run
-//! produced. [`execute`], [`execute_in_arena`] and
-//! [`execute_with_metrics`] are shorthands for the commonest shapes;
-//! [`execute_with_recovery`] runs the same request under the
-//! retry/resume/fallback ladder.
+//! injector, a trace, a metrics snapshot — compose freely, and the
+//! [`RunReport`] carries everything the run produced. [`execute`],
+//! [`execute_in_arena`] and [`execute_with_metrics`] are shorthands for
+//! the commonest shapes; [`execute_with_recovery`] runs the same request
+//! under the retry/fallback ladder.
 //!
 //! # Example
 //!
@@ -50,7 +49,6 @@
 //! ```
 
 mod cancel;
-mod epoch;
 mod executor;
 mod fifo;
 mod flight;
@@ -66,7 +64,6 @@ mod task;
 mod workers;
 
 pub use cancel::{FailureCause, FailureOrigin};
-pub use epoch::{EpochCheckpoint, EpochStatus};
 pub use executor::{
     execute, execute_in_arena, execute_with_metrics, run, ExecArena, ExecStats, Run, RunOptions,
     RunReport, RuntimeError,
@@ -78,6 +75,4 @@ pub use flight::{
 pub use memory::{RankMemory, SpaceBuffers};
 pub use plan::worker_pool_size;
 pub use pool::{PoolStats, PooledTile, TilePool};
-pub use recovery::{
-    execute_with_recovery, RecoveryPolicy, RecoveryReport, RecoveryStep, ResumePolicy,
-};
+pub use recovery::{execute_with_recovery, RecoveryPolicy, RecoveryReport, RecoveryStep};

@@ -217,38 +217,6 @@ impl RankMemory {
         self.rank
     }
 
-    /// Copies all three spaces into `snap`, growing its buffers on first
-    /// use and reusing their capacity afterwards — the epoch checkpoint
-    /// path, which must not allocate in the steady state. The caller is
-    /// responsible for quiescence (no concurrent writers it cares about);
-    /// each space is internally consistent under its lock.
-    pub fn snapshot_into(&self, snap: &mut SpaceBuffers) {
-        let copy = |lock: &RwLock<Vec<f32>>, dst: &mut Vec<f32>| {
-            let guard = lock.read().unwrap_or_else(PoisonError::into_inner);
-            dst.clear();
-            dst.extend_from_slice(&guard);
-        };
-        copy(&self.data, &mut snap.data);
-        copy(&self.output, &mut snap.output);
-        copy(&self.scratch, &mut snap.scratch);
-    }
-
-    /// Overwrites all three spaces from `snap` — the epoch resume path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was taken from a differently-shaped memory.
-    pub fn restore_from(&self, snap: &SpaceBuffers) {
-        let paste = |lock: &RwLock<Vec<f32>>, src: &[f32]| {
-            let mut guard = lock.write().unwrap_or_else(PoisonError::into_inner);
-            assert_eq!(guard.len(), src.len(), "snapshot shape mismatch");
-            guard.copy_from_slice(src);
-        };
-        paste(&self.data, &snap.data);
-        paste(&self.output, &snap.output);
-        paste(&self.scratch, &snap.scratch);
-    }
-
     /// Swaps the backing storage of `space` for `replacement`, returning
     /// the old buffer. The executor's output-extraction path uses this to
     /// *steal* a space whose chunks map identity-style onto the output

@@ -22,7 +22,7 @@
 //! FIFO slot count (the only thing the protocol contributes to the
 //! shape) and the same resolved worker-pool size. Everything else in
 //! [`RunOptions`](crate::RunOptions) — tile and chunk size, reduce
-//! operator, timeouts, epochs, whether this run meters or records — is a
+//! operator, timeouts, whether this run meters or records — is a
 //! per-run scalar applied by `reset`, so alternating such options in one
 //! arena keeps hitting.
 
@@ -118,7 +118,7 @@ pub(crate) struct ConnEnd {
 }
 
 /// One thread block, lowered. Its position in [`ExecPlan::tbs`] is the
-/// task's flat index: semaphore, metrics shard, epoch progress slot.
+/// task's flat index: semaphore and metrics shard.
 pub(crate) struct TbPlan {
     pub(crate) rank: usize,
     pub(crate) tb_id: usize,
@@ -346,16 +346,12 @@ impl ExecPlan {
     /// it in, whatever the previous run did to it — tiles stranded in
     /// FIFOs and task inboxes, tasks parked in wait slots, armed timers,
     /// a tripped cancel token — and applies this run's per-task
-    /// parameters through `reset_task(tb, task, start)`. `starts[rank][tb id]`
-    /// is each block's completed-instruction watermark: zero on a fresh
-    /// run, the checkpoint targets on a resume (the semaphore encoding
-    /// *is* that count, so dependents wait on exactly these values).
+    /// parameters through `reset_task(tb, task)`.
     pub(crate) fn reset(
         &mut self,
-        starts: &[Vec<u64>],
         metered: bool,
         recorded: bool,
-        mut reset_task: impl FnMut(&TbPlan, &mut TbTask, u64),
+        mut reset_task: impl FnMut(&TbPlan, &mut TbTask),
     ) {
         if metered && self.metrics.is_none() {
             self.metrics = Some(ArenaMetrics::new(&self.ir));
@@ -373,10 +369,9 @@ impl ExecPlan {
             fifo.clear();
         }
         for ((tb, sem), task) in self.tbs.iter().zip(&self.sems).zip(&mut self.tasks) {
-            let start = starts[tb.rank][tb.tb_id];
-            sem.reset(start);
+            sem.reset();
             let task = task.get_mut().unwrap_or_else(PoisonError::into_inner);
-            reset_task(tb, task, start);
+            reset_task(tb, task);
         }
     }
 }
@@ -448,10 +443,7 @@ struct RankSweep {
 /// Stale recycled data in a chunk that skips its re-zero or its load is
 /// unobservable: every read of it is preceded by a write or takes the
 /// input; output extraction runs only after every instruction completed;
-/// failed runs never extract; and epoch resume overwrites every space in
-/// full, while a consistent cut that contains a write also contains every
-/// read ordered before it — so a pristine read after the cut still sees
-/// the untouched input. A pure function of the IR.
+/// and failed runs never extract. A pure function of the IR.
 fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
     let collective = &ir.collective;
     let gpu = ir.gpu(rank);

@@ -1,28 +1,22 @@
 //! Collective-level recovery: an escalation ladder for transient
-//! failures — epoch resume, then full retry with capped-and-jittered
-//! exponential backoff, then graceful degradation to a fallback
-//! algorithm — under one whole-recovery deadline budget.
+//! failures — full retry with capped-and-jittered exponential backoff,
+//! then graceful degradation to a fallback algorithm — under one
+//! whole-recovery deadline budget.
 //!
-//! The policy leans on three guarantees from the layers below. First,
+//! The policy leans on two guarantees from the layers below. First,
 //! errors are classified at the source: [`RuntimeError::is_transient`]
 //! separates timing/fault failures (worth retrying) from structural
-//! rejections (not), and [`RuntimeError::is_resumable`] further marks
-//! the failures that interrupted an otherwise-sound execution — only
-//! those may resume from an epoch checkpoint. Second, injected faults
-//! are one-shot *per injector* ([`msccl_faults::FaultInjector`]), so a retry (or
-//! resume) over the same injector runs without the faults that already
-//! struck — precisely the semantics of a transient fault in a real
-//! fabric. Third, epoch checkpoints are published only at
-//! verifier-checked consistent cuts ([`crate::epoch`]), so restoring
-//! one and restarting every block at its watermark is exact.
+//! rejections (not). Second, injected faults are one-shot *per injector*
+//! ([`msccl_faults::FaultInjector`]), so a retry over the same injector
+//! runs without the faults that already struck — precisely the
+//! semantics of a transient fault in a real fabric. A compiled program
+//! is deadlock-free and a call is short, so running it again from
+//! scratch is the whole recovery.
 //!
 //! Verification closes the loop on *corrupting* faults: a bit-flip or a
 //! duplicated delivery produces no error at all, only wrong numbers, so
 //! an attempt counts as successful only when its outputs match the
 //! collective's reference semantics ([`reference::check_outputs`]).
-//! A verification failure also *discards* any held checkpoint: the
-//! corruption may predate the snapshot, so only a from-scratch retry
-//! clears it.
 //!
 //! When [`RunOptions::deadline`] is set, it is the budget for the whole
 //! recovery, attempts and backoff sleeps together: each attempt runs
@@ -39,41 +33,13 @@ use msccl_metrics::{names, MetricsSnapshot, Registry};
 use msccl_trace::{ClockDomain, EventKind, RecoveryDecision, Trace, TraceEvent};
 use mscclang::IrProgram;
 
-use crate::epoch::EpochStatus;
 use crate::executor::{run, Run, RunOptions, RuntimeError};
-
-/// Whether the ladder may resume failed attempts from epoch checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResumePolicy {
-    /// Resume from the last published checkpoint when the failure is
-    /// [resumable](RuntimeError::is_resumable) and a checkpoint exists;
-    /// degrade to a full retry otherwise.
-    #[default]
-    Epoch,
-    /// Always retry from scratch, ignoring checkpoints (`--resume-policy
-    /// retry`): the pre-epoch behavior, kept for measurement and as an
-    /// escape hatch.
-    FullRetry,
-}
-
-impl ResumePolicy {
-    /// Parses the CLI syntax of `--resume-policy`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "epoch" => Some(ResumePolicy::Epoch),
-            "retry" | "full" => Some(ResumePolicy::FullRetry),
-            _ => None,
-        }
-    }
-}
 
 /// How the recovery loop reacts to failed attempts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// How many times to re-run the primary algorithm after its first
-    /// failed attempt (0 = no retries). Resumes count against this
-    /// budget like full retries do.
+    /// failed attempt (0 = no retries).
     pub max_retries: usize,
     /// Backoff before the first retry; doubles each further retry.
     pub backoff: Duration,
@@ -84,8 +50,6 @@ pub struct RecoveryPolicy {
     /// desynchronizes retry herds; deriving it from a seed (no `rand`)
     /// keeps every run reproducible.
     pub jitter_seed: u64,
-    /// Whether failed attempts may resume from epoch checkpoints.
-    pub resume: ResumePolicy,
     /// Whether to verify outputs against the collective's reference
     /// semantics; without it, corrupting faults pass silently.
     pub verify: bool,
@@ -98,7 +62,6 @@ impl Default for RecoveryPolicy {
             backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(500),
             jitter_seed: 0,
-            resume: ResumePolicy::default(),
             verify: true,
         }
     }
@@ -150,21 +113,12 @@ pub struct RecoveryReport {
     pub attempts: usize,
     /// Whether the outputs came from the fallback algorithm.
     pub used_fallback: bool,
-    /// Epoch checkpoints published across all attempts.
-    pub epochs_completed: u64,
-    /// Instruction instances skipped by resuming from checkpoints —
-    /// work a fault did *not* cost, thanks to epochs.
-    pub steps_resumed: u64,
-    /// Instruction instances re-executed by attempts after the first —
-    /// work a fault *did* cost. With epoch resume this is strictly less
-    /// than a from-scratch rerun whenever a checkpoint was available.
-    pub steps_redone: u64,
     /// Every decision taken, in order.
     pub steps: Vec<RecoveryStep>,
     /// The decision log as metric counters (see
-    /// [`msccl_metrics::names`]): total attempts, retries, resumes,
-    /// fallbacks, cancellations, plus the epoch totals above. Mergeable
-    /// with execution snapshots via [`MetricsSnapshot::merge`].
+    /// [`msccl_metrics::names`]): total attempts, retries, fallbacks and
+    /// cancellations. Mergeable with execution snapshots via
+    /// [`MetricsSnapshot::merge`].
     pub metrics: MetricsSnapshot,
 }
 
@@ -193,38 +147,16 @@ impl RecoveryReport {
     }
 }
 
-/// Cross-attempt epoch accounting, folded into the report and metrics.
-#[derive(Default)]
-struct EpochTotals {
-    epochs_completed: u64,
-    steps_resumed: u64,
-    steps_redone: u64,
-}
-
-impl EpochTotals {
-    /// Absorbs one attempt's [`EpochStatus`]. Work executed by attempts
-    /// after the first is *redone* work (the first attempt's loss is the
-    /// fault's direct cost, not a repetition).
-    fn absorb(&mut self, attempt: usize, status: &EpochStatus) {
-        self.epochs_completed += status.epochs_completed;
-        self.steps_resumed += status.steps_resumed;
-        if attempt > 0 {
-            self.steps_redone += status.executed;
-        }
-    }
-}
-
 /// Folds the decision log into the shared metric vocabulary. Derived
 /// from the log rather than incremented inline so the counters and the
 /// log can never disagree.
-fn metrics_of(steps: &[RecoveryStep], attempts: usize, totals: &EpochTotals) -> MetricsSnapshot {
+fn metrics_of(steps: &[RecoveryStep], attempts: usize) -> MetricsSnapshot {
     let reg = Registry::new(1);
     reg.counter(names::RECOVERY_ATTEMPTS, &[])
         .add(0, attempts as u64);
     for step in steps {
         match step.decision {
             RecoveryDecision::Accept => {}
-            RecoveryDecision::Resume => reg.counter(names::RECOVERY_RESUMES, &[]).inc(0),
             RecoveryDecision::Retry => reg.counter(names::RECOVERY_RETRIES, &[]).inc(0),
             RecoveryDecision::Fallback => reg.counter(names::RECOVERY_FALLBACKS, &[]).inc(0),
             RecoveryDecision::GiveUp => {}
@@ -235,56 +167,34 @@ fn metrics_of(steps: &[RecoveryStep], attempts: usize, totals: &EpochTotals) -> 
             reg.counter(names::RECOVERY_CANCELLATIONS, &[]).inc(0);
         }
     }
-    if totals.epochs_completed > 0 {
-        reg.counter(names::EPOCHS_COMPLETED, &[])
-            .add(0, totals.epochs_completed);
-    }
-    if totals.steps_resumed > 0 {
-        reg.counter(names::STEPS_RESUMED, &[])
-            .add(0, totals.steps_resumed);
-    }
-    if totals.steps_redone > 0 {
-        reg.counter(names::STEPS_REDONE, &[])
-            .add(0, totals.steps_redone);
-    }
     reg.snapshot()
 }
 
-/// One attempt: run the request, then verify if asked. Returns the
-/// attempt's epoch status alongside, checkpoint included on transient
-/// failure.
-fn run_attempt(
-    attempt: Run<'_>,
-    verify: bool,
-) -> (Result<Vec<Vec<f32>>, RuntimeError>, EpochStatus) {
+/// One attempt: run the request, then verify if asked.
+fn run_attempt(attempt: Run<'_>, verify: bool) -> Result<Vec<Vec<f32>>, RuntimeError> {
     let (collective, inputs) = (&attempt.ir.collective, attempt.inputs);
     let (chunk_elems, op) = (attempt.chunk_elems, attempt.opts.reduce_op);
-    let report = run(attempt);
-    let result = report.result.and_then(|outputs| {
+    run(attempt).result.and_then(|outputs| {
         if verify {
             crate::reference::check_outputs(collective, inputs, &outputs, chunk_elems, op)
                 .map_err(|message| RuntimeError::VerificationFailed { message })?;
         }
         Ok(outputs)
-    });
-    (result, report.epochs)
+    })
 }
 
 /// Executes the request's program under the escalation ladder: transient
-/// failures resume from the last epoch checkpoint when the policy and
-/// the failure allow it, retry from scratch otherwise (both with capped,
-/// jittered exponential backoff), and degrade to `fallback` once retries
-/// are exhausted.
+/// failures retry from scratch with capped, jittered exponential
+/// backoff, and degrade to `fallback` once retries are exhausted.
 ///
-/// Every attempt is the same [`Run`] with only the deadline, the resume
-/// checkpoint and (for the fallback) the program replaced: attempts run
-/// in the request's arena when it has one — the `msccl serve` daemon
-/// keeps one per executor worker, so steady-state traffic allocates
-/// nothing on the data path whatever rung serves it — and under its
-/// fault injector, and a [`Run::resume`] checkpoint seeds the first
-/// attempt. [`Run::trace`] and [`Run::snapshot`] describe a single run
-/// and are not collected across attempts; the ladder's own record is the
-/// report's decision log and metrics.
+/// Every attempt is the same [`Run`] with only the deadline and (for the
+/// fallback) the program replaced: attempts run in the request's arena
+/// when it has one — the `msccl serve` daemon keeps one per executor
+/// worker, so steady-state traffic allocates nothing on the data path
+/// whatever rung serves it — and under its fault injector. [`Run::trace`]
+/// and [`Run::snapshot`] describe a single run and are not collected
+/// across attempts; the ladder's own record is the report's decision log
+/// and metrics.
 ///
 /// `fallback` must implement the same collective over the same ranks
 /// (its outputs are interchangeable with the primary's); it gets a
@@ -317,7 +227,6 @@ pub fn execute_with_recovery(
         opts,
         mut arena,
         injector,
-        resume: mut checkpoint,
         ..
     } = request;
     if let Some(fb) = fallback {
@@ -363,65 +272,45 @@ pub fn execute_with_recovery(
             detail,
         });
     };
-    let mut totals = EpochTotals::default();
 
     let mut attempt = 0usize;
     let mut last_err: RuntimeError;
     loop {
-        let resuming = checkpoint.is_some();
-        let (result, status) = run_attempt(
+        let result = run_attempt(
             Run {
                 arena: arena.as_deref_mut(),
                 injector,
-                resume: checkpoint.take(),
                 ..Run::new(primary, inputs, chunk_elems, &attempt_opts())
             },
             policy.verify,
         );
-        totals.absorb(attempt, &status);
         match result {
             Ok(outputs) => {
-                let mut detail = String::from(if policy.verify {
+                let detail = if policy.verify {
                     "verified"
                 } else {
                     "completed"
-                });
-                if resuming {
-                    detail.push_str(" (resumed)");
-                }
-                record(&mut steps, attempt, RecoveryDecision::Accept, detail);
-                let metrics = metrics_of(&steps, attempt + 1, &totals);
+                };
+                record(&mut steps, attempt, RecoveryDecision::Accept, detail.into());
+                let metrics = metrics_of(&steps, attempt + 1);
                 return Ok(RecoveryReport {
                     outputs,
                     attempts: attempt + 1,
                     used_fallback: false,
-                    epochs_completed: totals.epochs_completed,
-                    steps_resumed: totals.steps_resumed,
-                    steps_redone: totals.steps_redone,
                     steps,
                     metrics,
                 });
             }
             Err(e) if !e.is_transient() => return Err(e),
-            Err(e) => {
-                // Rung 1 of the ladder: resume from the last published
-                // checkpoint — but only for failures that interrupted a
-                // sound execution. A verification failure means memory
-                // may have been poisoned *before* the snapshot, so the
-                // checkpoint is tainted and must be discarded.
-                if policy.resume == ResumePolicy::Epoch && e.is_resumable() {
-                    checkpoint = status.checkpoint;
-                }
-                last_err = e;
-            }
+            Err(e) => last_err = e,
         }
         if attempt < policy.max_retries {
-            let decision = if checkpoint.is_some() {
-                RecoveryDecision::Resume
-            } else {
-                RecoveryDecision::Retry
-            };
-            record(&mut steps, attempt, decision, last_err.to_string());
+            record(
+                &mut steps,
+                attempt,
+                RecoveryDecision::Retry,
+                last_err.to_string(),
+            );
             let delay = backoff_delay(policy, attempt);
             if let Some(end) = budget_end {
                 let remaining = end.saturating_duration_since(Instant::now());
@@ -459,9 +348,7 @@ pub fn execute_with_recovery(
             last_err.to_string(),
         );
         attempt += 1;
-        // The checkpoint belongs to the primary's schedule; the fallback
-        // always starts from scratch.
-        let (result, status) = run_attempt(
+        let result = run_attempt(
             Run {
                 arena,
                 injector,
@@ -469,7 +356,6 @@ pub fn execute_with_recovery(
             },
             policy.verify,
         );
-        totals.absorb(attempt, &status);
         match result {
             Ok(outputs) => {
                 let detail = if policy.verify {
@@ -478,14 +364,11 @@ pub fn execute_with_recovery(
                     "completed"
                 };
                 record(&mut steps, attempt, RecoveryDecision::Accept, detail.into());
-                let metrics = metrics_of(&steps, attempt + 1, &totals);
+                let metrics = metrics_of(&steps, attempt + 1);
                 return Ok(RecoveryReport {
                     outputs,
                     attempts: attempt + 1,
                     used_fallback: true,
-                    epochs_completed: totals.epochs_completed,
-                    steps_resumed: totals.steps_resumed,
-                    steps_redone: totals.steps_redone,
                     steps,
                     metrics,
                 });
@@ -507,7 +390,7 @@ pub fn execute_with_recovery(
 mod tests {
     use super::*;
     use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
-    use mscclang::{compile, CompileOptions, EpochMode};
+    use mscclang::{compile, CompileOptions};
 
     fn ring_ir(ranks: usize) -> IrProgram {
         let p = msccl_algos::ring_all_reduce(ranks, 1).unwrap();
@@ -548,8 +431,6 @@ mod tests {
         assert!(!report.used_fallback);
         assert_eq!(report.steps.len(), 1);
         assert_eq!(report.steps[0].decision, RecoveryDecision::Accept);
-        assert_eq!(report.steps_redone, 0);
-        assert_eq!(report.steps_resumed, 0);
     }
 
     /// A one-shot kill breaks the first attempt; the retry runs clean and
@@ -593,8 +474,6 @@ mod tests {
             1
         );
         assert_eq!(report.metrics.counter(names::RECOVERY_FALLBACKS, &[]), 0);
-        // A full retry redoes the entire program.
-        assert_eq!(report.steps_redone, ir.num_instructions() as u64);
         crate::reference::check_outputs(
             &ir.collective,
             &inputs,
@@ -605,124 +484,8 @@ mod tests {
         .unwrap();
     }
 
-    /// A one-shot drop of the first delivery of tile 3 (of 4): the
-    /// receiver hangs there, well past the 2-boundary schedule's last
-    /// checkpoint. Block faults always fire in the first tile, so a
-    /// late-tile fault needs a delivery site.
-    fn drop_in_tile3(ir: &IrProgram) -> FaultPlan {
-        let tb = &ir.gpus[0].threadblocks[0];
-        let sends_per_tile = tb.instructions.iter().filter(|i| i.op.has_send()).count() as u64;
-        FaultPlan {
-            seed: 0,
-            specs: vec![FaultSpec {
-                site: FaultSite::Delivery {
-                    src: 0,
-                    dst: tb.send_peer.unwrap(),
-                    channel: tb.channel,
-                    seq: 3 * sends_per_tile,
-                },
-                kind: FaultKind::DropDelivery,
-            }],
-        }
-    }
-
-    /// With epochs on and a fault striking *after* published checkpoints,
-    /// the ladder resumes instead of retrying: outputs stay bit-exact
-    /// with a clean run, and strictly less work is redone.
-    #[test]
-    fn epoch_resume_redoes_less_than_full_retry() {
-        let ir = ring_ir(4);
-        let chunk_elems = 8;
-        let opts = RunOptions {
-            // Short per-step timeout: the dropped delivery surfaces as a
-            // hang, and this bounds how long detection takes.
-            timeout: Duration::from_millis(400),
-            // Four tiles, so the 2-boundary schedule lands on interior
-            // tile frontiers well before the tile-3 fault.
-            tile_elems: Some(2),
-            epochs: EpochMode::Count(2),
-            ..RunOptions::default()
-        };
-        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 27);
-        let clean = crate::executor::execute(&ir, &inputs, chunk_elems, &opts).unwrap();
-        let plan = drop_in_tile3(&ir);
-        plan.validate(&ir).unwrap();
-        let injector = FaultInjector::new(&plan);
-        let report = execute_with_recovery(
-            Run {
-                injector: Some(&injector),
-                ..Run::new(&ir, &inputs, chunk_elems, &opts)
-            },
-            None,
-            &RecoveryPolicy {
-                backoff: Duration::from_millis(1),
-                ..RecoveryPolicy::default()
-            },
-        )
-        .unwrap();
-        let decisions: Vec<RecoveryDecision> = report.steps.iter().map(|s| s.decision).collect();
-        assert_eq!(
-            decisions,
-            vec![RecoveryDecision::Resume, RecoveryDecision::Accept],
-            "expected a resume, got {:?}",
-            report.steps
-        );
-        assert_eq!(report.outputs, clean, "resumed outputs must be bit-exact");
-        assert!(report.steps_resumed > 0);
-        // Four tiles of the whole program is what a from-scratch rerun
-        // would redo; the resume must beat it.
-        let full_rerun = (ir.num_instructions() * 4) as u64;
-        assert!(
-            report.steps_redone < full_rerun,
-            "resume must redo less than a full rerun ({} vs {full_rerun})",
-            report.steps_redone,
-        );
-        assert_eq!(report.metrics.counter(names::RECOVERY_RESUMES, &[]), 1);
-        assert_eq!(
-            report.metrics.counter(names::STEPS_RESUMED, &[]),
-            report.steps_resumed
-        );
-        assert_eq!(
-            report.metrics.counter(names::STEPS_REDONE, &[]),
-            report.steps_redone
-        );
-        assert!(report.metrics.counter(names::EPOCHS_COMPLETED, &[]) > 0);
-    }
-
-    /// FullRetry policy ignores checkpoints even when epochs produce them.
-    #[test]
-    fn full_retry_policy_ignores_checkpoints() {
-        let ir = ring_ir(4);
-        let chunk_elems = 8;
-        let opts = RunOptions {
-            timeout: Duration::from_millis(400),
-            tile_elems: Some(2),
-            epochs: EpochMode::Count(2),
-            ..RunOptions::default()
-        };
-        let inputs = crate::reference::random_inputs(&ir, chunk_elems, 28);
-        let injector = FaultInjector::new(&drop_in_tile3(&ir));
-        let report = execute_with_recovery(
-            Run {
-                injector: Some(&injector),
-                ..Run::new(&ir, &inputs, chunk_elems, &opts)
-            },
-            None,
-            &RecoveryPolicy {
-                backoff: Duration::from_millis(1),
-                resume: ResumePolicy::FullRetry,
-                ..RecoveryPolicy::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.steps[0].decision, RecoveryDecision::Retry);
-        assert_eq!(report.steps_resumed, 0);
-        assert_eq!(report.metrics.counter(names::RECOVERY_RESUMES, &[]), 0);
-    }
-
     /// A corrupting fault produces no error, only wrong numbers: the
-    /// verification step must catch it, drive a retry, and *discard* any
-    /// checkpoint (the snapshot may postdate the corruption).
+    /// verification step must catch it and drive a retry.
     #[test]
     fn corruption_is_caught_by_verification() {
         let ir = ring_ir(4);
@@ -746,17 +509,7 @@ mod tests {
         let report = execute_with_recovery(
             Run {
                 injector: Some(&injector),
-                ..Run::new(
-                    &ir,
-                    &inputs,
-                    chunk_elems,
-                    &RunOptions {
-                        // Even with checkpoints available, a verification
-                        // failure must never resume.
-                        epochs: EpochMode::Count(2),
-                        ..RunOptions::default()
-                    },
-                )
+                ..Run::new(&ir, &inputs, chunk_elems, &RunOptions::default())
             },
             None,
             &RecoveryPolicy {
@@ -770,7 +523,6 @@ mod tests {
         assert!(report.steps[0]
             .detail
             .contains("output verification failed"));
-        assert_eq!(report.steps_resumed, 0);
     }
 
     /// With no retry budget, a transient failure degrades to the

@@ -25,7 +25,7 @@
 //! (the worker itself, or a waker that got there between the write and
 //! the probe) owns the single ticket to make the task runnable again.
 //! Combined with wakers that fire *after* publishing their state
-//! (semaphore set, FIFO push, gate release), no wakeup can be lost.
+//! (semaphore set, FIFO push), no wakeup can be lost.
 //!
 //! Parking uses a sequence lock: producers bump [`Parker::bump`] after
 //! every enqueue, and a worker only sleeps if the sequence is unchanged
@@ -45,8 +45,7 @@ use std::time::{Duration, Instant};
 use msccl_metrics::{bucket_index, BUCKETS};
 
 use crate::flight::{
-    encode_key, FlightRecorder, KEY_TAG_GATE, KEY_TAG_RECV, KEY_TAG_SEM, KEY_TAG_SEND,
-    KEY_TAG_SLEEP,
+    encode_key, FlightRecorder, KEY_TAG_RECV, KEY_TAG_SEM, KEY_TAG_SEND, KEY_TAG_SLEEP,
 };
 
 fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
@@ -64,8 +63,6 @@ pub(crate) enum WakeKey {
     Recv(usize),
     /// Connection `i`'s FIFO freed a slot (send waits on a full FIFO).
     Send(usize),
-    /// Epoch boundary `i`'s gate released.
-    Gate(usize),
     /// Task `i`'s private timer (fault stalls, straggle pauses, delivery
     /// delays) — nothing wakes this key except its timer slot and
     /// cancellation.
@@ -79,7 +76,6 @@ impl WakeKey {
             WakeKey::Sem(i) => encode_key(KEY_TAG_SEM, i),
             WakeKey::Recv(i) => encode_key(KEY_TAG_RECV, i),
             WakeKey::Send(i) => encode_key(KEY_TAG_SEND, i),
-            WakeKey::Gate(i) => encode_key(KEY_TAG_GATE, i),
             WakeKey::Sleep(i) => encode_key(KEY_TAG_SLEEP, i),
         }
     }
@@ -98,7 +94,6 @@ impl WakeKey {
             KEY_TAG_SEM => WakeKey::Sem(i),
             KEY_TAG_RECV => WakeKey::Recv(i),
             KEY_TAG_SEND => WakeKey::Send(i),
-            KEY_TAG_GATE => WakeKey::Gate(i),
             _ => WakeKey::Sleep(i),
         }
     }
@@ -109,7 +104,6 @@ impl WakeKey {
             WakeKey::Sem(i) => format!("sem({i})"),
             WakeKey::Recv(i) => format!("recv({i})"),
             WakeKey::Send(i) => format!("send({i})"),
-            WakeKey::Gate(i) => format!("gate({i})"),
             WakeKey::Sleep(i) => format!("sleep({i})"),
         }
     }
@@ -202,10 +196,10 @@ type CapturedWaits = Vec<(WakeKey, Vec<usize>)>;
 /// the plan resolves it once: a connection's FIFO has the receiving
 /// (sending) thread block as the only possible waiter on its `Recv`
 /// (`Send`) key, and a semaphore's waiters are the blocks with a
-/// dependency on its owner. (`Gate` keys can hold any task, `Sleep(i)`
-/// only task `i`.) The lists, not a one-waiter assumption, are what
-/// `wake` walks, so hand-built IR that shares a connection between
-/// blocks still wakes all of them.
+/// dependency on its owner. (`Sleep(i)` can hold only task `i`.) The
+/// lists, not a one-waiter assumption, are what `wake` walks, so
+/// hand-built IR that shares a connection between blocks still wakes all
+/// of them.
 pub(crate) struct Waiters {
     /// Per connection index: tasks receiving from it.
     pub(crate) recv: Vec<Vec<usize>>,
@@ -430,7 +424,6 @@ impl Scheduler {
             WakeKey::Sem(i) => self.waiters.sem[i].iter().copied().for_each(claim),
             WakeKey::Recv(i) => self.waiters.recv[i].iter().copied().for_each(claim),
             WakeKey::Send(i) => self.waiters.send[i].iter().copied().for_each(claim),
-            WakeKey::Gate(_) => (0..self.waiting.len()).for_each(claim),
             WakeKey::Sleep(i) => claim(i),
         }
         if n > 0 {
@@ -664,7 +657,7 @@ mod tests {
         }
         s.pop(1);
         assert!(!s.block(0, WakeKey::Sem(1), None, || false));
-        assert!(!s.block(1, WakeKey::Gate(0), None, || false));
+        assert!(!s.block(1, WakeKey::Sleep(1), None, || false));
         assert!(!s.block(2, WakeKey::Send(3), None, || false));
         s.drain_waiting();
         let mut got = [s.pop(0), s.pop(0), s.pop(0)]

@@ -37,24 +37,16 @@ impl Semaphore {
         self.0.load(Ordering::SeqCst)
     }
 
-    /// Rewinds the counter to `v` between runs — the one non-monotonic
-    /// operation, for an execution plan reusing its semaphores (zero on
-    /// a fresh run, the block's checkpoint watermark on a resume). The
-    /// plan calls it with every worker idle.
-    pub fn reset(&self, v: u64) {
-        self.0.store(v, Ordering::SeqCst);
+    /// Rewinds the counter to zero between runs — the one non-monotonic
+    /// operation, for an execution plan reusing its semaphores. The plan
+    /// calls it with every worker idle.
+    pub fn reset(&self) {
+        self.0.store(0, Ordering::SeqCst);
     }
 
     /// Advances the counter to `v` (monotonic; lower values are ignored).
     pub fn set(&self, v: u64) {
         self.0.fetch_max(v, Ordering::SeqCst);
-    }
-
-    /// Adds one to the counter and returns the new value — the arrival
-    /// primitive of the epoch barrier: each task contributes one arrival
-    /// and the last one (the designated snapshotter) sees the full count.
-    pub fn increment(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::SeqCst) + 1
     }
 }
 
@@ -70,18 +62,10 @@ mod tests {
         s.set(5);
         s.set(2);
         assert_eq!(s.current(), 5);
-        s.reset(1);
-        assert_eq!(s.current(), 1);
+        s.reset();
+        assert_eq!(s.current(), 0);
         s.set(3);
         assert_eq!(s.current(), 3);
-    }
-
-    #[test]
-    fn increment_returns_the_new_value() {
-        let s = Semaphore::new();
-        assert_eq!(s.increment(), 1);
-        assert_eq!(s.increment(), 2);
-        assert_eq!(s.current(), 2);
     }
 
     /// Two threads race interleaved `set`s (one the even values, one the
@@ -111,27 +95,5 @@ mod tests {
             }
         });
         assert_eq!(s.current(), TOP);
-    }
-
-    /// Every one of two threads' increments lands: the barrier count is
-    /// exact under contention, and exactly one arrival sees the total.
-    #[test]
-    fn racing_increments_all_land() {
-        const EACH: u64 = 50_000;
-        let s = Semaphore::new();
-        let start = Barrier::new(2);
-        let lasts: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    scope.spawn(|| {
-                        start.wait();
-                        (0..EACH).filter(|_| s.increment() == 2 * EACH).count() as u64
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        assert_eq!(s.current(), 2 * EACH);
-        assert_eq!(lasts, 1, "exactly one arrival is the last");
     }
 }

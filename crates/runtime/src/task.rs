@@ -3,7 +3,7 @@
 //! and the pool worker loop that runs tasks until they park.
 //!
 //! A task runs until it would block — on a dependency semaphore, a FIFO,
-//! an epoch gate, or a fault-injected sleep — and then suspends with a
+//! or a fault-injected sleep — and then suspends with a
 //! [`WakeKey`] naming what it waits for; the peer that makes the
 //! condition true wakes the key and the task resumes, possibly on a
 //! different worker. The run driver in [`crate::executor`] builds the
@@ -18,7 +18,6 @@ use msccl_trace::EventKind;
 use mscclang::OpCode;
 
 use crate::cancel::{FailureCause, FailureOrigin};
-use crate::epoch::WorkerEpoch;
 use crate::executor::{op_index, payload_string, Recorder, RunCtx, LATENCY_SAMPLE_PERIOD};
 use crate::flight::{BlockedOn, EventRing, Moment};
 use crate::kernels;
@@ -37,7 +36,7 @@ fn deadline_hit(global_deadline: Option<Instant>) -> bool {
 /// A persistent straggler chronically slows the whole rank: every
 /// instruction pays a deterministic extra delay proportional to the
 /// planned slowdown factor. Unlike block faults this is not one-shot —
-/// the rank stays slow across tiles, steps and resumed attempts.
+/// the rank stays slow across tiles, steps and retried attempts.
 pub(crate) const STRAGGLE_UNIT_NS: f64 = 20_000.0;
 
 /// What `TbTask::advance` hands back to its worker.
@@ -57,9 +56,6 @@ enum Yield {
 /// two potential waits is one arm of the `advance` loop.
 #[derive(Debug, Clone, Copy)]
 enum Pc {
-    /// Before anything: the epoch gate a resumed (or zero-watermark)
-    /// block may owe at its start position.
-    StartGate,
     /// Emit `TileBegin` and enter the instruction list.
     TileBegin,
     /// Per-instruction preamble: cancellation, deadline, block faults.
@@ -84,8 +80,6 @@ enum Pc {
     Xmit { copy: usize },
     /// Instruction epilogue: counters, ring, semaphore set.
     PostInstr,
-    /// The epoch gate(s) `completed` may have reached.
-    GateCheck,
     /// End of the instruction list for this tile.
     PostTile,
     /// Terminal; `advance` must not be called again.
@@ -111,16 +105,14 @@ pub(crate) struct TbTask {
     // ---- Identity (fixed for the plan).
     pub(crate) rank: usize,
     pub(crate) tb_id: usize,
-    /// This task's index in spawn order: its semaphore and wake key, its
-    /// metrics shard, and its epoch progress slot.
+    /// This task's index in spawn order: its semaphore and wake key, and
+    /// its metrics shard.
     pub(crate) flat: usize,
     // ---- Per-run parameters.
-    pub(crate) epoch_ctx: Option<WorkerEpoch>,
     straggle: Option<Duration>,
     // ---- Interpreter position.
     /// Monotonic completed-instruction count — the same encoding the
-    /// semaphores and epoch watermarks use, seeded from the checkpoint
-    /// watermark on resume.
+    /// semaphores use.
     pub(crate) completed: u64,
     pub(crate) tile: usize,
     pub(crate) step: usize,
@@ -139,8 +131,6 @@ pub(crate) struct TbTask {
     blocked_at: Option<Instant>,
     /// Whether the in-flight FIFO wait already emitted its Block event.
     block_emitted: bool,
-    /// The epoch boundary this task has arrived at but not yet passed.
-    gate_arrived: Option<usize>,
     // ---- Instruction scratch.
     instr_start: Option<Instant>,
     /// Tiles drained from the receive FIFO but not yet consumed: one
@@ -172,7 +162,6 @@ impl TbTask {
             rank,
             tb_id,
             flat,
-            epoch_ctx: None,
             straggle: None,
             completed: 0,
             tile: 0,
@@ -185,7 +174,6 @@ impl TbTask {
             wait_start: None,
             blocked_at: None,
             block_emitted: false,
-            gate_arrived: None,
             instr_start: None,
             inbox: VecDeque::new(),
             inbound: None,
@@ -208,49 +196,25 @@ impl TbTask {
 
     /// Puts the task at the start of a run, whatever state the previous
     /// run left it in (parked mid-wait, dead, tiles in hand — those go
-    /// back to the pool here). `start` is 0 for a fresh run, or this
-    /// block's checkpoint watermark on resume — the same monotonic
-    /// encoding the semaphores use, so `completed` picks up where the
-    /// checkpointed run left off.
+    /// back to the pool here).
     pub(crate) fn reset(
         &mut self,
-        tb: &TbPlan,
-        start: u64,
-        epoch_ctx: Option<WorkerEpoch>,
         straggle: Option<Duration>,
         tracing: bool,
         clock_epoch: Instant,
     ) {
-        let my_len = tb.instrs.len() as u64;
-        let start_tile = start.checked_div(my_len).unwrap_or(0);
-        let start_step = start.checked_rem(my_len).unwrap_or(0) as usize;
-        // Resumed FIFO sequence numbers are re-derived from the watermark
-        // by counting the send/recv instructions in the skipped prefix,
-        // so one-shot delivery-fault specs keyed by sequence number keep
-        // addressing the same logical messages across a resume.
-        let count_prefix = |has: fn(OpCode) -> bool, upto: usize| -> u64 {
-            tb.instrs[..upto].iter().filter(|i| has(i.op)).count() as u64
-        };
-        let seq_at_start = |has: fn(OpCode) -> bool| -> u64 {
-            if start == 0 {
-                return 0;
-            }
-            start_tile * count_prefix(has, tb.instrs.len()) + count_prefix(has, start_step)
-        };
-        self.epoch_ctx = epoch_ctx;
         self.straggle = straggle;
-        self.completed = start;
-        self.tile = start_tile as usize;
-        self.step = start_step;
-        self.send_seq = seq_at_start(OpCode::has_send);
-        self.recv_seq = seq_at_start(OpCode::has_recv);
-        self.pc = Pc::StartGate;
+        self.completed = 0;
+        self.tile = 0;
+        self.step = 0;
+        self.send_seq = 0;
+        self.recv_seq = 0;
+        self.pc = Pc::TileBegin;
         self.fail_at = None;
         self.timer_armed = false;
         self.wait_start = None;
         self.blocked_at = None;
         self.block_emitted = false;
-        self.gate_arrived = None;
         self.instr_start = None;
         self.inbox.clear();
         self.inbound = None;
@@ -337,9 +301,6 @@ impl TbTask {
                 channel: c.channel,
             }),
             Pc::Stall { .. } | Pc::Straggle { .. } | Pc::Delay { .. } => Some(BlockedOn::Sleep),
-            Pc::StartGate | Pc::GateCheck => self
-                .gate_arrived
-                .map(|boundary| BlockedOn::Gate { boundary }),
             _ => None,
         }
     }
@@ -365,69 +326,6 @@ impl TbTask {
             cause,
         });
         self.die(ctx)
-    }
-
-    /// Parks at every epoch gate `completed` has reached. Blocks whose
-    /// next boundary target equals their current position (including
-    /// every fresh block a first cut leaves at watermark 0) gate here
-    /// before executing anything — the barrier needs all of them.
-    /// Returns `None` when no gate is due (or all due gates passed).
-    fn gate_step(&mut self, ctx: &RunCtx<'_>, w: usize) -> Option<Yield> {
-        loop {
-            let completed = self.completed;
-            let due = match self.epoch_ctx.as_mut() {
-                Some(e) => e.boundary_due(completed),
-                None => return None,
-            };
-            let Some(b) = due else {
-                self.gate_arrived = None;
-                return None;
-            };
-            if self.gate_arrived != Some(b) {
-                // First visit: arrive at the barrier. A consistent cut
-                // has every connection drained, so the inbox must be
-                // empty — a batched tile crossing the cut would escape
-                // the checkpoint.
-                debug_assert!(self.inbox.is_empty(), "in-flight tile crosses an epoch cut");
-                self.gate_arrived = Some(b);
-                if let Some(fl) = ctx.flight {
-                    fl.gate(w, self.rank, self.tb_id, b);
-                }
-                self.open_wait(ctx, Instant::now());
-                let released = {
-                    let e = self.epoch_ctx.as_ref().expect("gate implies epoch ctx");
-                    e.state.arrive(b, ctx.cancel)
-                };
-                if released {
-                    // Last arriver: the checkpoint is published; free the
-                    // whole barrier.
-                    ctx.sched.wake(WakeKey::Gate(b), w);
-                }
-            }
-            let released = {
-                let e = self.epoch_ctx.as_ref().expect("gate implies epoch ctx");
-                e.state.is_released(b)
-            };
-            if released {
-                self.epoch_ctx
-                    .as_mut()
-                    .expect("gate implies epoch ctx")
-                    .passed();
-                self.gate_arrived = None;
-                self.fail_at = None;
-                continue;
-            }
-            if ctx.cancel.is_cancelled() {
-                return Some(self.die(ctx));
-            }
-            if self.fail_at.is_some_and(|at| Instant::now() >= at) {
-                return Some(self.fail_own(ctx));
-            }
-            return Some(Yield::Blocked {
-                key: WakeKey::Gate(b),
-                timer: self.arm_fail(),
-            });
-        }
     }
 
     /// Whether the condition this task suspended on now holds. Called by
@@ -457,10 +355,6 @@ impl TbTask {
                 let fifo = &ctx.fifos[c.idx];
                 fifo.len() < fifo.capacity()
             }),
-            Pc::StartGate | Pc::GateCheck => match (self.gate_arrived, &self.epoch_ctx) {
-                (Some(b), Some(e)) => e.state.is_released(b),
-                _ => true,
-            },
             _ => true,
         }
     }
@@ -473,17 +367,6 @@ impl TbTask {
         let metrics = ctx.metrics.map(|m| &m[self.flat]);
         loop {
             match self.pc {
-                Pc::StartGate => {
-                    if let Some(y) = self.gate_step(ctx, w) {
-                        return y;
-                    }
-                    if self.tile >= ctx.num_tiles {
-                        // A checkpoint taken at the very end of the
-                        // program resumes to nothing.
-                        return self.finish();
-                    }
-                    self.pc = Pc::TileBegin;
-                }
                 Pc::TileBegin => {
                     self.rec.emit(EventKind::TileBegin { tile: self.tile });
                     self.pc = if self.step < tb.instrs.len() {
@@ -1005,16 +888,6 @@ impl TbTask {
                             fl.sem_set(w, self.rank, self.tb_id, self.flat, self.completed);
                         }
                         ctx.sched.wake(WakeKey::Sem(self.flat), w);
-                    }
-                    self.pc = Pc::GateCheck;
-                }
-                Pc::GateCheck => {
-                    // The gate check comes *after* the semaphore advance:
-                    // dependents of this instruction must be able to
-                    // proceed to their own pre-cut work, or the barrier
-                    // could never fill.
-                    if let Some(y) = self.gate_step(ctx, w) {
-                        return y;
                     }
                     self.step += 1;
                     self.pc = if self.step < tb.instrs.len() {

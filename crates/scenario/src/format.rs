@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use mscclang::EpochMode;
-
 use crate::slo::{fmt_f64, Assertion};
 
 /// Which execution engine runs the repetitions.
@@ -132,19 +130,14 @@ impl Default for FaultEnv {
     }
 }
 
-/// How a repetition recovers from injected failures (the PR 2/PR 5
-/// ladder: resume from the last epoch, retry with backoff, fall back).
+/// How a repetition recovers from injected failures (the runtime's
+/// ladder: retry with backoff, then fall back).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recovery {
-    /// Retry budget (resumes count against it).
+    /// Retry budget.
     pub retries: usize,
     /// Base backoff before a retry, milliseconds.
     pub backoff_ms: u64,
-    /// Epoch checkpoint placement.
-    pub epochs: EpochMode,
-    /// Whether a disruptive failure resumes from the last epoch
-    /// (`true`) or retries from scratch (`false`).
-    pub resume: bool,
     /// Fallback algorithm name, tried once when retries are exhausted.
     pub fallback: Option<String>,
 }
@@ -154,8 +147,6 @@ impl Default for Recovery {
         Self {
             retries: 2,
             backoff_ms: 1,
-            epochs: EpochMode::Off,
-            resume: true,
             fallback: None,
         }
     }
@@ -372,16 +363,6 @@ fn want_uint(e: &Entry) -> Result<u64, ScenarioError> {
     Ok(n as u64)
 }
 
-fn want_bool(e: &Entry) -> Result<bool, ScenarioError> {
-    match e.value {
-        Value::Bool(b) => Ok(b),
-        ref other => Err(ScenarioError::Parse {
-            line: e.line,
-            message: format!("'{}' wants a boolean, got {}", e.key, other.type_name()),
-        }),
-    }
-}
-
 fn want_str_array(e: &Entry) -> Result<Vec<String>, ScenarioError> {
     let Value::Array(items) = &e.value else {
         return Err(ScenarioError::Parse {
@@ -516,25 +497,6 @@ impl Scenario {
                     ("faults", "spike_factor") => sc.faults.spike_factor = want_num(e)?,
                     ("recovery", "retries") => sc.recovery.retries = want_uint(e)? as usize,
                     ("recovery", "backoff_ms") => sc.recovery.backoff_ms = want_uint(e)?,
-                    ("recovery", "epochs") => {
-                        sc.recovery.epochs = match &e.value {
-                            Value::Str(s) if s == "off" => EpochMode::Off,
-                            Value::Str(s) if s == "auto" => EpochMode::Auto,
-                            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {
-                                EpochMode::Count(*n as usize)
-                            }
-                            other => {
-                                return Err(ScenarioError::Parse {
-                                    line: e.line,
-                                    message: format!(
-                                        "'epochs' wants \"off\", \"auto\" or a count, got {}",
-                                        other.type_name()
-                                    ),
-                                })
-                            }
-                        }
-                    }
-                    ("recovery", "resume") => sc.recovery.resume = want_bool(e)?,
                     ("recovery", "fallback") => sc.recovery.fallback = Some(want_str(e)?),
                     ("slo", "assert") => {
                         for text in want_str_array(e)? {
@@ -694,18 +656,6 @@ impl Scenario {
             let _ = writeln!(out, "\n[recovery]");
             let _ = writeln!(out, "retries = {}", r.retries);
             let _ = writeln!(out, "backoff_ms = {}", r.backoff_ms);
-            match r.epochs {
-                EpochMode::Off => {
-                    let _ = writeln!(out, "epochs = \"off\"");
-                }
-                EpochMode::Auto => {
-                    let _ = writeln!(out, "epochs = \"auto\"");
-                }
-                EpochMode::Count(n) => {
-                    let _ = writeln!(out, "epochs = {n}");
-                }
-            }
-            let _ = writeln!(out, "resume = {}", r.resume);
             if let Some(fb) = &r.fallback {
                 let _ = writeln!(out, "fallback = \"{fb}\"");
             }
@@ -750,8 +700,6 @@ straggler_factor = 4
 [recovery]
 retries = 2
 backoff_ms = 1
-epochs = "auto"
-resume = true
 
 [slo]
 assert = ["p99_ms <= 40", "verified == true"]
@@ -764,7 +712,6 @@ assert = ["p99_ms <= 40", "verified == true"]
         assert_eq!(sc.traffic.sizes, vec![32 << 10, 64 << 10]);
         assert_eq!(sc.traffic.collectives.len(), 2);
         assert_eq!(sc.faults.straggler_rank, Some(1));
-        assert_eq!(sc.recovery.epochs, EpochMode::Auto);
         assert_eq!(sc.slo.len(), 2);
     }
 

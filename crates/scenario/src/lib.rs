@@ -8,11 +8,11 @@
 //!   with mixed algorithms, sizes and tenants ([`format::Traffic`]),
 //! * a **fault environment** — explicit or seeded-random fault plans,
 //!   persistent stragglers and link spikes ([`format::FaultEnv`]), and
-//! * a **recovery policy** — retries, backoff, epoch resume, fallback
+//! * a **recovery policy** — retries, backoff, fallback
 //!   ([`format::Recovery`]),
 //!
 //! plus declarative **SLO assertions** (`p99_ms <= 40`,
-//! `resumes <= 3`, `verified == true`) evaluated over the aggregated
+//! `retries <= 3`, `verified == true`) evaluated over the aggregated
 //! report. The runner executes N seeded repetitions through the
 //! discrete-event simulator (serial or parallel backend — bit-identical
 //! either way) or the threaded runtime, and [`ScenarioReport`] carries

@@ -18,14 +18,10 @@ pub struct RepStats {
     pub faulted: bool,
     /// Plain retries taken (from-scratch re-runs).
     pub retries: u64,
-    /// Epoch resumes taken.
-    pub resumes: u64,
     /// Fallback-program switches taken.
     pub fallbacks: u64,
     /// Ops that exhausted the recovery ladder and failed outright.
     pub failures: u64,
-    /// Epochs completed across the repetition's ops.
-    pub epochs_completed: u64,
     /// Virtual (sim) or wall-clock (runtime) time from first arrival to
     /// last completion, microseconds.
     pub makespan_us: f64,
@@ -194,12 +190,10 @@ impl ScenarioReport {
             "throughput_gbps" => self.throughput_gbps,
             "ops" => self.ops as f64,
             "faulted_reps" => self.reps.iter().filter(|r| r.faulted).count() as f64,
-            "resumes" => sum(|r| r.resumes),
             "retries" => sum(|r| r.retries),
             "fallbacks" => sum(|r| r.fallbacks),
             "failures" => sum(|r| r.failures),
-            "recovery_decisions" => sum(|r| r.retries + r.resumes + r.fallbacks),
-            "epochs_completed" => sum(|r| r.epochs_completed),
+            "recovery_decisions" => sum(|r| r.retries + r.fallbacks),
             "verified" => {
                 if self.verified {
                     1.0
@@ -245,13 +239,11 @@ impl ScenarioReport {
         let decisions = |name: &str| self.metric_value(name).unwrap_or(0.0);
         let _ = writeln!(
             out,
-            "  recovery    faulted reps {}  retries {}  resumes {}  fallbacks {}  failures {}  epochs {}",
+            "  recovery    faulted reps {}  retries {}  fallbacks {}  failures {}",
             fmt_f64(decisions("faulted_reps")),
             fmt_f64(decisions("retries")),
-            fmt_f64(decisions("resumes")),
             fmt_f64(decisions("fallbacks")),
             fmt_f64(decisions("failures")),
-            fmt_f64(decisions("epochs_completed")),
         );
         if !self.tenant_ops.is_empty() {
             let mix: Vec<String> = self
@@ -335,15 +327,12 @@ impl ScenarioReport {
                 .collect();
             let _ = writeln!(
                 out,
-                "    {{\"faulted\": {}, \"retries\": {}, \"resumes\": {}, \"fallbacks\": {}, \
-                 \"failures\": {}, \"epochs_completed\": {}, \"makespan_us\": {:.3}, \
-                 \"blackboxes\": [{}]}}{comma}",
+                "    {{\"faulted\": {}, \"retries\": {}, \"fallbacks\": {}, \
+                 \"failures\": {}, \"makespan_us\": {:.3}, \"blackboxes\": [{}]}}{comma}",
                 r.faulted,
                 r.retries,
-                r.resumes,
                 r.fallbacks,
                 r.failures,
-                r.epochs_completed,
                 r.makespan_us,
                 boxes.join(", ")
             );
@@ -375,27 +364,23 @@ mod tests {
             RepStats {
                 faulted: false,
                 retries: 0,
-                resumes: 0,
                 fallbacks: 0,
                 failures: 0,
-                epochs_completed: 4,
                 makespan_us: 900.0,
                 blackboxes: Vec::new(),
             },
             RepStats {
                 faulted: true,
                 retries: 1,
-                resumes: 2,
-                fallbacks: 0,
+                fallbacks: 2,
                 failures: 0,
-                epochs_completed: 6,
                 makespan_us: 1100.0,
                 blackboxes: Vec::new(),
             },
         ];
         let assertions = vec![
             Assertion::parse("p99_ms <= 1").unwrap(),
-            Assertion::parse("resumes <= 3").unwrap(),
+            Assertion::parse("fallbacks <= 3").unwrap(),
             Assertion::parse("verified == true").unwrap(),
         ];
         ScenarioReport::build(
@@ -426,7 +411,7 @@ mod tests {
         for name in METRICS {
             assert!(r.metric_value(name).is_some(), "missing metric {name}");
         }
-        assert_eq!(r.metric_value("resumes"), Some(2.0));
+        assert_eq!(r.metric_value("fallbacks"), Some(2.0));
         assert_eq!(r.metric_value("recovery_decisions"), Some(3.0));
         assert_eq!(r.metric_value("faulted_reps"), Some(1.0));
         assert_eq!(r.metric_value("verified"), Some(1.0));

@@ -26,10 +26,8 @@
 //! its outcome, mirroring the runtime's ladder
 //! ([`msccl_runtime::execute_with_recovery`]). When a faulted attempt
 //! fails at virtual time `t`: with no retry budget the op falls back (one
-//! fallback execution) or fails; with budget, epoch resume charges
-//! detection + backoff + the *un-checkpointed remainder* of a clean run
-//! (the fraction past the last epoch boundary reached by `t`), and a
-//! plain retry charges detection + backoff + a full clean run. Injected
+//! fallback execution) or fails; with budget, a retry charges
+//! detection + backoff + a full clean run. Injected
 //! faults are one-shot, so the re-attempt runs clean — exactly the
 //! runtime's semantics. Persistent faults (stragglers, link spikes) are
 //! environment, not events: they slow every attempt, including the
@@ -40,13 +38,11 @@ use std::time::{Duration, Instant};
 
 use msccl_algos::{build_by_name, AlgoSpec};
 use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse};
-use msccl_runtime::{
-    execute_with_recovery, reference, RecoveryPolicy, ResumePolicy, Run, RunOptions,
-};
+use msccl_runtime::{execute_with_recovery, reference, RecoveryPolicy, Run, RunOptions};
 use msccl_sim::{simulate, SimConfig, SimError};
 use msccl_topology::Machine;
 use mscclang::rng::{mix, Splitmix64};
-use mscclang::{compile, CompileOptions, EpochMode, IrProgram};
+use mscclang::{compile, CompileOptions, IrProgram};
 
 use crate::format::{Arrival, Engine, FaultEnv, Scenario, ScenarioError};
 use crate::report::{RepStats, ScenarioReport};
@@ -284,24 +280,19 @@ fn gap_us(arrival: Arrival, mean: f64, roll: f64) -> f64 {
     }
 }
 
-/// A clean (environment-only) simulation of `(collective, size)`:
-/// service time and epoch boundary count. Cached — the mix is small and
-/// every repetition re-uses the same attempts.
-struct CleanRun {
-    service_us: f64,
-    boundaries: usize,
-}
-
 struct SimCtx<'a> {
     sc: &'a Scenario,
     pre: &'a Preflight,
     threads: Option<usize>,
-    clean_cache: HashMap<(usize, u64), CleanRun>,
+    /// Service time of a clean (environment-only) simulation of
+    /// `(collective, size)`. Cached — the mix is small and every
+    /// repetition re-uses the same attempts.
+    clean_cache: HashMap<(usize, u64), f64>,
 }
 
 impl SimCtx<'_> {
     fn sim_config(&self, plan: Option<FaultPlan>) -> SimConfig {
-        let mut cfg = SimConfig::new(self.pre.machine.clone()).with_epochs(self.sc.recovery.epochs);
+        let mut cfg = SimConfig::new(self.pre.machine.clone());
         if let Some(threads) = self.threads {
             cfg = cfg.with_parallel(threads);
         }
@@ -323,19 +314,14 @@ impl SimCtx<'_> {
     }
 
     /// Simulates `(coll, size)` under the environment only.
-    fn clean(&mut self, coll: usize, size: u64) -> Result<&CleanRun, ScenarioError> {
-        if !self.clean_cache.contains_key(&(coll, size)) {
-            let cfg = self.sim_config(self.env_plan());
-            let report = simulate(&self.pre.programs[coll].ir, &cfg, size).map_err(engine_err)?;
-            self.clean_cache.insert(
-                (coll, size),
-                CleanRun {
-                    service_us: report.total_us,
-                    boundaries: report.epoch_boundaries,
-                },
-            );
+    fn clean(&mut self, coll: usize, size: u64) -> Result<f64, ScenarioError> {
+        if let Some(&us) = self.clean_cache.get(&(coll, size)) {
+            return Ok(us);
         }
-        Ok(&self.clean_cache[&(coll, size)])
+        let cfg = self.sim_config(self.env_plan());
+        let report = simulate(&self.pre.programs[coll].ir, &cfg, size).map_err(engine_err)?;
+        self.clean_cache.insert((coll, size), report.total_us);
+        Ok(report.total_us)
     }
 }
 
@@ -343,10 +329,8 @@ impl SimCtx<'_> {
 struct OpOutcome {
     service_us: f64,
     retries: u64,
-    resumes: u64,
     fallbacks: u64,
     failures: u64,
-    epochs_completed: u64,
 }
 
 /// Runs one op on the sim engine, modeling the recovery ladder on
@@ -357,16 +341,12 @@ fn sim_op(
     size: u64,
     fault_plan: Option<&FaultPlan>,
 ) -> Result<OpOutcome, ScenarioError> {
-    let epochs_on = ctx.sc.recovery.epochs != EpochMode::Off;
-    let clean = ctx.clean(coll, size)?;
-    let (clean_us, boundaries) = (clean.service_us, clean.boundaries);
+    let clean_us = ctx.clean(coll, size)?;
     let mut out = OpOutcome {
         service_us: clean_us,
         retries: 0,
-        resumes: 0,
         fallbacks: 0,
         failures: 0,
-        epochs_completed: if epochs_on { boundaries as u64 } else { 0 },
     };
     let Some(plan) = fault_plan else {
         return Ok(out);
@@ -385,37 +365,15 @@ fn sim_op(
         ))
     })?;
     let cfg = ctx.sim_config(Some(full));
-    // `progress`: how far through the schedule the attempt was when it
-    // died, used to decide which epoch checkpoints had been published.
-    // A structured fault reports the failed step, so progress is the
-    // step's fraction of its block — exactly the watermark an epoch cut
-    // gates on. A deadlock only reports a time, so fall back to the
-    // time fraction of a clean run.
-    let (failed_at, progress) = match simulate(&ctx.pre.programs[coll].ir, &cfg, size) {
+    let failed_at = match simulate(&ctx.pre.programs[coll].ir, &cfg, size) {
         // Benign/corrupting plans complete, just slower; charge the
         // perturbed time.
         Ok(report) => {
             out.service_us = report.total_us;
             return Ok(out);
         }
-        Err(SimError::InjectedFault {
-            rank,
-            tb,
-            step,
-            at_us,
-            ..
-        }) => {
-            let universe = FaultUniverse::from_ir(&ctx.pre.programs[coll].ir);
-            let frac = universe
-                .blocks
-                .iter()
-                .find(|&&(r, t, _)| (r, t) == (rank, tb))
-                .map_or(0.0, |&(_, _, steps)| step as f64 / steps.max(1) as f64);
-            (at_us.as_f64(), frac)
-        }
-        Err(SimError::Stuck { at_us, .. }) => {
-            let at = at_us.as_f64();
-            (at, (at / clean_us).clamp(0.0, 1.0))
+        Err(SimError::InjectedFault { at_us, .. } | SimError::Stuck { at_us, .. }) => {
+            at_us.as_f64()
         }
         Err(other) => return Err(engine_err(other)),
     };
@@ -427,32 +385,21 @@ fn sim_op(
         match ctx.sc.recovery.fallback.is_some() {
             true => {
                 let fb = ctx.pre.programs.len() - 1;
-                let fb_us = ctx.clean(fb, size)?.service_us;
+                let fb_us = ctx.clean(fb, size)?;
                 out.service_us = detect_us + backoff_us + fb_us;
                 out.fallbacks = 1;
-                out.epochs_completed = 0;
             }
             false => {
                 out.service_us = detect_us;
                 out.failures = 1;
-                out.epochs_completed = 0;
             }
         }
         return Ok(out);
     }
-    // Injected faults are one-shot, so the re-attempt runs clean (over
-    // the persistent environment). Epoch resume skips the checkpointed
-    // prefix; a plain retry repeats everything.
-    if epochs_on && ctx.sc.recovery.resume && boundaries > 0 {
-        let spans = (boundaries + 1) as f64;
-        let completed = ((progress * spans) as usize).min(boundaries);
-        out.service_us = detect_us + backoff_us + clean_us * (1.0 - completed as f64 / spans);
-        out.resumes = 1;
-        out.epochs_completed = (boundaries + completed) as u64;
-    } else {
-        out.service_us = detect_us + backoff_us + clean_us;
-        out.retries = 1;
-    }
+    // Injected faults are one-shot, so the retry runs clean (over the
+    // persistent environment) and repeats everything.
+    out.service_us = detect_us + backoff_us + clean_us;
+    out.retries = 1;
     Ok(out)
 }
 
@@ -493,10 +440,8 @@ fn run_sim(
         let mut stats = RepStats {
             faulted: draw.faulted,
             retries: 0,
-            resumes: 0,
             fallbacks: 0,
             failures: 0,
-            epochs_completed: 0,
             makespan_us: 0.0,
             blackboxes: Vec::new(),
         };
@@ -521,10 +466,8 @@ fn run_sim(
             finish = arrival.max(finish) + outcome.service_us;
             latencies.push(finish - arrival);
             stats.retries += outcome.retries;
-            stats.resumes += outcome.resumes;
             stats.fallbacks += outcome.fallbacks;
             stats.failures += outcome.failures;
-            stats.epochs_completed += outcome.epochs_completed;
         }
         stats.makespan_us = finish;
         reps.push(stats);
@@ -554,10 +497,8 @@ fn run_runtime(
         let mut stats = RepStats {
             faulted: draw.faulted,
             retries: 0,
-            resumes: 0,
             fallbacks: 0,
             failures: 0,
-            epochs_completed: 0,
             makespan_us: 0.0,
             blackboxes: Vec::new(),
         };
@@ -573,7 +514,6 @@ fn run_runtime(
                 (size as usize / (ir.collective.in_chunks() * 4)).clamp(1, MAX_CHUNK_ELEMS);
             let inputs = reference::random_inputs(ir, chunk_elems, op.input_seed);
             let opts = RunOptions {
-                epochs: sc.recovery.epochs,
                 blackbox_dir: blackbox_dir.map(Into::into),
                 ..RunOptions::default()
             };
@@ -581,11 +521,6 @@ fn run_runtime(
                 max_retries: sc.recovery.retries,
                 backoff: Duration::from_millis(sc.recovery.backoff_ms),
                 jitter_seed: mix(sc.seed ^ rep as u64),
-                resume: if sc.recovery.resume {
-                    ResumePolicy::Epoch
-                } else {
-                    ResumePolicy::FullRetry
-                },
                 ..RecoveryPolicy::default()
             };
             let mut specs = pre.env_specs.clone();
@@ -620,9 +555,7 @@ fn run_runtime(
                 Ok(report) => {
                     use msccl_metrics::names;
                     stats.retries += report.metrics.counter_total(names::RECOVERY_RETRIES);
-                    stats.resumes += report.metrics.counter_total(names::RECOVERY_RESUMES);
                     stats.fallbacks += report.metrics.counter_total(names::RECOVERY_FALLBACKS);
-                    stats.epochs_completed += report.epochs_completed;
                 }
                 // The ladder ran dry: the op failed, the storm goes on.
                 // Keep the black-box path (if a dump directory was
@@ -706,8 +639,6 @@ mean_gap_us = 30
 [recovery]
 retries = 2
 backoff_ms = 1
-epochs = "auto"
-resume = true
 "#,
         )
         .unwrap()

@@ -1,7 +1,7 @@
 //! The SLO assertion grammar: `<metric> <cmp> <value>`.
 //!
 //! An assertion is one line of the scenario's `[slo]` section, e.g.
-//! `p99_ms <= 40`, `resumes <= 3` or `verified == true`. Metrics are
+//! `p99_ms <= 40`, `retries <= 3` or `verified == true`. Metrics are
 //! drawn from the scenario report (see [`METRICS`]); comparators are
 //! `<=`, `<`, `>=`, `>`, `==`, `!=`; values are numbers, or
 //! `true`/`false` for the boolean metrics (coerced to 1/0).
@@ -27,12 +27,10 @@ pub const METRICS: &[&str] = &[
     "throughput_gbps",
     "ops",
     "faulted_reps",
-    "resumes",
     "retries",
     "fallbacks",
     "failures",
     "recovery_decisions",
-    "epochs_completed",
     "verified",
 ];
 
@@ -177,7 +175,7 @@ mod tests {
         let b = Assertion::parse("verified == true").unwrap();
         assert!(b.eval(1.0));
         assert!(!b.eval(0.0));
-        let c = Assertion::parse("resumes != 0").unwrap();
+        let c = Assertion::parse("retries != 0").unwrap();
         assert!(c.eval(2.0));
         assert!(!c.eval(0.0));
     }

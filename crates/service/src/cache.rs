@@ -4,7 +4,7 @@
 //! GC3's compiled-program model (the paper's §4) is what makes caching
 //! sound: a program is fully determined by its directives, so two
 //! requests that agree on `(collective, ranks, size-class, topology,
-//! protocol, epoch-mode)` can share one compiled [`IrProgram`]. The
+//! protocol)` can share one compiled [`IrProgram`]. The
 //! size *class* — the log2 bucket of the chunk element count — is part
 //! of the key even though today's compiler emits identical IR across
 //! sizes: size-dependent directive tuning (instance counts, aggregation
@@ -19,14 +19,14 @@
 //! next to the compile it replaces.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use msccl_topology::Protocol;
-use mscclang::{EpochMode, IrProgram};
+use mscclang::IrProgram;
 
 /// Everything that identifies one compiled program in the cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Registry name of the collective algorithm (`ring-allreduce`, …).
     pub collective: String,
@@ -39,39 +39,6 @@ pub struct CacheKey {
     pub topology: String,
     /// Protocol the program will run under.
     pub protocol: Protocol,
-    /// Epoch checkpoint placement the program will run under.
-    pub epochs: EpochMode,
-}
-
-/// Stable numeric code for an [`EpochMode`] (it derives no `Hash`):
-/// `Off` → 0, `Auto` → 1, `Count(n)` → 2 + n.
-fn epoch_code(mode: EpochMode) -> u64 {
-    match mode {
-        EpochMode::Off => 0,
-        EpochMode::Auto => 1,
-        EpochMode::Count(n) => 2 + n as u64,
-    }
-}
-
-/// Canonical label for an [`EpochMode`], the CLI's `--epochs` syntax.
-#[must_use]
-pub fn epoch_label(mode: EpochMode) -> String {
-    match mode {
-        EpochMode::Off => "off".into(),
-        EpochMode::Auto => "auto".into(),
-        EpochMode::Count(n) => n.to_string(),
-    }
-}
-
-impl Hash for CacheKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.collective.hash(state);
-        self.ranks.hash(state);
-        self.size_class.hash(state);
-        self.topology.hash(state);
-        self.protocol.hash(state);
-        epoch_code(self.epochs).hash(state);
-    }
 }
 
 impl CacheKey {
@@ -83,13 +50,12 @@ impl CacheKey {
     pub fn fingerprint(&self) -> String {
         let esc = |s: &str| s.replace('\\', "\\\\").replace('|', "\\|");
         format!(
-            "{}|r{}|c{}|{}|{}|e{}",
+            "{}|r{}|c{}|{}|{}",
             esc(&self.collective),
             self.ranks,
             self.size_class,
             esc(&self.topology),
             self.protocol.as_str(),
-            epoch_label(self.epochs),
         )
     }
 }
@@ -245,7 +211,6 @@ mod tests {
             size_class: class,
             topology: "local".into(),
             protocol: Protocol::Simple,
-            epochs: EpochMode::Off,
         }
     }
 
@@ -325,16 +290,5 @@ mod tests {
         let mut b = key("a", 2, 1);
         b.topology = "b|local".into();
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn epoch_modes_do_not_alias() {
-        let mut a = key("a", 2, 1);
-        let mut b = key("a", 2, 1);
-        a.epochs = EpochMode::Auto;
-        b.epochs = EpochMode::Count(1);
-        assert_ne!(a, b);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(epoch_code(a.epochs), epoch_code(b.epochs));
     }
 }

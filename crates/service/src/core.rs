@@ -39,7 +39,7 @@ use msccl_runtime::{
     execute_with_recovery, reference, ExecArena, RecoveryPolicy, Run, RunOptions, RuntimeError,
 };
 use msccl_topology::Protocol;
-use mscclang::{compile, CompileOptions, EpochMode};
+use mscclang::{compile, CompileOptions};
 
 use crate::cache::{size_class, CacheKey, CacheStats, IrCache};
 use crate::tenant::{TenantSpec, TokenBucket};
@@ -118,8 +118,6 @@ pub struct CollectiveRequest {
     pub tenant: String,
     /// Protocol to run under.
     pub protocol: Protocol,
-    /// Epoch checkpoint placement.
-    pub epochs: EpochMode,
     /// Wall-clock budget from admission to reply (queue wait included);
     /// `None` falls back to the config default.
     pub deadline: Option<Duration>,
@@ -138,7 +136,6 @@ impl Default for CollectiveRequest {
             chunk_elems: 64,
             tenant: "default".into(),
             protocol: Protocol::Simple,
-            epochs: EpochMode::Off,
             deadline: None,
             seed: 1,
         }
@@ -605,7 +602,6 @@ impl ServiceCore {
             size_class: size_class(req.chunk_elems),
             topology: self.cfg.topology.clone(),
             protocol: req.protocol,
-            epochs: req.epochs,
         };
         let built = {
             let mut cache = self.cache.lock().expect("cache poisoned");
@@ -823,7 +819,6 @@ impl ServiceCore {
         };
         let opts = RunOptions {
             protocol: job.req.protocol,
-            epochs: job.req.epochs,
             deadline: remaining,
             metrics: false,
             blackbox_dir: self.cfg.blackbox_dir.clone(),

@@ -24,7 +24,6 @@ use std::time::Duration;
 
 use msccl_algos::AlgoSpec;
 use msccl_topology::Protocol;
-use mscclang::EpochMode;
 
 use crate::core::{
     json_escape, CollectiveRequest, Reply, ServiceConfig, ServiceCore, ServiceStats, ShedReason,
@@ -443,10 +442,6 @@ fn parse_collective(req: &Request) -> Result<CollectiveRequest, String> {
         Some(p) => Protocol::parse(p)
             .ok_or_else(|| format!("unknown protocol '{p}' (simple, ll, ll128)"))?,
     };
-    let epochs = match query_get(req, "epochs") {
-        None => EpochMode::Off,
-        Some(e) => parse_epochs(e)?,
-    };
     let deadline = parse_u64(req, "deadline-ms")?
         .or(parse_u64(req, "deadline_ms")?)
         .map(Duration::from_millis);
@@ -459,22 +454,9 @@ fn parse_collective(req: &Request) -> Result<CollectiveRequest, String> {
         chunk_elems,
         tenant: query_get(req, "tenant").unwrap_or("default").to_string(),
         protocol,
-        epochs,
         deadline,
         seed: parse_u64(req, "seed")?.unwrap_or(1),
     })
-}
-
-/// Parses the CLI's `--epochs` syntax: `off`, `auto`, or a count.
-pub(crate) fn parse_epochs(s: &str) -> Result<EpochMode, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "off" => Ok(EpochMode::Off),
-        "auto" => Ok(EpochMode::Auto),
-        n => n
-            .parse()
-            .map(EpochMode::Count)
-            .map_err(|_| format!("epochs must be off, auto or a count, got '{s}'")),
-    }
 }
 
 fn status_text(code: u16) -> &'static str {
@@ -652,14 +634,6 @@ mod tests {
         assert_eq!(url_decode("a+b"), "a b");
     }
 
-    #[test]
-    fn epochs_syntax_matches_the_cli() {
-        assert_eq!(parse_epochs("off").unwrap(), EpochMode::Off);
-        assert_eq!(parse_epochs("AUTO").unwrap(), EpochMode::Auto);
-        assert_eq!(parse_epochs("3").unwrap(), EpochMode::Count(3));
-        assert!(parse_epochs("sometimes").is_err());
-    }
-
     fn mk_request(target: &str) -> Request {
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p.to_string(), parse_query(q)),
@@ -677,7 +651,7 @@ mod tests {
     fn collective_params_build_a_request() {
         let req = mk_request(
             "/collective?algorithm=ring-allreduce&ranks=8&elems=256&tenant=t1\
-             &protocol=ll&epochs=auto&deadline-ms=500&seed=9&channels=2",
+             &protocol=ll&deadline-ms=500&seed=9&channels=2",
         );
         let c = parse_collective(&req).unwrap();
         assert_eq!(c.algorithm, "ring-allreduce");
@@ -686,7 +660,6 @@ mod tests {
         assert_eq!(c.chunk_elems, 256);
         assert_eq!(c.tenant, "t1");
         assert_eq!(c.protocol, Protocol::Ll);
-        assert_eq!(c.epochs, EpochMode::Auto);
         assert_eq!(c.deadline, Some(Duration::from_millis(500)));
         assert_eq!(c.seed, 9);
     }

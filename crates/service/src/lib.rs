@@ -8,7 +8,7 @@
 //! load and degrades *structurally* instead of falling over:
 //!
 //! * **Compile cache** ([`cache`]): MSCCL-IR keyed by `(collective,
-//!   ranks, size-class, topology, protocol, epoch-mode)` with LRU
+//!   ranks, size-class, topology, protocol)` with LRU
 //!   eviction; GC3's compiled-program model makes the key sound.
 //! * **Admission control** ([`core`]): per-tenant token buckets,
 //!   bounded per-tenant queues, deficit-round-robin weighted-fair
@@ -47,7 +47,7 @@ pub mod core;
 pub mod http;
 pub mod signal;
 
-pub use cache::{epoch_label, size_class, CacheKey, CacheStats, IrCache};
+pub use cache::{size_class, CacheKey, CacheStats, IrCache};
 pub use core::{
     json_escape, output_checksum, CollectiveRequest, FailReply, OkReply, Reply, ServiceConfig,
     ServiceCore, ServiceStats, ShedReason, ShedReply, TenantStats, MAX_CHUNK_ELEMS,

@@ -7,7 +7,7 @@
 //! random access sequences through [`IrCache`] and pin:
 //!
 //! * distinct keys never alias: equality, the injective fingerprint and
-//!   the hand-written `Hash` all agree on what "the same program" means
+//!   `Hash` all agree on what "the same program" means
 //!   (the escaping in [`CacheKey::fingerprint`] is load-bearing — free
 //!   -form fields may contain the delimiter);
 //! * the LRU bound holds at every step, never just at the end: entries
@@ -19,7 +19,7 @@ use std::hash::{Hash, Hasher};
 
 use msccl_service::{CacheKey, IrCache};
 use msccl_topology::Protocol;
-use mscclang::{EpochMode, IrProgram};
+use mscclang::IrProgram;
 use proptest::prelude::*;
 
 /// Free-form field values, chosen to stress the fingerprint escaping:
@@ -39,22 +39,14 @@ const NAMES: &[&str] = &[
 
 const PROTOCOLS: &[Protocol] = &[Protocol::Simple, Protocol::Ll, Protocol::Ll128];
 
-const EPOCHS: &[EpochMode] = &[
-    EpochMode::Off,
-    EpochMode::Auto,
-    EpochMode::Count(1),
-    EpochMode::Count(2),
-];
-
-fn key_from(ix: (usize, usize, u32, usize, usize, usize)) -> CacheKey {
-    let (coll, ranks, class, topo, proto, epoch) = ix;
+fn key_from(ix: (usize, usize, u32, usize, usize)) -> CacheKey {
+    let (coll, ranks, class, topo, proto) = ix;
     CacheKey {
         collective: NAMES[coll % NAMES.len()].to_owned(),
         ranks: 1 + ranks % 8,
         size_class: class % 20,
         topology: NAMES[topo % NAMES.len()].to_owned(),
         protocol: PROTOCOLS[proto % PROTOCOLS.len()],
-        epochs: EPOCHS[epoch % EPOCHS.len()],
     }
 }
 
@@ -65,7 +57,6 @@ fn key_strategy() -> impl Strategy<Value = CacheKey> {
         0u32..20,
         0usize..NAMES.len(),
         0usize..PROTOCOLS.len(),
-        0usize..EPOCHS.len(),
     )
         .prop_map(key_from)
 }
@@ -110,7 +101,7 @@ proptest! {
     fn lru_respects_capacity_at_every_step(
         capacity in 1usize..6,
         accesses in proptest::collection::vec(
-            (0usize..NAMES.len(), 0usize..4, 0u32..6, 0usize..2, 0usize..PROTOCOLS.len(), 0usize..EPOCHS.len()),
+            (0usize..NAMES.len(), 0usize..4, 0u32..6, 0usize..2, 0usize..PROTOCOLS.len()),
             1..80,
         ),
     ) {

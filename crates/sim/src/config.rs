@@ -59,11 +59,10 @@ pub struct SimConfig {
     /// are timing no-ops here since the simulator moves no data — use the
     /// threaded runtime to observe them.
     pub fault_plan: Option<FaultPlan>,
-    /// Epoch checkpoint schedule to model. The simulator resolves
-    /// `Auto` through the same cost model as the runtime
-    /// ([`EpochMode::resolve`]), so `--epochs auto` predicts the same
-    /// boundary count both places; each boundary charges a global
-    /// barrier plus a memory snapshot at [`SimConfig::snapshot_gbps`].
+    /// Epoch checkpoint schedule to model. `Auto` resolves through the
+    /// compiler's traffic-budget cost model ([`EpochMode::resolve`]);
+    /// each boundary charges a global barrier plus a memory snapshot at
+    /// [`SimConfig::snapshot_gbps`].
     pub epochs: EpochMode,
     /// Rank-memory copy bandwidth the epoch snapshot model assumes, in
     /// GB/s (device-memory `memcpy`, so well above link bandwidth).

@@ -86,8 +86,7 @@ pub struct SimReport {
     /// threaded runtime emits, timestamped by the discrete-event clock.
     pub trace: Option<Trace>,
     /// Epoch boundaries the configured [`SimConfig::epochs`] schedule
-    /// placed (after `Auto` resolution — the same count the runtime
-    /// would checkpoint at).
+    /// placed (after `Auto` resolution).
     pub epoch_boundaries: usize,
     /// Virtual time charged to epoch checkpointing — per boundary, a
     /// global barrier plus every rank's memory copied at
@@ -408,10 +407,9 @@ fn assemble(ir: &IrProgram, config: &SimConfig, mut built: Built) -> SimReport {
         ..
     } = built;
 
-    // ---- Epoch checkpoint cost. The schedule resolves exactly as the
-    // runtime resolves it — same verified cut chain, same Auto traffic
-    // budget — so the predicted boundary count matches what a real
-    // execution with these options would checkpoint.
+    // ---- Epoch checkpoint cost. The schedule resolves from the
+    // program's verified cut chain and the compiler's Auto traffic
+    // budget.
     let chunk_elems = ((chunk_bytes / std::mem::size_of::<f32>() as f64).ceil() as usize).max(1);
     let epoch_mode = config.epochs.resolve(ir, chunk_elems);
     let epoch_boundaries = if matches!(epoch_mode, EpochMode::Off | EpochMode::Count(0)) {
@@ -429,10 +427,9 @@ fn assemble(ir: &IrProgram, config: &SimConfig, mut built: Built) -> SimReport {
     let epoch_us = if epoch_boundaries > 0 {
         // Per boundary: a global barrier (every block pays roughly one
         // decode round to park and release) plus each rank's memory
-        // copied at snapshot bandwidth. Ranks snapshot concurrently in
-        // the runtime's designated-worker scheme only per buffer, so the
-        // model charges the full per-rank copy serially — a conservative
-        // ceiling. GB/s is bytes/µs × 1000.
+        // copied at snapshot bandwidth. The model charges the full
+        // per-rank copy serially — a conservative ceiling. GB/s is
+        // bytes/µs × 1000.
         let snap_bytes = mscclang::passes::snapshot_bytes(ir, chunk_elems) as f64;
         let barrier_us = config.instr_overhead_us;
         epoch_boundaries as f64 * (barrier_us + snap_bytes / (config.snapshot_gbps * 1000.0))
@@ -1039,9 +1036,9 @@ mod tests {
     }
 
     /// Epoch checkpointing costs virtual time proportional to the
-    /// boundary count, and `Auto` resolves through the same traffic
-    /// budget as the runtime: large buffers checkpoint, the epochs-off
-    /// baseline never does.
+    /// boundary count, and `Auto` resolves through the compiler's
+    /// traffic budget: large buffers checkpoint, the epochs-off baseline
+    /// never does.
     #[test]
     fn epoch_model_charges_snapshot_cost() {
         let ir = ring(8, 1, 1);
@@ -1051,8 +1048,8 @@ mod tests {
         assert_eq!(off.epoch_us, 0.0);
         assert_eq!(off.metrics.counter(names::EPOCHS_COMPLETED, &[]), 0);
 
-        // Auto resolves through the exact cost-model helpers the runtime
-        // uses, whatever they decide for this program and size.
+        // Auto resolves through the compiler's cost-model helpers,
+        // whatever they decide for this program and size.
         let auto = simulate(&ir, &ndv4_config().with_epochs(EpochMode::Auto), bytes).unwrap();
         let chunk_elems = (bytes as usize / ir.collective.in_chunks()) / 4;
         let expected = mscclang::passes::auto_boundaries(
@@ -1084,8 +1081,7 @@ mod tests {
         assert!(many.epoch_boundaries >= two.epoch_boundaries);
         assert!(many.epoch_us >= two.epoch_us);
 
-        // A tiny buffer cannot afford snapshots: Auto declines, exactly
-        // like the runtime's resolution would.
+        // A tiny buffer cannot afford snapshots: Auto declines.
         let tiny = simulate(&ir, &ndv4_config().with_epochs(EpochMode::Auto), 1 << 10).unwrap();
         assert_eq!(tiny.epoch_boundaries, 0);
     }

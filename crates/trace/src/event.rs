@@ -159,10 +159,6 @@ pub enum EventKind {
 pub enum RecoveryDecision {
     /// The attempt produced verified-correct outputs; the run is done.
     Accept,
-    /// The attempt failed transiently after completing at least one
-    /// epoch; resume from the last published checkpoint instead of
-    /// redoing the whole run.
-    Resume,
     /// The attempt failed transiently; retry after backoff.
     Retry,
     /// Retries are exhausted; switch to the fallback algorithm.
@@ -177,7 +173,6 @@ impl RecoveryDecision {
     pub fn label(self) -> &'static str {
         match self {
             RecoveryDecision::Accept => "accept",
-            RecoveryDecision::Resume => "resume",
             RecoveryDecision::Retry => "retry",
             RecoveryDecision::Fallback => "fallback",
             RecoveryDecision::GiveUp => "give_up",

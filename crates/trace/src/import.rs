@@ -114,7 +114,6 @@ impl Trace {
                     attempt: parse(step, "attempt", line_no)?,
                     decision: match value {
                         "accept" => RecoveryDecision::Accept,
-                        "resume" => RecoveryDecision::Resume,
                         "retry" => RecoveryDecision::Retry,
                         "fallback" => RecoveryDecision::Fallback,
                         "give_up" => RecoveryDecision::GiveUp,

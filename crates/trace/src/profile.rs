@@ -693,9 +693,6 @@ pub fn snapshot_from_trace(trace: &Trace) -> MetricsSnapshot {
             EventKind::Recovery { decision, .. } => {
                 registry.counter(names::RECOVERY_ATTEMPTS, &[]).inc(0);
                 match decision {
-                    crate::event::RecoveryDecision::Resume => {
-                        registry.counter(names::RECOVERY_RESUMES, &[]).inc(0);
-                    }
                     crate::event::RecoveryDecision::Retry => {
                         registry.counter(names::RECOVERY_RETRIES, &[]).inc(0);
                     }

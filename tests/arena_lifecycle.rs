@@ -23,7 +23,7 @@ use msccl_runtime::{
     execute_in_arena, execute_with_recovery, reference, run, ExecArena, ExecStats, RecoveryPolicy,
     Run, RunOptions, RuntimeError,
 };
-use mscclang::{compile, CompileOptions, EpochMode, IrProgram, Program, ReduceOp};
+use mscclang::{compile, CompileOptions, IrProgram, Program, ReduceOp};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -239,7 +239,6 @@ fn run_after_a_worker_panic_is_clean() {
 /// The recovery ladder in one arena: the primary is killed, retried and
 /// killed again, the fallback — a different program, so a different
 /// plan — completes, and the primary then runs clean on the same arena.
-/// With epochs on, so checkpoint staging recycles through it too.
 #[test]
 fn retry_then_fallback_then_original_in_one_arena() {
     let _serial = serial();
@@ -250,10 +249,7 @@ fn retry_then_fallback_then_original_in_one_arena() {
     )
     .expect("compiles");
     for pool in pool_sizes() {
-        let opts = RunOptions {
-            epochs: EpochMode::Count(2),
-            ..opts(pool)
-        };
+        let opts = opts(pool);
         let mut arena = ExecArena::new(&ir, &opts);
         clean_run("warm-up", &program, &ir, 4, &opts, &mut arena);
 
@@ -312,13 +308,12 @@ fn spare_memories(arena: &ExecArena) -> usize {
         .unwrap_or_else(|| panic!("no spare_memories count in {shown}"))
 }
 
-/// A resume checkpoint that does not fit the run is rejected before the
-/// arena is touched: its warm rank memories stay stashed, and the next
-/// run recycles them — bit-exact, nothing allocated. The checkpoint is a
-/// real one (a late dropped delivery hangs the run past a published
-/// boundary), replayed against options without that boundary schedule.
+/// A request with invalid options is rejected before the arena is
+/// touched: the warm rank memories a late hang (a dropped delivery)
+/// stashed stay there, and the next run recycles them — bit-exact,
+/// nothing allocated.
 #[test]
-fn rejected_checkpoint_leaves_the_arena_warm() {
+fn rejected_request_leaves_the_arena_warm() {
     let _serial = serial();
     let (program, ir) = ring(4);
     let tb = &ir.gpus[0].threadblocks[0];
@@ -330,17 +325,14 @@ fn rejected_checkpoint_leaves_the_arena_warm() {
                 src: 0,
                 dst: tb.send_peer.unwrap(),
                 channel: tb.channel,
-                // Tile 12 of 16: past both boundaries of the schedule.
+                // Tile 12 of 16: late in the run.
                 seq: 12 * sends_per_tile,
             },
             kind: FaultKind::DropDelivery,
         }],
     };
     for pool in pool_sizes() {
-        let opts = RunOptions {
-            epochs: EpochMode::Count(2),
-            ..opts(pool)
-        };
+        let opts = opts(pool);
         let mut arena = ExecArena::new(&ir, &opts);
         clean_run("warm-up", &program, &ir, 5, &opts, &mut arena);
 
@@ -356,25 +348,20 @@ fn rejected_checkpoint_leaves_the_arena_warm() {
             "pool={pool}: {:?}",
             hung.result
         );
-        let checkpoint = hung
-            .epochs
-            .checkpoint
-            .expect("the hang came after a published boundary");
         let warm = spare_memories(&arena);
         assert_eq!(warm, ir.num_ranks(), "pool={pool}: {arena:?}");
 
-        let no_epochs = RunOptions {
-            epochs: EpochMode::Off,
+        let invalid = RunOptions {
+            deadline: Some(Duration::ZERO),
             ..opts.clone()
         };
         let rejected = run(Run {
             arena: Some(&mut arena),
-            resume: Some(checkpoint),
-            ..Run::new(&ir, &inputs, CHUNK_ELEMS, &no_epochs)
+            ..Run::new(&ir, &inputs, CHUNK_ELEMS, &invalid)
         });
         assert!(
             matches!(&rejected.result, Err(RuntimeError::InvalidOptions { message })
-                if message.contains("resume checkpoint")),
+                if message.contains("deadline")),
             "pool={pool}: {:?}",
             rejected.result
         );
@@ -384,7 +371,7 @@ fn rejected_checkpoint_leaves_the_arena_warm() {
             "pool={pool}: the rejection dropped warm buffers: {arena:?}"
         );
         let stats = clean_run(
-            &format!("pool={pool} after rejected checkpoint"),
+            &format!("pool={pool} after rejected request"),
             &program,
             &ir,
             91,

@@ -1,8 +1,9 @@
 //! Hand-built IR whose operands reach past their buffers is rejected with
 //! `Error::Verification` — by `check_structure`, by the XML loader (which
 //! runs it) and by the symbolic verifier, which must return the error
-//! rather than panic on an out-of-range index. An inconsistent epoch cut
-//! is rejected with the same message on every check.
+//! rather than panic on an out-of-range index. Every rejection's exact
+//! message is pinned, and must not vary between repeats in one process;
+//! an inconsistent epoch cut likewise.
 
 use mscclang::{
     ir_xml, verify, BufferKind, Collective, EpochCut, Error, IrGpu, IrInstruction, IrLoc,
@@ -61,48 +62,91 @@ fn local(op: OpCode, src: Option<IrLoc>, dst: Option<IrLoc>) -> IrProgram {
     program(vec![tb(None, None, vec![instr(0, op, src, dst)])], vec![])
 }
 
-fn is_verification<T>(result: &Result<T, Error>) -> bool {
-    matches!(result, Err(Error::Verification { .. }))
+/// The `Error::Verification` message of `result`; anything else fails
+/// the test.
+fn verification_message<T: std::fmt::Debug>(
+    case: &str,
+    check: &str,
+    result: Result<T, Error>,
+) -> String {
+    match result {
+        Err(e @ Error::Verification { .. }) => e.to_string(),
+        other => panic!("{case}: {check} gave {other:?}"),
+    }
 }
 
-fn assert_rejected(case: &str, ir: &IrProgram) {
-    let structure = ir.check_structure();
-    assert!(
-        is_verification(&structure),
-        "{case}: check_structure gave {structure:?}"
-    );
-    let loaded = ir_xml::from_xml(&ir_xml::to_xml(ir));
-    assert!(is_verification(&loaded), "{case}: from_xml gave {loaded:?}");
-    let verified = verify::check(ir, &verify::VerifyOptions::default());
-    assert!(
-        is_verification(&verified),
-        "{case}: verify gave {verified:?}"
-    );
-    let unraced = verify::check(
-        ir,
-        &verify::VerifyOptions {
-            slots: 1,
-            check_races: false,
-        },
-    );
-    assert!(
-        is_verification(&unraced),
-        "{case}: verify without races gave {unraced:?}"
-    );
+/// Every check rejects `ir` with the exact expected message, 20 times
+/// over in one process: `structural` from `check_structure` and the XML
+/// loader (which runs it), `symbolic` from the verifier with and without
+/// the race check.
+fn assert_rejected(case: &str, ir: &IrProgram, structural: &str, symbolic: &str) {
+    let xml = ir_xml::to_xml(ir);
+    let unraced = verify::VerifyOptions {
+        slots: 1,
+        check_races: false,
+    };
+    for _ in 0..20 {
+        let got = [
+            verification_message(case, "check_structure", ir.check_structure()),
+            verification_message(case, "from_xml", ir_xml::from_xml(&xml)),
+            verification_message(
+                case,
+                "verify",
+                verify::check(ir, &verify::VerifyOptions::default()),
+            ),
+            verification_message(case, "verify without races", verify::check(ir, &unraced)),
+        ];
+        assert_eq!(
+            got,
+            [structural, structural, symbolic, symbolic].map(String::from),
+            "{case}"
+        );
+    }
 }
 
 #[test]
 fn out_of_range_operands_are_verification_errors() {
     let (i, o, s) = (BufferKind::Input, BufferKind::Output, BufferKind::Scratch);
-    assert_rejected("copy dst", &local(OpCode::Copy, loc(i, 0), loc(o, 99)));
-    assert_rejected("copy src", &local(OpCode::Copy, loc(i, 99), loc(o, 0)));
-    assert_rejected("reduce dst", &local(OpCode::Reduce, loc(i, 0), loc(o, 99)));
-    assert_rejected("scratch dst", &local(OpCode::Copy, loc(i, 0), loc(s, 1)));
+    assert_rejected(
+        "copy dst",
+        &local(OpCode::Copy, loc(i, 0), loc(o, 99)),
+        "verification failed: rank 0 tb 0 step 0: dst chunks 99..+1 past the 2 chunks of \
+         rank 0's output buffer",
+        "verification failed: rank 0 tb 0 step 0: dst index out of bounds",
+    );
+    assert_rejected(
+        "copy src",
+        &local(OpCode::Copy, loc(i, 99), loc(o, 0)),
+        "verification failed: rank 0 tb 0 step 0: src chunks 99..+1 past the 1 chunks of \
+         rank 0's input buffer",
+        "verification failed: rank 0 tb 0 step 0: src index out of bounds",
+    );
+    assert_rejected(
+        "reduce dst",
+        &local(OpCode::Reduce, loc(i, 0), loc(o, 99)),
+        "verification failed: rank 0 tb 0 step 0: dst chunks 99..+1 past the 2 chunks of \
+         rank 0's output buffer",
+        "verification failed: rank 0 tb 0 step 0: dst index out of bounds",
+    );
+    assert_rejected(
+        "scratch dst",
+        &local(OpCode::Copy, loc(i, 0), loc(s, 1)),
+        "verification failed: rank 0 tb 0 step 0: dst chunks 1..+1 past the 1 chunks of \
+         rank 0's scratch buffer",
+        "verification failed: rank 0 tb 0 step 0: dst index out of bounds",
+    );
 
-    // An aggregated range that starts inside the buffer but runs past it.
+    // An aggregated range that starts inside both buffers but runs past
+    // them; the source operand is checked first.
     let mut wide = local(OpCode::Copy, loc(i, 0), loc(o, 1));
     wide.gpus[0].threadblocks[0].instructions[0].count = 2;
-    assert_rejected("copy dst range", &wide);
+    assert_rejected(
+        "copy range",
+        &wide,
+        "verification failed: rank 0 tb 0 step 0: src chunks 0..+2 past the 1 chunks of \
+         rank 0's input buffer",
+        "verification failed: rank 0 tb 0 step 0: src index out of bounds",
+    );
 
     // A receive-reduce whose local operand is out of range.
     let rrc = program(
@@ -117,7 +161,13 @@ fn out_of_range_operands_are_verification_errors() {
             vec![instr(0, OpCode::RecvReduceCopy, loc(i, 99), loc(o, 0))],
         )],
     );
-    assert_rejected("rrc src", &rrc);
+    assert_rejected(
+        "rrc src",
+        &rrc,
+        "verification failed: rank 1 tb 0 step 0: src chunks 99..+1 past the 1 chunks of \
+         rank 1's input buffer",
+        "verification failed: rank 1 tb 0 step 0: src index out of bounds",
+    );
 }
 
 #[test]
