@@ -25,19 +25,21 @@ pub enum Space {
 }
 
 impl Space {
-    /// Every space, in slot order.
-    pub(crate) const ALL: [Space; 3] = [Space::Data, Space::Output, Space::Scratch];
+    /// Every space, in [`Space::index`] order.
+    pub const ALL: [Space; 3] = [Space::Data, Space::Output, Space::Scratch];
+
+    /// The space's dense index, its position in [`Space::ALL`]: for
+    /// per-space tables.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// The dense index of `rank`'s copy of this space. Per-location tables
     /// (the verifier's buffers, the DAG builders' hazards) keep the blocks
     /// of every `(rank, space)` in this order.
     pub(crate) fn slot(self, rank: usize) -> usize {
-        rank * Self::ALL.len()
-            + match self {
-                Space::Data => 0,
-                Space::Output => 1,
-                Space::Scratch => 2,
-            }
+        rank * Self::ALL.len() + self.index()
     }
 }
 

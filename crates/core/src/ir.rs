@@ -38,6 +38,26 @@ pub enum OpCode {
 }
 
 impl OpCode {
+    /// Every opcode, in [`OpCode::index`] order.
+    pub const ALL: [OpCode; 9] = [
+        OpCode::Send,
+        OpCode::Recv,
+        OpCode::Copy,
+        OpCode::Reduce,
+        OpCode::RecvReduceCopy,
+        OpCode::RecvCopySend,
+        OpCode::RecvReduceSend,
+        OpCode::RecvReduceCopySend,
+        OpCode::Nop,
+    ];
+
+    /// The opcode's dense index, its position in [`OpCode::ALL`]: for
+    /// per-opcode tables.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether the instruction consumes a message from the receive
     /// connection.
     #[must_use]
@@ -554,18 +574,9 @@ mod tests {
 
     #[test]
     fn opcode_mnemonics_round_trip() {
-        for op in [
-            OpCode::Send,
-            OpCode::Recv,
-            OpCode::Copy,
-            OpCode::Reduce,
-            OpCode::RecvReduceCopy,
-            OpCode::RecvCopySend,
-            OpCode::RecvReduceSend,
-            OpCode::RecvReduceCopySend,
-            OpCode::Nop,
-        ] {
+        for (i, op) in OpCode::ALL.into_iter().enumerate() {
             assert_eq!(OpCode::parse(op.mnemonic()), Some(op));
+            assert_eq!(op.index(), i);
         }
     }
 

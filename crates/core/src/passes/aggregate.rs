@@ -17,6 +17,7 @@ use std::collections::HashMap;
 
 use crate::buffer::Loc;
 use crate::dag::{InstrDag, InstrOp};
+use crate::order::Dag;
 
 /// Applies automatic send aggregation in place and compacts the DAG.
 /// Run before [`fusion`](crate::passes::fusion) so fused chains see the
@@ -142,38 +143,19 @@ fn flush_run(dag: &mut InstrDag, run: &[usize]) -> usize {
     1
 }
 
-/// Kahn's check over live nodes, processing + communication edges.
+/// Whether the live nodes' processing + communication edges have a cycle.
 fn is_cyclic(dag: &InstrDag) -> bool {
-    let n = dag.nodes.len();
-    let mut indeg = vec![0usize; n];
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let live = dag.nodes.iter().filter(|node| node.alive).count();
-    let add = |succ: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>, u: usize, v: usize| {
-        if dag.nodes[u].alive && dag.nodes[v].alive {
-            succ[u].push(v);
-            indeg[v] += 1;
-        }
-    };
-    for &(u, v, _) in &dag.proc_edges {
-        add(&mut succ, &mut indeg, u, v);
-    }
-    for e in &dag.comm_edges {
-        add(&mut succ, &mut indeg, e.send, e.recv);
-    }
-    let mut ready: Vec<usize> = (0..n)
-        .filter(|&i| dag.nodes[i].alive && indeg[i] == 0)
+    let edges: Vec<(u32, u32)> = dag
+        .proc_edges
+        .iter()
+        .map(|&(u, v, _)| (u, v))
+        .chain(dag.comm_edges.iter().map(|e| (e.send, e.recv)))
+        .filter(|&(u, v)| dag.nodes[u].alive && dag.nodes[v].alive)
+        .map(|(u, v)| (u as u32, v as u32))
         .collect();
-    let mut seen = 0usize;
-    while let Some(u) = ready.pop() {
-        seen += 1;
-        for &v in &succ[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                ready.push(v);
-            }
-        }
-    }
-    seen != live
+    Dag::from_edges(dag.nodes.len(), &edges)
+        .topo_order()
+        .is_err()
 }
 
 #[cfg(test)]

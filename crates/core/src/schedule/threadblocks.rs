@@ -23,6 +23,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::dag::InstrDag;
 use crate::error::{Error, Result};
+use crate::order::Dag;
 use crate::schedule::channels::ChannelAssignment;
 
 /// How the k-th send on a connection is chosen (and therefore which
@@ -98,29 +99,19 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Builds the combined dependency edges used for scheduling: processing
+/// Builds the combined dependency graph used for scheduling: processing
 /// edges, communication edges, and per-connection FIFO-order edges (the
 /// k-th send on a connection pairs with the k-th receive, so both sides
 /// must agree on the order).
-fn build_edges(
-    dag: &InstrDag,
-    ca: &ChannelAssignment,
-    order: FifoOrder,
-    slots: usize,
-) -> (Vec<Vec<usize>>, Vec<usize>) {
+fn build_edges(dag: &InstrDag, ca: &ChannelAssignment, order: FifoOrder, slots: usize) -> Dag {
     let n = dag.nodes.len();
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg: Vec<usize> = vec![0; n];
-    let add_edge = |succ: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>, u: usize, v: usize| {
-        succ[u].push(v);
-        indeg[v] += 1;
-    };
-    for &(u, v, _) in &dag.proc_edges {
-        add_edge(&mut succ, &mut indeg, u, v);
-    }
-    for e in &dag.comm_edges {
-        add_edge(&mut succ, &mut indeg, e.send, e.recv);
-    }
+    let mut edges: Vec<(u32, u32)> = dag
+        .proc_edges
+        .iter()
+        .map(|&(u, v, _)| (u, v))
+        .chain(dag.comm_edges.iter().map(|e| (e.send, e.recv)))
+        .map(|(u, v)| (u as u32, v as u32))
+        .collect();
     // FIFO order on a connection: by default it follows the send halves'
     // dependency depth (hop number), which keeps pipelined algorithms
     // systolic — a thread block issues its shallow (ready-early) sends
@@ -130,15 +121,10 @@ fn build_edges(
     // are added (they refine, not define, the partial order).
     let mut depth = vec![0usize; n];
     if order == FifoOrder::Depth {
-        let mut indeg2 = indeg.clone();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg2[i] == 0).collect();
-        while let Some(u) = ready.pop() {
-            for &v in &succ[u] {
-                depth[v] = depth[v].max(depth[u] + 1);
-                indeg2[v] -= 1;
-                if indeg2[v] == 0 {
-                    ready.push(v);
-                }
+        let base = Dag::from_edges(n, &edges);
+        for &u in base.topo_order().as_deref().unwrap_or_default() {
+            for &v in base.succs(u) {
+                depth[v as usize] = depth[v as usize].max(depth[u as usize] + 1);
             }
         }
     }
@@ -151,15 +137,15 @@ fn build_edges(
         );
         by_conn.entry(key).or_default().push(i);
     }
-    for edges in by_conn.values_mut() {
-        edges.sort_by_key(|&i| {
+    for conn in by_conn.values_mut() {
+        conn.sort_by_key(|&i| {
             let send = dag.comm_edges[i].send;
             (depth[send], dag.nodes[send].chunk_node)
         });
-        for w in edges.windows(2) {
+        for w in conn.windows(2) {
             let (a, b) = (dag.comm_edges[w[0]], dag.comm_edges[w[1]]);
-            add_edge(&mut succ, &mut indeg, a.send, b.send);
-            add_edge(&mut succ, &mut indeg, a.recv, b.recv);
+            edges.push((a.send as u32, b.send as u32));
+            edges.push((a.recv as u32, b.recv as u32));
         }
         // Slot-capacity edges (§6.1: the compiler prevents schedules with
         // more than `s` outstanding sends): the k-th send on a connection
@@ -167,13 +153,13 @@ fn build_edges(
         // slot. Scheduling against these edges makes the runtime's
         // slot-blocking explicit, so an acyclic order here is
         // deadlock-free at `s` slots.
-        for k in slots..edges.len() {
-            let freed = dag.comm_edges[edges[k - slots]];
-            let sender = dag.comm_edges[edges[k]];
-            add_edge(&mut succ, &mut indeg, freed.recv, sender.send);
+        for k in slots..conn.len() {
+            let freed = dag.comm_edges[conn[k - slots]];
+            let sender = dag.comm_edges[conn[k]];
+            edges.push((freed.recv as u32, sender.send as u32));
         }
     }
-    (succ, indeg)
+    Dag::from_edges(n, &edges)
 }
 
 /// Checks whether the combined dependency graph (including FIFO-order
@@ -190,23 +176,8 @@ pub fn find_fifo_cycle(
     order: FifoOrder,
     slots: usize,
 ) -> Option<Vec<usize>> {
-    let n = dag.nodes.len();
-    let (succ, mut indeg) = build_edges(dag, ca, order, slots);
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut processed = 0usize;
-    while let Some(u) = ready.pop() {
-        processed += 1;
-        for &v in &succ[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                ready.push(v);
-            }
-        }
-    }
-    if processed == n {
-        return None;
-    }
-    Some((0..n).filter(|&i| indeg[i] > 0).collect())
+    let stuck = build_edges(dag, ca, order, slots).topo_order().err()?;
+    Some(stuck.into_iter().map(|u| u as usize).collect())
 }
 
 /// Assigns every instruction to a thread block and derives cross-block
@@ -225,34 +196,22 @@ pub fn assign_threadblocks(
     slots: usize,
 ) -> Result<Schedule> {
     let n = dag.nodes.len();
-    let (succ, indeg) = build_edges(dag, ca, order, slots);
+    let g = build_edges(dag, ca, order, slots);
 
-    // ---- Depth / reverse depth via Kahn's algorithm.
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    // ---- Depth / reverse depth over one topological order.
+    let topo = g.topo_order().map_err(|_| Error::Verification {
+        message: "internal: instruction dependency graph is cyclic".to_owned(),
+    })?;
     let mut depth = vec![0usize; n];
-    {
-        let mut indeg = indeg.clone();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        while let Some(u) = ready.pop() {
-            order.push(u);
-            for &v in &succ[u] {
-                depth[v] = depth[v].max(depth[u] + 1);
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    ready.push(v);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(Error::Verification {
-                message: "internal: instruction dependency graph is cyclic".to_owned(),
-            });
+    for &u in &topo {
+        for &v in g.succs(u) {
+            depth[v as usize] = depth[v as usize].max(depth[u as usize] + 1);
         }
     }
     let mut rev_depth = vec![0usize; n];
-    for &u in order.iter().rev() {
-        for &v in &succ[u] {
-            rev_depth[u] = rev_depth[u].max(rev_depth[v] + 1);
+    for &u in topo.iter().rev() {
+        for &v in g.succs(u) {
+            rev_depth[u as usize] = rev_depth[u as usize].max(rev_depth[v as usize] + 1);
         }
     }
 
@@ -275,6 +234,7 @@ pub fn assign_threadblocks(
     }
 
     // ---- Global topological order via the priority heap.
+    let mut indeg = g.in_degrees();
     let mut heap: BinaryHeap<HeapEntry> = (0..n)
         .filter(|&i| indeg[i] == 0)
         .map(|i| HeapEntry {
@@ -283,7 +243,6 @@ pub fn assign_threadblocks(
             id: i,
         })
         .collect();
-    let mut remaining = indeg;
     let mut node_place = vec![(usize::MAX, usize::MAX); n];
     let mut tb_last_seq: Vec<i64> = vec![-1; tbs.len()];
     let mut seq = 0i64;
@@ -322,9 +281,10 @@ pub fn assign_threadblocks(
         node_place[id] = (tb_idx, step);
         tb_last_seq[tb_idx] = seq;
         seq += 1;
-        for &v in &succ[id] {
-            remaining[v] -= 1;
-            if remaining[v] == 0 {
+        for &v in g.succs(id as u32) {
+            let v = v as usize;
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
                 heap.push(HeapEntry {
                     depth: depth[v],
                     rev_depth: rev_depth[v],

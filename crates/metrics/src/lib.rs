@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 
 mod snapshot;
 
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot, Sample, SampleValue};
+pub use snapshot::{json_escape, HistogramSnapshot, MetricsSnapshot, Sample, SampleValue};
 
 /// The shared metric vocabulary. The runtime, the simulator and the
 /// offline trace analyzer all register these exact names, which is what

@@ -184,12 +184,17 @@ impl MetricsSnapshot {
             let mut labels = String::new();
             for (j, (k, v)) in sample.labels.iter().enumerate() {
                 let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(labels, "{sep}\"{}\": \"{}\"", escape(k), escape(v));
+                let _ = write!(
+                    labels,
+                    "{sep}\"{}\": \"{}\"",
+                    json_escape(k),
+                    json_escape(v)
+                );
             }
             let _ = write!(
                 s,
                 "    {{\"name\": \"{}\", \"labels\": {{{labels}}}, \"type\": \"{}\", ",
-                escape(&sample.name),
+                json_escape(&sample.name),
                 sample.value.type_name()
             );
             match &sample.value {
@@ -298,14 +303,47 @@ fn label_set(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
             s.push(',');
         }
         first = false;
-        let _ = write!(s, "{k}=\"{}\"", escape(v));
+        let _ = write!(s, "{k}=\"{}\"", label_escape(v));
     }
     s.push('}');
     s
 }
 
-fn escape(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes and every control character.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Escapes a Prometheus label value as the text exposition format
+/// specifies: backslash, double quote and line feed. An unescaped line
+/// feed would end the sample line and let a label value inject a sample.
+fn label_escape(v: &str) -> String {
+    let mut out = String::with_capacity(v.len());
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -348,6 +386,32 @@ mod tests {
         assert!(text.contains("msccl_instr_latency_ns_bucket{op=\"s\",le=\"+Inf\"} 2"));
         assert!(text.contains("msccl_instr_latency_ns_sum{op=\"s\"} 900"));
         assert!(text.contains("msccl_instr_latency_ns_count{op=\"s\"} 2"));
+    }
+
+    #[test]
+    fn a_label_value_cannot_inject_a_line() {
+        let r = Registry::new(1);
+        r.counter(
+            "msccl_requests_total",
+            &[("tenant", "x\nfake_metric 1\\\"")],
+        )
+        .add(0, 1);
+        let snap = r.snapshot();
+        let text = snap.to_prometheus();
+        assert!(
+            text.contains("msccl_requests_total{tenant=\"x\\nfake_metric 1\\\\\\\"\"} 1"),
+            "{text}"
+        );
+        assert!(
+            !text.lines().any(|l| l.starts_with("fake_metric")),
+            "{text}"
+        );
+        // JSON escapes every control character; Prometheus only the three
+        // its format names.
+        assert_eq!(json_escape("a\\q\t\u{1}\""), "a\\\\q\\t\\u0001\\\"");
+        assert!(snap
+            .to_json()
+            .contains("\"tenant\": \"x\\nfake_metric 1\\\\\\\"\""));
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::flight::{
     TaskStall, WaitForGraph,
 };
 use crate::memory::{RankMemory, SpaceBuffers};
-use crate::plan::{space_slot, worker_pool_size, ExecPlan, PlanCounters, TbPlan};
+use crate::plan::{worker_pool_size, ExecPlan, PlanCounters, TbPlan};
 use crate::pool::{PoolStats, PooledTile, TilePool};
 use crate::sched::Scheduler;
 use crate::semaphore::Semaphore;
@@ -552,34 +552,6 @@ impl Recorder {
     }
 }
 
-/// Every opcode, in [`op_index`] order, for metric-handle construction.
-const ALL_OPS: [OpCode; 9] = [
-    OpCode::Nop,
-    OpCode::Send,
-    OpCode::Recv,
-    OpCode::Copy,
-    OpCode::Reduce,
-    OpCode::RecvReduceCopy,
-    OpCode::RecvCopySend,
-    OpCode::RecvReduceSend,
-    OpCode::RecvReduceCopySend,
-];
-
-/// Dense index of an opcode into [`WorkerMetrics::ops`].
-pub(crate) fn op_index(op: OpCode) -> usize {
-    match op {
-        OpCode::Nop => 0,
-        OpCode::Send => 1,
-        OpCode::Recv => 2,
-        OpCode::Copy => 3,
-        OpCode::Reduce => 4,
-        OpCode::RecvReduceCopy => 5,
-        OpCode::RecvCopySend => 6,
-        OpCode::RecvReduceSend => 7,
-        OpCode::RecvReduceCopySend => 8,
-    }
-}
-
 /// One worker's metric handles, resolved from the [`Registry`] at spawn
 /// time so the hot path never touches the registry lock: each update is
 /// an array index plus a relaxed atomic add into this worker's shard.
@@ -596,7 +568,7 @@ pub(crate) struct WorkerMetrics {
     /// connection, when it has one.
     pub(crate) recv_conn: Option<(Arc<Counter>, Arc<Counter>)>,
     /// Per-opcode `(instruction counter, latency histogram)`, indexed by
-    /// [`op_index`].
+    /// [`OpCode::index`].
     pub(crate) ops: Vec<(Arc<Counter>, Arc<Histogram>)>,
 }
 
@@ -639,7 +611,7 @@ impl WorkerMetrics {
             fifo_recv_block_ns: reg.counter(names::FIFO_RECV_BLOCK_NS, &[]),
             send_conn,
             recv_conn,
-            ops: ALL_OPS
+            ops: OpCode::ALL
                 .iter()
                 .map(|op| {
                     (
@@ -1070,12 +1042,7 @@ pub fn run(req: Run<'_>) -> RunReport {
                 ir.gpu(r).scratch_chunks,
                 chunk_elems,
                 spares.pop().unwrap_or_default(),
-                |space, c| {
-                    elide_zero[space_slot(space)]
-                        .get(c)
-                        .copied()
-                        .unwrap_or(false)
-                },
+                |space, c| elide_zero[space.index()].get(c).copied().unwrap_or(false),
             );
             // The alias map is affine in the chunk index: a rank's input
             // chunks are one contiguous range of one space.

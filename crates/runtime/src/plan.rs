@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use mscclang::{BufferKind, IrInstruction, IrLoc, IrProgram, OpCode, Space};
+use mscclang::{order, BufferKind, IrInstruction, IrLoc, IrProgram, OpCode, Space};
 
 use crate::cancel::CancelToken;
 use crate::executor::ArenaMetrics;
@@ -376,15 +376,6 @@ impl ExecPlan {
     }
 }
 
-/// Index of a space in the fixed-size per-space tables below.
-pub(crate) fn space_slot(space: Space) -> usize {
-    match space {
-        Space::Data => 0,
-        Space::Output => 1,
-        Space::Scratch => 2,
-    }
-}
-
 /// The operand whose reads go through the tile helpers, and so may take
 /// the caller's input in place: the `src` of `s` and `rrs`, the `dst` of
 /// `rrc` and `rrcs` (their read half).
@@ -398,7 +389,7 @@ fn read_operand(instr: &IrInstruction) -> Option<IrLoc> {
 
 /// What one happens-before sweep over a rank's instructions decides.
 struct RankSweep {
-    /// `[Data, Output, Scratch]` bitmaps, indexed by [`space_slot`], of
+    /// `[Data, Output, Scratch]` bitmaps, indexed by [`Space::index`], of
     /// chunks a recycled memory may keep stale instead of re-zeroing.
     elide_zero: [Vec<bool>; 3],
     /// Per instruction, in `(tb, step)` order: whether its read operand
@@ -452,13 +443,9 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
         collective.space_size(Space::Output).unwrap_or(0),
         gpu.scratch_chunks,
     ];
-    // Flat node ids over the rank's instructions, in (tb, step) order.
-    let mut offsets = Vec::with_capacity(gpu.threadblocks.len());
-    let mut n = 0usize;
-    for tb in &gpu.threadblocks {
-        offsets.push(n);
-        n += tb.instructions.len();
-    }
+    // Node ids over the rank's instructions, in (tb, step) order.
+    let graph = order::rank_graph(gpu);
+    let n = graph.node_count();
 
     // Per chunk, the nodes that write it (flagged when the write is a
     // plain overwrite) and the nodes that read it; per node, the operand
@@ -466,98 +453,64 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
     let mut writes: [Vec<Vec<(u32, bool)>>; 3] = sizes.map(|s| vec![Vec::new(); s]);
     let mut reads: [Vec<Vec<u32>>; 3] = sizes.map(|s| vec![Vec::new(); s]);
     let mut candidates: Vec<Option<(Loc, usize)>> = Vec::with_capacity(n);
-    for (t, tb) in gpu.threadblocks.iter().enumerate() {
-        for (s, instr) in tb.instructions.iter().enumerate() {
-            let node = (offsets[t] + s) as u32;
-            let chunks = |loc: Option<IrLoc>| {
-                loc.into_iter().flat_map(move |l| {
-                    (0..instr.count).map(move |i| {
-                        let (space, off) = collective.space_of(rank, l.buffer, l.index + i);
-                        (space_slot(space), off)
-                    })
+    for instr in gpu.threadblocks.iter().flat_map(|tb| &tb.instructions) {
+        let node = candidates.len() as u32;
+        let chunks = |loc: Option<IrLoc>| {
+            loc.into_iter().flat_map(move |l| {
+                (0..instr.count).map(move |i| {
+                    let (space, off) = collective.space_of(rank, l.buffer, l.index + i);
+                    (space.index(), off)
                 })
-            };
-            let (src, dst) = (instr.src, instr.dst);
-            candidates.push(
-                read_operand(instr)
-                    .map(|l| (Loc::of(collective, rank, l.buffer, l.index), instr.count)),
-            );
-            // The operands read, and whether dst is written (`true`: a
-            // plain overwrite, `false`: read-modify-write).
-            let (read, overwrite) = match instr.op {
-                OpCode::Nop => ([None, None], None),
-                OpCode::Recv | OpCode::RecvCopySend => ([None, None], Some(true)),
-                OpCode::Copy => ([src, None], Some(true)),
-                OpCode::Send | OpCode::RecvReduceSend => ([src, None], None),
-                OpCode::Reduce => ([src, dst], Some(false)),
-                OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => ([dst, None], Some(false)),
-            };
-            for (slot, off) in read.into_iter().flat_map(chunks) {
-                if let Some(list) = reads[slot].get_mut(off) {
-                    list.push(node);
-                }
+            })
+        };
+        let (src, dst) = (instr.src, instr.dst);
+        candidates.push(
+            read_operand(instr)
+                .map(|l| (Loc::of(collective, rank, l.buffer, l.index), instr.count)),
+        );
+        // The operands read, and whether dst is written (`true`: a
+        // plain overwrite, `false`: read-modify-write).
+        let (read, overwrite) = match instr.op {
+            OpCode::Nop => ([None, None], None),
+            OpCode::Recv | OpCode::RecvCopySend => ([None, None], Some(true)),
+            OpCode::Copy => ([src, None], Some(true)),
+            OpCode::Send | OpCode::RecvReduceSend => ([src, None], None),
+            OpCode::Reduce => ([src, dst], Some(false)),
+            OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => ([dst, None], Some(false)),
+        };
+        for (slot, off) in read.into_iter().flat_map(chunks) {
+            if let Some(list) = reads[slot].get_mut(off) {
+                list.push(node);
             }
-            if let Some(overwrite) = overwrite {
-                for (slot, off) in chunks(dst) {
-                    if let Some(list) = writes[slot].get_mut(off) {
-                        list.push((node, overwrite));
-                    }
+        }
+        if let Some(overwrite) = overwrite {
+            for (slot, off) in chunks(dst) {
+                if let Some(list) = writes[slot].get_mut(off) {
+                    list.push((node, overwrite));
                 }
             }
         }
     }
 
-    // Strict-ancestor bitsets via a topological sweep over program order
+    // Strict-ancestor bitsets over a topological order of program order
     // + dep edges. The graphs are tiny (a rank's instruction count), so
     // n²/64 words of bitset is nothing.
     let words = n.div_ceil(64).max(1);
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (t, tb) in gpu.threadblocks.iter().enumerate() {
-        for (s, instr) in tb.instructions.iter().enumerate() {
-            let node = offsets[t] + s;
-            if s > 0 {
-                preds[node].push((node - 1) as u32);
-            }
-            for d in &instr.deps {
-                if gpu
-                    .threadblocks
-                    .get(d.tb)
-                    .is_some_and(|db| d.step < db.instructions.len())
-                {
-                    preds[node].push((offsets[d.tb] + d.step) as u32);
-                }
-            }
-        }
-    }
-    let mut indeg = vec![0u32; n];
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (v, ps) in preds.iter().enumerate() {
-        indeg[v] = ps.len() as u32;
-        for &p in ps {
-            succs[p as usize].push(v as u32);
-        }
-    }
     let mut anc = vec![0u64; n * words];
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-    let mut processed = 0usize;
+    let topo = graph.topo_order();
+    let acyclic = topo.is_ok();
     let mut scratch = vec![0u64; words];
-    while let Some(v) = queue.pop() {
-        processed += 1;
+    for &v in topo.as_deref().unwrap_or_default() {
         let v = v as usize;
         scratch.copy_from_slice(&anc[v * words..(v + 1) * words]);
         scratch[v / 64] |= 1 << (v % 64);
-        for &u in &succs[v] {
+        for &u in graph.succs(v as u32) {
             let u = u as usize;
             for (a, &b) in anc[u * words..(u + 1) * words].iter_mut().zip(&scratch) {
                 *a |= b;
             }
-            indeg[u] -= 1;
-            if indeg[u] == 0 {
-                queue.push(u as u32);
-            }
         }
     }
-    let acyclic = processed == n;
     // Whether `a` happens before `b`; whether some write in `ws` (only
     // plain overwrites, if `plain_only`) happens before read `r`.
     let before = |a: u32, b: u32| anc[b as usize * words + a as usize / 64] >> (a % 64) & 1 == 1;
@@ -581,7 +534,7 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
 
     let input = Loc::of(collective, rank, BufferKind::Input, 0);
     let in_chunks = collective.in_chunks();
-    let in_slot = space_slot(input.space);
+    let in_slot = input.space.index();
     let in_place: Vec<bool> = candidates
         .iter()
         .enumerate()

@@ -18,7 +18,7 @@ use msccl_trace::EventKind;
 use mscclang::OpCode;
 
 use crate::cancel::{FailureCause, FailureOrigin};
-use crate::executor::{op_index, payload_string, Recorder, RunCtx, LATENCY_SAMPLE_PERIOD};
+use crate::executor::{payload_string, Recorder, RunCtx, LATENCY_SAMPLE_PERIOD};
 use crate::flight::{BlockedOn, EventRing, Moment};
 use crate::kernels;
 use crate::memory::RankMemory;
@@ -855,7 +855,7 @@ impl TbTask {
                 Pc::PostInstr => {
                     let instr = &tb.instrs[self.step];
                     if let Some(m) = metrics {
-                        let (count, latency) = &m.ops[op_index(instr.op)];
+                        let (count, latency) = &m.ops[instr.op.index()];
                         count.inc(m.shard);
                         if let Some(t0) = self.instr_start.take() {
                             latency.record(m.shard, t0.elapsed().as_nanos() as u64);

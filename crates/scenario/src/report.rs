@@ -9,6 +9,8 @@
 
 use std::fmt::Write as _;
 
+use msccl_metrics::json_escape;
+
 use crate::slo::{fmt_f64, Assertion, METRICS};
 
 /// Per-repetition outcome, kept for the report's breakdown table.
@@ -286,9 +288,9 @@ impl ScenarioReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", self.name);
+        let _ = writeln!(out, "  \"scenario\": \"{}\",", json_escape(&self.name));
         let _ = writeln!(out, "  \"engine\": \"{}\",", self.engine);
-        let _ = writeln!(out, "  \"machine\": \"{}\",", self.machine);
+        let _ = writeln!(out, "  \"machine\": \"{}\",", json_escape(&self.machine));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"repetitions\": {},", self.reps.len());
         let _ = writeln!(out, "  \"ops\": {},", self.ops);
@@ -314,7 +316,7 @@ impl ScenarioReport {
             } else {
                 ","
             };
-            let _ = writeln!(out, "    \"{tenant}\": {n}{comma}");
+            let _ = writeln!(out, "    \"{}\": {n}{comma}", json_escape(tenant));
         }
         let _ = writeln!(out, "  }},");
         let _ = writeln!(out, "  \"reps\": [");
@@ -323,7 +325,7 @@ impl ScenarioReport {
             let boxes: Vec<String> = r
                 .blackboxes
                 .iter()
-                .map(|p| format!("\"{}\"", p.replace('\\', "\\\\").replace('"', "\\\"")))
+                .map(|p| format!("\"{}\"", json_escape(p)))
                 .collect();
             let _ = writeln!(
                 out,
@@ -394,6 +396,20 @@ mod tests {
             reps,
             &assertions,
         )
+    }
+
+    #[test]
+    fn json_escapes_names_from_the_scenario_file() {
+        // TOML literal strings are raw: a backslash or a tab reaches the
+        // report as is, and must not break its JSON.
+        let mut r = sample();
+        r.name = "a\\q".into();
+        r.machine = "ndv4\t1".into();
+        r.tenant_ops = vec![("te\"n".into(), 1)];
+        let json = r.to_json();
+        assert!(json.contains("\"scenario\": \"a\\\\q\","), "{json}");
+        assert!(json.contains("\"machine\": \"ndv4\\t1\","), "{json}");
+        assert!(json.contains("\"te\\\"n\": 1"), "{json}");
     }
 
     #[test]

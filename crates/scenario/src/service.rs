@@ -27,6 +27,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use msccl_algos::{build_by_name, AlgoSpec};
+use msccl_metrics::json_escape;
 use mscclang::{compile, CompileOptions};
 
 use crate::format::{Scenario, ScenarioError};
@@ -133,8 +134,8 @@ impl DriveReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"msccl-drive-v1\",");
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", escape(&self.name));
-        let _ = writeln!(out, "  \"addr\": \"{}\",", escape(&self.addr));
+        let _ = writeln!(out, "  \"scenario\": \"{}\",", json_escape(&self.name));
+        let _ = writeln!(out, "  \"addr\": \"{}\",", json_escape(&self.addr));
         let _ = writeln!(out, "  \"sent\": {},", self.sent);
         let _ = writeln!(out, "  \"ok\": {},", self.ok);
         let _ = writeln!(out, "  \"shed\": {},", self.shed);
@@ -149,7 +150,7 @@ impl DriveReport {
             let _ = write!(
                 out,
                 "    \"{}\": {{\"sent\": {}, \"ok\": {}, \"shed\": {}, \"failed\": {}}}",
-                escape(name),
+                json_escape(name),
                 t.sent,
                 t.ok,
                 t.shed,
@@ -164,10 +165,6 @@ impl DriveReport {
         out.push_str("  }\n}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// One planned request: the query string and its tenant label.

@@ -34,6 +34,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use msccl_algos::AlgoSpec;
+pub use msccl_metrics::json_escape;
 use msccl_metrics::{names, Registry};
 use msccl_runtime::{
     execute_with_recovery, reference, ExecArena, RecoveryPolicy, Run, RunOptions, RuntimeError,
@@ -321,24 +322,6 @@ pub struct ServiceStats {
     pub cache: CacheStats,
     /// Per-tenant breakdown, round-robin order.
     pub tenants: Vec<TenantStats>,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl ServiceStats {

@@ -30,34 +30,6 @@ use crate::flow::{FlowNet, Reschedule, ResourceTable};
 use crate::parallel::RunCtx;
 use crate::sync::{Candidate, Ev, EventQueue, Outbound, Payload, QueuedEvent};
 
-/// Opcodes in dense order for the per-op metric tallies.
-const ALL_OPS: [OpCode; 9] = [
-    OpCode::Nop,
-    OpCode::Send,
-    OpCode::Recv,
-    OpCode::Copy,
-    OpCode::Reduce,
-    OpCode::RecvReduceCopy,
-    OpCode::RecvCopySend,
-    OpCode::RecvReduceSend,
-    OpCode::RecvReduceCopySend,
-];
-
-/// Dense index of an opcode into [`Tallies::ops`].
-fn op_index(op: OpCode) -> usize {
-    match op {
-        OpCode::Nop => 0,
-        OpCode::Send => 1,
-        OpCode::Recv => 2,
-        OpCode::Copy => 3,
-        OpCode::Reduce => 4,
-        OpCode::RecvReduceCopy => 5,
-        OpCode::RecvCopySend => 6,
-        OpCode::RecvReduceSend => 7,
-        OpCode::RecvReduceCopySend => 8,
-    }
-}
-
 /// Per-opcode tally: instructions completed and their latency
 /// histogram in [`msccl_metrics::Histogram`]'s log2 buckets (the
 /// histogram's count is the instruction count).
@@ -76,8 +48,8 @@ struct Tallies {
     sem_wait_ns: u64,
     fifo_send_block_ns: u64,
     fifo_recv_block_ns: u64,
-    /// Indexed by [`op_index`].
-    ops: [OpTally; ALL_OPS.len()],
+    /// Indexed by [`OpCode::index`].
+    ops: [OpTally; OpCode::ALL.len()],
 }
 
 impl Tallies {
@@ -90,7 +62,7 @@ impl Tallies {
                 count: 0,
                 sum_ns: 0,
                 buckets: [0; BUCKETS],
-            }; ALL_OPS.len()],
+            }; OpCode::ALL.len()],
         }
     }
 
@@ -357,7 +329,7 @@ impl Shard {
         registry
             .counter(names::FIFO_RECV_BLOCK_NS, &[])
             .add(0, t.fifo_recv_block_ns);
-        for (op, tally) in ALL_OPS.iter().zip(&t.ops) {
+        for (op, tally) in OpCode::ALL.iter().zip(&t.ops) {
             let labels = [("op", op.mnemonic())];
             registry
                 .counter(names::INSTRUCTIONS, &labels)
@@ -1064,7 +1036,7 @@ impl Shard {
     /// and advances the program counter.
     fn complete_instruction(&mut self, me: usize, now: f64, op: OpCode, has_dep: bool) {
         let latency_ns = Tallies::ns(now - self.tbs[me].instr_begin_us);
-        let tally = &mut self.tallies.ops[op_index(op)];
+        let tally = &mut self.tallies.ops[op.index()];
         tally.count += 1;
         tally.sum_ns += latency_ns;
         tally.buckets[bucket_index(latency_ns)] += 1;

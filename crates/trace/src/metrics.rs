@@ -3,6 +3,8 @@
 
 use std::collections::HashMap;
 
+use mscclang::order::Dag;
+
 use crate::event::EventKind;
 use crate::Trace;
 
@@ -66,13 +68,6 @@ pub struct TraceSummary {
 /// An instruction instance in the trace.
 type InstrKey = (usize, usize, usize, usize); // (rank, tb, step, tile)
 
-#[derive(Debug, Clone, Copy, Default)]
-struct NodeTimes {
-    begin_us: f64,
-    end_us: f64,
-    wait_us: f64,
-}
-
 impl Trace {
     /// Computes the aggregate metrics for this trace.
     #[must_use]
@@ -83,8 +78,10 @@ impl Trace {
         let mut open_block: HashMap<(usize, usize), f64> = HashMap::new();
         let mut open_instr: HashMap<(usize, usize), (InstrKey, f64, f64)> = HashMap::new();
 
-        // Per-instruction node times for the critical path.
-        let mut nodes: HashMap<InstrKey, NodeTimes> = HashMap::new();
+        // Instruction instances for the critical path, with dense ids in
+        // the order they first end and their busy (non-waiting) time.
+        let mut ids: HashMap<InstrKey, u32> = HashMap::new();
+        let mut nodes: Vec<(InstrKey, f64)> = Vec::new();
         // Program-order and wait/message edges: pred -> succ.
         let mut edges: Vec<(InstrKey, InstrKey)> = Vec::new();
         let mut last_instr: HashMap<(usize, usize), InstrKey> = HashMap::new();
@@ -128,15 +125,13 @@ impl Trace {
                     let (open_key, begin, waited) =
                         open_instr.remove(&tbkey).unwrap_or((key, e.ts_us, 0.0));
                     let begin = if open_key == key { begin } else { e.ts_us };
-                    slot.busy_us += (e.ts_us - begin - waited).max(0.0);
-                    nodes.insert(
-                        key,
-                        NodeTimes {
-                            begin_us: begin,
-                            end_us: e.ts_us,
-                            wait_us: waited,
-                        },
-                    );
+                    let busy = (e.ts_us - begin - waited).max(0.0);
+                    slot.busy_us += busy;
+                    let id = *ids.entry(key).or_insert_with(|| {
+                        nodes.push((key, 0.0));
+                        (nodes.len() - 1) as u32
+                    });
+                    nodes[id as usize].1 = busy;
                     if let Some(prev) = last_instr.insert(tbkey, key) {
                         edges.push((prev, key));
                     }
@@ -225,7 +220,7 @@ impl Trace {
             }
         }
 
-        let (critical_path_us, critical_nodes) = critical_path(&nodes, &edges);
+        let (critical_path_us, critical_nodes) = critical_path(&nodes, &ids, &edges);
 
         let mut per_tb: Vec<TbBreakdown> = per_tb.into_values().collect();
         per_tb.sort_by_key(|b| (b.rank, b.tb));
@@ -258,64 +253,43 @@ impl Trace {
 /// Longest path through the instruction DAG, weighting each node by its
 /// busy (non-waiting) time. Returns the path length and its nodes in path
 /// order; `(0, [])` for empty or cyclic graphs (a cyclic "trace" cannot
-/// come from a real execution).
+/// come from a real execution). Ties between equally long chains go to
+/// the instance that ended first in the trace, so the path is a function
+/// of the trace alone.
 fn critical_path(
-    nodes: &HashMap<InstrKey, NodeTimes>,
+    nodes: &[(InstrKey, f64)],
+    ids: &HashMap<InstrKey, u32>,
     edges: &[(InstrKey, InstrKey)],
 ) -> (f64, Vec<InstrKey>) {
-    let mut succs: HashMap<InstrKey, Vec<InstrKey>> = HashMap::new();
-    let mut indegree: HashMap<InstrKey, usize> = nodes.keys().map(|&k| (k, 0)).collect();
-    for &(a, b) in edges {
-        if nodes.contains_key(&a) && nodes.contains_key(&b) {
-            succs.entry(a).or_default().push(b);
-            *indegree.entry(b).or_default() += 1;
-        }
-    }
-    let busy =
-        |k: &InstrKey| -> f64 { (nodes[k].end_us - nodes[k].begin_us - nodes[k].wait_us).max(0.0) };
-    let mut ready: Vec<InstrKey> = indegree
+    let edges: Vec<(u32, u32)> = edges
         .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&k, _)| k)
+        .filter_map(|(a, b)| Some((*ids.get(a)?, *ids.get(b)?)))
         .collect();
-    let mut dist: HashMap<InstrKey, f64> = ready.iter().map(|&k| (k, busy(&k))).collect();
-    let mut pred: HashMap<InstrKey, InstrKey> = HashMap::new();
-    let mut processed = 0usize;
-    let mut best: f64 = 0.0;
-    let mut best_end: Option<InstrKey> = None;
-    while let Some(k) = ready.pop() {
-        processed += 1;
-        let d = dist[&k];
-        if best_end.is_none() || d > best {
-            best = d;
-            best_end = Some(k);
-        }
-        if let Some(next) = succs.get(&k) {
-            for &n in next {
-                let nd = d + busy(&n);
-                let entry = dist.entry(n).or_insert(0.0);
-                if nd > *entry {
-                    *entry = nd;
-                    pred.insert(n, k);
-                }
-                let deg = indegree.get_mut(&n).expect("known node");
-                *deg -= 1;
-                if *deg == 0 {
-                    ready.push(n);
-                }
+    let graph = Dag::from_edges(nodes.len(), &edges);
+    let Ok(topo) = graph.topo_order() else {
+        return (0.0, Vec::new()); // cycle: not a feasible execution order
+    };
+    // `pred[v]`: v's predecessor with the longest chain, the lowest id
+    // among equals; `dist[v]`: the chain's length through v.
+    let mut pred: Vec<Option<usize>> = vec![None; nodes.len()];
+    let mut dist = vec![0.0; nodes.len()];
+    for &u in &topo {
+        let u = u as usize;
+        dist[u] = pred[u].map_or(0.0, |p| dist[p]) + nodes[u].1;
+        for &v in graph.succs(u as u32) {
+            let v = v as usize;
+            if pred[v].is_none_or(|p| dist[u] > dist[p] || (dist[u] == dist[p] && u < p)) {
+                pred[v] = Some(u);
             }
         }
     }
-    if processed < nodes.len() {
-        return (0.0, Vec::new()); // cycle: not a feasible execution order
-    }
-    let mut path = Vec::new();
-    let mut cursor = best_end;
-    while let Some(k) = cursor {
-        path.push(k);
-        cursor = pred.get(&k).copied();
-    }
+    // The longest chain's end: the lowest id among equals.
+    let best_end = (0..nodes.len()).reduce(|b, v| if dist[v] > dist[b] { v } else { b });
+    let mut path: Vec<InstrKey> = std::iter::successors(best_end, |&v| pred[v])
+        .map(|v| nodes[v].0)
+        .collect();
     path.reverse();
+    let best = best_end.map_or(0.0, |b| dist[b]);
     (best, path)
 }
 

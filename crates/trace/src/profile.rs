@@ -25,7 +25,7 @@
 //! and block time, latency histograms) from a recorded trace, so offline
 //! analysis exports the identical JSON/Prometheus schema.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use msccl_metrics::{names, MetricsSnapshot, Registry};
@@ -40,13 +40,6 @@ pub const MIN_SHARE: f64 = 0.005;
 
 /// An instruction instance `(rank, tb, step, tile)`.
 type InstrKey = (usize, usize, usize, usize);
-
-fn is_sending(op: OpCode) -> bool {
-    matches!(
-        op,
-        OpCode::Send | OpCode::RecvCopySend | OpCode::RecvReduceSend | OpCode::RecvReduceCopySend
-    )
-}
 
 /// How one thread block's time is attributed.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,10 +157,11 @@ pub struct ProfileReport {
 
 /// Per-instruction busy time: span minus FIFO-blocked time within the
 /// span (semaphore waits happen between instructions and never overlap).
-fn instr_busy(trace: &Trace) -> HashMap<InstrKey, (OpCode, f64)> {
+/// Ordered by key, so every sum over it adds in the same order each run.
+fn instr_busy(trace: &Trace) -> BTreeMap<InstrKey, (OpCode, f64)> {
     let mut open: HashMap<(usize, usize), (InstrKey, OpCode, f64, f64)> = HashMap::new();
     let mut open_block: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut out = HashMap::new();
+    let mut out = BTreeMap::new();
     for e in trace.events() {
         let tbkey = (e.rank, e.tb);
         match e.kind {
@@ -199,9 +193,9 @@ fn instr_busy(trace: &Trace) -> HashMap<InstrKey, (OpCode, f64)> {
 
 /// Per-`(rank, tb, step)` busy time summed over tiles, with the opcode.
 fn step_busy(
-    busy: &HashMap<InstrKey, (OpCode, f64)>,
-) -> HashMap<(usize, usize, usize), (OpCode, f64)> {
-    let mut out: HashMap<(usize, usize, usize), (OpCode, f64)> = HashMap::new();
+    busy: &BTreeMap<InstrKey, (OpCode, f64)>,
+) -> BTreeMap<(usize, usize, usize), (OpCode, f64)> {
+    let mut out: BTreeMap<(usize, usize, usize), (OpCode, f64)> = BTreeMap::new();
     for (&(rank, tb, step, _tile), &(op, us)) in busy {
         let entry = out.entry((rank, tb, step)).or_insert((op, 0.0));
         entry.1 += us;
@@ -233,7 +227,7 @@ impl ProfileReport {
         let mut split: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
         for (&(rank, tb, _, _), &(op, us)) in &busy {
             let entry = split.entry((rank, tb)).or_default();
-            if is_sending(op) {
+            if op.has_send() {
                 entry.1 += us;
             } else {
                 entry.0 += us;

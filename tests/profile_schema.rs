@@ -187,3 +187,27 @@ fn profile_schema_spot_checks() {
     assert!(schema.contains("steps[].divergence: float|null"));
     assert!(schema.contains("steps[].modeled_share: float|null"));
 }
+
+#[test]
+fn profile_report_is_a_function_of_the_trace() {
+    // A simulated trace is in virtual time, so the report built from it
+    // must be too: the critical path's tie-breaks and every sum may not
+    // depend on hash order. Ring allreduce on 8 ranks has many equally
+    // long chains.
+    let program = msccl_algos::ring_all_reduce(8, 1).expect("builds");
+    let ir = compile(&program, &CompileOptions::default()).expect("compiles");
+    let cfg = SimConfig::new(Machine::ndv4(1)).with_trace(true);
+    let trace = simulate(&ir, &cfg, 1 << 20)
+        .expect("simulates")
+        .trace
+        .expect("trace requested");
+    let first = ProfileReport::from_traces(&trace, None, 0.5);
+    let json = first.to_json();
+    let nodes = trace.summary().critical_nodes;
+    for _ in 0..20 {
+        let again = ProfileReport::from_traces(&trace, None, 0.5);
+        assert_eq!(again.critical_path_us, first.critical_path_us);
+        assert_eq!(again.to_json(), json);
+        assert_eq!(trace.summary().critical_nodes, nodes);
+    }
+}

@@ -128,6 +128,35 @@ fn endpoints_roundtrip_over_real_http() {
     assert_eq!(stats.failed, 0);
 }
 
+/// A tenant name is outside input that becomes a Prometheus label value:
+/// a URL-encoded line feed in it must not start a forged sample line.
+#[test]
+fn a_tenant_name_cannot_inject_a_metric() {
+    let handle = start(ServiceConfig {
+        exec_workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("daemon starts");
+    let addr = handle.addr();
+    let (status, _, body) = http(
+        addr,
+        "GET",
+        "/collective?algorithm=ring-allreduce&ranks=4&elems=64&tenant=x%0Afake_metric%201&seed=7",
+    );
+    assert_eq!(status, 200, "collective body: {body}");
+    let (status, _, metrics) = http(addr, "GET", "/metrics");
+    assert_eq!(status, 200);
+    assert!(
+        metrics.contains("tenant=\"x\\nfake_metric 1\""),
+        "{metrics}"
+    );
+    assert!(
+        !metrics.lines().any(|l| l.starts_with("fake_metric")),
+        "{metrics}"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn repeated_request_hits_the_compile_cache_with_identical_checksum() {
     let handle = start(ServiceConfig {
