@@ -12,8 +12,8 @@
 //!    their wake keys, wakes, steals, parks, semaphore sets, FIFO depth
 //!    changes). The hot path is one relaxed `fetch_add`
 //!    plus two relaxed stores into a preallocated ring — no locks, no
-//!    allocation, no clock reads — in the spirit of the sharded metric
-//!    counters. Always on; the throughput bench gates its overhead.
+//!    allocation, no clock reads, and each worker's head on its own
+//!    cache lines — in the spirit of the sharded metric counters. Always on; the throughput bench gates its overhead.
 //! 2. **Wait-for graph** ([`WaitForGraph`]): at teardown of a failed run
 //!    the executor freezes every task's blocked-on resource (semaphore
 //!    target, FIFO connection, injected sleep) into a
@@ -168,7 +168,9 @@ pub(crate) const KEY_TAG_SLEEP: u64 = KEY_SLEEP;
 
 /// One worker's ring: a monotone head plus `2 * FLIGHT_CAPACITY` words.
 /// Single writer (the owning worker); readers only look after the pool
-/// joins, so relaxed ordering everywhere is sound.
+/// joins, so relaxed ordering everywhere is sound. Padded like the
+/// metric shards, so no two workers' heads share a cache line.
+#[repr(align(128))]
 struct FlightShard {
     head: AtomicUsize,
     words: Box<[AtomicU64]>,
@@ -1623,6 +1625,13 @@ impl Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each worker's ring head sits on its own pair of cache lines.
+    #[test]
+    fn flight_shards_are_cache_line_padded() {
+        assert_eq!(std::mem::align_of::<FlightShard>(), 128);
+        assert_eq!(std::mem::size_of::<FlightShard>(), 128);
+    }
 
     fn task(rank: usize, tb: usize, wait: Option<BlockedOn>) -> TaskStall {
         TaskStall {

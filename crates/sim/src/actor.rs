@@ -7,9 +7,9 @@
 //! and the DMA queues of the NICs it is responsible for (egress queues
 //! live with the sending node, ingress queues with the receiving node).
 //! The only communication between shards is timestamped [`Outbound`]
-//! messages, routed by the driver at round boundaries; within a round a
-//! shard runs exactly the original engine's state machine over its own
-//! event queue.
+//! messages, delivered by the round loop at round boundaries; within a
+//! round a shard runs exactly the original engine's state machine over
+//! its own event queue.
 //!
 //! Per event a shard does model work only: the program is lowered at
 //! build into a compact [`Step`] table with dependencies resolved to
@@ -266,7 +266,7 @@ pub(crate) struct Shard {
     pub timeline: Vec<TimelineEntry>,
     pub trace: Option<Vec<TraceEvent>>,
     tallies: Tallies,
-    /// Messages emitted this round, drained by the driver.
+    /// Messages emitted this round, drained by the round loop.
     pub out: Vec<Outbound>,
     /// First structured error this shard hit; set once, then the shard
     /// halts and waits for global resolution.
@@ -365,7 +365,7 @@ impl Shard {
         }
     }
 
-    /// Enqueues a routed cross-shard message (driver side).
+    /// Enqueues a cross-shard message at a round boundary.
     pub(crate) fn deliver_msg(&mut self, ts: f64, payload: Payload) {
         let ev = match payload {
             Payload::Tile {
@@ -564,8 +564,8 @@ impl Shard {
         // A planned persistent straggler chronically slows this rank:
         // every busy interval the block spends computing (receive
         // processing, local copy/reduce, send setup) is multiplied for
-        // the whole run. The factor depends only on the rank, so both
-        // the serial and parallel drivers model it identically.
+        // the whole run. The factor depends only on the rank, so every
+        // worker count models it identically.
         let slow = injector
             .and_then(|inj| inj.rank_slowdown(self.tbs[me].rank))
             .unwrap_or(1.0);

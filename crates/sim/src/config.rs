@@ -67,8 +67,8 @@ pub struct SimConfig {
     /// Rank-memory copy bandwidth the epoch snapshot model assumes, in
     /// GB/s (device-memory `memcpy`, so well above link bandwidth).
     pub snapshot_gbps: f64,
-    /// Worker threads for the parallel engine; `None` (or `Some(1)`)
-    /// selects the serial oracle. The parallel engine shards the event
+    /// Workers for the round loop, the calling thread included; `None`
+    /// (or `Some(1)`) selects the serial oracle. The parallel engine shards the event
     /// loop by node under conservative lookahead synchronization and is
     /// **bit-identical** to serial for every program, seed and thread
     /// count (see `docs/simulator.md` for the determinism contract). A

@@ -2,8 +2,8 @@
 //! and report assembly.
 //!
 //! The event loops themselves live in [`crate::actor`] (the per-node
-//! state machine) and [`crate::parallel`] (the round driver that runs
-//! the shards serially or across worker threads). This module turns an
+//! state machine) and [`crate::parallel`] (the round loop that runs
+//! the shards on one worker or several). This module turns an
 //! [`IrProgram`] plus a [`SimConfig`] into shards, runs them, and merges
 //! the per-shard results back into one [`SimReport`] — identically
 //! whichever backend executed the rounds.
@@ -110,7 +110,7 @@ struct ConnRef {
     recv: Option<(usize, usize)>,
 }
 
-/// A fully constructed simulation, ready for the round driver.
+/// A fully constructed simulation, ready for the round loop.
 struct Built {
     shards: Vec<Shard>,
     injector: Option<FaultInjector>,
@@ -569,7 +569,8 @@ pub trait SimBackend {
     ) -> Result<SimReport, SimError>;
 }
 
-/// The serial oracle: one thread drives every shard, round by round.
+/// The serial oracle: the round loop with one worker, the calling
+/// thread, driving every shard.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SerialBackend;
 
@@ -586,11 +587,14 @@ impl SimBackend for SerialBackend {
     }
 }
 
-/// The parallel engine: `threads` workers claim shards within each
-/// round.
+/// The parallel engine: the same round loop on `threads` workers, each
+/// owning a contiguous block of the per-node shards. The calling thread
+/// is worker 0; the others are spawned per simulation. Two workers beat
+/// the serial engine once rounds carry enough events (see
+/// `docs/simulator.md`, "Choosing `--parallel N`").
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelBackend {
-    /// Worker thread count (1 degenerates to the serial driver).
+    /// Worker count, capped at one per shard (1 is the serial engine).
     pub threads: usize,
 }
 

@@ -14,9 +14,10 @@
 //!    timestamps fire in insertion order, and insertion order is a pure
 //!    function of the shard's own deterministic execution: local pushes
 //!    happen while the shard processes its queue in `(time, seq)` order,
-//!    and cross-shard messages are appended by a single routing pass at
-//!    each round boundary in `(source shard, emission order)` order —
-//!    identically in both backends.
+//!    and cross-shard messages are appended at each round boundary in
+//!    `(source shard, emission order)` order — each worker pulls its
+//!    shards' messages from the other workers' contiguous blocks in
+//!    block order, identically at every worker count.
 //!
 //!    The queue is a min-heap plus a *same-time lane*: a FIFO holding
 //!    events pushed at exactly the lane's timestamp (the one being
@@ -37,8 +38,8 @@
 //!    event sequences are independent of who executes which shard, in
 //!    what order, on how many threads.
 //!
-//! Together these give *schedule independence*: the serial driver
-//! (thread count 1) and the parallel driver produce the same per-shard
+//! Together these give *schedule independence*: the round loop on one
+//! worker (the serial oracle) and on several produces the same per-shard
 //! event sequences, hence bit-identical reports. The contract is pinned
 //! by the unit tests below and by the differential tier in
 //! `tests/sim_parallel.rs`.

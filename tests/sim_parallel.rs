@@ -97,13 +97,14 @@ fn compiled(program: &Program) -> IrProgram {
     compile(program, &CompileOptions::default()).expect("catalog programs compile")
 }
 
-/// Thread counts the tier sweeps. CI narrows this to one count per job
-/// via `MSCCL_SIM_THREADS` so two jobs cover the matrix without
-/// duplicating the whole sweep in each.
+/// Thread counts the tier sweeps: 3 splits the 16-shard ring into
+/// uneven blocks (5/5/6), 8 outnumbers the CPUs of a small host. CI
+/// narrows this to one count per job via `MSCCL_SIM_THREADS` so three
+/// jobs cover the matrix without duplicating the whole sweep in each.
 fn thread_counts() -> Vec<usize> {
     match std::env::var("MSCCL_SIM_THREADS") {
         Ok(v) => vec![v.parse().expect("MSCCL_SIM_THREADS must be an integer")],
-        Err(_) => vec![1, 2, 4, 8],
+        Err(_) => vec![1, 2, 3, 4, 8],
     }
 }
 
@@ -120,7 +121,7 @@ fn assert_backends_agree(name: &str, ir: &IrProgram, cfg: &SimConfig, bytes: u64
     }
 }
 
-/// All 15 algorithms × 3 protocols × thread counts {1, 2, 4, 8}, with
+/// All 15 algorithms × 3 protocols × thread counts {1, 2, 3, 4, 8}, with
 /// trace and timeline recording on so the comparison covers every field
 /// the report can carry.
 #[test]
@@ -234,6 +235,71 @@ fn structured_errors_are_bit_identical() {
     }
 }
 
+/// Fan-in across workers: on four nodes every shard receives tiles from
+/// three others at tied timestamps, and at 2 and 3 workers some of those
+/// sources sit in different blocks. Each destination must still see its
+/// messages in source-shard order, or its sequence numbers — and with
+/// them the NIC queue order in the trace — would change.
+#[test]
+fn fan_in_from_several_workers_agrees() {
+    let machine = Machine::custom(
+        4,
+        2,
+        LinkParams::new(2.0, 275.0),
+        1,
+        LinkParams::new(3.5, 25.0),
+    );
+    for program in [
+        msccl_algos::one_step_all_to_all(4, 2).unwrap(),
+        msccl_algos::two_step_all_to_all(4, 2).unwrap(),
+        msccl_algos::hierarchical_all_reduce(4, 2).unwrap(),
+    ] {
+        let ir = compiled(&program);
+        for protocol in [Protocol::Simple, Protocol::Ll128] {
+            let cfg = SimConfig::new(machine.clone())
+                .with_protocol(protocol)
+                .with_trace(true)
+                .with_timeline(true);
+            assert_backends_agree(program.name(), &ir, &cfg, 1 << 18);
+        }
+    }
+}
+
+/// Kills on two shards that different workers own — nodes 3 and 12 of
+/// the 128-rank ring fall in blocks 0 and 1 at 2 workers, 0 and 2 at 3 —
+/// resolve to the serial engine's error, whether they strike in the same
+/// round (a tie the lower shard wins) or one well before the other.
+#[test]
+fn cross_worker_kills_resolve_like_serial() {
+    use msccl_faults::{FaultKind, FaultSite, FaultSpec};
+    let program = msccl_algos::ring_all_reduce(128, 1).unwrap();
+    let ir = compiled(&program);
+    let kill = |rank, step| FaultSpec {
+        site: FaultSite::Block { rank, tb: 0, step },
+        kind: FaultKind::KillBlock,
+    };
+    let mut winners = Vec::new();
+    for (early, late) in [(0, 0), (40, 2), (2, 40)] {
+        let mut plan = FaultPlan::empty();
+        plan.specs.push(kill(24, early));
+        plan.specs.push(kill(100, late));
+        let cfg = SimConfig::new(Machine::ndv4(16)).with_faults(plan);
+        let serial = SerialBackend.simulate(&ir, &cfg, 1 << 20);
+        let Err(SimError::InjectedFault { rank, .. }) = serial else {
+            panic!("steps ({early}, {late}): expected a kill, got {serial:?}");
+        };
+        winners.push(rank);
+        for threads in [2, 3] {
+            let par = ParallelBackend { threads }.simulate(&ir, &cfg, 1 << 20);
+            assert_eq!(
+                serial, par,
+                "steps ({early}, {late}): error diverged at {threads} threads"
+            );
+        }
+    }
+    assert_eq!(winners, [24, 100, 24], "each kill wins somewhere");
+}
+
 /// The event-ordering contract (see `crates/sim/src/sync.rs`): events
 /// with equal timestamps fire in insertion order on a per-shard counter,
 /// so scheduling-sensitive statistics — the processed-event count and
@@ -247,7 +313,7 @@ fn tie_breaking_is_schedule_independent() {
     // worst case for timestamp ties.
     let cfg = SimConfig::new(machine.clone()).with_launch(false);
     let serial = simulate(&ir, &cfg, 1 << 18).unwrap();
-    for threads in [2, 4, 8] {
+    for threads in [2, 3, 4, 8] {
         let a = ParallelBackend { threads }
             .simulate(&ir, &cfg, 1 << 18)
             .unwrap();
