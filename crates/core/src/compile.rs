@@ -4,6 +4,7 @@
 use crate::dag::{ChunkDag, InstrDag, InstrOp};
 use crate::error::Result;
 use crate::ir::{IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode};
+use crate::lower::Lowered;
 use crate::passes::{self, fuse};
 use crate::program::Program;
 use crate::schedule::{assign_channels, assign_threadblocks};
@@ -236,7 +237,7 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<IrProgram> {
         gpus,
         epoch_cuts: Vec::new(),
     };
-    ir.epoch_cuts = passes::epochs::epoch_cuts(&ir);
+    ir.epoch_cuts = passes::epochs::epoch_cuts(&Lowered::new(&ir)?);
     ir.check_structure()?;
     if opts.verify {
         verify::check(&ir, &verify::VerifyOptions::default())?;

@@ -203,6 +203,55 @@ pub struct IrInstruction {
     pub has_dep: bool,
 }
 
+/// One of an instruction's two local operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operand {
+    /// [`IrInstruction::src`].
+    Src,
+    /// [`IrInstruction::dst`].
+    Dst,
+}
+
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Operand::Src => "src",
+            Operand::Dst => "dst",
+        })
+    }
+}
+
+impl IrInstruction {
+    /// The local operands the instruction reads, source first: `src` of
+    /// every opcode that [reads it](OpCode::reads_src), and `dst` as well
+    /// for `re`, which reduces into it. `rrc` and `rrcs` read `src` and
+    /// write `dst`, whether or not the two name the same chunks.
+    #[must_use]
+    pub fn reads(&self) -> &'static [Operand] {
+        match self.op {
+            OpCode::Reduce => &[Operand::Src, Operand::Dst],
+            op if op.reads_src() => &[Operand::Src],
+            _ => &[],
+        }
+    }
+
+    /// The local operand the instruction writes: `dst` of every opcode
+    /// that [writes local memory](OpCode::writes_local).
+    #[must_use]
+    pub fn writes(&self) -> Option<Operand> {
+        self.op.writes_local().then_some(Operand::Dst)
+    }
+
+    /// The location `operand` names, if the instruction has one.
+    #[must_use]
+    pub fn operand(&self, operand: Operand) -> Option<IrLoc> {
+        match operand {
+            Operand::Src => self.src,
+            Operand::Dst => self.dst,
+        }
+    }
+}
+
 /// A thread block: sequential instructions plus at most one send and one
 /// receive connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -316,52 +365,20 @@ impl IrProgram {
         &self.gpus[rank]
     }
 
-    /// Checks internal structural invariants: ranks contiguous, steps
-    /// sequential, dependencies referencing existing instructions, and each
-    /// connection owned by exactly one sender and one receiver block.
+    /// Checks internal structural invariants — what
+    /// [`Lowered::new`](crate::lower::Lowered::new) needs to index the
+    /// program, steps sequential, operands inside their buffers, and
+    /// well-shaped epoch cuts — and returns the program's lowering.
     ///
     /// # Errors
     ///
     /// Returns a [`crate::Error::Verification`] describing the first
     /// violated invariant.
-    pub fn check_structure(&self) -> crate::Result<()> {
-        use std::collections::HashSet;
+    pub fn check_structure(&self) -> crate::Result<crate::lower::Lowered<'_>> {
+        let lowered = crate::lower::Lowered::new(self)?;
         let fail = |message: String| Err(crate::Error::Verification { message });
-        let mut send_conns = HashSet::new();
-        let mut recv_conns = HashSet::new();
         for (r, gpu) in self.gpus.iter().enumerate() {
-            if gpu.rank != r {
-                return fail(format!("gpu at position {r} has rank {}", gpu.rank));
-            }
             for (t, tb) in gpu.threadblocks.iter().enumerate() {
-                if tb.id != t {
-                    return fail(format!(
-                        "rank {r}: thread block at position {t} has id {}",
-                        tb.id
-                    ));
-                }
-                if let Some(p) = tb.send_peer {
-                    if p >= self.gpus.len() || p == r {
-                        return fail(format!("rank {r} tb {t}: invalid send peer {p}"));
-                    }
-                    if !send_conns.insert((r, p, tb.channel)) {
-                        return fail(format!(
-                            "two thread blocks send on connection ({r} -> {p}, ch {})",
-                            tb.channel
-                        ));
-                    }
-                }
-                if let Some(p) = tb.recv_peer {
-                    if p >= self.gpus.len() || p == r {
-                        return fail(format!("rank {r} tb {t}: invalid recv peer {p}"));
-                    }
-                    if !recv_conns.insert((p, r, tb.channel)) {
-                        return fail(format!(
-                            "two thread blocks receive on connection ({p} -> {r}, ch {})",
-                            tb.channel
-                        ));
-                    }
-                }
                 for (s, instr) in tb.instructions.iter().enumerate() {
                     if instr.step != s {
                         return fail(format!(
@@ -369,38 +386,17 @@ impl IrProgram {
                             instr.step
                         ));
                     }
-                    if instr.op.has_send() && tb.send_peer.is_none() {
-                        return fail(format!(
-                            "rank {r} tb {t} step {s}: send without a send connection"
-                        ));
-                    }
-                    if instr.op.has_recv() && tb.recv_peer.is_none() {
-                        return fail(format!(
-                            "rank {r} tb {t} step {s}: recv without a receive connection"
-                        ));
-                    }
                     if instr.count == 0 && instr.op != OpCode::Nop {
                         return fail(format!("rank {r} tb {t} step {s}: zero count"));
                     }
-                    // Operands must lie inside the buffers they name: a read
-                    // source or written destination on this rank, and a
-                    // send's destination on its peer.
-                    let dst_rank = if instr.op.writes_local() {
-                        Some(r)
-                    } else if instr.op == OpCode::Send {
-                        tb.send_peer
-                    } else {
-                        None
-                    };
-                    let operands = [
-                        (
-                            "src",
-                            instr.src.filter(|_| instr.op.reads_src()).map(|l| (r, l)),
-                        ),
-                        ("dst", instr.dst.zip(dst_rank).map(|(l, p)| (p, l))),
-                    ];
-                    for (what, operand) in operands {
-                        let Some((owner, loc)) = operand else {
+                    // Operands must lie inside the buffers they name: those
+                    // read or written on this rank, and a send's
+                    // destination on its peer.
+                    let written = instr.writes();
+                    let local = instr.reads().iter().chain(&written).map(|&o| (o, r));
+                    let remote = tb.send_peer.filter(|_| instr.op == OpCode::Send);
+                    for (what, owner) in local.chain(remote.map(|p| (Operand::Dst, p))) {
+                        let Some(loc) = instr.operand(what) else {
                             continue;
                         };
                         let owner_gpu = &self.gpus[owner];
@@ -421,41 +417,16 @@ impl IrProgram {
                             ));
                         }
                     }
-                    for d in &instr.deps {
-                        let Some(dep_tb) = gpu.threadblocks.get(d.tb) else {
-                            return fail(format!(
-                                "rank {r} tb {t} step {s}: dependency on missing tb {}",
-                                d.tb
-                            ));
-                        };
-                        if d.step >= dep_tb.instructions.len() {
-                            return fail(format!(
-                                "rank {r} tb {t} step {s}: dependency on missing step {} of tb {}",
-                                d.step, d.tb
-                            ));
-                        }
-                        if !dep_tb.instructions[d.step].has_dep {
-                            return fail(format!(
-                                "rank {r} tb {t} step {s}: dependency target lacks has_dep"
-                            ));
-                        }
+                    if instr
+                        .deps
+                        .iter()
+                        .any(|d| !gpu.threadblocks[d.tb].instructions[d.step].has_dep)
+                    {
+                        return fail(format!(
+                            "rank {r} tb {t} step {s}: dependency target lacks has_dep"
+                        ));
                     }
                 }
-            }
-        }
-        // Every send connection needs a matching receiver and vice versa.
-        for &(a, b, c) in &send_conns {
-            if !recv_conns.contains(&(a, b, c)) {
-                return fail(format!(
-                    "connection ({a} -> {b}, ch {c}) has a sender but no receiver"
-                ));
-            }
-        }
-        for &(a, b, c) in &recv_conns {
-            if !send_conns.contains(&(a, b, c)) {
-                return fail(format!(
-                    "connection ({a} -> {b}, ch {c}) has a receiver but no sender"
-                ));
             }
         }
         // Epoch cuts, when present, must form a well-shaped strictly
@@ -520,7 +491,7 @@ impl IrProgram {
                 }
             }
         }
-        Ok(())
+        Ok(lowered)
     }
 }
 

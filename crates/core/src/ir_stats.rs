@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::ir::{IrProgram, OpCode};
+use crate::lower::Lowered;
 use crate::order;
 
 /// Aggregate statistics of a compiled program.
@@ -103,9 +104,12 @@ impl IrStats {
 
 /// Longest chain of dependent communication hops, following intra-thread-
 /// block order, semaphore dependencies and send→receive pairing; 0 for a
-/// program whose order has a cycle.
+/// program that does not lower or whose order has a cycle.
 fn critical_hops(ir: &IrProgram) -> usize {
-    let graph = order::step_graph(ir);
+    let Ok(lowered) = Lowered::new(ir) else {
+        return 0;
+    };
+    let graph = order::step_graph(&lowered);
     let Ok(topo) = graph.topo_order() else {
         return 0;
     };

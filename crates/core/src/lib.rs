@@ -46,6 +46,7 @@ pub mod error;
 pub mod ir;
 pub mod ir_stats;
 pub mod ir_xml;
+pub mod lower;
 pub mod order;
 pub mod passes;
 pub mod program;

@@ -5,13 +5,11 @@
 //! dependencies, and the k-th send on a connection feeding the k-th
 //! receive. [`Dag`] is that order as a compressed-sparse-row graph over
 //! dense `u32` ids, with one topological sort; [`step_graph`] and
-//! [`rank_graph`] draw it over one dense numbering of an [`IrProgram`]'s
+//! [`rank_graph`] draw it over [`Lowered`]'s numbering of a program's
 //! instructions. Callers run their own longest-path or ancestor sweep over
 //! [`Dag::topo_order`]; this module never branches on who calls it.
 
-use std::collections::BTreeMap;
-
-use crate::ir::{IrGpu, IrProgram};
+use crate::lower::Lowered;
 
 /// A directed graph over dense ids `0..node_count`, in compressed sparse row
 /// form. Parallel edges are kept: each one counts toward its target's
@@ -102,81 +100,58 @@ impl Dag {
     }
 }
 
-/// Program-order and dependency edges of one rank's instructions,
-/// numbered from 0 in `(tb, step)` order. A dependency that names no
-/// instruction is skipped.
+/// Program-order and dependency edges of `rank`'s instructions, numbered
+/// from 0 in `(tb, step)` order: the rank's flat step ids less its first.
 #[must_use]
-pub fn rank_graph(gpu: &IrGpu) -> Dag {
+pub fn rank_graph(lowered: &Lowered, rank: usize) -> Dag {
+    let blocks = &lowered.blocks()[lowered.rank_blocks(rank)];
+    let base = blocks.first().map_or(0, |b| b.first_step);
     let mut edges = Vec::new();
-    let (_, n) = rank_edges(gpu, 0, &mut edges);
-    Dag::from_edges(n as usize, &edges)
+    rank_edges(lowered, rank, base, &mut edges);
+    Dag::from_edges(blocks.last().map_or(base, |b| b.steps().end) - base, &edges)
 }
 
-/// The whole program's order, over one dense numbering of its
-/// instructions: rank-major, then `(tb, step)`, so rank `r`'s ids are
-/// [`rank_graph`]'s shifted by the instruction count of ranks `0..r`.
-/// Holds every rank's [`rank_graph`] edges and an edge from the k-th send
-/// to the k-th receive on every `(src, dst, channel)` connection.
+/// The whole program's order, over [`Lowered`]'s flat step ids: rank-major,
+/// then `(tb, step)`, so rank `r`'s ids are [`rank_graph`]'s shifted by
+/// the instruction count of ranks `0..r`. Holds every rank's
+/// [`rank_graph`] edges and an edge from the k-th send to the k-th receive
+/// on every connection.
 #[must_use]
-pub fn step_graph(ir: &IrProgram) -> Dag {
+pub fn step_graph(lowered: &Lowered) -> Dag {
     let mut edges = Vec::new();
-    let mut first = Vec::with_capacity(ir.gpus.len());
-    let mut n = 0;
-    for gpu in &ir.gpus {
-        let (tbs, next) = rank_edges(gpu, n, &mut edges);
-        first.push(tbs);
-        n = next;
+    for rank in 0..lowered.ir().num_ranks() {
+        rank_edges(lowered, rank, 0, &mut edges);
     }
-    // (src, dst, channel) -> (send ids, receive ids), in step order.
-    let mut conns: BTreeMap<_, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
-    for (rank, gpu) in ir.gpus.iter().enumerate() {
-        for (tb, &first) in gpu.threadblocks.iter().zip(&first[rank]) {
-            let ch = tb.channel;
-            for (id, instr) in (first..).zip(&tb.instructions) {
-                if let (Some(peer), true) = (tb.send_peer, instr.op.has_send()) {
-                    conns.entry((rank, peer, ch)).or_default().0.push(id);
-                }
-                if let (Some(peer), true) = (tb.recv_peer, instr.op.has_recv()) {
-                    conns.entry((peer, rank, ch)).or_default().1.push(id);
-                }
+    // Per connection id: its send steps and its receive steps, in order.
+    let mut ends: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); lowered.conns().len()];
+    for b in lowered.blocks() {
+        for (id, instr) in b.steps().zip(&b.tb.instructions) {
+            if let (Some(c), true) = (b.send, instr.op.has_send()) {
+                ends[c].0.push(id as u32);
+            }
+            if let (Some(c), true) = (b.recv, instr.op.has_recv()) {
+                ends[c].1.push(id as u32);
             }
         }
     }
-    for (sends, recvs) in conns.into_values() {
+    for (sends, recvs) in ends {
         edges.extend(sends.into_iter().zip(recvs));
     }
-    Dag::from_edges(n as usize, &edges)
+    Dag::from_edges(lowered.num_steps(), &edges)
 }
 
-/// Appends `gpu`'s program-order and dependency edges over ids from
-/// `base` in `(tb, step)` order. Returns the id of each block's step 0
-/// and the id after the rank's last instruction; panics if that
-/// overflows `u32`.
-fn rank_edges(gpu: &IrGpu, base: u32, edges: &mut Vec<(u32, u32)>) -> (Vec<u32>, u32) {
-    let mut first = Vec::with_capacity(gpu.threadblocks.len());
-    let mut next = base;
-    for tb in &gpu.threadblocks {
-        first.push(next);
-        next = u32::try_from(tb.instructions.len())
-            .ok()
-            .and_then(|len| next.checked_add(len))
-            .expect("instruction ids fit in u32");
-    }
-    for (tb, &me0) in gpu.threadblocks.iter().zip(&first) {
-        for (me, instr) in (me0..).zip(&tb.instructions) {
-            if me > me0 {
-                edges.push((me - 1, me));
+/// Appends `rank`'s program-order and dependency edges, over flat step
+/// ids less `base` (which fit in `u32`: [`Lowered::new`] checks).
+fn rank_edges(lowered: &Lowered, rank: usize, base: usize, edges: &mut Vec<(u32, u32)>) {
+    let node = |step: usize| (step - base) as u32;
+    for b in &lowered.blocks()[lowered.rank_blocks(rank)] {
+        for (me, instr) in b.steps().zip(&b.tb.instructions) {
+            if me > b.first_step {
+                edges.push((node(me - 1), node(me)));
             }
             for d in &instr.deps {
-                if gpu
-                    .threadblocks
-                    .get(d.tb)
-                    .is_some_and(|db| d.step < db.instructions.len())
-                {
-                    edges.push((first[d.tb] + d.step as u32, me));
-                }
+                edges.push((node(lowered.dep(rank, d).1), node(me)));
             }
         }
     }
-    (first, next)
 }

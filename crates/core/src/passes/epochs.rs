@@ -36,6 +36,7 @@
 //! runtime's semaphores use: `tile * len + watermark`).
 
 use crate::ir::{EpochCut, IrProgram};
+use crate::lower::Lowered;
 
 /// How many epoch boundaries a run should place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,24 +165,17 @@ fn prefix_count(ir: &IrProgram, rank: usize, tb: usize, w: usize, sends: bool) -
 /// A connection: `(sender (rank, tb), receiver (rank, tb))`.
 type Conn = ((usize, usize), (usize, usize));
 
-/// Every connection as `(sender (rank, tb), receiver (rank, tb))`.
-fn connections(ir: &IrProgram) -> Vec<Conn> {
-    let mut recv_of = std::collections::HashMap::new();
-    for gpu in &ir.gpus {
-        for tb in &gpu.threadblocks {
-            if let Some(p) = tb.recv_peer {
-                recv_of.insert((p, gpu.rank, tb.channel), (gpu.rank, tb.id));
-            }
+/// Every connection as `(sender (rank, tb), receiver (rank, tb))`, by
+/// connection id.
+fn connections(lowered: &Lowered) -> Vec<Conn> {
+    let mut conns = vec![((0, 0), (0, 0)); lowered.conns().len()];
+    for b in lowered.blocks() {
+        let at = (b.rank, b.tb.id);
+        if let Some(c) = b.send {
+            conns[c].0 = at;
         }
-    }
-    let mut conns = Vec::new();
-    for gpu in &ir.gpus {
-        for tb in &gpu.threadblocks {
-            if let Some(p) = tb.send_peer {
-                if let Some(&receiver) = recv_of.get(&(gpu.rank, p, tb.channel)) {
-                    conns.push(((gpu.rank, tb.id), receiver));
-                }
-            }
+        if let Some(c) = b.recv {
+            conns[c].1 = at;
         }
     }
     conns
@@ -234,14 +228,16 @@ fn close(ir: &IrProgram, lens: &[Vec<usize>], conns: &[Conn], w: &mut [Vec<usize
     }
 }
 
-/// Computes the canonical chain of consistent epoch cuts for `ir` by
-/// iterated frontier advance (see the [module docs](self)). The chain is
-/// strictly increasing and its last cut is the full tile; a maximally
-/// coupled program yields a single cut (the tile boundary itself).
+/// Computes the canonical chain of consistent epoch cuts for a lowered
+/// program by iterated frontier advance (see the [module docs](self)).
+/// The chain is strictly increasing and its last cut is the full tile; a
+/// maximally coupled program yields a single cut (the tile boundary
+/// itself).
 #[must_use]
-pub fn epoch_cuts(ir: &IrProgram) -> Vec<EpochCut> {
+pub fn epoch_cuts(lowered: &Lowered) -> Vec<EpochCut> {
+    let ir = lowered.ir();
     let lens = tb_lens(ir);
-    let conns = connections(ir);
+    let conns = connections(lowered);
     let mut w: Vec<Vec<usize>> = lens.iter().map(|g| vec![0; g.len()]).collect();
     let mut cuts = Vec::new();
     while w != lens {
@@ -359,7 +355,7 @@ mod tests {
     #[test]
     fn chain_is_strictly_increasing_and_ends_full() {
         let ir = ring_ir(4);
-        let cuts = epoch_cuts(&ir);
+        let cuts = epoch_cuts(&Lowered::new(&ir).unwrap());
         assert!(!cuts.is_empty());
         let lens = tb_lens(&ir);
         let mut prev: Vec<Vec<usize>> = lens.iter().map(|g| vec![0; g.len()]).collect();
@@ -381,7 +377,7 @@ mod tests {
     #[test]
     fn cuts_are_balanced_and_dep_closed() {
         let ir = ring_ir(4);
-        for cut in epoch_cuts(&ir) {
+        for cut in epoch_cuts(&Lowered::new(&ir).unwrap()) {
             crate::verify::check_epoch_cut(&ir, &cut).unwrap();
         }
     }
@@ -389,7 +385,7 @@ mod tests {
     #[test]
     fn schedule_respects_mode_and_stays_interior() {
         let ir = ring_ir(4);
-        let cuts = epoch_cuts(&ir);
+        let cuts = epoch_cuts(&Lowered::new(&ir).unwrap());
         assert!(schedule(&ir, &cuts, 4, EpochMode::Off).is_empty());
         let auto = schedule(&ir, &cuts, 4, EpochMode::Auto);
         assert!(!auto.is_empty() && auto.len() <= AUTO_BOUNDARIES);

@@ -20,13 +20,14 @@
 //!   semaphore waits all induce ordering);
 //! * **uninitialized reads** at the instruction level.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::buffer::BufferKind;
 use crate::chunk::ChunkValue;
 use crate::collective::Space;
 use crate::error::{Error, Result};
-use crate::ir::{IrLoc, IrProgram, IrThreadBlock, OpCode};
+use crate::ir::{IrLoc, IrProgram, OpCode};
+use crate::lower::Lowered;
 
 /// Options for verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,9 +144,8 @@ struct Message {
     clock: Clock,
 }
 
+#[derive(Default)]
 struct Connection {
-    /// `(src rank, dst rank, channel)`, for error messages.
-    key: (usize, usize, usize),
     queue: VecDeque<Message>,
     /// Receiver clocks at the latest `slots` pops, the p-th at
     /// `p % slots`, for modelling FIFO slot reuse: the k-th send
@@ -170,22 +170,25 @@ struct LocAccess {
 /// Verifies a compiled program; see the [module docs](self).
 ///
 /// All state is indexed by dense integers: buffers and race tables by
-/// `(`[`Space::slot`]`, offset)`, thread blocks by a global number,
-/// connections by a number assigned up front. Clock snapshots are kept
-/// only for the steps some dependency names, and no clock at all without
-/// race detection.
+/// `(`[`Space::slot`]`, offset)`, thread blocks, steps and connections by
+/// their [`Lowered`] ids. Which operands an instruction reads and writes
+/// is [`IrInstruction::reads`](crate::IrInstruction::reads)/
+/// [`writes`](crate::IrInstruction::writes). Clock snapshots are kept only
+/// for the steps some dependency names, and no clock at all without race
+/// detection.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Verification`] describing the first deadlock, data
 /// race, uninitialized read, out-of-range operand or postcondition
-/// mismatch.
+/// mismatch, or a program [`Lowered::new`] cannot index.
 pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
     if opts.slots == 0 {
         return Err(Error::Verification {
             message: "slots must be at least 1".to_owned(),
         });
     }
+    let lowered = Lowered::new(ir)?;
     check_epoch_cuts(ir)?;
     let collective = &ir.collective;
     let num_ranks = ir.num_ranks();
@@ -216,70 +219,26 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
         Vec::new()
     };
 
-    // ---- Thread blocks (global numbering), connections, and the steps
-    // some dependency waits on.
-    let mut tbs: Vec<(usize, &IrThreadBlock)> = Vec::new();
-    let mut tb_base: Vec<usize> = Vec::with_capacity(num_ranks);
-    for (rank, gpu) in ir.gpus.iter().enumerate() {
-        tb_base.push(tbs.len());
-        tbs.extend(gpu.threadblocks.iter().map(|tb| (rank, tb)));
-    }
-    let num_tbs = tbs.len();
-    let mut conn_of: HashMap<(usize, usize, usize), usize> = HashMap::new();
-    let mut conns: Vec<Connection> = Vec::new();
-    let mut conn_index = |key: (usize, usize, usize)| {
-        *conn_of.entry(key).or_insert_with(|| {
-            conns.push(Connection {
-                key,
-                queue: VecDeque::new(),
-                pop_clocks: Vec::new(),
-                pops: 0,
-                sends: 0,
-                planned_sends: 0,
-            });
-            conns.len() - 1
-        })
-    };
-    let mut send_conn: Vec<Option<usize>> = Vec::with_capacity(num_tbs);
-    let mut recv_conn: Vec<Option<usize>> = Vec::with_capacity(num_tbs);
-    // Index of each tb's first step in the flat per-step tables.
-    let mut step_base: Vec<usize> = Vec::with_capacity(num_tbs);
-    let mut total_steps = 0;
-    for &(rank, tb) in &tbs {
-        send_conn.push(tb.send_peer.map(|p| conn_index((rank, p, tb.channel))));
-        recv_conn.push(tb.recv_peer.map(|p| conn_index((p, rank, tb.channel))));
-        step_base.push(total_steps);
-        total_steps += tb.instructions.len();
-    }
-    for (&(_, tb), conn) in tbs.iter().zip(&send_conn) {
-        if let Some(c) = *conn {
-            conns[c].planned_sends += tb.instructions.iter().filter(|i| i.op.has_send()).count();
-        }
-    }
-    for conn in &mut conns {
-        if races && conn.planned_sends > slots {
-            conn.pop_clocks = vec![Clock::default(); slots];
-        }
-    }
-    let mut referenced = vec![false; total_steps];
-    for &(rank, tb) in &tbs {
-        let gpu = ir.gpu(rank);
-        for instr in &tb.instructions {
-            for d in &instr.deps {
-                let Some(dep_tb) = gpu.threadblocks.get(d.tb) else {
-                    return Err(Error::Verification {
-                        message: format!(
-                            "rank {rank} tb {} step {}: dependency on missing tb {}",
-                            tb.id, instr.step, d.tb
-                        ),
-                    });
-                };
-                // A dependency on a step past the end never resolves: it
-                // is reported as a deadlock when nothing else can move.
-                if d.step < dep_tb.instructions.len() {
-                    referenced[step_base[tb_base[rank] + d.tb] + d.step] = true;
-                }
+    // ---- Thread blocks, steps and connections in the lowered numbering,
+    // and the steps some dependency waits on.
+    let blocks = lowered.blocks();
+    let num_tbs = blocks.len();
+    let mut conns: Vec<Connection> = lowered
+        .conns()
+        .iter()
+        .map(|_| Connection::default())
+        .collect();
+    let mut referenced = vec![false; lowered.num_steps()];
+    for b in blocks {
+        // A connection's one sender block plans all its sends.
+        if let Some(conn) = b.send.map(|c| &mut conns[c]) {
+            conn.planned_sends = b.tb.instructions.iter().filter(|i| i.op.has_send()).count();
+            if races && conn.planned_sends > slots {
+                conn.pop_clocks = vec![Clock::default(); slots];
             }
+        }
+        for d in b.tb.instructions.iter().flat_map(|i| &i.deps) {
+            referenced[lowered.dep(b.rank, d).1] = true;
         }
     }
 
@@ -292,14 +251,14 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
     let mut clocks: Vec<Clock> = vec![Clock::default(); num_tbs];
     // Clock after each completed step that some dependency references,
     // for semaphore joins.
-    let mut snapshots: Vec<Option<Clock>> = vec![None; total_steps];
+    let mut snapshots: Vec<Option<Clock>> = vec![None; lowered.num_steps()];
 
     let mut max_queue_depth = 0usize;
     let mut executed = 0usize;
     let mut rounds = 0usize;
-    // Resolved `(space slot, offset)` operand locations of one instruction.
-    let mut src_locs: Vec<(usize, usize)> = Vec::new();
-    let mut dst_locs: Vec<(usize, usize)> = Vec::new();
+    // Resolved `(space slot, offset)` locations of one instruction's
+    // operands, indexed by `Operand`.
+    let mut locs: [Vec<(usize, usize)>; 2] = Default::default();
 
     let resolve = |out: &mut Vec<(usize, usize)>, rank: usize, loc: IrLoc, count: usize| {
         out.clear();
@@ -313,7 +272,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
         let mut progressed = false;
         let mut all_done = true;
         for g in 0..num_tbs {
-            let (rank, tb) = tbs[g];
+            let (rank, tb) = (blocks[g].rank, blocks[g].tb);
             let pc = pcs[g];
             if pc >= tb.instructions.len() {
                 continue;
@@ -328,13 +287,13 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             let deps_ready = instr
                 .deps
                 .iter()
-                .all(|d| pcs[tb_base[rank] + d.tb] > d.step);
+                .all(|d| pcs[lowered.dep(rank, d).0] > d.step);
             if !deps_ready {
                 continue;
             }
             let needs_pop = instr.op.has_recv() && pending[g].is_none();
             if needs_pop {
-                let c = recv_conn[g].expect("structure checked");
+                let c = blocks[g].recv.expect("lowering checked");
                 if conns[c].queue.is_empty() {
                     continue;
                 }
@@ -344,7 +303,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             // upstream slot is freed either way.
             let pop_message =
                 |conns: &mut Vec<Connection>, clocks: &mut Vec<Clock>| -> Result<Vec<ChunkValue>> {
-                    let conn = &mut conns[recv_conn[g].expect("checked")];
+                    let conn = &mut conns[blocks[g].recv.expect("checked")];
                     let msg = conn.queue.pop_front().expect("checked non-empty");
                     if races {
                         if conn.pops + slots < conn.planned_sends {
@@ -363,7 +322,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                     Ok(msg.values)
                 };
             if instr.op.has_send() {
-                let c = send_conn[g].expect("structure checked");
+                let c = blocks[g].send.expect("lowering checked");
                 if conns[c].queue.len() >= slots {
                     if needs_pop {
                         pending[g] = Some(pop_message(&mut conns, &mut clocks)?);
@@ -377,7 +336,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             // Join semaphore clocks.
             if races {
                 for d in &instr.deps {
-                    let snap = snapshots[step_base[tb_base[rank] + d.tb] + d.step]
+                    let snap = snapshots[lowered.dep(rank, d).1]
                         .as_ref()
                         .expect("referenced step completed");
                     clocks[g].join(snap);
@@ -394,29 +353,23 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 None
             };
 
-            // Local operands: the source when read, the destination when
-            // written. Reads are bounds-checked here, so `src(i)` and, for
-            // Reduce, `dst(i)` index directly; a write out of range is
+            // Local operands, by the operand rule: the ones read, then the
+            // one written. Reads are bounds-checked here, so `src(i)` and,
+            // for Reduce, `dst(i)` index directly; a write out of range is
             // reported when it is applied.
-            let in_bounds = |locs: &[(usize, usize)], what: &str| {
-                if locs.iter().all(|&(slot, off)| off < spaces[slot].len()) {
-                    Ok(())
-                } else {
-                    Err(fail(format!("{what} index out of bounds")))
+            let written = instr.writes().filter(|o| !instr.reads().contains(o));
+            for (i, &o) in instr.reads().iter().chain(&written).enumerate() {
+                let loc = instr
+                    .operand(o)
+                    .ok_or_else(|| fail(format!("missing {o}")))?;
+                let out = &mut locs[o as usize];
+                resolve(out, rank, loc, instr.count);
+                let read = i < instr.reads().len();
+                if read && out.iter().any(|&(slot, off)| off >= spaces[slot].len()) {
+                    return Err(fail(format!("{o} index out of bounds")));
                 }
-            };
-            if instr.op.reads_src() {
-                let loc = instr.src.ok_or_else(|| fail("missing src".to_owned()))?;
-                resolve(&mut src_locs, rank, loc, instr.count);
-                in_bounds(&src_locs, "src")?;
             }
-            if instr.op.writes_local() {
-                let loc = instr.dst.ok_or_else(|| fail("missing dst".to_owned()))?;
-                resolve(&mut dst_locs, rank, loc, instr.count);
-            }
-            if instr.op == OpCode::Reduce {
-                in_bounds(&dst_locs, "dst")?;
-            }
+            let [src_locs, dst_locs] = &locs;
             let src = |i: usize| &spaces[src_locs[i].0][src_locs[i].1];
             let dst = |i: usize| &spaces[dst_locs[i].0][dst_locs[i].1];
 
@@ -465,19 +418,9 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                         ),
                     })
                 };
-                // Reads: src operands (and dst for Reduce); every one was
-                // just read, so it is in range.
-                let src_reads = if instr.op.reads_src() {
-                    &src_locs[..]
-                } else {
-                    &[]
-                };
-                let dst_reads = if instr.op == OpCode::Reduce {
-                    &dst_locs[..]
-                } else {
-                    &[]
-                };
-                for &key in src_reads.iter().chain(dst_reads) {
+                // Reads, in operand order; every one was just read, so it
+                // is in range.
+                for &key in instr.reads().iter().flat_map(|&o| &locs[o as usize]) {
                     let acc = &mut accesses[key.0][key.1];
                     if let Some((wt, wc)) = acc.write {
                         if clock.get(wt) < wc {
@@ -491,8 +434,8 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 }
                 // Writes. An out-of-range one is reported by the write
                 // below; no access before it can have touched that chunk.
-                if instr.op.writes_local() {
-                    for &key in &dst_locs {
+                if let Some(o) = instr.writes() {
+                    for &key in &locs[o as usize] {
                         let Some(acc) = accesses[key.0].get_mut(key.1) else {
                             continue;
                         };
@@ -514,9 +457,9 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
 
             // --- Apply local write; the values move into the buffer unless
             // they are also sent.
-            if instr.op.writes_local() {
+            if let Some(o) = instr.writes() {
                 let sends = instr.op.has_send();
-                for (&(slot, off), v) in dst_locs.iter().zip(&mut results) {
+                for (&(slot, off), v) in locs[o as usize].iter().zip(&mut results) {
                     let chunk = spaces[slot]
                         .get_mut(off)
                         .ok_or_else(|| fail("dst index out of bounds".to_owned()))?;
@@ -530,7 +473,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
 
             // --- Send, if any.
             if instr.op.has_send() {
-                let conn = &mut conns[send_conn[g].expect("checked")];
+                let conn = &mut conns[blocks[g].send.expect("checked")];
                 // FIFO slot reuse ordering: the k-th send happens after the
                 // (k - slots)-th pop.
                 if races && conn.sends >= slots {
@@ -551,7 +494,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             // --- Complete.
             if races {
                 clocks[g].tick(g);
-                let step = step_base[g] + pc;
+                let step = blocks[g].first_step + pc;
                 if referenced[step] {
                     snapshots[step] = Some(clocks[g].clone());
                 }
@@ -566,18 +509,15 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
         }
         if !progressed {
             // Deadlock: describe every blocked thread block.
-            let mut lines = Vec::new();
-            for (g, &(rank, tb)) in tbs.iter().enumerate() {
-                if pcs[g] < tb.instructions.len() {
-                    let instr = &tb.instructions[pcs[g]];
-                    lines.push(format!(
-                        "rank {rank} tb {} blocked at step {} ({})",
-                        tb.id,
-                        pcs[g],
-                        instr.op.mnemonic()
-                    ));
-                }
-            }
+            let lines: Vec<String> = (blocks.iter().zip(&pcs))
+                .filter_map(|(b, &pc)| {
+                    let op = b.tb.instructions.get(pc)?.op.mnemonic();
+                    Some(format!(
+                        "rank {} tb {} blocked at step {pc} ({op})",
+                        b.rank, b.tb.id
+                    ))
+                })
+                .collect();
             return Err(Error::Verification {
                 message: format!("deadlock: {}", lines.join("; ")),
             });
@@ -585,9 +525,8 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
     }
 
     // ---- Unconsumed messages indicate a miscompile.
-    for conn in &conns {
+    for (conn, &(s, d, ch)) in conns.iter().zip(lowered.conns()) {
         if !conn.queue.is_empty() {
-            let (s, d, ch) = conn.key;
             return Err(Error::Verification {
                 message: format!(
                     "connection ({s} -> {d}, ch {ch}) finished with {} unconsumed messages",

@@ -152,6 +152,12 @@ pub enum RuntimeError {
         /// Which option, and why.
         message: String,
     },
+    /// The program fails [`IrProgram::check_structure`]: it cannot be
+    /// lowered to an execution plan.
+    InvalidProgram {
+        /// The structure check's message.
+        message: String,
+    },
     /// A fault plan does not fit the program it was asked to disrupt.
     InvalidFaultPlan {
         /// The underlying [`FaultPlanError`], rendered.
@@ -267,6 +273,7 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::InputShape { message } => write!(f, "bad input shape: {message}"),
             RuntimeError::InvalidOptions { message } => write!(f, "invalid run options: {message}"),
+            RuntimeError::InvalidProgram { message } => write!(f, "invalid program: {message}"),
             RuntimeError::InvalidFaultPlan { message } => {
                 write!(f, "invalid fault plan: {message}")
             }
@@ -362,6 +369,7 @@ impl RuntimeError {
             self,
             RuntimeError::InputShape { .. }
                 | RuntimeError::InvalidOptions { .. }
+                | RuntimeError::InvalidProgram { .. }
                 | RuntimeError::InvalidFaultPlan { .. }
                 | RuntimeError::RecoveryBudgetExhausted { .. }
         )
@@ -1013,12 +1021,14 @@ pub fn run(req: Run<'_>) -> RunReport {
         .as_ref()
         .is_some_and(|p| p.matches(ir, params.num_slots, pool_threads))
     {
-        *plan = Some(Box::new(ExecPlan::build(
-            ir,
-            params.num_slots,
-            pool_threads,
-            counters,
-        )));
+        match ExecPlan::build(ir, params.num_slots, pool_threads, counters) {
+            Ok(built) => *plan = Some(Box::new(built)),
+            Err(e) => {
+                return RunReport::rejected(RuntimeError::InvalidProgram {
+                    message: e.to_string(),
+                })
+            }
+        }
     }
     let plan = plan.as_deref_mut().expect("plan ensured above");
     // Worker 0 runs inline on the calling thread — a one-worker pool has
@@ -1765,22 +1775,18 @@ mod tests {
     /// the payload text, and cancels the other workers promptly.
     #[test]
     fn worker_panic_is_attributed() {
-        // An IR whose rank-1 receive writes to an out-of-range output
-        // chunk makes the worker panic inside memory access.
+        // Rank 0 sends one chunk and then waits to receive; rank 1's
+        // receive expects two, so its worker panics slicing the short
+        // tile. The structure check does not match counts across a
+        // connection (the verifier does), so the program runs.
         let mut ir = deadlocked_ir();
-        ir.gpus[0].threadblocks[0].instructions.truncate(1);
-        ir.gpus[1].threadblocks[0].instructions = vec![mscclang::IrInstruction {
-            step: 0,
-            op: OpCode::Send,
-            src: Some(mscclang::ir::IrLoc {
-                buffer: mscclang::BufferKind::Input,
-                index: 99, // out of range: reading it panics
-            }),
-            dst: None,
-            count: 1,
-            deps: vec![],
-            has_dep: false,
-        }];
+        let rank0 = &mut ir.gpus[0].threadblocks[0].instructions;
+        rank0.swap(0, 1);
+        for (step, instr) in rank0.iter_mut().enumerate() {
+            instr.step = step;
+        }
+        ir.gpus[1].threadblocks[0].instructions[0].count = 2;
+        ir.check_structure().unwrap();
         let inputs = vec![vec![1.0], vec![2.0]];
         let start = Instant::now();
         let err = execute(&ir, &inputs, 1, &RunOptions::default()).unwrap_err();

@@ -7,7 +7,8 @@
 //! interpreter. [`ExecPlan`] is that load step. It lowers the IR into
 //! per-thread-block instruction tables — operands resolved through the
 //! collective's alias map, dependencies resolved to dense task indices —
-//! assigns dense connection and task indices, and allocates what every
+//! numbered as [`mscclang::lower`] numbers blocks and connections, and
+//! allocates what every
 //! run needs in the same shape: FIFOs, semaphores, the tasks, the
 //! scheduler with its queues and wait slots, the cancel token, and — each
 //! on first use — metric handles and flight rings. One happens-before
@@ -26,11 +27,11 @@
 //! per-run scalar applied by `reset`, so alternating such options in one
 //! arena keeps hitting.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use mscclang::{order, BufferKind, IrInstruction, IrLoc, IrProgram, OpCode, Space};
+use mscclang::lower::Lowered;
+use mscclang::{order, BufferKind, IrLoc, IrProgram, OpCode, Space};
 
 use crate::cancel::CancelToken;
 use crate::executor::ArenaMetrics;
@@ -184,108 +185,80 @@ impl ExecPlan {
     }
 
     /// Lowers `ir` for FIFOs of `num_slots` slots and a pool of
-    /// `pool_threads` workers.
+    /// `pool_threads` workers, or returns the error of
+    /// [`IrProgram::check_structure`] on a program that fails it.
     pub(crate) fn build(
         ir: &IrProgram,
         num_slots: usize,
         pool_threads: usize,
         counters: &mut PlanCounters,
-    ) -> Self {
+    ) -> mscclang::Result<Self> {
+        let lowered = ir.check_structure()?;
         let collective = &ir.collective;
-        let blocks = || {
-            ir.gpus
-                .iter()
-                .flat_map(|g| g.threadblocks.iter().map(move |tb| (g.rank, tb)))
-        };
-        // Flat task indices in spawn order, and each block's length for
-        // its dependents' semaphore targets.
-        let flat_of: HashMap<(usize, usize), (usize, u64)> = blocks()
-            .enumerate()
-            .map(|(flat, (rank, tb))| ((rank, tb.id), (flat, tb.instructions.len() as u64)))
-            .collect();
-        let num_tasks = ir.num_threadblocks();
-
-        // Dense connection indices in order of first mention; both
-        // endpoints of a connection resolve the same index.
-        let mut conn_of: HashMap<(usize, usize, usize), usize> = HashMap::new();
-        let mut conns = Vec::new();
+        let num_tasks = lowered.blocks().len();
         // Per task: the tasks with a dependency on its semaphore.
         let mut sem_waiters: Vec<Vec<usize>> = vec![Vec::new(); num_tasks];
-        let mut conn_end = |src: usize, dst: usize, channel: usize, peer: usize| {
-            let idx = *conn_of.entry((src, dst, channel)).or_insert_with(|| {
-                conns.push((src, dst, channel));
-                conns.len() - 1
-            });
-            ConnEnd { peer, channel, idx }
-        };
 
         let num_ranks = ir.num_ranks();
         let input_at: Vec<Loc> = (0..num_ranks)
             .map(|r| Loc::of(collective, r, BufferKind::Input, 0))
             .collect();
-        let sweeps: Vec<RankSweep> = (0..num_ranks).map(|r| sweep_rank(ir, r)).collect();
+        let sweeps: Vec<RankSweep> = (0..num_ranks).map(|r| sweep_rank(&lowered, r)).collect();
         counters.elision_scans += num_ranks as u64;
 
         let lower = |rank: usize, loc: Option<IrLoc>| {
             loc.map(|l| Loc::of(collective, rank, l.buffer, l.index))
         };
         let mut tbs = Vec::with_capacity(num_tasks);
-        for g in &ir.gpus {
-            let rank = g.rank;
+        for (rank, sweep) in sweeps.iter().enumerate() {
             // The sweep's verdicts, in the same (tb, step) order.
-            let mut in_place = sweeps[rank].in_place.iter();
-            for tb in &g.threadblocks {
-                let flat = tbs.len();
-                let send = tb.send_peer.map(|p| conn_end(rank, p, tb.channel, p));
-                let recv = tb.recv_peer.map(|p| conn_end(p, rank, tb.channel, p));
+            let mut sources = sweep.sources.iter();
+            for flat in lowered.rank_blocks(rank) {
+                let block = &lowered.blocks()[flat];
+                let tb = block.tb;
+                let conn_end = |idx: Option<usize>, peer: Option<usize>| {
+                    let channel = tb.channel;
+                    idx.zip(peer)
+                        .map(|(idx, peer)| ConnEnd { peer, channel, idx })
+                };
                 let instrs = tb
                     .instructions
                     .iter()
-                    .map(|i| {
-                        let pristine = in_place.next() == Some(&true);
-                        Instr {
-                            op: i.op,
-                            count: i.count,
-                            has_dep: i.has_dep,
-                            src: lower(rank, i.src),
-                            dst: lower(rank, i.dst),
-                            read: lower(rank, read_operand(i)).map(|loc| {
-                                if pristine {
-                                    Source::Input(loc.chunk - input_at[rank].chunk)
-                                } else {
-                                    Source::Memory(loc)
+                    .map(|i| Instr {
+                        op: i.op,
+                        count: i.count,
+                        has_dep: i.has_dep,
+                        src: lower(rank, i.src),
+                        dst: lower(rank, i.dst),
+                        read: *sources.next().expect("one verdict per instruction"),
+                        deps: i
+                            .deps
+                            .iter()
+                            .map(|d| {
+                                let (dep_flat, _) = lowered.dep(rank, d);
+                                if !sem_waiters[dep_flat].contains(&flat) {
+                                    sem_waiters[dep_flat].push(flat);
                                 }
-                            }),
-                            deps: i
-                                .deps
-                                .iter()
-                                .map(|d| {
-                                    let &(dep_flat, len) = flat_of
-                                        .get(&(rank, d.tb))
-                                        .expect("dependency names a thread block of its own rank");
-                                    if !sem_waiters[dep_flat].contains(&flat) {
-                                        sem_waiters[dep_flat].push(flat);
-                                    }
-                                    Dep {
-                                        flat: dep_flat,
-                                        len,
-                                        tb: d.tb,
-                                        step: d.step as u64,
-                                    }
-                                })
-                                .collect(),
-                        }
+                                Dep {
+                                    flat: dep_flat,
+                                    len: lowered.blocks()[dep_flat].steps().len() as u64,
+                                    tb: d.tb,
+                                    step: d.step as u64,
+                                }
+                            })
+                            .collect(),
                     })
                     .collect();
                 tbs.push(TbPlan {
                     rank,
                     tb_id: tb.id,
-                    send,
-                    recv,
+                    send: conn_end(block.send, tb.send_peer),
+                    recv: conn_end(block.recv, tb.recv_peer),
                     instrs,
                 });
             }
         }
+        let conns = lowered.conns().to_vec();
         let mut waiters = Waiters {
             recv: vec![Vec::new(); conns.len()],
             send: vec![Vec::new(); conns.len()],
@@ -310,7 +283,7 @@ impl ExecPlan {
             .into_iter()
             .map(|s| (s.elide_zero, runs_of(&s.load)))
             .unzip();
-        Self {
+        Ok(Self {
             ir: ir.clone(),
             num_slots,
             pool_threads,
@@ -339,7 +312,7 @@ impl ExecPlan {
             cancel,
             metrics: None,
             flight: None,
-        }
+        })
     }
 
     /// Returns the reusable half of the plan to the state `build` left
@@ -376,25 +349,14 @@ impl ExecPlan {
     }
 }
 
-/// The operand whose reads go through the tile helpers, and so may take
-/// the caller's input in place: the `src` of `s` and `rrs`, the `dst` of
-/// `rrc` and `rrcs` (their read half).
-fn read_operand(instr: &IrInstruction) -> Option<IrLoc> {
-    match instr.op {
-        OpCode::Send | OpCode::RecvReduceSend => instr.src,
-        OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => instr.dst,
-        _ => None,
-    }
-}
-
 /// What one happens-before sweep over a rank's instructions decides.
 struct RankSweep {
     /// `[Data, Output, Scratch]` bitmaps, indexed by [`Space::index`], of
     /// chunks a recycled memory may keep stale instead of re-zeroing.
     elide_zero: [Vec<bool>; 3],
-    /// Per instruction, in `(tb, step)` order: whether its read operand
-    /// (see [`Instr::read`]) reads the caller's input in place.
-    in_place: Vec<bool>,
+    /// Per instruction, in `(tb, step)` order: where its tile read comes
+    /// from (see [`Instr::read`]).
+    sources: Vec<Option<Source>>,
     /// Per input chunk: whether a run must still copy it into rank memory.
     load: Vec<bool>,
 }
@@ -412,19 +374,18 @@ struct RankSweep {
 /// every input chunk.
 ///
 /// **Zero elision.** A chunk may skip its re-zero when it is the
-/// destination of at least one plain overwrite (`r`, `cpy`, `rcs` — each
-/// writes its full destination chunks, since the tile loop spans
-/// `chunk_elems`) and every read of it — any source, or the destination
-/// of a reduce-family instruction (read-modify-write) — is ordered after
-/// one of those overwrites.
+/// destination of at least one plain overwrite (every writer but `re`,
+/// which reads what it writes — each writes its full destination chunks,
+/// since the tile loop spans `chunk_elems`) and every read of it is
+/// ordered after one of those overwrites. Reads and writes are the core
+/// operand rule, [`mscclang::IrInstruction::reads`] and `writes`.
 ///
 /// **Reads in place.** A read of input chunk *c* by instruction X is
 /// *pristine* when every other write W of *c* has X → W: no write of
 /// those elements can precede X, so rank memory would hold exactly the
-/// caller's input there. The `src` of `s` and `rrs` and the read half of
-/// `rrc` and `rrcs` then read `inputs[rank]` instead, when all `count`
-/// chunks of the operand are pristine. `cpy` and `re` keep reading rank
-/// memory.
+/// caller's input there. The `src` of `s`, `rrs`, `rrc` and `rrcs` then
+/// reads `inputs[rank]` instead, when all `count` chunks of the operand
+/// are pristine. `cpy` and `re` keep reading rank memory.
 ///
 /// **The load.** Input chunk *c* is still copied into rank memory when
 /// some read of it that does not take the input in place has no write
@@ -435,7 +396,8 @@ struct RankSweep {
 /// unobservable: every read of it is preceded by a write or takes the
 /// input; output extraction runs only after every instruction completed;
 /// and failed runs never extract. A pure function of the IR.
-fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
+fn sweep_rank(lowered: &Lowered, rank: usize) -> RankSweep {
+    let ir = lowered.ir();
     let collective = &ir.collective;
     let gpu = ir.gpu(rank);
     let sizes = [
@@ -444,7 +406,7 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
         gpu.scratch_chunks,
     ];
     // Node ids over the rank's instructions, in (tb, step) order.
-    let graph = order::rank_graph(gpu);
+    let graph = order::rank_graph(lowered, rank);
     let n = graph.node_count();
 
     // Per chunk, the nodes that write it (flagged when the write is a
@@ -463,28 +425,24 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
                 })
             })
         };
-        let (src, dst) = (instr.src, instr.dst);
-        candidates.push(
-            read_operand(instr)
-                .map(|l| (Loc::of(collective, rank, l.buffer, l.index), instr.count)),
-        );
-        // The operands read, and whether dst is written (`true`: a
-        // plain overwrite, `false`: read-modify-write).
-        let (read, overwrite) = match instr.op {
-            OpCode::Nop => ([None, None], None),
-            OpCode::Recv | OpCode::RecvCopySend => ([None, None], Some(true)),
-            OpCode::Copy => ([src, None], Some(true)),
-            OpCode::Send | OpCode::RecvReduceSend => ([src, None], None),
-            OpCode::Reduce => ([src, dst], Some(false)),
-            OpCode::RecvReduceCopy | OpCode::RecvReduceCopySend => ([dst, None], Some(false)),
-        };
-        for (slot, off) in read.into_iter().flat_map(chunks) {
+        // The tile helpers read the one read operand of an instruction that
+        // moves a tile: the `src` of `s`, `rrs`, `rrc` and `rrcs`.
+        let moves_tile = instr.op.has_send() || instr.op.has_recv();
+        let tile_read = instr.reads().first().filter(|_| moves_tile);
+        let tile_read = tile_read.and_then(|&o| instr.operand(o));
+        candidates
+            .push(tile_read.map(|l| (Loc::of(collective, rank, l.buffer, l.index), instr.count)));
+        let read = instr.reads().iter().map(|&o| instr.operand(o));
+        for (slot, off) in read.flat_map(chunks) {
             if let Some(list) = reads[slot].get_mut(off) {
                 list.push(node);
             }
         }
-        if let Some(overwrite) = overwrite {
-            for (slot, off) in chunks(dst) {
+        // A write of an operand the instruction does not also read is a
+        // plain overwrite; `re` reads what it writes.
+        if let Some(o) = instr.writes() {
+            let overwrite = !instr.reads().contains(&o);
+            for (slot, off) in chunks(instr.operand(o)) {
                 if let Some(list) = writes[slot].get_mut(off) {
                     list.push((node, overwrite));
                 }
@@ -535,15 +493,13 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
     let input = Loc::of(collective, rank, BufferKind::Input, 0);
     let in_chunks = collective.in_chunks();
     let in_slot = input.space.index();
-    let in_place: Vec<bool> = candidates
+    let sources: Vec<Option<Source>> = candidates
         .iter()
         .enumerate()
         .map(|(x, candidate)| {
-            let Some((loc, count)) = *candidate else {
-                return false;
-            };
+            let (loc, count) = (*candidate)?;
             let x = x as u32;
-            acyclic
+            let pristine = acyclic
                 && loc.space == input.space
                 && loc.chunk >= input.chunk
                 && loc.chunk + count <= input.chunk + in_chunks
@@ -551,7 +507,12 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
                     writes[in_slot][off]
                         .iter()
                         .all(|&(w, _)| w == x || before(x, w))
-                })
+                });
+            Some(if pristine {
+                Source::Input(loc.chunk - input.chunk)
+            } else {
+                Source::Memory(loc)
+            })
         })
         .collect();
 
@@ -562,14 +523,15 @@ fn sweep_rank(ir: &IrProgram, rank: usize) -> RankSweep {
             let (ws, rs) = (&writes[in_slot][off], &reads[in_slot][off]);
             !acyclic
                 || (ws.is_empty() && output.space == input.space && outputs.contains(&off))
-                || rs
-                    .iter()
-                    .any(|&r| !in_place[r as usize] && !written_before(r, ws, false))
+                || rs.iter().any(|&r| {
+                    !matches!(sources[r as usize], Some(Source::Input(_)))
+                        && !written_before(r, ws, false)
+                })
         })
         .collect();
     RankSweep {
         elide_zero,
-        in_place,
+        sources,
         load,
     }
 }
@@ -605,7 +567,7 @@ mod tests {
     fn rd_allgather_elides_every_received_chunk() {
         let ir = compiled(&msccl_algos::recursive_doubling_all_gather(4).unwrap());
         for r in 0..4 {
-            let skip = &sweep_rank(&ir, r).elide_zero;
+            let skip = &sweep_rank(&Lowered::new(&ir).unwrap(), r).elide_zero;
             let want: Vec<bool> = (0..4).map(|c| c != r).collect();
             assert_eq!(skip[0], want, "rank {r} data-space elision");
         }
@@ -619,7 +581,7 @@ mod tests {
     fn ring_allreduce_elides_nothing() {
         let ir = compiled(&msccl_algos::ring_all_reduce(4, 1).unwrap());
         for r in 0..4 {
-            let skip = &sweep_rank(&ir, r).elide_zero;
+            let skip = &sweep_rank(&Lowered::new(&ir).unwrap(), r).elide_zero;
             assert!(
                 skip[0].iter().all(|&s| !s),
                 "rank {r}: reduce-target chunks must keep their re-zero, got {:?}",
@@ -636,7 +598,7 @@ mod tests {
     fn ring_allreduce_loads_nothing_and_reads_the_input_in_place() {
         for ranks in [4, 16] {
             let ir = compiled(&msccl_algos::ring_all_reduce(ranks, 1).unwrap());
-            let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default());
+            let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default()).unwrap();
             assert!(
                 plan.input_loads.iter().all(Vec::is_empty),
                 "ring({ranks}) loads {:?}",
@@ -663,7 +625,7 @@ mod tests {
     fn in_place_allgather_loads_exactly_its_own_chunk() {
         let ir = compiled(&msccl_algos::recursive_doubling_all_gather(8).unwrap());
         assert!(ir.collective.inplace());
-        let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default());
+        let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default()).unwrap();
         let in_chunks = ir.collective.in_chunks();
         for loads in &plan.input_loads {
             assert_eq!(*loads, vec![0..in_chunks]);
@@ -723,7 +685,7 @@ mod tests {
     #[test]
     fn copy_of_an_unwritten_input_chunk_keeps_it_loaded() {
         let ir = copy_then_send_ir();
-        let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default());
+        let plan = ExecPlan::build(&ir, 8, 1, &mut PlanCounters::default()).unwrap();
         for (r, tb) in plan.tbs.iter().enumerate() {
             assert_eq!(plan.input_loads[r], vec![0..1], "rank {r}");
             assert_eq!(tb.instrs[0].read, None, "cpy reads through src");
@@ -732,6 +694,67 @@ mod tests {
         let inputs = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
         let outputs = crate::execute(&ir, &inputs, 2, &crate::RunOptions::default()).unwrap();
         assert_eq!(outputs, vec![vec![1.0, 2.0, 3.0, 4.0]; 2]);
+    }
+
+    /// `rrc` reduces the received tile with its `src` and writes `dst`,
+    /// as the verifier and the compiler read it, even when the two name
+    /// different chunks: rank 1 receives rank 0's `10` and adds its own
+    /// input `1` into an output chunk that starts at zero.
+    #[test]
+    fn rrc_reduces_its_src_into_its_dst() {
+        use mscclang::ir::{IrGpu, IrInstruction, IrLoc, IrThreadBlock};
+        let at = |buffer, index| Some(IrLoc { buffer, index });
+        let instr = |op, src, dst| IrInstruction {
+            step: 0,
+            op,
+            src,
+            dst,
+            count: 1,
+            deps: vec![],
+            has_dep: false,
+        };
+        let gpu = |rank: usize, send_peer, recv_peer, instruction| IrGpu {
+            rank,
+            input_chunks: 1,
+            output_chunks: 2,
+            scratch_chunks: 0,
+            threadblocks: vec![IrThreadBlock {
+                id: 0,
+                send_peer,
+                recv_peer,
+                channel: 0,
+                instructions: vec![instruction],
+            }],
+        };
+        let ir = IrProgram {
+            name: "rrc-src".into(),
+            collective: Collective::all_gather(2, 1, false),
+            protocol: None,
+            num_channels: 1,
+            refinement: 1,
+            gpus: vec![
+                gpu(
+                    0,
+                    Some(1),
+                    None,
+                    instr(OpCode::Send, at(BufferKind::Input, 0), None),
+                ),
+                gpu(
+                    1,
+                    None,
+                    Some(0),
+                    instr(
+                        OpCode::RecvReduceCopy,
+                        at(BufferKind::Input, 0),
+                        at(BufferKind::Output, 0),
+                    ),
+                ),
+            ],
+            epoch_cuts: vec![],
+        };
+        let inputs = vec![vec![10.0], vec![1.0]];
+        let outputs = crate::execute(&ir, &inputs, 1, &crate::RunOptions::default()).unwrap();
+        assert_eq!(outputs[1], vec![11.0, 0.0]);
     }
 
     /// A dep cycle has no happens-before order to argue from: every
@@ -743,9 +766,10 @@ mod tests {
             g.threadblocks[0].instructions[0].deps = vec![mscclang::ir::IrDep { tb: 0, step: 2 }];
         }
         for r in 0..2 {
-            let sweep = sweep_rank(&ir, r);
+            let sweep = sweep_rank(&Lowered::new(&ir).unwrap(), r);
             assert_eq!(sweep.load, vec![true], "rank {r}");
-            assert!(sweep.in_place.iter().all(|&p| !p), "rank {r}");
+            let in_place = |s: &Option<Source>| matches!(s, Some(Source::Input(_)));
+            assert!(!sweep.sources.iter().any(in_place), "rank {r}");
         }
     }
 
@@ -756,7 +780,7 @@ mod tests {
         let p = msccl_algos::ring_all_reduce(4, 1).unwrap();
         let ir = compile(&p, &CompileOptions::default()).unwrap();
         let mut counters = PlanCounters::default();
-        let plan = ExecPlan::build(&ir, 8, 2, &mut counters);
+        let plan = ExecPlan::build(&ir, 8, 2, &mut counters).unwrap();
         assert_eq!(plan.tbs.len(), ir.num_threadblocks());
         assert_eq!(counters.tasks_built, ir.num_threadblocks() as u64);
         assert_eq!(counters.elision_scans, 4, "one sweep per rank");

@@ -88,6 +88,7 @@ pub(crate) enum Stage {
     LocalBusy,
 }
 
+#[derive(Default)]
 pub(crate) struct Conn {
     /// Interned resource indices of the transfer path within this
     /// shard's table: both ports for an intra-node connection, only the
@@ -178,6 +179,7 @@ impl Tb {
         first_step: usize,
         num_instructions: usize,
         send_conn: Option<usize>,
+        recv_conn: Option<usize>,
     ) -> Self {
         Self {
             rank,
@@ -185,7 +187,7 @@ impl Tb {
             first_step,
             num_instructions,
             send_conn,
-            recv_conn: None,
+            recv_conn,
             tile: 0,
             pc: 0,
             stage: Stage::Start,

@@ -243,6 +243,11 @@ pub enum SimError {
         /// What was wrong.
         message: String,
     },
+    /// The program cannot be lowered ([`mscclang::lower::Lowered::new`]).
+    InvalidProgram {
+        /// The lowering's message.
+        message: String,
+    },
 }
 
 /// Bit-exact wrapper so [`SimError`] can stay `Eq`.
@@ -314,6 +319,7 @@ impl fmt::Display for SimError {
             }
             SimError::BadFaultPlan { message } => write!(f, "bad fault plan: {message}"),
             SimError::BadConfig { message } => write!(f, "bad configuration: {message}"),
+            SimError::InvalidProgram { message } => write!(f, "invalid program: {message}"),
         }
     }
 }

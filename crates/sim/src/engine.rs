@@ -8,12 +8,11 @@
 //! the per-shard results back into one [`SimReport`] — identically
 //! whichever backend executed the rounds.
 
-use std::collections::HashMap;
-
 use msccl_faults::FaultInjector;
 use msccl_metrics::{names, MetricsSnapshot, Registry};
 use msccl_topology::{Protocol, TransferPath};
 use msccl_trace::{ClockDomain, EventKind, Trace, TraceEvent};
+use mscclang::lower::Lowered;
 use mscclang::{EpochMode, IrProgram};
 
 use crate::actor::{Dep, Shard, Step, Tb};
@@ -100,16 +99,6 @@ pub struct SimReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Where a `(src, dst, channel)` connection lives: the owning shard and
-/// local id of its (send-side) state, plus the receive half's location
-/// when the connection is split across nodes.
-#[derive(Debug, Clone, Copy)]
-struct ConnRef {
-    shard: usize,
-    id: usize,
-    recv: Option<(usize, usize)>,
-}
-
 /// A fully constructed simulation, ready for the round loop.
 struct Built {
     shards: Vec<Shard>,
@@ -152,6 +141,9 @@ fn build(ir: &IrProgram, config: &SimConfig, buffer_bytes: u64) -> Result<Built,
             });
         }
     }
+    let lowered = Lowered::new(ir).map_err(|e| SimError::InvalidProgram {
+        message: e.to_string(),
+    })?;
     let injector = match &config.fault_plan {
         Some(plan) => {
             plan.validate(ir).map_err(|e| SimError::BadFaultPlan {
@@ -172,192 +164,127 @@ fn build(ir: &IrProgram, config: &SimConfig, buffer_bytes: u64) -> Result<Built,
     let num_tiles = exact_tiles.min(config.max_tiles.max(1));
     let tile_bytes = chunk_bytes / num_tiles as f64;
 
-    // ---- One shard per machine node that hosts any rank.
-    let num_shards = ir
-        .gpus
-        .iter()
-        .map(|g| machine.node_of(g.rank))
-        .max()
-        .unwrap_or(0)
-        + 1;
-    let mut shards: Vec<Shard> = (0..num_shards)
-        .map(|i| Shard::new(i, config.record_trace))
-        .collect();
-
-    // `(rank, tb id)` → shard-local block index, in the order the loop
-    // below pushes the blocks, so that dependencies lower to indices.
-    let mut tb_index: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut next_index = vec![0; num_shards];
-    for gpu in &ir.gpus {
-        let home = machine.node_of(gpu.rank);
-        for tb in &gpu.threadblocks {
-            tb_index.insert((gpu.rank, tb.id), next_index[home]);
-            next_index[home] += 1;
+    // ---- One shard per machine node that hosts any rank. Ranks fill
+    // nodes in order (`node_of` is `rank / gpus_per_node`), so each node's
+    // blocks are one contiguous flat range: a block's shard-local index is
+    // its flat id less the flat id of its node's first block.
+    let mut shard_first: Vec<usize> = Vec::new();
+    for rank in 0..ir.num_ranks() {
+        if machine.node_of(rank) == shard_first.len() {
+            shard_first.push(lowered.rank_blocks(rank).start);
         }
     }
+    let mut shards: Vec<Shard> = (0..shard_first.len().max(1))
+        .map(|i| Shard::new(i, config.record_trace))
+        .collect();
 
     // A step keeps its dependency range in two `u32`s, which keeps the
     // step table compact.
     let dep_index = |i: usize| u32::try_from(i).expect("a node holds fewer than 2^32 dependencies");
 
-    let mut conn_ids: HashMap<(usize, usize, usize), ConnRef> = HashMap::new();
+    // ---- Connections, created in the flat order of their sending blocks
+    // so that resources intern in that order. Per connection id: the
+    // shard-local ids of its send half and its receive half (the same
+    // connection unless it is split across nodes).
+    let mut conn_at: Vec<(usize, usize)> = vec![(0, 0); lowered.conns().len()];
     let mut lookahead: Option<f64> = None;
-    for gpu in &ir.gpus {
-        let home = machine.node_of(gpu.rank);
-        for tb in &gpu.threadblocks {
-            let send_conn = match tb.send_peer {
-                Some(peer) => {
-                    let path = TransferPath::resolve(machine, gpu.rank, peer).ok_or(
-                        SimError::UnreachablePair {
-                            src: gpu.rank,
-                            dst: peer,
-                        },
-                    )?;
-                    let cross_node = path.is_cross_node();
-                    let local = path.is_local();
-                    let demand_gbps = if local {
-                        machine.local_gbps()
-                    } else if cross_node {
-                        path.min_bandwidth_gbps()
-                    } else {
-                        machine.tb_gbps()
-                    };
-                    // An injected link-latency spike multiplies the path's
-                    // base latency for every transfer on this connection.
-                    let spike = injector
-                        .as_ref()
-                        .and_then(|inj| inj.link_spike(gpu.rank, peer))
-                        .unwrap_or(1.0);
-                    let alpha_us = path.alpha_us * spike;
-                    let key = (gpu.rank, peer, tb.channel);
-                    let proto = |resources| crate::actor::Conn {
-                        resources,
-                        alpha_us,
-                        cross_node,
-                        local,
-                        demand_gbps,
-                        slots,
-                        in_flight: 0,
-                        available: 0,
-                        waiting_sender: None,
-                        waiting_receiver: None,
-                        key,
-                        send_seq: 0,
-                        recv_seq: 0,
-                        bytes_sent: 0,
-                        bytes_received: 0,
-                        peak_in_flight: 0,
-                        pending_bytes: std::collections::VecDeque::new(),
-                        pending_delivery: Vec::new(),
-                        remote_recv: None,
-                        remote_send: None,
-                    };
-                    let id = if cross_node {
-                        // Split: the send half (and the egress NIC queue)
-                        // lives with the sending node, the receive half
-                        // (and the ingress queue) with the receiving node.
-                        // The halves talk through timestamped tile/credit
-                        // messages. The spiked latency seeds the
-                        // conservative lookahead.
-                        let a = alpha_us * params.alpha_factor;
-                        lookahead = Some(lookahead.map_or(a, |l: f64| l.min(a)));
-                        let away = machine.node_of(peer);
-                        let send_id = shards[home].conns.len();
-                        let recv_id = shards[away].conns.len();
-                        let (r, cap) = path.resources[0];
-                        let egress = shards[home].table.intern(r, cap);
-                        let mut send_half = proto(vec![egress]);
-                        send_half.remote_recv = Some((away, recv_id));
-                        shards[home].conns.push(send_half);
-                        let (r, cap) = path.resources[1];
-                        let ingress = shards[away].table.intern(r, cap);
-                        let mut recv_half = proto(vec![ingress]);
-                        recv_half.remote_send = Some((home, send_id));
-                        shards[away].conns.push(recv_half);
-                        conn_ids.insert(
-                            key,
-                            ConnRef {
-                                shard: home,
-                                id: send_id,
-                                recv: Some((away, recv_id)),
-                            },
-                        );
-                        send_id
-                    } else {
-                        let id = shards[home].conns.len();
-                        let resources = path
-                            .resources
-                            .iter()
-                            .map(|&(r, cap)| shards[home].table.intern(r, cap))
-                            .collect();
-                        shards[home].conns.push(proto(resources));
-                        conn_ids.insert(
-                            key,
-                            ConnRef {
-                                shard: home,
-                                id,
-                                recv: None,
-                            },
-                        );
-                        id
-                    };
-                    Some(id)
-                }
-                None => None,
-            };
-            // Lower the instructions to steps, dependencies to shard-local
-            // block indices.
-            let shard = &mut shards[home];
-            debug_assert_eq!(tb_index[&(gpu.rank, tb.id)], shard.tbs.len());
-            let first_step = shard.steps.len();
-            for instr in &tb.instructions {
-                let start = shard.deps.len();
-                for d in &instr.deps {
-                    let dep = tb_index
-                        .get(&(gpu.rank, d.tb))
-                        .expect("structure check guarantees the dependency's block");
-                    shard.deps.push(Dep {
-                        tb: *dep,
-                        step: d.step,
-                    });
-                }
-                shard.steps.push(Step {
-                    op: instr.op,
-                    has_dep: instr.has_dep,
-                    count: instr.count,
-                    deps: (dep_index(start), dep_index(shard.deps.len())),
+    for c in lowered.blocks().iter().filter_map(|b| b.send) {
+        let key @ (rank, peer, _) = lowered.conns()[c];
+        let home = machine.node_of(rank);
+        let path = TransferPath::resolve(machine, rank, peer).ok_or(SimError::UnreachablePair {
+            src: rank,
+            dst: peer,
+        })?;
+        let cross_node = path.is_cross_node();
+        let local = path.is_local();
+        let demand_gbps = if local {
+            machine.local_gbps()
+        } else if cross_node {
+            path.min_bandwidth_gbps()
+        } else {
+            machine.tb_gbps()
+        };
+        // An injected link-latency spike multiplies the path's base
+        // latency for every transfer on this connection.
+        let spike = injector
+            .as_ref()
+            .and_then(|inj| inj.link_spike(rank, peer))
+            .unwrap_or(1.0);
+        let alpha_us = path.alpha_us * spike;
+        let proto = |resources| crate::actor::Conn {
+            resources,
+            alpha_us,
+            cross_node,
+            local,
+            demand_gbps,
+            slots,
+            key,
+            ..Default::default()
+        };
+        let send_id = shards[home].conns.len();
+        conn_at[c] = if cross_node {
+            // Split: the send half (and the egress NIC queue) lives with
+            // the sending node, the receive half (and the ingress queue)
+            // with the receiving node. The halves talk through
+            // timestamped tile/credit messages. The spiked latency seeds
+            // the conservative lookahead.
+            let a = alpha_us * params.alpha_factor;
+            lookahead = Some(lookahead.map_or(a, |l: f64| l.min(a)));
+            let away = machine.node_of(peer);
+            let recv_id = shards[away].conns.len();
+            let (r, cap) = path.resources[0];
+            let egress = shards[home].table.intern(r, cap);
+            let mut send_half = proto(vec![egress]);
+            send_half.remote_recv = Some((away, recv_id));
+            shards[home].conns.push(send_half);
+            let (r, cap) = path.resources[1];
+            let ingress = shards[away].table.intern(r, cap);
+            let mut recv_half = proto(vec![ingress]);
+            recv_half.remote_send = Some((home, send_id));
+            shards[away].conns.push(recv_half);
+            (send_id, recv_id)
+        } else {
+            let resources = path
+                .resources
+                .iter()
+                .map(|&(r, cap)| shards[home].table.intern(r, cap))
+                .collect();
+            shards[home].conns.push(proto(resources));
+            (send_id, send_id)
+        };
+    }
+
+    // ---- Blocks: instructions lowered to steps, dependencies to
+    // shard-local block indices.
+    for (b, block) in lowered.blocks().iter().enumerate() {
+        let (rank, tb) = (block.rank, block.tb);
+        let home = machine.node_of(rank);
+        let shard = &mut shards[home];
+        let first_step = shard.steps.len();
+        for instr in &tb.instructions {
+            let start = shard.deps.len();
+            for d in &instr.deps {
+                shard.deps.push(Dep {
+                    tb: lowered.dep(rank, d).0 - shard_first[home],
+                    step: d.step,
                 });
             }
-            shard.tbs.push(Tb::new(
-                gpu.rank,
-                tb.id,
-                first_step,
-                tb.instructions.len(),
-                send_conn,
-            ));
+            shard.steps.push(Step {
+                op: instr.op,
+                has_dep: instr.has_dep,
+                count: instr.count,
+                deps: (dep_index(start), dep_index(shard.deps.len())),
+            });
         }
-    }
-    for gpu in &ir.gpus {
-        let home = machine.node_of(gpu.rank);
-        for tb in &gpu.threadblocks {
-            if let Some(peer) = tb.recv_peer {
-                let r = conn_ids
-                    .get(&(peer, gpu.rank, tb.channel))
-                    .expect("structure check guarantees a matching sender");
-                let conn = match r.recv {
-                    Some((shard, id)) => {
-                        debug_assert_eq!(shard, home);
-                        id
-                    }
-                    None => {
-                        debug_assert_eq!(r.shard, home);
-                        r.id
-                    }
-                };
-                let idx = tb_index[&(gpu.rank, tb.id)];
-                shards[home].tbs[idx].recv_conn = Some(conn);
-            }
-        }
+        debug_assert_eq!(b - shard_first[home], shard.tbs.len());
+        shard.tbs.push(Tb::new(
+            rank,
+            tb.id,
+            first_step,
+            tb.instructions.len(),
+            block.send.map(|c| conn_at[c].0),
+            block.recv.map(|c| conn_at[c].1),
+        ));
     }
 
     let prelude = if config.record_trace {
@@ -417,7 +344,8 @@ fn assemble(ir: &IrProgram, config: &SimConfig, mut built: Built) -> SimReport {
     } else {
         let computed;
         let cuts = if ir.epoch_cuts.is_empty() {
-            computed = mscclang::passes::epoch_cuts(ir);
+            let lowered = Lowered::new(ir).expect("`build` lowered the program");
+            computed = mscclang::passes::epoch_cuts(&lowered);
             &computed
         } else {
             &ir.epoch_cuts

@@ -195,23 +195,39 @@ fn run_after_a_step_timeout_hang_is_clean() {
     }
 }
 
-/// A worker panic (an operand far out of range, as in the runtime's own
-/// `worker_panic_is_attributed`) unwinds through the interpreter with a
-/// memory lock held. The panicking program differs from the good one in
-/// a single operand index — same layout, so only a content match tells
-/// them apart — and the two alternate in one arena: the resident
-/// threads, the poisoned space buffers and the tile pool all carry over.
+/// A worker panic (a receive that expects one chunk more than its sender
+/// sends, as in the runtime's own `worker_panic_is_attributed`: the
+/// structure check passes, and the worker panics slicing the short tile)
+/// unwinds through the interpreter with its task lock held. The
+/// panicking program differs from the good one in a single count — same
+/// layout, so only a content match tells them apart — and the two
+/// alternate in one arena: the resident threads, the space buffers and
+/// the tile pool all carry over.
 #[test]
 fn run_after_a_worker_panic_is_clean() {
     let _serial = serial();
     let (program, ir) = ring(4);
-    let mut broken = ir.clone();
-    let victim = broken.gpus[2].threadblocks[0]
-        .instructions
-        .iter_mut()
-        .find_map(|i| i.src.as_mut())
-        .expect("a ring thread block reads some source");
-    victim.index = 9_999;
+    let steps = ir.gpus[2]
+        .threadblocks
+        .iter()
+        .flat_map(|tb| &tb.instructions)
+        .count();
+    let broken = (0..steps)
+        .find_map(|k| {
+            let mut broken = ir.clone();
+            let victim = broken.gpus[2]
+                .threadblocks
+                .iter_mut()
+                .flat_map(|tb| tb.instructions.iter_mut())
+                .nth(k)?;
+            if !victim.op.has_recv() {
+                return None;
+            }
+            victim.count += 1;
+            let in_range = broken.check_structure().is_ok();
+            in_range.then_some(broken)
+        })
+        .expect("some rank-2 receive can take one more chunk in range");
     for pool in pool_sizes() {
         let opts = opts(pool);
         let mut arena = ExecArena::new(&ir, &opts);
@@ -219,7 +235,7 @@ fn run_after_a_worker_panic_is_clean() {
         for round in 0..3u64 {
             let inputs = reference::random_inputs(&broken, CHUNK_ELEMS, 50 + round);
             let err = execute_in_arena(&broken, &inputs, CHUNK_ELEMS, &opts, &mut arena)
-                .expect_err("the out-of-range operand must panic a worker");
+                .expect_err("the short tile must panic a worker");
             let RuntimeError::WorkerPanic { rank, .. } = &err else {
                 panic!("pool={pool} round {round}: expected WorkerPanic, got {err}");
             };

@@ -1,12 +1,20 @@
-//! Hand-built IR whose operands reach past their buffers is rejected with
+//! Hand-built IR whose operands reach past their buffers, or whose
+//! dependencies name a missing block or step, is rejected with
 //! `Error::Verification` — by `check_structure`, by the XML loader (which
 //! runs it) and by the symbolic verifier, which must return the error
 //! rather than panic on an out-of-range index. Every rejection's exact
 //! message is pinned, and must not vary between repeats in one process;
-//! an inconsistent epoch cut likewise.
+//! an inconsistent epoch cut likewise. Both engines return an error
+//! instead of panicking: the runtime rejects every such program with the
+//! structure check's message, and the simulator, which never reads
+//! operands, rejects the ones it cannot lower.
 
+use msccl_runtime::{execute, RunOptions, RuntimeError};
+use msccl_sim::{simulate, SimConfig, SimError};
+use msccl_topology::Machine;
+use mscclang::lower::Lowered;
 use mscclang::{
-    ir_xml, verify, BufferKind, Collective, EpochCut, Error, IrGpu, IrInstruction, IrLoc,
+    ir_xml, verify, BufferKind, Collective, EpochCut, Error, IrDep, IrGpu, IrInstruction, IrLoc,
     IrProgram, IrThreadBlock, OpCode,
 };
 
@@ -75,10 +83,33 @@ fn verification_message<T: std::fmt::Debug>(
     }
 }
 
+/// Both engines refuse `ir` without panicking: the runtime with
+/// `structural`, the simulator with `structural` when the program does not
+/// lower and not at all when it does (it models timing, not operands).
+fn assert_engines_reject(case: &str, ir: &IrProgram, structural: &str) {
+    let inputs = vec![vec![1.0]; ir.num_ranks()];
+    match execute(ir, &inputs, 1, &RunOptions::default()) {
+        Err(RuntimeError::InvalidProgram { message }) => assert_eq!(message, structural, "{case}"),
+        other => panic!("{case}: execute gave {other:?}"),
+    }
+    let sim = simulate(ir, &SimConfig::new(Machine::ndv4(1)), 1 << 10);
+    if Lowered::new(ir).is_ok() {
+        assert!(sim.is_ok(), "{case}: simulate gave {sim:?}");
+    } else {
+        let message = structural.to_owned();
+        assert_eq!(
+            sim.err(),
+            Some(SimError::InvalidProgram { message }),
+            "{case}"
+        );
+    }
+}
+
 /// Every check rejects `ir` with the exact expected message, 20 times
 /// over in one process: `structural` from `check_structure` and the XML
 /// loader (which runs it), `symbolic` from the verifier with and without
-/// the race check.
+/// the race check; and both engines refuse it (see
+/// [`assert_engines_reject`]).
 fn assert_rejected(case: &str, ir: &IrProgram, structural: &str, symbolic: &str) {
     let xml = ir_xml::to_xml(ir);
     let unraced = verify::VerifyOptions {
@@ -101,6 +132,7 @@ fn assert_rejected(case: &str, ir: &IrProgram, structural: &str, symbolic: &str)
             [structural, structural, symbolic, symbolic].map(String::from),
             "{case}"
         );
+        assert_engines_reject(case, ir, structural);
     }
 }
 
@@ -167,6 +199,50 @@ fn out_of_range_operands_are_verification_errors() {
         "verification failed: rank 1 tb 0 step 0: src chunks 99..+1 past the 1 chunks of \
          rank 1's input buffer",
         "verification failed: rank 1 tb 0 step 0: src index out of bounds",
+    );
+}
+
+/// A dependency on a block or a step that does not exist cannot be
+/// lowered: every check and both engines report it instead of panicking.
+#[test]
+fn dangling_dependencies_are_verification_errors() {
+    let (i, o) = (BufferKind::Input, BufferKind::Output);
+    let waiting = |dep: IrDep| {
+        let mut ir = program(
+            vec![
+                tb(
+                    None,
+                    None,
+                    vec![instr(0, OpCode::Copy, loc(i, 0), loc(o, 0))],
+                ),
+                tb(
+                    None,
+                    None,
+                    vec![instr(0, OpCode::Copy, loc(i, 0), loc(o, 1))],
+                ),
+            ],
+            vec![],
+        );
+        ir.gpus[0].threadblocks[1].id = 1;
+        ir.gpus[0].threadblocks[0].instructions[0].has_dep = true;
+        ir.gpus[0].threadblocks[1].instructions[0].deps = vec![dep];
+        ir
+    };
+    waiting(IrDep { tb: 0, step: 0 }).check_structure().unwrap();
+    let missing_tb = "verification failed: rank 0 tb 1 step 0: dependency on missing tb 5";
+    assert_rejected(
+        "dangling dependency",
+        &waiting(IrDep { tb: 5, step: 0 }),
+        missing_tb,
+        missing_tb,
+    );
+    let missing_step =
+        "verification failed: rank 0 tb 1 step 0: dependency on missing step 3 of tb 0";
+    assert_rejected(
+        "missing step",
+        &waiting(IrDep { tb: 0, step: 3 }),
+        missing_step,
+        missing_step,
     );
 }
 

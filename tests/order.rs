@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use msccl_algos::{build_by_name, registry::NAMES, AlgoSpec};
+use mscclang::lower::Lowered;
 use mscclang::order::{rank_graph, step_graph, Dag};
 use mscclang::{compile, CompileOptions};
 
@@ -93,11 +94,12 @@ fn step_graph_edges_are_the_irs_own() {
         let program = build_by_name(name, &spec).unwrap_or_else(|e| panic!("{name}: {e}"));
         let ir =
             compile(&program, &CompileOptions::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let lowered = Lowered::new(&ir).unwrap_or_else(|e| panic!("{name}: {e}"));
         let (mut program_order, mut deps) = (0, 0);
         // (src, dst, channel) -> (sends, recvs)
         let mut conns: HashMap<(usize, usize, usize), (usize, usize)> = HashMap::new();
         for gpu in &ir.gpus {
-            let rank_edges = edge_count(&rank_graph(gpu));
+            let rank_edges = edge_count(&rank_graph(&lowered, gpu.rank));
             let before = program_order + deps;
             for tb in &gpu.threadblocks {
                 program_order += tb.instructions.len().saturating_sub(1);
@@ -122,7 +124,7 @@ fn step_graph_edges_are_the_irs_own() {
         }
         let messages: usize = conns.values().map(|&(s, r)| s.min(r)).sum();
         assert!(messages > 0, "{name} sends nothing");
-        let graph = step_graph(&ir);
+        let graph = step_graph(&lowered);
         assert_eq!(graph.node_count(), ir.num_instructions(), "{name}");
         assert_eq!(
             edge_count(&graph),
