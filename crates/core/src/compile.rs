@@ -1,9 +1,9 @@
 //! The end-to-end compiler driver: trace → Chunk DAG → Instruction DAG →
 //! fusion → scheduling → MSCCL-IR → verification (Figure 2).
 
-use crate::dag::{ChunkDag, InstrDag, InstrOp};
+use crate::dag::{ChunkDag, InstrDag};
 use crate::error::Result;
-use crate::ir::{IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode};
+use crate::ir::{IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock};
 use crate::lower::Lowered;
 use crate::passes::{self, fuse};
 use crate::program::Program;
@@ -146,12 +146,8 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<IrProgram> {
                 let fused: Vec<usize> = stuck
                     .into_iter()
                     .filter(|&i| {
-                        matches!(
-                            instr_dag.nodes[i].op,
-                            InstrOp::RecvCopySend
-                                | InstrOp::RecvReduceSend
-                                | InstrOp::RecvReduceCopySend
-                        )
+                        let rule = instr_dag.nodes[i].op.rule();
+                        rule.recv && rule.send
                     })
                     .collect();
                 if fused.is_empty() {
@@ -205,7 +201,7 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<IrProgram> {
                 .collect();
             instructions.push(IrInstruction {
                 step,
-                op: opcode_of(node.op),
+                op: node.op,
                 src: node.src.map(|l| IrLoc {
                     buffer: l.buffer,
                     index: l.index,
@@ -243,19 +239,6 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<IrProgram> {
         verify::check(&ir, &verify::VerifyOptions::default())?;
     }
     Ok(ir)
-}
-
-fn opcode_of(op: InstrOp) -> OpCode {
-    match op {
-        InstrOp::Send => OpCode::Send,
-        InstrOp::Recv => OpCode::Recv,
-        InstrOp::Copy => OpCode::Copy,
-        InstrOp::Reduce => OpCode::Reduce,
-        InstrOp::RecvReduceCopy => OpCode::RecvReduceCopy,
-        InstrOp::RecvCopySend => OpCode::RecvCopySend,
-        InstrOp::RecvReduceSend => OpCode::RecvReduceSend,
-        InstrOp::RecvReduceCopySend => OpCode::RecvReduceCopySend,
-    }
 }
 
 #[cfg(test)]

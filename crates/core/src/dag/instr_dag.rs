@@ -9,119 +9,12 @@
 //! hazard kind (RAW/WAR/WAW), which the fusion pass (§4.3) and scheduler
 //! (§5.2) consume.
 
-use std::fmt;
-
 use crate::buffer::Loc;
 use crate::collective::Collective;
 use crate::dag::chunk_dag::ChunkDag;
 use crate::dag::hazard::Hazards;
+use crate::ir::{OpCode, Operand};
 use crate::program::TraceOpKind;
-
-/// MSCCL-IR instruction kinds (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InstrOp {
-    /// Send chunks from a local buffer to the remote peer.
-    Send,
-    /// Receive chunks from the remote peer into a local buffer.
-    Recv,
-    /// Local copy.
-    Copy,
-    /// Local reduce (into the destination).
-    Reduce,
-    /// Fused: receive, reduce with a local chunk, store locally (`rrc`).
-    RecvReduceCopy,
-    /// Fused: receive, store locally, forward to the send peer (`rcs`).
-    RecvCopySend,
-    /// Fused: receive, reduce with a local chunk, forward without storing
-    /// (`rrs`).
-    RecvReduceSend,
-    /// Fused: receive, reduce with a local chunk, store locally and forward
-    /// (`rrcs`).
-    RecvReduceCopySend,
-}
-
-impl InstrOp {
-    /// Whether the instruction receives from a peer.
-    #[must_use]
-    pub fn has_recv(self) -> bool {
-        !matches!(self, InstrOp::Send | InstrOp::Copy | InstrOp::Reduce)
-    }
-
-    /// Whether the instruction sends to a peer.
-    #[must_use]
-    pub fn has_send(self) -> bool {
-        matches!(
-            self,
-            InstrOp::Send
-                | InstrOp::RecvCopySend
-                | InstrOp::RecvReduceSend
-                | InstrOp::RecvReduceCopySend
-        )
-    }
-
-    /// Whether the instruction applies the reduction operator.
-    #[must_use]
-    pub fn reduces(self) -> bool {
-        matches!(
-            self,
-            InstrOp::Reduce
-                | InstrOp::RecvReduceCopy
-                | InstrOp::RecvReduceSend
-                | InstrOp::RecvReduceCopySend
-        )
-    }
-
-    /// Whether the instruction writes its destination buffer.
-    #[must_use]
-    pub fn writes_local(self) -> bool {
-        matches!(
-            self,
-            InstrOp::Recv
-                | InstrOp::Copy
-                | InstrOp::Reduce
-                | InstrOp::RecvReduceCopy
-                | InstrOp::RecvCopySend
-                | InstrOp::RecvReduceCopySend
-        )
-    }
-
-    /// Short mnemonic used in MSCCL-IR files.
-    #[must_use]
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            InstrOp::Send => "s",
-            InstrOp::Recv => "r",
-            InstrOp::Copy => "cpy",
-            InstrOp::Reduce => "re",
-            InstrOp::RecvReduceCopy => "rrc",
-            InstrOp::RecvCopySend => "rcs",
-            InstrOp::RecvReduceSend => "rrs",
-            InstrOp::RecvReduceCopySend => "rrcs",
-        }
-    }
-
-    /// Parses a mnemonic.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "s" => Some(InstrOp::Send),
-            "r" => Some(InstrOp::Recv),
-            "cpy" => Some(InstrOp::Copy),
-            "re" => Some(InstrOp::Reduce),
-            "rrc" => Some(InstrOp::RecvReduceCopy),
-            "rcs" => Some(InstrOp::RecvCopySend),
-            "rrs" => Some(InstrOp::RecvReduceSend),
-            "rrcs" => Some(InstrOp::RecvReduceCopySend),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for InstrOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
-    }
-}
 
 /// The hazard class of a processing edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,8 +35,8 @@ pub enum EdgeKind {
 pub struct InstrNode {
     /// Executing rank.
     pub rank: usize,
-    /// Instruction kind.
-    pub op: InstrOp,
+    /// Instruction kind: the opcode it lowers to in MSCCL-IR.
+    pub op: OpCode,
     /// Local source operand (for sends: the data to send; for reduces: the
     /// local operand), if any.
     pub src: Option<Loc>,
@@ -166,24 +59,18 @@ pub struct InstrNode {
 }
 
 impl InstrNode {
-    /// The local operands this instruction reads on its own rank (each a
-    /// `Loc` of that rank), `count` chunks long, in read order.
-    fn read_operands(&self) -> [Option<Loc>; 2] {
-        match self.op {
-            // Fused receive+reduce reads its local operand.
-            InstrOp::Send
-            | InstrOp::Copy
-            | InstrOp::RecvReduceCopy
-            | InstrOp::RecvReduceSend
-            | InstrOp::RecvReduceCopySend => [self.src, None],
-            InstrOp::Reduce => [self.src, self.dst],
-            InstrOp::Recv | InstrOp::RecvCopySend => [None, None],
+    /// The location `operand` names on the instruction's own rank, if
+    /// any: the operand rule is [`OpCode::reads`] and [`OpCode::writes`].
+    pub(crate) fn operand(&self, operand: Operand) -> Option<Loc> {
+        match operand {
+            Operand::Src => self.src,
+            Operand::Dst => self.dst,
         }
     }
 
     /// The local operand this instruction writes on its own rank, if any.
     pub(crate) fn written(&self) -> Option<Loc> {
-        self.dst.filter(|_| self.op.writes_local())
+        self.op.writes().and_then(|o| self.operand(o))
     }
 }
 
@@ -235,7 +122,7 @@ impl InstrDag {
             let id = nodes.len();
             raw.clear();
             false_deps.clear();
-            for loc in node.read_operands().into_iter().flatten() {
+            for loc in node.op.reads().iter().filter_map(|&o| node.operand(o)) {
                 for at in hazards.range(loc, node.count) {
                     if let Some(w) = hazards.last_writer(at) {
                         if !raw.contains(&w) {
@@ -275,7 +162,7 @@ impl InstrDag {
             if cn.is_remote() {
                 let send = add_node(InstrNode {
                     rank: cn.src.rank,
-                    op: InstrOp::Send,
+                    op: OpCode::Send,
                     src: Some(cn.src),
                     dst: Some(cn.dst),
                     count: cn.count,
@@ -286,8 +173,8 @@ impl InstrDag {
                     alive: true,
                 });
                 let recv_op = match cn.kind {
-                    TraceOpKind::Copy => InstrOp::Recv,
-                    TraceOpKind::Reduce => InstrOp::RecvReduceCopy,
+                    TraceOpKind::Copy => OpCode::Recv,
+                    TraceOpKind::Reduce => OpCode::RecvReduceCopy,
                 };
                 let recv = add_node(InstrNode {
                     rank: cn.dst.rank,
@@ -310,8 +197,8 @@ impl InstrDag {
                 });
             } else {
                 let op = match cn.kind {
-                    TraceOpKind::Copy => InstrOp::Copy,
-                    TraceOpKind::Reduce => InstrOp::Reduce,
+                    TraceOpKind::Copy => OpCode::Copy,
+                    TraceOpKind::Reduce => OpCode::Reduce,
                 };
                 let _ = add_node(InstrNode {
                     rank: cn.src.rank,
@@ -463,9 +350,9 @@ mod tests {
         let _ = p.copy(&c, 0, BufferKind::Output, 1).unwrap();
         // Fill in the local chunks to make it complete (not required here).
         let dag = build(&p);
-        assert_eq!(dag.nodes[0].op, InstrOp::Send);
+        assert_eq!(dag.nodes[0].op, OpCode::Send);
         assert_eq!(dag.nodes[0].send_peer, Some(1));
-        assert_eq!(dag.nodes[1].op, InstrOp::Recv);
+        assert_eq!(dag.nodes[1].op, OpCode::Recv);
         assert_eq!(dag.nodes[1].recv_peer, Some(0));
         assert_eq!(dag.comm_edges[0].send, 0);
         assert_eq!(dag.comm_edges[0].recv, 1);
@@ -478,13 +365,14 @@ mod tests {
         let c1 = p.chunk(1, BufferKind::Input, 0, 1).unwrap();
         let _ = p.reduce(&c1, &c0).unwrap();
         let dag = build(&p);
-        assert_eq!(dag.nodes[0].op, InstrOp::Send);
-        assert_eq!(dag.nodes[1].op, InstrOp::RecvReduceCopy);
+        assert_eq!(dag.nodes[0].op, OpCode::Send);
+        assert_eq!(dag.nodes[1].op, OpCode::RecvReduceCopy);
         // rrc reads its local operand (the destination chunk).
         assert_eq!(
-            dag.nodes[1].read_operands(),
-            [Some(Loc::new(1, BufferKind::Input, 0)), None]
+            dag.nodes[1].operand(Operand::Src),
+            Some(Loc::new(1, BufferKind::Input, 0))
         );
+        assert_eq!(dag.nodes[1].op.reads(), &[Operand::Src]);
     }
 
     #[test]
@@ -494,7 +382,7 @@ mod tests {
         let _ = p.copy(&c, 0, BufferKind::Input, 1).unwrap();
         let dag = build(&p);
         assert_eq!(dag.nodes.len(), 1);
-        assert_eq!(dag.nodes[0].op, InstrOp::Copy);
+        assert_eq!(dag.nodes[0].op, OpCode::Copy);
     }
 
     #[test]
@@ -507,7 +395,7 @@ mod tests {
         let _ = p.copy(&c, 2, BufferKind::Output, 0).unwrap();
         let dag = build(&p);
         // nodes: 0 send@0, 1 recv@1, 2 send@1, 3 recv@2
-        assert_eq!(dag.nodes[2].op, InstrOp::Send);
+        assert_eq!(dag.nodes[2].op, OpCode::Send);
         assert_eq!(dag.nodes[2].rank, 1);
         assert!(dag.proc_edges.contains(&(1, 2, EdgeKind::Raw)));
     }
@@ -522,8 +410,8 @@ mod tests {
         let dag = build(&p);
         // Second recv overwrites first recv's destination.
         assert!(dag.proc_edges.iter().any(|&(u, v, k)| k == EdgeKind::Waw
-            && dag.nodes[u].op == InstrOp::Recv
-            && dag.nodes[v].op == InstrOp::Copy));
+            && dag.nodes[u].op == OpCode::Recv
+            && dag.nodes[v].op == OpCode::Copy));
     }
 
     #[test]
@@ -537,8 +425,8 @@ mod tests {
         let dag = build(&p);
         // The local copy overwrites what the send read: WAR send -> copy.
         assert!(dag.proc_edges.iter().any(|&(u, v, k)| k == EdgeKind::War
-            && dag.nodes[u].op == InstrOp::Send
-            && dag.nodes[v].op == InstrOp::Copy));
+            && dag.nodes[u].op == OpCode::Send
+            && dag.nodes[v].op == OpCode::Copy));
     }
 
     #[test]
@@ -558,23 +446,6 @@ mod tests {
         for &(u, v, _) in &dag.proc_edges {
             assert!(u < dag.nodes.len() && v < dag.nodes.len());
         }
-    }
-
-    #[test]
-    fn mnemonics_round_trip() {
-        for op in [
-            InstrOp::Send,
-            InstrOp::Recv,
-            InstrOp::Copy,
-            InstrOp::Reduce,
-            InstrOp::RecvReduceCopy,
-            InstrOp::RecvCopySend,
-            InstrOp::RecvReduceSend,
-            InstrOp::RecvReduceCopySend,
-        ] {
-            assert_eq!(InstrOp::parse(op.mnemonic()), Some(op));
-        }
-        assert_eq!(InstrOp::parse("bogus"), None);
     }
 
     #[test]

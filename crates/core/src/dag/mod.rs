@@ -12,6 +12,9 @@ mod chunk_dag;
 mod hazard;
 mod instr_dag;
 
+/// The Instruction DAG holds [`OpCode`](crate::OpCode)s. This name stays
+/// for the benchmark workloads, which import it.
+pub use crate::ir::OpCode as InstrOp;
 pub use chunk_dag::{ChunkDag, ChunkNode};
 pub(crate) use instr_dag::Adjacency;
-pub use instr_dag::{EdgeKind, InstrDag, InstrNode, InstrOp};
+pub use instr_dag::{EdgeKind, InstrDag, InstrNode};

@@ -58,70 +58,76 @@ impl OpCode {
         self as usize
     }
 
+    /// The opcode's step rule: the one table the compiler, the verifier,
+    /// the runtime and the simulator read to learn what a step does.
+    #[must_use]
+    pub const fn rule(self) -> StepRule {
+        use StepValue::{DstOpSrc, Received, Src, SrcOpReceived};
+        let (recv, value, store, send) = match self {
+            OpCode::Send => (false, Src, false, true),
+            OpCode::Recv => (true, Received, true, false),
+            OpCode::Copy => (false, Src, true, false),
+            OpCode::Reduce => (false, DstOpSrc, true, false),
+            OpCode::RecvReduceCopy => (true, SrcOpReceived, true, false),
+            OpCode::RecvCopySend => (true, Received, true, true),
+            OpCode::RecvReduceSend => (true, SrcOpReceived, false, true),
+            OpCode::RecvReduceCopySend => (true, SrcOpReceived, true, true),
+            OpCode::Nop => (false, StepValue::None, false, false),
+        };
+        StepRule {
+            recv,
+            value,
+            store,
+            send,
+        }
+    }
+
     /// Whether the instruction consumes a message from the receive
     /// connection.
     #[must_use]
-    pub fn has_recv(self) -> bool {
-        matches!(
-            self,
-            OpCode::Recv
-                | OpCode::RecvReduceCopy
-                | OpCode::RecvCopySend
-                | OpCode::RecvReduceSend
-                | OpCode::RecvReduceCopySend
-        )
+    pub const fn has_recv(self) -> bool {
+        self.rule().recv
     }
 
     /// Whether the instruction produces a message on the send connection.
     #[must_use]
-    pub fn has_send(self) -> bool {
-        matches!(
-            self,
-            OpCode::Send
-                | OpCode::RecvCopySend
-                | OpCode::RecvReduceSend
-                | OpCode::RecvReduceCopySend
-        )
+    pub const fn has_send(self) -> bool {
+        self.rule().send
     }
 
     /// Whether the instruction applies the reduction operator.
     #[must_use]
-    pub fn reduces(self) -> bool {
+    pub const fn reduces(self) -> bool {
         matches!(
-            self,
-            OpCode::Reduce
-                | OpCode::RecvReduceCopy
-                | OpCode::RecvReduceSend
-                | OpCode::RecvReduceCopySend
-        )
-    }
-
-    /// Whether the instruction reads its local source operand.
-    #[must_use]
-    pub fn reads_src(self) -> bool {
-        matches!(
-            self,
-            OpCode::Send
-                | OpCode::Copy
-                | OpCode::Reduce
-                | OpCode::RecvReduceCopy
-                | OpCode::RecvReduceSend
-                | OpCode::RecvReduceCopySend
+            self.rule().value,
+            StepValue::SrcOpReceived | StepValue::DstOpSrc
         )
     }
 
     /// Whether the instruction writes local memory.
     #[must_use]
-    pub fn writes_local(self) -> bool {
-        matches!(
-            self,
-            OpCode::Recv
-                | OpCode::Copy
-                | OpCode::Reduce
-                | OpCode::RecvReduceCopy
-                | OpCode::RecvCopySend
-                | OpCode::RecvReduceCopySend
-        )
+    pub const fn writes_local(self) -> bool {
+        self.rule().store
+    }
+
+    /// The local operands the instruction reads, source first: `src` of
+    /// every value computed from it, and `dst` as well for `re`, which
+    /// reduces into it. `rrc` and `rrcs` read `src` and write `dst`,
+    /// whether or not the two name the same chunks.
+    #[must_use]
+    pub const fn reads(self) -> &'static [Operand] {
+        match self.rule().value {
+            StepValue::DstOpSrc => &[Operand::Src, Operand::Dst],
+            StepValue::Src | StepValue::SrcOpReceived => &[Operand::Src],
+            StepValue::None | StepValue::Received => &[],
+        }
+    }
+
+    /// The local operand the instruction writes: `dst`, when it
+    /// [stores](StepRule::store).
+    #[must_use]
+    pub fn writes(self) -> Option<Operand> {
+        self.rule().store.then_some(Operand::Dst)
     }
 
     /// The mnemonic used in MSCCL-IR XML files.
@@ -162,6 +168,39 @@ impl fmt::Display for OpCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.mnemonic())
     }
+}
+
+/// How one step of an instruction runs (Figure 5): wait on its
+/// dependencies, pop a tile if it `recv`s, compute its `value`, write it
+/// at `dst` if it `store`s, push it on the send connection if it `send`s,
+/// then signal. [`OpCode::rule`] gives each opcode's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepRule {
+    /// Whether the step pops a tile from the receive connection.
+    pub recv: bool,
+    /// What the step computes.
+    pub value: StepValue,
+    /// Whether the step writes the value at its destination.
+    pub store: bool,
+    /// Whether the step pushes the value on the send connection.
+    pub send: bool,
+}
+
+/// What a step computes, per chunk. A reduction keeps its left operand
+/// on the left of the operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepValue {
+    /// Nothing (`nop`).
+    None,
+    /// The local source (`s`, `cpy`).
+    Src,
+    /// The received tile (`r`, `rcs`).
+    Received,
+    /// The local source reduced with the received tile (`rrc`, `rrs`,
+    /// `rrcs`).
+    SrcOpReceived,
+    /// The destination reduced with the local source (`re`).
+    DstOpSrc,
 }
 
 /// A buffer-relative operand location.
@@ -222,26 +261,6 @@ impl fmt::Display for Operand {
 }
 
 impl IrInstruction {
-    /// The local operands the instruction reads, source first: `src` of
-    /// every opcode that [reads it](OpCode::reads_src), and `dst` as well
-    /// for `re`, which reduces into it. `rrc` and `rrcs` read `src` and
-    /// write `dst`, whether or not the two name the same chunks.
-    #[must_use]
-    pub fn reads(&self) -> &'static [Operand] {
-        match self.op {
-            OpCode::Reduce => &[Operand::Src, Operand::Dst],
-            op if op.reads_src() => &[Operand::Src],
-            _ => &[],
-        }
-    }
-
-    /// The local operand the instruction writes: `dst` of every opcode
-    /// that [writes local memory](OpCode::writes_local).
-    #[must_use]
-    pub fn writes(&self) -> Option<Operand> {
-        self.op.writes_local().then_some(Operand::Dst)
-    }
-
     /// The location `operand` names, if the instruction has one.
     #[must_use]
     pub fn operand(&self, operand: Operand) -> Option<IrLoc> {
@@ -386,14 +405,14 @@ impl IrProgram {
                             instr.step
                         ));
                     }
-                    if instr.count == 0 && instr.op != OpCode::Nop {
+                    if instr.count == 0 && instr.op.rule().value != StepValue::None {
                         return fail(format!("rank {r} tb {t} step {s}: zero count"));
                     }
                     // Operands must lie inside the buffers they name: those
                     // read or written on this rank, and a send's
                     // destination on its peer.
-                    let written = instr.writes();
-                    let local = instr.reads().iter().chain(&written).map(|&o| (o, r));
+                    let written = instr.op.writes();
+                    let local = instr.op.reads().iter().chain(&written).map(|&o| (o, r));
                     let remote = tb.send_peer.filter(|_| instr.op == OpCode::Send);
                     for (what, owner) in local.chain(remote.map(|p| (Operand::Dst, p))) {
                         let Some(loc) = instr.operand(what) else {
@@ -549,6 +568,7 @@ mod tests {
             assert_eq!(OpCode::parse(op.mnemonic()), Some(op));
             assert_eq!(op.index(), i);
         }
+        assert_eq!(OpCode::parse("bogus"), None);
     }
 
     #[test]
@@ -560,5 +580,18 @@ mod tests {
         assert!(!OpCode::Send.has_recv());
         assert!(OpCode::Reduce.reduces());
         assert!(!OpCode::Copy.reduces());
+        assert!(!OpCode::Nop.reduces() && !OpCode::Nop.writes_local());
+    }
+
+    #[test]
+    fn operand_rule() {
+        use Operand::{Dst, Src};
+        assert_eq!(OpCode::Reduce.reads(), &[Src, Dst]);
+        assert_eq!(OpCode::RecvReduceCopy.reads(), &[Src]);
+        assert_eq!(OpCode::Send.reads(), &[Src]);
+        assert!(OpCode::RecvCopySend.reads().is_empty());
+        assert_eq!(OpCode::RecvCopySend.writes(), Some(Dst));
+        assert_eq!(OpCode::RecvReduceSend.writes(), None);
+        assert!(OpCode::Nop.reads().is_empty() && OpCode::Nop.writes().is_none());
     }
 }

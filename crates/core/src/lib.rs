@@ -61,7 +61,10 @@ pub use chunk::{ChunkValue, InputId, ReduceOp, ReductionSet};
 pub use collective::{Collective, CollectiveKind, Space};
 pub use compile::{compile, CompileOptions};
 pub use error::{Error, ErrorLoc, Result};
-pub use ir::{EpochCut, IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode};
+pub use ir::{
+    EpochCut, IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode, StepRule,
+    StepValue,
+};
 pub use ir_stats::IrStats;
 pub use passes::epochs::EpochMode;
 pub use program::{ChunkRef, Program, TraceOp, TraceOpKind};

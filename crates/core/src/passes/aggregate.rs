@@ -16,7 +16,8 @@
 use std::collections::HashMap;
 
 use crate::buffer::Loc;
-use crate::dag::{InstrDag, InstrOp};
+use crate::dag::InstrDag;
+use crate::ir::OpCode;
 use crate::order::Dag;
 
 /// Applies automatic send aggregation in place and compacts the DAG.
@@ -63,10 +64,10 @@ fn extends(dag: &InstrDag, prev: usize, next: usize) -> bool {
     let (pe, ne) = (dag.comm_edges[prev], dag.comm_edges[next]);
     let (ps, ns) = (&dag.nodes[pe.send], &dag.nodes[ne.send]);
     let (pr, nr) = (&dag.nodes[pe.recv], &dag.nodes[ne.recv]);
-    if ps.op != InstrOp::Send || ns.op != InstrOp::Send {
+    if ps.op != OpCode::Send || ns.op != OpCode::Send {
         return false;
     }
-    if pr.op != InstrOp::Recv || nr.op != InstrOp::Recv {
+    if pr.op != OpCode::Recv || nr.op != OpCode::Recv {
         return false;
     }
     contiguous(ps.src, ps.count, ns.src) && contiguous(pr.dst, pr.count, nr.dst)

@@ -8,7 +8,8 @@
 //! kept — they may be what the postcondition observes.
 
 use crate::buffer::BufferKind;
-use crate::dag::{EdgeKind, InstrDag, InstrOp};
+use crate::dag::{EdgeKind, InstrDag};
+use crate::ir::{OpCode, StepValue};
 
 /// Removes dead scratch stores in place and compacts the DAG. Returns the
 /// number of instructions eliminated.
@@ -26,13 +27,14 @@ pub fn eliminate_dead_stores(dag: &mut InstrDag) -> usize {
         }
         for (i, node_raw_out) in raw_out.iter().copied().enumerate() {
             let node = &dag.nodes[i];
-            if !node.alive || node_raw_out > 0 || !node.op.writes_local() {
+            let rule = node.op.rule();
+            if !node.alive || node_raw_out > 0 || !rule.store {
                 continue;
             }
-            // Only pure data movement is removable; reductions fused with
-            // sends still transmit, and plain sends don't write.
-            let removable_kind = matches!(node.op, InstrOp::Copy | InstrOp::Recv);
-            if !removable_kind {
+            // Only pure data movement is removable: a copied or received
+            // value, stored and sent nowhere (`cpy`, `r`); reductions fused
+            // with sends still transmit, and plain sends don't write.
+            if rule.send || !matches!(rule.value, StepValue::Src | StepValue::Received) {
                 continue;
             }
             // Only the scratch buffer resolves to the scratch space.
@@ -43,7 +45,7 @@ pub fn eliminate_dead_stores(dag: &mut InstrDag) -> usize {
                 continue;
             }
             // A dead recv still has a matching send; remove the pair.
-            if node.op == InstrOp::Recv {
+            if rule.recv {
                 let Some(send) = recv_edge[i]
                     .map(|e| dag.comm_edges[e].send)
                     .filter(|&s| dag.nodes[s].alive)
@@ -52,7 +54,7 @@ pub fn eliminate_dead_stores(dag: &mut InstrDag) -> usize {
                 };
                 // Only a plain send can be dropped with its receive; a
                 // fused sender also stores or forwards elsewhere.
-                if dag.nodes[send].op != InstrOp::Send {
+                if dag.nodes[send].op != OpCode::Send {
                     continue;
                 }
                 dag.nodes[send].alive = false;

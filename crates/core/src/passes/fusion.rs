@@ -13,7 +13,8 @@
 
 use std::collections::HashMap;
 
-use crate::dag::{Adjacency, EdgeKind, InstrDag, InstrNode, InstrOp};
+use crate::dag::{Adjacency, EdgeKind, InstrDag, InstrNode};
+use crate::ir::OpCode;
 
 /// Applies the fusion peepholes in place and compacts the DAG.
 ///
@@ -55,7 +56,7 @@ pub fn fuse(dag: &mut InstrDag) {
             continue;
         }
         let u_op = dag.nodes[u].op;
-        if !matches!(u_op, InstrOp::Recv | InstrOp::RecvReduceCopy) {
+        if !matches!(u_op, OpCode::Recv | OpCode::RecvReduceCopy) {
             continue;
         }
         let u_dst = dag.nodes[u].dst;
@@ -81,7 +82,7 @@ pub fn fuse(dag: &mut InstrDag) {
                 raw_successors += 1;
             }
             if kind != EdgeKind::Raw
-                || dag.nodes[to].op != InstrOp::Send
+                || dag.nodes[to].op != OpCode::Send
                 || dag.nodes[to].rank != u_rank
                 || dag.nodes[to].src != u_dst
                 || dag.nodes[to].count != u_count
@@ -124,8 +125,8 @@ pub fn fuse(dag: &mut InstrDag) {
 
         // Decide the fused opcode.
         let fused_op = match u_op {
-            InstrOp::Recv => InstrOp::RecvCopySend,
-            InstrOp::RecvReduceCopy => {
+            OpCode::Recv => OpCode::RecvCopySend,
+            OpCode::RecvReduceCopy => {
                 // rrs: the only reader of the reduction result is the fused
                 // send and the location is later overwritten, so the local
                 // store can be skipped.
@@ -134,9 +135,9 @@ pub fn fuse(dag: &mut InstrDag) {
                     live_out(u).any(|(to, kind)| to != v && kind == EdgeKind::Waw);
                 let war_overwrites_send = live_out(v).any(|(_, kind)| kind == EdgeKind::War);
                 if only_reader && (overwritten_later || war_overwrites_send) {
-                    InstrOp::RecvReduceSend
+                    OpCode::RecvReduceSend
                 } else {
-                    InstrOp::RecvReduceCopySend
+                    OpCode::RecvReduceCopySend
                 }
             }
             _ => unreachable!("only recv/rrc enter fusion"),
@@ -146,7 +147,7 @@ pub fn fuse(dag: &mut InstrDag) {
         dag.nodes[u].op = fused_op;
         dag.nodes[u].send_peer = Some(send_peer);
         dag.nodes[u].chunk_node = dag.nodes[v].chunk_node;
-        if fused_op == InstrOp::RecvReduceSend {
+        if fused_op == OpCode::RecvReduceSend {
             dag.nodes[u].dst = None;
         }
         dag.nodes[v].alive = false;
@@ -182,19 +183,19 @@ pub fn unfuse(dag: &mut InstrDag, nodes: &[usize]) {
     let (send_edge, _) = dag.comm_edge_index();
     for &u in nodes {
         let op = dag.nodes[u].op;
-        let (recv_op, send_src): (InstrOp, Option<Loc>) = match op {
-            InstrOp::RecvCopySend => (InstrOp::Recv, dag.nodes[u].dst),
-            InstrOp::RecvReduceCopySend => (InstrOp::RecvReduceCopy, dag.nodes[u].dst),
+        let (recv_op, send_src): (OpCode, Option<Loc>) = match op {
+            OpCode::RecvCopySend => (OpCode::Recv, dag.nodes[u].dst),
+            OpCode::RecvReduceCopySend => (OpCode::RecvReduceCopy, dag.nodes[u].dst),
             // rrs dropped its local store; restore it (dst == the local
             // operand location) so the send can read it back.
-            InstrOp::RecvReduceSend => (InstrOp::RecvReduceCopy, dag.nodes[u].src),
+            OpCode::RecvReduceSend => (OpCode::RecvReduceCopy, dag.nodes[u].src),
             _ => continue,
         };
         let send_peer = dag.nodes[u].send_peer.expect("fused op has a send peer");
         // Restore the receive half in place.
         dag.nodes[u].op = recv_op;
         dag.nodes[u].send_peer = None;
-        if op == InstrOp::RecvReduceSend {
+        if op == OpCode::RecvReduceSend {
             dag.nodes[u].dst = dag.nodes[u].src;
         }
         let send_chunk = dag.nodes[u].chunk_node;
@@ -203,7 +204,7 @@ pub fn unfuse(dag: &mut InstrDag, nodes: &[usize]) {
         let v = dag.nodes.len();
         dag.nodes.push(InstrNode {
             rank: dag.nodes[u].rank,
-            op: InstrOp::Send,
+            op: OpCode::Send,
             src: send_src,
             dst: None,
             count: dag.nodes[u].count,
@@ -280,9 +281,9 @@ mod tests {
         let rcs = dag
             .nodes
             .iter()
-            .filter(|i| i.op == InstrOp::RecvCopySend)
+            .filter(|i| i.op == OpCode::RecvCopySend)
             .count();
-        let recv = dag.nodes.iter().filter(|i| i.op == InstrOp::Recv).count();
+        let recv = dag.nodes.iter().filter(|i| i.op == OpCode::Recv).count();
         // Each of the n chunks is forwarded through n-2 middle hops (fused)
         // and lands with one final plain recv.
         assert_eq!(rcs, n * (n - 2));
@@ -309,12 +310,12 @@ mod tests {
         let rrc = dag
             .nodes
             .iter()
-            .filter(|i| i.op == InstrOp::RecvReduceCopy)
+            .filter(|i| i.op == OpCode::RecvReduceCopy)
             .count();
         let fused_sends = dag
             .nodes
             .iter()
-            .filter(|i| matches!(i.op, InstrOp::RecvReduceCopySend | InstrOp::RecvReduceSend))
+            .filter(|i| matches!(i.op, OpCode::RecvReduceCopySend | OpCode::RecvReduceSend))
             .count();
         assert_eq!(rrc, n);
         assert_eq!(fused_sends, n * (n - 2));
@@ -347,12 +348,9 @@ mod tests {
         // The reduction lands on the rank that owns chunk r and is then
         // forwarded: that forward is fused with the rrc into rrcs (result
         // still needed locally as the final output).
-        assert!(dag
-            .nodes
-            .iter()
-            .any(|i| i.op == InstrOp::RecvReduceCopySend));
+        assert!(dag.nodes.iter().any(|i| i.op == OpCode::RecvReduceCopySend));
         // And the copies back are plain recvs on the last hop.
-        assert!(dag.nodes.iter().any(|i| i.op == InstrOp::Recv));
+        assert!(dag.nodes.iter().any(|i| i.op == OpCode::Recv));
     }
 
     #[test]
@@ -363,7 +361,7 @@ mod tests {
         let _ = p.copy_on(&c, 2, BufferKind::Output, 0, 1).unwrap();
         let dag = lower(&p);
         // recv on channel 0 and send on channel 1 must not fuse.
-        assert!(dag.nodes.iter().all(|i| i.op != InstrOp::RecvCopySend));
+        assert!(dag.nodes.iter().all(|i| i.op != OpCode::RecvCopySend));
         assert_eq!(dag.nodes.len(), 4);
     }
 
@@ -374,7 +372,7 @@ mod tests {
         let c = p.copy_on(&c, 1, BufferKind::Output, 0, 1).unwrap();
         let _ = p.copy_on(&c, 2, BufferKind::Output, 0, 1).unwrap();
         let dag = lower(&p);
-        assert!(dag.nodes.iter().any(|i| i.op == InstrOp::RecvCopySend));
+        assert!(dag.nodes.iter().any(|i| i.op == OpCode::RecvCopySend));
         // The fused chain's comm edges share channel 1.
         assert!(dag.comm_edges.iter().all(|e| e.channel == Some(1)));
     }
@@ -396,7 +394,7 @@ mod tests {
         let dag = lower(&p);
         // The send's source was written by the local copy, not the recv, so
         // the recv must not fuse with it.
-        assert!(dag.nodes.iter().all(|i| i.op != InstrOp::RecvCopySend));
+        assert!(dag.nodes.iter().all(|i| i.op != OpCode::RecvCopySend));
     }
 
     #[test]
@@ -416,7 +414,7 @@ mod tests {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, node)| node.op == InstrOp::RecvCopySend)
+            .filter(|(_, node)| node.op == OpCode::RecvCopySend)
             .map(|(i, _)| i)
             .collect();
         assert!(!fused.is_empty());
@@ -425,18 +423,18 @@ mod tests {
         // Every unfused rcs adds one node (the materialized send).
         let after = dag.nodes.iter().filter(|x| x.alive).count();
         assert_eq!(after, before + fused.len());
-        assert!(dag.nodes.iter().all(|x| x.op != InstrOp::RecvCopySend));
+        assert!(dag.nodes.iter().all(|x| x.op != OpCode::RecvCopySend));
         // Comm edges still pair a send with a recv.
         for e in &dag.comm_edges {
-            assert!(dag.nodes[e.send].op == InstrOp::Send);
+            assert!(dag.nodes[e.send].op == OpCode::Send);
             assert!(dag.nodes[e.recv].op.has_recv());
         }
         // The restored recv feeds the restored send.
         for &u in &fused {
-            assert_eq!(dag.nodes[u].op, InstrOp::Recv);
+            assert_eq!(dag.nodes[u].op, OpCode::Recv);
             assert!(dag.proc_edges.iter().any(|&(from, to, kind)| from == u
                 && kind == EdgeKind::Raw
-                && dag.nodes[to].op == InstrOp::Send));
+                && dag.nodes[to].op == OpCode::Send));
         }
     }
 
@@ -461,13 +459,13 @@ mod tests {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, node)| node.op == InstrOp::RecvReduceSend)
+            .filter(|(_, node)| node.op == OpCode::RecvReduceSend)
             .map(|(i, _)| i)
             .collect();
         assert!(!rrs.is_empty(), "ring allreduce middle hops should be rrs");
         unfuse(&mut dag, &rrs);
         for &u in &rrs {
-            assert_eq!(dag.nodes[u].op, InstrOp::RecvReduceCopy);
+            assert_eq!(dag.nodes[u].op, OpCode::RecvReduceCopy);
             assert!(
                 dag.nodes[u].dst.is_some(),
                 "rrs unfuse must restore the store"
@@ -491,7 +489,7 @@ mod tests {
         let fused: Vec<_> = dag
             .nodes
             .iter()
-            .filter(|i| i.op == InstrOp::RecvCopySend)
+            .filter(|i| i.op == OpCode::RecvCopySend)
             .collect();
         assert_eq!(fused.len(), 2); // rank1's recv+long-send, rank2's hop
                                     // rank 1's fused instruction forwards to rank 2 (the long branch).

@@ -513,7 +513,7 @@ mod tests {
         assert!(dag
             .nodes
             .iter()
-            .any(|n| n.op == crate::dag::InstrOp::RecvCopySend));
+            .any(|n| n.op == crate::ir::OpCode::RecvCopySend));
         let ca = assign_channels(&dag, None).unwrap();
         assert_eq!(ca.edge_channel[0], ca.edge_channel[1]);
         // The fused node's draft has both peers.

@@ -344,7 +344,8 @@ mod tests {
     use super::*;
     use crate::buffer::BufferKind;
     use crate::collective::Collective;
-    use crate::dag::{ChunkDag, InstrOp};
+    use crate::dag::ChunkDag;
+    use crate::ir::OpCode;
     use crate::passes::fuse;
     use crate::program::Program;
     use crate::schedule::channels::assign_channels;
@@ -484,7 +485,7 @@ mod tests {
         let c = p.chunk(0, BufferKind::Input, 0, 2).unwrap();
         let _ = p.copy(&c, 0, BufferKind::Output, 0).unwrap();
         let (dag, s) = schedule(&p, 1);
-        assert_eq!(dag.nodes[0].op, InstrOp::Copy);
+        assert_eq!(dag.nodes[0].op, OpCode::Copy);
         assert_eq!(s.tbs.len(), 1);
         assert_eq!(s.tbs[0].send_peer, None);
         assert_eq!(s.tbs[0].recv_peer, None);

@@ -26,7 +26,7 @@ use crate::buffer::BufferKind;
 use crate::chunk::ChunkValue;
 use crate::collective::Space;
 use crate::error::{Error, Result};
-use crate::ir::{IrLoc, IrProgram, OpCode};
+use crate::ir::{IrLoc, IrProgram, StepValue};
 use crate::lower::Lowered;
 
 /// Options for verification.
@@ -283,6 +283,9 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 message: format!("rank {rank} tb {} step {pc}: {what}", tb.id),
             };
 
+            let rule = instr.op.rule();
+            let reads = instr.op.reads();
+
             // --- Readiness checks (no side effects).
             let deps_ready = instr
                 .deps
@@ -291,7 +294,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             if !deps_ready {
                 continue;
             }
-            let needs_pop = instr.op.has_recv() && pending[g].is_none();
+            let needs_pop = rule.recv && pending[g].is_none();
             if needs_pop {
                 let c = blocks[g].recv.expect("lowering checked");
                 if conns[c].queue.is_empty() {
@@ -321,7 +324,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                     }
                     Ok(msg.values)
                 };
-            if instr.op.has_send() {
+            if rule.send {
                 let c = blocks[g].send.expect("lowering checked");
                 if conns[c].queue.len() >= slots {
                     if needs_pop {
@@ -344,7 +347,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             }
 
             // Receive, if any (possibly already popped while blocked).
-            let received: Option<Vec<ChunkValue>> = if instr.op.has_recv() {
+            let received: Option<Vec<ChunkValue>> = if rule.recv {
                 match pending[g].take() {
                     Some(values) => Some(values),
                     None => Some(pop_message(&mut conns, &mut clocks)?),
@@ -357,14 +360,14 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             // one written. Reads are bounds-checked here, so `src(i)` and,
             // for Reduce, `dst(i)` index directly; a write out of range is
             // reported when it is applied.
-            let written = instr.writes().filter(|o| !instr.reads().contains(o));
-            for (i, &o) in instr.reads().iter().chain(&written).enumerate() {
+            let written = instr.op.writes().filter(|o| !reads.contains(o));
+            for (i, &o) in reads.iter().chain(&written).enumerate() {
                 let loc = instr
                     .operand(o)
                     .ok_or_else(|| fail(format!("missing {o}")))?;
                 let out = &mut locs[o as usize];
                 resolve(out, rank, loc, instr.count);
-                let read = i < instr.reads().len();
+                let read = i < reads.len();
                 if read && out.iter().any(|&(slot, off)| off >= spaces[slot].len()) {
                     return Err(fail(format!("{o} index out of bounds")));
                 }
@@ -384,24 +387,22 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             let mut received = received.into_iter().flatten();
             let mut results = Vec::with_capacity(instr.count);
             for i in 0..instr.count {
-                results.push(match instr.op {
-                    OpCode::Send | OpCode::Copy => {
+                results.push(match rule.value {
+                    StepValue::None => ChunkValue::Uninit,
+                    StepValue::Src => {
                         let v = src(i);
                         if !v.is_initialized() {
                             return Err(uninit("reads uninitialized data"));
                         }
                         v.clone()
                     }
-                    OpCode::Recv | OpCode::RecvCopySend => received.next().expect("received"),
-                    OpCode::Reduce => dst(i)
-                        .reduce(src(i))
-                        .ok_or_else(|| uninit("reduces uninitialized data"))?,
-                    OpCode::RecvReduceCopy
-                    | OpCode::RecvReduceSend
-                    | OpCode::RecvReduceCopySend => src(i)
+                    StepValue::Received => received.next().expect("received"),
+                    StepValue::SrcOpReceived => src(i)
                         .reduce(&received.next().expect("received"))
                         .ok_or_else(|| uninit("reduces uninitialized data"))?,
-                    OpCode::Nop => ChunkValue::Uninit,
+                    StepValue::DstOpSrc => dst(i)
+                        .reduce(src(i))
+                        .ok_or_else(|| uninit("reduces uninitialized data"))?,
                 });
             }
 
@@ -420,7 +421,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 };
                 // Reads, in operand order; every one was just read, so it
                 // is in range.
-                for &key in instr.reads().iter().flat_map(|&o| &locs[o as usize]) {
+                for &key in reads.iter().flat_map(|&o| &locs[o as usize]) {
                     let acc = &mut accesses[key.0][key.1];
                     if let Some((wt, wc)) = acc.write {
                         if clock.get(wt) < wc {
@@ -434,7 +435,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
                 }
                 // Writes. An out-of-range one is reported by the write
                 // below; no access before it can have touched that chunk.
-                if let Some(o) = instr.writes() {
+                if let Some(o) = instr.op.writes() {
                     for &key in &locs[o as usize] {
                         let Some(acc) = accesses[key.0].get_mut(key.1) else {
                             continue;
@@ -457,13 +458,12 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
 
             // --- Apply local write; the values move into the buffer unless
             // they are also sent.
-            if let Some(o) = instr.writes() {
-                let sends = instr.op.has_send();
+            if let Some(o) = instr.op.writes() {
                 for (&(slot, off), v) in locs[o as usize].iter().zip(&mut results) {
                     let chunk = spaces[slot]
                         .get_mut(off)
                         .ok_or_else(|| fail("dst index out of bounds".to_owned()))?;
-                    *chunk = if sends {
+                    *chunk = if rule.send {
                         v.clone()
                     } else {
                         std::mem::replace(v, ChunkValue::Uninit)
@@ -472,7 +472,7 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             }
 
             // --- Send, if any.
-            if instr.op.has_send() {
+            if rule.send {
                 let conn = &mut conns[blocks[g].send.expect("checked")];
                 // FIFO slot reuse ordering: the k-th send happens after the
                 // (k - slots)-th pop.
@@ -658,7 +658,7 @@ mod tests {
     use crate::buffer::BufferKind;
     use crate::collective::Collective;
     use crate::compile::{compile, CompileOptions};
-    use crate::ir::{IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock};
+    use crate::ir::{IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode};
     use crate::program::Program;
 
     fn no_verify() -> CompileOptions {

@@ -103,9 +103,9 @@ pub(crate) struct Instr {
     /// The rank-memory operands, resolved through the alias map.
     pub(crate) src: Option<Loc>,
     pub(crate) dst: Option<Loc>,
-    /// Where the tile helpers read from: the `src` of `s` and `rrs`, the
-    /// read half of the `dst` of `rrc` and `rrcs`. `None` for every other
-    /// opcode (`cpy` and `re` read rank memory through `src`/`dst`).
+    /// Where the tile helpers read from: the `src` of `s`, `rrc`, `rrs`
+    /// and `rrcs`. `None` for every other opcode (`cpy` and `re` read
+    /// rank memory through `src`/`dst`).
     pub(crate) read: Option<Source>,
     pub(crate) deps: Box<[Dep]>,
 }
@@ -428,11 +428,11 @@ fn sweep_rank(lowered: &Lowered, rank: usize) -> RankSweep {
         // The tile helpers read the one read operand of an instruction that
         // moves a tile: the `src` of `s`, `rrs`, `rrc` and `rrcs`.
         let moves_tile = instr.op.has_send() || instr.op.has_recv();
-        let tile_read = instr.reads().first().filter(|_| moves_tile);
+        let tile_read = instr.op.reads().first().filter(|_| moves_tile);
         let tile_read = tile_read.and_then(|&o| instr.operand(o));
         candidates
             .push(tile_read.map(|l| (Loc::of(collective, rank, l.buffer, l.index), instr.count)));
-        let read = instr.reads().iter().map(|&o| instr.operand(o));
+        let read = instr.op.reads().iter().map(|&o| instr.operand(o));
         for (slot, off) in read.flat_map(chunks) {
             if let Some(list) = reads[slot].get_mut(off) {
                 list.push(node);
@@ -440,8 +440,8 @@ fn sweep_rank(lowered: &Lowered, rank: usize) -> RankSweep {
         }
         // A write of an operand the instruction does not also read is a
         // plain overwrite; `re` reads what it writes.
-        if let Some(o) = instr.writes() {
-            let overwrite = !instr.reads().contains(&o);
+        if let Some(o) = instr.op.writes() {
+            let overwrite = !instr.op.reads().contains(&o);
             for (slot, off) in chunks(instr.operand(o)) {
                 if let Some(list) = writes[slot].get_mut(off) {
                     list.push((node, overwrite));

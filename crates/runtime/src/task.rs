@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use msccl_faults::{corrupt_payload, BlockAction, DeliveryAction};
 use msccl_trace::EventKind;
-use mscclang::OpCode;
+use mscclang::StepValue;
 
 use crate::cancel::{FailureCause, FailureOrigin};
 use crate::executor::{payload_string, Recorder, RunCtx, LATENCY_SAMPLE_PERIOD};
@@ -525,7 +525,7 @@ impl TbTask {
                     self.instr_start = metrics
                         .filter(|_| self.completed.is_multiple_of(LATENCY_SAMPLE_PERIOD))
                         .map(|_| Instant::now());
-                    self.pc = if instr.op.has_recv() {
+                    self.pc = if instr.op.rule().recv {
                         Pc::RecvTile
                     } else {
                         Pc::Compute
@@ -616,29 +616,20 @@ impl TbTask {
                     let mem = &*ctx.memories[self.rank];
                     let elem_off = self.tile * ctx.tile_elems;
                     let len = (ctx.chunk_elems - elem_off).min(ctx.tile_elems);
-                    match instr.op {
-                        OpCode::Nop => {}
-                        OpCode::Send => {
-                            let mut tile = ctx.pool.take(instr.count * len);
-                            fill_src(ctx, self.rank, instr, elem_off, len, &mut tile);
-                            self.outbound = Some(tile);
-                        }
-                        OpCode::Recv => {
-                            let tile = self.inbound.take().expect("recv op received a tile");
-                            write_dst(mem, instr, elem_off, len, &tile);
-                        }
-                        OpCode::Copy => {
-                            // Local data movement never touches the pool:
-                            // the chunks move memory-to-memory under the
-                            // fixed lock order (see
-                            // `RankMemory::copy_between_at`).
+                    let rule = instr.op.rule();
+                    match rule.value {
+                        StepValue::None => {}
+                        // Local data movement never touches the pool: the
+                        // chunks move memory-to-memory under the fixed
+                        // lock order (see `RankMemory::copy_between_at`).
+                        StepValue::Src if !rule.send => {
                             let src = instr.src.expect("instruction requires src");
                             let dst = instr.dst.expect("instruction requires dst");
                             for i in 0..instr.count {
                                 mem.copy_between_at(src.plus(i), dst.plus(i), elem_off, len);
                             }
                         }
-                        OpCode::Reduce => {
+                        StepValue::DstOpSrc => {
                             let src = instr.src.expect("instruction requires src");
                             let dst = instr.dst.expect("instruction requires dst");
                             for i in 0..instr.count {
@@ -651,29 +642,29 @@ impl TbTask {
                                 );
                             }
                         }
-                        OpCode::RecvReduceCopy => {
-                            let mut tile = self.inbound.take().expect("recv op received a tile");
-                            reduce_merge_dst(ctx, self.rank, instr, elem_off, len, &mut tile);
-                        }
-                        OpCode::RecvCopySend => {
-                            // Zero-copy forward: the received tile is
-                            // written to memory and handed onward as-is.
-                            let tile = self.inbound.take().expect("recv op received a tile");
-                            write_dst(mem, instr, elem_off, len, &tile);
-                            self.outbound = Some(tile);
-                        }
-                        OpCode::RecvReduceSend => {
-                            let mut tile = self.inbound.take().expect("recv op received a tile");
-                            combine_read(ctx, self.rank, instr, elem_off, len, &mut tile);
-                            self.outbound = Some(tile);
-                        }
-                        OpCode::RecvReduceCopySend => {
-                            let mut tile = self.inbound.take().expect("recv op received a tile");
-                            reduce_merge_dst(ctx, self.rank, instr, elem_off, len, &mut tile);
-                            self.outbound = Some(tile);
+                        value => {
+                            let mut tile = if value == StepValue::Src {
+                                let mut tile = ctx.pool.take(instr.count * len);
+                                fill_src(ctx, self.rank, instr, elem_off, len, &mut tile);
+                                tile
+                            } else {
+                                self.inbound.take().expect("recv op received a tile")
+                            };
+                            if value == StepValue::SrcOpReceived {
+                                combine_read(ctx, self.rank, instr, elem_off, len, &mut tile);
+                            }
+                            if rule.store {
+                                write_dst(mem, instr, elem_off, len, &tile);
+                            }
+                            // Zero-copy forward: the tile is handed onward
+                            // as-is; one that is not sent returns to the
+                            // pool here.
+                            if rule.send {
+                                self.outbound = Some(tile);
+                            }
                         }
                     }
-                    self.pc = if self.outbound.is_some() {
+                    self.pc = if rule.send {
                         Pc::PreXmit
                     } else {
                         Pc::PostInstr
@@ -972,22 +963,8 @@ fn write_dst(mem: &RankMemory, instr: &Instr, elem_off: usize, len: usize, value
     }
 }
 
-/// tile = op(dst, tile), then dst-memory = tile: the `rrc`/`rrcs` merge,
-/// local operand on the left, reusing the tile for any follow-on send.
-fn reduce_merge_dst(
-    ctx: &RunCtx<'_>,
-    rank: usize,
-    instr: &Instr,
-    elem_off: usize,
-    len: usize,
-    tile: &mut PooledTile,
-) {
-    combine_read(ctx, rank, instr, elem_off, len, tile);
-    write_dst(&ctx.memories[rank], instr, elem_off, len, tile);
-}
-
-/// tile = op(read operand, tile): the receive-side merge of `rrs`, and
-/// the first half of the `rrc`/`rrcs` merge. Local operand on the left.
+/// tile = op(read operand, tile): the receive-side merge of `rrc`, `rrs`
+/// and `rrcs`. Local operand on the left.
 fn combine_read(
     ctx: &RunCtx<'_>,
     rank: usize,

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use msccl_faults::{BlockAction, DeliveryAction};
 use msccl_metrics::{bucket_index, names, Registry, BUCKETS};
 use msccl_trace::{EventKind, TraceEvent};
-use mscclang::OpCode;
+use mscclang::{OpCode, StepValue};
 
 use crate::config::{f64_bits, SimError};
 use crate::engine::{Activity, TimelineEntry};
@@ -710,7 +710,8 @@ impl Shard {
                         self.tbs[me].instr_begun = true;
                         self.tbs[me].instr_begin_us = now;
                     }
-                    if op.has_recv() {
+                    let rule = op.rule();
+                    if rule.recv {
                         let conn = self.tbs[me].recv_conn.expect("recv needs a connection");
                         let (src, _, channel) = self.conns[conn].key;
                         if self.conns[conn].available == 0 {
@@ -764,7 +765,9 @@ impl Shard {
                         // slot. Under the direct-copy model the data
                         // already sits at its destination and only
                         // reductions touch it.
-                        let copy_out = if op.has_send() || (config.direct_copy && !op.reduces()) {
+                        let copy_out = if rule.send
+                            || (config.direct_copy && rule.value == StepValue::Received)
+                        {
                             0.0
                         } else {
                             payload / (machine.local_gbps() * 1000.0)
@@ -785,12 +788,18 @@ impl Shard {
                         let gen = self.tbs[me].gen;
                         self.queue.push(now + busy, Ev::TbWake { tb: me, gen });
                         return Ok(());
-                    } else if op.has_send() {
+                    } else if rule.send {
                         self.tbs[me].stage = Stage::SendStart;
                     } else {
-                        // Local copy/reduce.
+                        // Local copy/reduce; a step that computes nothing
+                        // moves no data.
+                        let moved = if rule.value == StepValue::None {
+                            0.0
+                        } else {
+                            payload
+                        };
                         let busy = (config.instr_overhead_us
-                            + payload / (machine.local_gbps() * 1000.0))
+                            + moved / (machine.local_gbps() * 1000.0))
                             * slow;
                         self.tbs[me].stage = Stage::LocalBusy;
                         self.tbs[me].busy_us += busy;

@@ -132,7 +132,7 @@ fn fused_instructions(ir: &IrProgram) -> usize {
 /// `compile`'s retry loop through the public passes to count both.
 #[test]
 fn rabenseifner_at_one_slot_needs_one_unfuse_round() {
-    use mscclang::dag::{ChunkDag, InstrDag, InstrOp};
+    use mscclang::dag::{ChunkDag, InstrDag};
     use mscclang::passes;
     use mscclang::schedule::{assign_channels, find_fifo_cycle, FifoOrder};
 
@@ -152,7 +152,7 @@ fn rabenseifner_at_one_slot_needs_one_unfuse_round() {
             .filter(|&i| {
                 matches!(
                     dag.nodes[i].op,
-                    InstrOp::RecvCopySend | InstrOp::RecvReduceSend | InstrOp::RecvReduceCopySend
+                    OpCode::RecvCopySend | OpCode::RecvReduceSend | OpCode::RecvReduceCopySend
                 )
             })
             .collect();

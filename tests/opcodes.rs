@@ -5,7 +5,9 @@
 //! Each case pins the runtime's output bits against hand-computed values,
 //! the verifier's verdict (or its message text), and the instruction
 //! count, which the runtime's metrics and the simulator's report must
-//! agree on.
+//! agree on. A separate test pins what a `nop` costs on the simulated
+//! clock: nothing beyond the per-instruction overhead, whatever its
+//! `count`.
 
 use msccl_metrics::names;
 use msccl_runtime::{execute_with_metrics, RunOptions};
@@ -348,4 +350,27 @@ fn nop() {
         vec![vec![input(0, 0), None], vec![None, None]],
     );
     check(&ir, &[[1.0, 0.0], [0.0, 0.0]], Ok(()));
+}
+/// A `nop` costs only the per-instruction overhead on the simulated
+/// clock: two ranks, one `nop` each, take as long at `count` 2 over a
+/// 1 GiB buffer as at `count` 0.
+#[test]
+fn nop_costs_no_data_movement() {
+    let total_us = |count: usize| {
+        let nop = IrInstruction {
+            count,
+            ..instr(OpCode::Nop, None, None)
+        };
+        let ir = program(
+            "nop",
+            vec![
+                Rank(None, None, vec![nop.clone()]),
+                Rank(None, None, vec![nop]),
+            ],
+            vec![vec![None, None], vec![None, None]],
+        );
+        let cfg = SimConfig::new(Machine::ndv4(1)).with_launch(false);
+        simulate(&ir, &cfg, 1 << 30).expect("simulates").total_us
+    };
+    assert_eq!(total_us(2), total_us(0));
 }

@@ -11,10 +11,10 @@ use std::collections::{BTreeSet, HashMap};
 use proptest::prelude::*;
 
 use msccl_runtime::{execute, execute_in_arena, reference, ExecArena, RunOptions};
-use mscclang::dag::{ChunkDag, EdgeKind, InstrDag, InstrOp};
+use mscclang::dag::{ChunkDag, EdgeKind, InstrDag};
 use mscclang::{
-    compile, verify, BufferKind, ChunkValue, Collective, CompileOptions, Loc, Program, ReduceOp,
-    Space, TraceOpKind,
+    compile, verify, BufferKind, ChunkValue, Collective, CompileOptions, Loc, OpCode, Program,
+    ReduceOp, Space, TraceOpKind,
 };
 
 /// One intended operation, interpreted against the evolving program state;
@@ -185,8 +185,8 @@ fn instr_edges_reference(dag: &InstrDag) -> Vec<(usize, usize, EdgeKind)> {
     for (id, n) in dag.nodes.iter().enumerate() {
         let mut reads = Vec::new();
         match n.op {
-            InstrOp::Recv | InstrOp::RecvCopySend => {}
-            InstrOp::Reduce => {
+            OpCode::Recv | OpCode::RecvCopySend => {}
+            OpCode::Reduce => {
                 reads = keys(c, n.rank, n.src, n.count);
                 reads.extend(keys(c, n.rank, n.dst, n.count));
             }
@@ -640,7 +640,7 @@ proptest! {
                         loc.index = (loc.index + 1) % 4;
                     }
                 }
-                _ => instr.op = mscclang::OpCode::Nop,
+                _ => instr.op = OpCode::Nop,
             }
         }
         if ir.check_structure().is_err() {
