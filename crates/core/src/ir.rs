@@ -95,21 +95,6 @@ impl OpCode {
         self.rule().send
     }
 
-    /// Whether the instruction applies the reduction operator.
-    #[must_use]
-    pub const fn reduces(self) -> bool {
-        matches!(
-            self.rule().value,
-            StepValue::SrcOpReceived | StepValue::DstOpSrc
-        )
-    }
-
-    /// Whether the instruction writes local memory.
-    #[must_use]
-    pub const fn writes_local(self) -> bool {
-        self.rule().store
-    }
-
     /// The local operands the instruction reads, source first: `src` of
     /// every value computed from it, and `dst` as well for `re`, which
     /// reduces into it. `rrc` and `rrcs` read `src` and write `dst`,
@@ -573,14 +558,20 @@ mod tests {
 
     #[test]
     fn opcode_classification() {
-        assert!(OpCode::RecvReduceSend.has_recv());
-        assert!(OpCode::RecvReduceSend.has_send());
-        assert!(!OpCode::RecvReduceSend.writes_local());
-        assert!(OpCode::RecvReduceCopy.writes_local());
-        assert!(!OpCode::Send.has_recv());
-        assert!(OpCode::Reduce.reduces());
-        assert!(!OpCode::Copy.reduces());
-        assert!(!OpCode::Nop.reduces() && !OpCode::Nop.writes_local());
+        let rrs = OpCode::RecvReduceSend.rule();
+        assert!(rrs.recv && rrs.send && !rrs.store);
+        assert_eq!(rrs.value, StepValue::SrcOpReceived);
+        assert!(OpCode::RecvReduceCopy.rule().store);
+        assert!(!OpCode::Send.has_recv() && OpCode::Send.has_send());
+        assert_eq!(OpCode::Reduce.rule().value, StepValue::DstOpSrc);
+        assert_eq!(OpCode::Copy.rule().value, StepValue::Src);
+        let nop = StepRule {
+            recv: false,
+            value: StepValue::None,
+            store: false,
+            send: false,
+        };
+        assert_eq!(OpCode::Nop.rule(), nop);
     }
 
     #[test]

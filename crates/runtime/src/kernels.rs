@@ -525,8 +525,8 @@ mod tests {
                             let mut buf = spiked(7, n + 8);
                             let acc = buf[off..off + n].to_vec();
                             path(op, &mut buf[off..off + n], src, from);
-                            let got = &buf[off..off + n];
-                            for (j, ((&got, &a), &b)) in got.iter().zip(&acc).zip(src).enumerate() {
+                            let out = &buf[off..off + n];
+                            for (j, ((&got, &a), &b)) in out.iter().zip(&acc).zip(src).enumerate() {
                                 let want = if from { op.apply(b, a) } else { op.apply(a, b) };
                                 let ok = if a.is_nan() && b.is_nan() {
                                     [a.to_bits(), b.to_bits(), quiet(a), quiet(b)]

@@ -192,7 +192,7 @@ fn instr_edges_reference(dag: &InstrDag) -> Vec<(usize, usize, EdgeKind)> {
             }
             _ => reads = keys(c, n.rank, n.src, n.count),
         }
-        let writes = if n.op.writes_local() {
+        let writes = if n.op.writes().is_some() {
             keys(c, n.rank, n.dst, n.count)
         } else {
             Vec::new()
