@@ -376,6 +376,26 @@ mod tests {
     }
 
     #[test]
+    fn mnemonics_round_trip() {
+        // The opcodes the DAG emits, named through the `InstrOp` alias the
+        // benchmark workloads import.
+        use crate::dag::InstrOp;
+        for op in [
+            InstrOp::Send,
+            InstrOp::Recv,
+            InstrOp::Copy,
+            InstrOp::Reduce,
+            InstrOp::RecvReduceCopy,
+            InstrOp::RecvCopySend,
+            InstrOp::RecvReduceSend,
+            InstrOp::RecvReduceCopySend,
+        ] {
+            assert_eq!(InstrOp::parse(op.mnemonic()), Some(op));
+        }
+        assert_eq!(InstrOp::parse("bogus"), None);
+    }
+
+    #[test]
     fn local_ops_stay_single_instructions() {
         let mut p = Program::new("t", Collective::all_reduce(2, 2, true));
         let c = p.chunk(0, BufferKind::Input, 0, 1).unwrap();
