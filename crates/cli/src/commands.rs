@@ -141,7 +141,11 @@ COMMANDS:
                                    fair dequeue sheds overload as
                                    structured 429/503 + Retry-After;
                                    SIGTERM/SIGINT stop admission, finish
-                                   every in-flight request and exit 0
+                                   every in-flight request and exit 0.
+                                   --exec-workers N sets the execution
+                                   slots (default 2): at most N requests
+                                   run at once, each on the connection
+                                   thread that read it
                                    (see docs/service.md)
     profile <file.xml> [--elems N] [--mode run|sim] [--machine M]
                        [--from-trace F.csv] [--format text|json|prom]

@@ -6,21 +6,28 @@
 //! each rejection is *structured* (reason + honest retry-after hint)
 //! rather than a dropped connection, because a client that knows why it
 //! was shed can back off correctly. Compilation happens *outside* the
-//! admission lock against the LRU [`IrCache`]; a queue slot is reserved
-//! first so a slow compile cannot over-admit past the bound.
+//! admission lock against the LRU [`IrCache`]; a queue place is
+//! reserved first so a slow compile cannot over-admit past the bound.
 //!
-//! Dequeue is deficit round-robin over tenant queues: every scheduling
-//! round credits each backlogged tenant its weight, serving one request
+//! The queue holds waiting callers, not work: `exec_workers` execution
+//! slots each own one warm [`ExecArena`], a caller of
+//! [`ServiceCore::call`] enqueues a ticket and, once a slot is granted
+//! to it, runs its own request on its own thread. Releasing the slot
+//! grants the next ticket under the same lock; a lone ticket meets a
+//! free slot at once, so the idle path has no thread hand-off.
+//!
+//! Grants are deficit round-robin over tenant queues: every scheduling
+//! round credits each backlogged tenant its weight, granting one ticket
 //! costs one credit, so long-run throughput under contention divides
 //! proportionally to weight no matter which tenant floods its queue.
 //!
-//! Each executor worker owns one [`ExecArena`] for its whole life and
-//! runs every request's full recovery ladder on it
-//! ([`execute_with_recovery`] over a [`Run`] in that arena); the request
-//! deadline (queue wait included) becomes the ladder's whole-recovery
-//! budget, so a stuck request fails fast instead of holding arena
-//! capacity, and a failed request leaves a black-box dump when a dump
-//! directory is configured.
+//! A request runs its full recovery ladder ([`execute_with_recovery`]
+//! over a [`Run`] in its slot's arena) on one runtime thread: the
+//! service is parallel across requests, one per slot, so no arena holds
+//! a resident runtime thread. The request deadline (queue wait
+//! included) becomes the ladder's whole-recovery budget, so a stuck
+//! request fails fast instead of holding its slot, and a failed request
+//! leaves a black-box dump when a dump directory is configured.
 //!
 //! Drain is a contract, not a hint: after [`ServiceCore::drain`] no new
 //! request is admitted (they shed with reason `draining`), every
@@ -29,8 +36,7 @@
 //! and in-flight work are both empty.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use msccl_algos::AlgoSpec;
@@ -56,7 +62,8 @@ pub struct ServiceConfig {
     pub addr: String,
     /// HTTP connection-handler threads (bounds concurrent requests).
     pub http_workers: usize,
-    /// Executor worker threads (each owns one arena).
+    /// Execution slots: how many requests run at once, each on its
+    /// caller's thread in the slot's own arena.
     pub exec_workers: usize,
     /// Per-tenant admission queue bound.
     pub queue_depth: usize,
@@ -232,14 +239,16 @@ struct Job {
     cache_hit: bool,
     enqueued: Instant,
     deadline_at: Option<Instant>,
-    reply: SyncSender<Reply>,
 }
+
+/// A waiting caller's place in its tenant's queue.
+type Ticket = u64;
 
 struct TenantState {
     spec: TenantSpec,
     bucket: TokenBucket,
     last_refill: Instant,
-    queue: VecDeque<Job>,
+    queue: VecDeque<Ticket>,
     /// Admission slots held by requests compiling outside the lock.
     reserved: usize,
     deficit: f64,
@@ -271,7 +280,13 @@ struct AdmissionState {
     order: Vec<String>,
     rr: usize,
     queued: usize,
+    /// Slots granted and not yet released.
     inflight: usize,
+    /// Free slots, each with its arena (built on the slot's first run).
+    idle: Vec<Option<ExecArena>>,
+    /// Tickets granted a slot that their caller has not yet picked up.
+    granted: Vec<(Ticket, Option<ExecArena>)>,
+    next_ticket: Ticket,
     draining: bool,
     admitted: u64,
     served: u64,
@@ -373,21 +388,48 @@ impl ServiceStats {
     }
 }
 
-/// The daemon's brain: admission, queues, cache, executor workers.
+/// The daemon's brain: admission, queues, cache, execution slots.
 pub struct ServiceCore {
     cfg: ServiceConfig,
     registry: Registry,
     cache: Mutex<IrCache>,
     state: Mutex<AdmissionState>,
-    work_cv: Condvar,
-    drain_cv: Condvar,
+    /// Signalled when a slot is granted, and when a drain completes.
+    cv: Condvar,
     shutdown: Mutex<bool>,
     shutdown_cv: Condvar,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+}
+
+/// A slot granted to the calling thread. Dropping it releases the slot
+/// and grants the next ticket, on unwind too, so a panicking request
+/// cannot leak its slot.
+struct Slot<'a> {
+    core: &'a ServiceCore,
+    arena: Option<ExecArena>,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // A request that panicked may have left its arena mid-run: the
+        // slot starts over with a fresh one.
+        let arena = self.arena.take().filter(|_| !std::thread::panicking());
+        let Ok(mut st) = self.core.state.lock() else {
+            return;
+        };
+        st.inflight -= 1;
+        st.idle.push(arena);
+        let granted = ServiceCore::grant(&mut st);
+        self.core.publish_gauges(&st);
+        let drained = st.draining && st.queued == 0 && st.inflight == 0;
+        drop(st);
+        if granted || drained {
+            self.core.cv.notify_all();
+        }
+    }
 }
 
 impl ServiceCore {
-    /// Builds the core and spawns its executor workers.
+    /// Builds the core with `exec_workers` free execution slots.
     #[must_use]
     pub fn new(cfg: ServiceConfig) -> Arc<Self> {
         let now = Instant::now();
@@ -397,7 +439,7 @@ impl ServiceCore {
             order.push(spec.name.clone());
             tenants.insert(spec.name.clone(), TenantState::new(spec.clone(), now));
         }
-        let exec_workers = cfg.exec_workers.max(1);
+        let idle = (0..cfg.exec_workers.max(1)).map(|_| None).collect();
         let core = Arc::new(Self {
             cfg,
             registry: Registry::new(2),
@@ -408,6 +450,9 @@ impl ServiceCore {
                 rr: 0,
                 queued: 0,
                 inflight: 0,
+                idle,
+                granted: Vec::new(),
+                next_ticket: 0,
                 draining: false,
                 admitted: 0,
                 served: 0,
@@ -415,24 +460,11 @@ impl ServiceCore {
                 failed: 0,
                 ewma_exec_us: 0.0,
             }),
-            work_cv: Condvar::new(),
-            drain_cv: Condvar::new(),
+            cv: Condvar::new(),
             shutdown: Mutex::new(false),
             shutdown_cv: Condvar::new(),
-            workers: Mutex::new(Vec::new()),
         });
         *core.cache.lock().expect("cache poisoned") = IrCache::new(core.cfg.cache_capacity.max(1));
-        let mut handles = Vec::with_capacity(exec_workers);
-        for widx in 0..exec_workers {
-            let me = Arc::clone(&core);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("msccl-exec-{widx}"))
-                    .spawn(move || me.exec_worker())
-                    .expect("spawn executor worker"),
-            );
-        }
-        *core.workers.lock().expect("workers poisoned") = handles;
         core
     }
 
@@ -448,23 +480,46 @@ impl ServiceCore {
         &self.registry
     }
 
-    /// Submits one request and blocks until its reply. This is the
-    /// whole request lifecycle: admission gates, compile-or-cache,
-    /// queue, weighted-fair dequeue, execution under the deadline
-    /// budget, reply.
+    /// Submits one request and runs it on the calling thread. This is
+    /// the whole request lifecycle: admission gates, compile-or-cache,
+    /// queue, weighted-fair grant of an execution slot, execution under
+    /// the deadline budget, reply.
     pub fn call(&self, req: CollectiveRequest) -> Reply {
-        match self.admit(req) {
-            Err(reply) => reply,
-            Ok(rx) => rx.recv().unwrap_or_else(|_| {
-                Reply::Failed(FailReply {
-                    tenant: String::new(),
-                    error: "executor dropped the request".into(),
-                    deadline: false,
-                    transient: true,
-                    blackbox: None,
-                })
-            }),
+        let job = match self.admit(req) {
+            Ok(job) => job,
+            Err(reply) => return reply,
+        };
+        let mut slot = self.wait_for_slot(&job.req.tenant);
+        let reply = self.run_job(&mut slot.arena, &job);
+        let ok = matches!(reply, Reply::Ok(_));
+        if let Reply::Ok(r) = &reply {
+            self.registry
+                .histogram(names::SERVICE_LATENCY_US, &[])
+                .record(0, r.queue_us + r.exec_us);
         }
+        // Outcome counters before the slot is released: drain counts a
+        // request as in flight until it is counted.
+        {
+            let mut st = self.state.lock().expect("state poisoned");
+            let t = st
+                .tenants
+                .get_mut(&job.req.tenant)
+                .expect("tenants are never removed");
+            *(if ok { &mut t.served } else { &mut t.failed }) += 1;
+            *(if ok { &mut st.served } else { &mut st.failed }) += 1;
+        }
+        self.registry
+            .counter(
+                if ok {
+                    names::SERVICE_SERVED
+                } else {
+                    names::SERVICE_FAILED
+                },
+                &[("tenant", &job.req.tenant)],
+            )
+            .inc(0);
+        drop(slot);
+        reply
     }
 
     /// Validates shape bounds before admission.
@@ -513,7 +568,7 @@ impl ServiceCore {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn admit(&self, req: CollectiveRequest) -> Result<Receiver<Reply>, Reply> {
+    fn admit(&self, req: CollectiveRequest) -> Result<Job, Reply> {
         if let Err(msg) = self.validate(&req) {
             return Err(Reply::BadRequest(msg));
         }
@@ -558,8 +613,8 @@ impl ServiceCore {
                 return Err(self.shed(&req.tenant, ShedReason::RateLimited, retry_ms.max(1)));
             }
             if t.queue.len() + t.reserved >= queue_depth {
-                // Estimate when a slot frees up: the backlog ahead of a
-                // would-be enqueuer, divided across the workers.
+                // Estimate when a queue place frees up: the backlog ahead
+                // of a would-be enqueuer, divided across the slots.
                 let backlog = (t.queue.len() + t.reserved) as f64;
                 let retry_ms = ((backlog * ewma / exec_workers) / 1000.0).ceil().max(1.0);
                 t.shed += 1;
@@ -616,40 +671,73 @@ impl ServiceCore {
             )
             .inc(0);
 
-        let (tx, rx) = mpsc::sync_channel(1);
         let deadline = req.deadline.or(self.cfg.default_deadline);
-        let tenant = req.tenant.clone();
-        let job = Job {
+        Ok(Job {
             ir,
             req,
             cache_hit,
             enqueued: Instant::now(),
             deadline_at: deadline.map(|d| now + d),
-            reply: tx,
-        };
-        {
-            let mut st = self.state.lock().expect("state poisoned");
-            {
-                let t = st
-                    .tenants
-                    .get_mut(&tenant)
-                    .expect("tenant present since admission");
-                t.reserved = t.reserved.saturating_sub(1);
-                t.queue.push_back(job);
+        })
+    }
+
+    /// Turns the tenant's reserved queue place into a ticket and blocks
+    /// until a slot is granted to it.
+    fn wait_for_slot(&self, tenant: &str) -> Slot<'_> {
+        let mut st = self.state.lock().expect("state poisoned");
+        let ticket = st.next_ticket;
+        st.next_ticket += 1;
+        let t = st
+            .tenants
+            .get_mut(tenant)
+            .expect("tenant present since admission");
+        t.reserved -= 1;
+        t.queue.push_back(ticket);
+        st.queued += 1;
+        // Every release grants greedily, so a slot is free only while the
+        // queue is empty: this grant can pick no ticket but our own.
+        Self::grant(&mut st);
+        self.publish_gauges(&st);
+        loop {
+            if let Some(i) = st.granted.iter().position(|&(g, _)| g == ticket) {
+                let (_, arena) = st.granted.swap_remove(i);
+                return Slot { core: self, arena };
             }
-            st.queued += 1;
-            self.registry
-                .gauge(names::SERVICE_QUEUE_DEPTH, &[])
-                .set(st.queued as u64);
+            st = self.cv.wait(st).expect("state poisoned");
         }
-        self.work_cv.notify_one();
-        Ok(rx)
+    }
+
+    /// Grants free slots to queued tickets in deficit-round-robin order;
+    /// returns whether any ticket was granted.
+    fn grant(st: &mut AdmissionState) -> bool {
+        let mut any = false;
+        while !st.idle.is_empty() {
+            let Some(ticket) = Self::dequeue(st) else {
+                break;
+            };
+            debug_assert!(st.granted.iter().all(|&(g, _)| g != ticket));
+            let arena = st.idle.pop().expect("a slot is free");
+            st.granted.push((ticket, arena));
+            st.inflight += 1;
+            any = true;
+        }
+        debug_assert!(st.idle.is_empty() || st.queued == 0);
+        any
+    }
+
+    fn publish_gauges(&self, st: &AdmissionState) {
+        self.registry
+            .gauge(names::SERVICE_QUEUE_DEPTH, &[])
+            .set(st.queued as u64);
+        self.registry
+            .gauge(names::SERVICE_INFLIGHT, &[])
+            .set(st.inflight as u64);
     }
 
     /// Deficit round-robin over tenant queues: a scheduling round
     /// credits every backlogged tenant its weight; serving one request
     /// costs one credit.
-    fn dequeue(st: &mut AdmissionState) -> Option<Job> {
+    fn dequeue(st: &mut AdmissionState) -> Option<Ticket> {
         let n = st.order.len();
         if n == 0 || st.queued == 0 {
             return None;
@@ -664,7 +752,7 @@ impl ServiceCore {
                 }
                 if t.deficit >= 1.0 {
                     t.deficit -= 1.0;
-                    let job = t.queue.pop_front();
+                    let ticket = t.queue.pop_front();
                     if t.queue.is_empty() {
                         // Standard DRR: an emptied queue forfeits its
                         // leftover credit, so idleness is not banked.
@@ -672,7 +760,7 @@ impl ServiceCore {
                     }
                     st.rr = idx;
                     st.queued -= 1;
-                    return job;
+                    return ticket;
                 }
             }
             if pass == 0 {
@@ -692,91 +780,7 @@ impl ServiceCore {
         None
     }
 
-    fn exec_worker(self: Arc<Self>) {
-        let mut arena: Option<ExecArena> = None;
-        loop {
-            let job = {
-                let mut st = self.state.lock().expect("state poisoned");
-                loop {
-                    if let Some(job) = Self::dequeue(&mut st) {
-                        st.inflight += 1;
-                        self.registry
-                            .gauge(names::SERVICE_INFLIGHT, &[])
-                            .set(st.inflight as u64);
-                        self.registry
-                            .gauge(names::SERVICE_QUEUE_DEPTH, &[])
-                            .set(st.queued as u64);
-                        break Some(job);
-                    }
-                    if st.draining {
-                        break None;
-                    }
-                    st = self.work_cv.wait(st).expect("state poisoned");
-                }
-            };
-            let Some(job) = job else {
-                // Draining with empty queues: this worker is done.
-                self.drain_cv.notify_all();
-                return;
-            };
-            let tenant = job.req.tenant.clone();
-            let reply_tx = job.reply.clone();
-            let reply = self.run_job(&mut arena, job);
-            let ok = matches!(reply, Reply::Ok(_));
-            if let Reply::Ok(r) = &reply {
-                self.registry
-                    .histogram(names::SERVICE_LATENCY_US, &[])
-                    .record(0, r.queue_us + r.exec_us);
-            }
-            // Outcome counters first (so a caller that has its reply
-            // always sees itself counted), then deliver, then drop the
-            // in-flight claim — drain counts a request as in-flight
-            // until its reply is actually sent.
-            {
-                let mut st = self.state.lock().expect("state poisoned");
-                if ok {
-                    st.served += 1;
-                } else {
-                    st.failed += 1;
-                }
-                if let Some(t) = st.tenants.get_mut(&tenant) {
-                    if ok {
-                        t.served += 1;
-                    } else {
-                        t.failed += 1;
-                    }
-                }
-            }
-            self.registry
-                .counter(
-                    if ok {
-                        names::SERVICE_SERVED
-                    } else {
-                        names::SERVICE_FAILED
-                    },
-                    &[("tenant", &tenant)],
-                )
-                .inc(0);
-            let _ = reply_tx.try_send(reply);
-            {
-                let mut st = self.state.lock().expect("state poisoned");
-                st.inflight -= 1;
-                self.registry
-                    .gauge(names::SERVICE_INFLIGHT, &[])
-                    .set(st.inflight as u64);
-                if st.draining {
-                    // Wake siblings so they observe the exit condition,
-                    // and the drain waiter in case this was the last.
-                    self.work_cv.notify_all();
-                    if st.queued == 0 && st.inflight == 0 {
-                        self.drain_cv.notify_all();
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_job(&self, arena: &mut Option<ExecArena>, job: Job) -> Reply {
+    fn run_job(&self, arena: &mut Option<ExecArena>, job: &Job) -> Reply {
         let queue_us = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
         let now = Instant::now();
         let fail = |error: String, deadline: bool, transient: bool, blackbox: Option<String>| {
@@ -804,6 +808,9 @@ impl ServiceCore {
             protocol: job.req.protocol,
             deadline: remaining,
             metrics: false,
+            // One runtime thread: the service runs requests in parallel,
+            // one per slot, not the thread blocks of one request.
+            worker_threads: 1,
             blackbox_dir: self.cfg.blackbox_dir.clone(),
             ..RunOptions::default()
         };
@@ -862,14 +869,7 @@ impl ServiceCore {
     /// Stops admitting (new requests shed with reason `draining`);
     /// queued and in-flight requests still run to completion.
     pub fn drain(&self) {
-        {
-            let mut st = self.state.lock().expect("state poisoned");
-            if st.draining {
-                return;
-            }
-            st.draining = true;
-        }
-        self.work_cv.notify_all();
+        self.state.lock().expect("state poisoned").draining = true;
     }
 
     /// Blocks until every admitted request has delivered its reply.
@@ -877,15 +877,7 @@ impl ServiceCore {
     pub fn wait_drained(&self) {
         let mut st = self.state.lock().expect("state poisoned");
         while st.queued > 0 || st.inflight > 0 {
-            st = self.drain_cv.wait(st).expect("state poisoned");
-        }
-    }
-
-    /// Joins the executor workers (they exit once draining and idle).
-    pub fn join_workers(&self) {
-        let handles = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
-        for h in handles {
-            let _ = h.join();
+            st = self.cv.wait(st).expect("state poisoned");
         }
     }
 
@@ -1026,7 +1018,6 @@ mod tests {
         assert_eq!(stats.cache.hits, 1);
         core.drain();
         core.wait_drained();
-        core.join_workers();
     }
 
     #[test]
@@ -1036,7 +1027,6 @@ mod tests {
         r.algorithm = "bogus".into();
         assert!(matches!(core.call(r), Reply::BadRequest(_)));
         core.drain();
-        core.join_workers();
     }
 
     #[test]
@@ -1059,7 +1049,6 @@ mod tests {
         assert!(shed.retry_after_ms >= 1);
         assert_eq!(core.stats().shed, 1);
         core.drain();
-        core.join_workers();
     }
 
     #[test]
@@ -1071,13 +1060,11 @@ mod tests {
         };
         assert_eq!(shed.reason, ShedReason::Draining);
         core.wait_drained();
-        core.join_workers();
     }
 
-    #[test]
-    fn drr_serves_proportionally_to_weight() {
-        // Drive the dequeue directly: 2:1 weights with full queues must
-        // serve 2:1 over any window.
+    /// An admission state with `slots` free slots and two tenants of
+    /// weight 2 (`a`) and 1 (`b`), queues empty.
+    fn two_tenants(slots: usize) -> AdmissionState {
         let now = Instant::now();
         let mk = |name: &str, weight: u32| {
             TenantState::new(
@@ -1090,51 +1077,40 @@ mod tests {
                 now,
             )
         };
-        let mut st = AdmissionState {
-            tenants: HashMap::new(),
+        AdmissionState {
+            tenants: HashMap::from([("a".into(), mk("a", 2)), ("b".into(), mk("b", 1))]),
             order: vec!["a".into(), "b".into()],
             rr: 0,
             queued: 0,
             inflight: 0,
+            idle: (0..slots).map(|_| None).collect(),
+            granted: Vec::new(),
+            next_ticket: 0,
             draining: false,
             admitted: 0,
             served: 0,
             shed: 0,
             failed: 0,
             ewma_exec_us: 0.0,
-        };
-        st.tenants.insert("a".into(), mk("a", 2));
-        st.tenants.insert("b".into(), mk("b", 1));
-        let ir = Arc::new(
-            compile(
-                &msccl_algos::ring_all_reduce(2, 1).unwrap(),
-                &CompileOptions::default(),
-            )
-            .unwrap(),
-        );
-        let fill = |t: &mut TenantState, n: usize| {
-            for _ in 0..n {
-                let (tx, _rx) = mpsc::sync_channel(1);
-                // Keep receivers alive via leak-free drop: try_send in
-                // the worker tolerates a gone receiver; here we never
-                // execute, only dequeue.
-                std::mem::forget(_rx);
-                t.queue.push_back(Job {
-                    ir: Arc::clone(&ir),
-                    req: CollectiveRequest::default(),
-                    cache_hit: false,
-                    enqueued: now,
-                    deadline_at: None,
-                    reply: tx,
-                });
-            }
-        };
-        fill(st.tenants.get_mut("a").unwrap(), 30);
-        fill(st.tenants.get_mut("b").unwrap(), 30);
-        st.queued = 60;
+        }
+    }
+
+    fn enqueue(st: &mut AdmissionState, tenant: &str, tickets: std::ops::Range<Ticket>) {
+        for ticket in tickets {
+            st.tenants.get_mut(tenant).unwrap().queue.push_back(ticket);
+            st.queued += 1;
+        }
+    }
+
+    #[test]
+    fn drr_serves_proportionally_to_weight() {
+        // Drive the dequeue directly: 2:1 weights with full queues must
+        // serve 2:1 over any window.
+        let mut st = two_tenants(0);
+        enqueue(&mut st, "a", 0..30);
+        enqueue(&mut st, "b", 30..60);
         for _ in 0..30 {
-            let job = ServiceCore::dequeue(&mut st).expect("work available");
-            drop(job);
+            ServiceCore::dequeue(&mut st).expect("work available");
         }
         // After 30 dequeues at weights 2:1, a should have ~20 served
         // (30 - 10 left), b ~10 (30 - 20 left).
@@ -1145,5 +1121,32 @@ mod tests {
             (19..=21).contains(&a_served),
             "weight-2 tenant got {a_served} of 30"
         );
+    }
+
+    #[test]
+    fn grant_fills_free_slots_and_each_release_grants_one_in_drr_order() {
+        let mut st = two_tenants(2);
+        enqueue(&mut st, "a", 0..3);
+        enqueue(&mut st, "b", 3..5);
+        assert!(ServiceCore::grant(&mut st));
+        let granted: Vec<Ticket> = st.granted.iter().map(|&(t, _)| t).collect();
+        assert_eq!(granted, [0, 1], "two slots, two grants");
+        assert_eq!((st.inflight, st.queued), (2, 3));
+        // Round one grants a twice and b once; round two resumes at b.
+        let mut order = granted;
+        while !st.granted.is_empty() {
+            let (_, arena) = st.granted.remove(0);
+            st.inflight -= 1;
+            st.idle.push(arena);
+            let before = st.granted.len();
+            let more = ServiceCore::grant(&mut st);
+            let new: Vec<Ticket> = st.granted[before..].iter().map(|&(t, _)| t).collect();
+            assert_eq!(more, !new.is_empty());
+            assert!(new.len() <= 1, "one release granted {new:?}");
+            order.extend(new);
+            assert!(st.inflight <= 2);
+        }
+        assert_eq!(order, [0, 1, 3, 4, 2]);
+        assert_eq!((st.queued, st.inflight, st.idle.len()), (0, 0, 2));
     }
 }

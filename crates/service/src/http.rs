@@ -54,8 +54,9 @@ pub struct ServiceHandle {
     handlers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Starts the daemon described by `cfg`: binds, spawns the executor
-/// workers (via [`ServiceCore::new`]) and the HTTP pool.
+/// Starts the daemon described by `cfg`: binds, builds the
+/// [`ServiceCore`] and spawns the HTTP pool, whose threads run the
+/// requests they read.
 ///
 /// # Errors
 ///
@@ -122,7 +123,6 @@ impl ServiceHandle {
     pub fn shutdown(mut self) -> ServiceStats {
         self.core.drain();
         self.core.wait_drained();
-        self.core.join_workers();
         let stats = self.core.stats();
         self.stop_http();
         stats
@@ -481,7 +481,9 @@ fn write_response(
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    // Head and body leave in one write: with TCP_NODELAY on, two writes
+    // would be two segments.
+    let mut out = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         if body.starts_with('{') {
             "application/json"
@@ -492,12 +494,11 @@ fn write_response(
         if keep_alive { "keep-alive" } else { "close" },
     );
     for (k, v) in extra_headers {
-        head.push_str(&format!("{k}: {v}\r\n"));
+        out.push_str(&format!("{k}: {v}\r\n"));
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())
 }
 
 /// Routes one request and writes its response; false = tear the

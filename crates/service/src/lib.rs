@@ -11,12 +11,12 @@
 //!   ranks, size-class, topology, protocol)` with LRU
 //!   eviction; GC3's compiled-program model makes the key sound.
 //! * **Admission control** ([`core`]): per-tenant token buckets,
-//!   bounded per-tenant queues, deficit-round-robin weighted-fair
-//!   dequeue; every rejection is a structured shed (reason +
-//!   retry-after hint), never a dropped connection.
+//!   bounded per-tenant queues of callers granted execution slots by
+//!   deficit round-robin; every rejection is a structured shed (reason
+//!   and retry-after hint), never a dropped connection.
 //! * **Deadline propagation**: the request deadline (queue wait
 //!   included) becomes the recovery ladder's whole-budget, so a slow
-//!   request fails fast instead of holding arena capacity; failures
+//!   request fails fast instead of holding an execution slot; failures
 //!   leave black-box dumps when a dump directory is configured.
 //! * **Graceful drain** ([`http`], [`signal`]): SIGTERM or
 //!   `POST /shutdown` stops admission, finishes every in-flight

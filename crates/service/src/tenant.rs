@@ -4,9 +4,9 @@
 //! The bucket is deliberately clock-free: the caller tracks the last
 //! refill instant and feeds elapsed time in, so the arithmetic is
 //! deterministic and unit-testable without sleeping. Weights feed the
-//! executor's deficit round-robin ([`crate::core`]): the bucket decides
-//! *whether* a request gets in, the weight decides *how soon* it runs
-//! relative to other tenants once admitted.
+//! deficit round-robin that grants execution slots ([`crate::core`]):
+//! the bucket decides *whether* a request gets in, the weight decides
+//! *how soon* it runs relative to other tenants once admitted.
 
 use std::time::Duration;
 

@@ -17,7 +17,9 @@
 //! * **drain**: after `POST /shutdown`, already-admitted requests all
 //!   complete (nothing is dropped) while new ones get structured 503s;
 //! * **deadlines**: a request whose deadline cannot be met fails fast
-//!   with 504 instead of holding executor capacity.
+//!   with 504 instead of holding an execution slot;
+//! * **thread shape**: requests run on their callers' threads — no
+//!   executor thread, no resident runtime thread.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -311,45 +313,55 @@ fn shutdown_drains_inflight_and_rejects_new_requests() {
     let addr = handle.addr();
     let core = handle.core();
 
-    let results: Vec<Reply> = std::thread::scope(|scope| {
-        let joins: Vec<_> = (0..INFLIGHT)
-            .map(|_| {
-                scope.spawn(|| {
-                    core.call(CollectiveRequest {
-                        algorithm: "ring-allreduce".into(),
-                        chunk_elems: 4096,
-                        tenant: "drainee".into(),
-                        seed: 5,
-                        ..CollectiveRequest::default()
-                    })
-                })
-            })
-            .collect();
-        // Admission is synchronous inside `call`, but give the calls a
-        // moment to be enqueued before pulling the plug.
-        while core.stats().queued + core.stats().inflight < INFLIGHT && core.stats().served == 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let (status, _, body) = http(addr, "POST", "/shutdown");
-        assert_eq!(status, 200, "body: {body}");
-        assert!(body.contains("\"shutting_down\": true"), "body: {body}");
+    // Detached callers reporting over a channel, not scoped threads: a
+    // stranded request must fail the test with its index, not hang it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut callers = Vec::new();
+    for i in 0..INFLIGHT {
+        let (core, tx) = (std::sync::Arc::clone(core), tx.clone());
+        callers.push(std::thread::spawn(move || {
+            let reply = core.call(CollectiveRequest {
+                algorithm: "ring-allreduce".into(),
+                chunk_elems: 4096,
+                tenant: "drainee".into(),
+                seed: 5,
+                ..CollectiveRequest::default()
+            });
+            let _ = tx.send((i, reply));
+        }));
+    }
+    drop(tx);
+    // Admission is synchronous inside `call`, but give the calls a
+    // moment to be enqueued before pulling the plug.
+    while core.stats().queued + core.stats().inflight < INFLIGHT && core.stats().served == 0 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let (status, _, body) = http(addr, "POST", "/shutdown");
+    assert_eq!(status, 200, "body: {body}");
+    assert!(body.contains("\"shutting_down\": true"), "body: {body}");
 
-        // New work after the drain began: structured 503, not a drop.
-        let (status, _, body) = http(
-            addr,
-            "GET",
-            "/collective?algorithm=ring-allreduce&ranks=4&elems=64&tenant=late&seed=1",
-        );
-        assert_eq!(status, 503, "body: {body}");
-        assert_eq!(json_field(&body, "reason"), "draining");
+    // New work after the drain began: structured 503, not a drop.
+    let (status, _, body) = http(
+        addr,
+        "GET",
+        "/collective?algorithm=ring-allreduce&ranks=4&elems=64&tenant=late&seed=1",
+    );
+    assert_eq!(status, 503, "body: {body}");
+    assert_eq!(json_field(&body, "reason"), "draining");
 
-        joins.into_iter().map(|j| j.join().expect("join")).collect()
-    });
-    for (i, r) in results.iter().enumerate() {
+    let mut pending: Vec<usize> = (0..INFLIGHT).collect();
+    while !pending.is_empty() {
+        let (i, r) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("admitted requests {pending:?} never replied"));
+        pending.retain(|&p| p != i);
         assert!(
             matches!(r, Reply::Ok(_)),
             "admitted request {i} was dropped by the drain: {r:?}"
         );
+    }
+    for caller in callers {
+        caller.join().expect("caller thread");
     }
     let stats = handle.shutdown();
     assert_eq!(
@@ -382,4 +394,57 @@ fn hopeless_deadline_fails_fast_with_504() {
     let stats = handle.shutdown();
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.served, 0);
+}
+
+/// Threads of this process whose name starts with `prefix`.
+#[cfg(target_os = "linux")]
+fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(Result::ok)
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|name| name.starts_with(prefix))
+        })
+        .count()
+}
+
+/// Requests run on their callers' threads: the daemon starts no
+/// executor thread, each request uses one runtime thread (so no arena
+/// holds a resident one), and no more requests execute at once than
+/// there are slots.
+#[cfg(target_os = "linux")]
+#[test]
+fn requests_run_on_their_callers_threads_within_the_slot_bound() {
+    const SLOTS: usize = 2;
+    let handle = start(ServiceConfig {
+        exec_workers: SLOTS,
+        queue_depth: 8,
+        default_burst: 100.0,
+        ..ServiceConfig::default()
+    })
+    .expect("daemon starts");
+    let addr = handle.addr();
+    let core = handle.core();
+    std::thread::scope(|scope| {
+        for c in 0..5 {
+            scope.spawn(move || {
+                for i in 0..10 {
+                    let path = format!(
+                        "/collective?algorithm=ring-allreduce&ranks=4&elems=256&tenant=shape&seed={}",
+                        c * 100 + i
+                    );
+                    let (status, _, body) = http(addr, "GET", &path);
+                    assert_eq!(status, 200, "body: {body}");
+                    let inflight = core.stats().inflight;
+                    assert!(inflight <= SLOTS, "{inflight} requests in {SLOTS} slots");
+                }
+            });
+        }
+    });
+    assert_eq!(threads_named("msccl-exec"), 0, "executor threads");
+    assert_eq!(threads_named("msccl-worker"), 0, "resident runtime threads");
+    let stats = handle.shutdown();
+    assert_eq!(stats.served, 50);
+    assert_eq!(stats.failed, 0);
 }
