@@ -17,7 +17,7 @@ use msccl_service::{signal as service_signal, start as service_start, ServiceCon
 use msccl_sim::{simulate, SimConfig};
 use msccl_topology::Protocol;
 use msccl_trace::{snapshot_from_trace, ClockDomain, ProfileReport, Trace};
-use mscclang::{compile, ir_xml, verify, CompileOptions, EpochMode, IrProgram, Program};
+use mscclang::{compile, ir_xml, verify, CompileOptions, IrProgram, Program};
 
 use crate::args::{Args, CliError};
 use crate::machine_spec::{parse_machine, parse_size};
@@ -47,7 +47,7 @@ COMMANDS:
     graph <file.xml>               emit a Graphviz DOT rendering of the IR
     simulate <file.xml> --machine M --size S [--protocol P] [--timeline F]
                         [--trace F] [--fault-seed N | --fault-plan F]
-                        [--epochs off|auto|N] [--parallel N]
+                        [--parallel N]
                                    estimate latency (M: ndv4[:N], dgx2[:N], dgx1,
                                    or custom:<nodes>x<gpus>[:intra_gbps[:nic_gbps]]);
                                    --timeline writes per-thread-block busy
@@ -55,9 +55,7 @@ COMMANDS:
                                    virtual-time event trace to F (Chrome
                                    trace JSON, or CSV if F ends in .csv);
                                    fault flags inject deterministic faults
-                                   into the virtual timeline; --epochs
-                                   charges the epoch checkpoint model (auto
-                                   uses the compiler's cost model);
+                                   into the virtual timeline;
                                    --parallel runs the sharded engine on N
                                    threads (bit-identical to serial; see
                                    docs/simulator.md)
@@ -170,6 +168,77 @@ COMMANDS:
     help                           this text
 ";
 
+/// The options each command reads, space-separated, keyed by the
+/// command or, for `scenario`, by `scenario <action>`. [`dispatch`]
+/// rejects any other option rather than ignore it.
+const ACCEPTED_OPTIONS: &[(&str, &str)] = &[
+    ("help", ""),
+    ("--help", ""),
+    ("list", ""),
+    (
+        "compile",
+        "ranks nodes gpus channels chunks root instances protocol no-fuse aggregate dce slots \
+         output",
+    ),
+    ("verify", "slots"),
+    ("inspect", ""),
+    ("graph", ""),
+    (
+        "simulate",
+        "machine size protocol timeline trace fault-seed fault-plan parallel",
+    ),
+    (
+        "run",
+        "elems threads trace deadline-ms fault-seed fault-plan retries fallback blackbox-dir",
+    ),
+    ("doctor", "format out"),
+    ("faults", "seed format"),
+    ("scenario run", "parallel format out blackbox-dir"),
+    ("scenario check", "parallel format out blackbox-dir"),
+    ("scenario list", ""),
+    ("scenario drive", "addr connections deadline-ms format out"),
+    (
+        "serve",
+        "addr exec-workers http-workers queue-depth cache-capacity tenants default-rate \
+         default-burst deadline-ms retries no-verify blackbox-dir topology max-ranks",
+    ),
+    (
+        "profile",
+        "elems mode machine from-trace format threshold out",
+    ),
+    (
+        "tune",
+        "machine sizes ranks nodes gpus channels chunks root",
+    ),
+];
+
+/// Whether `command` (a key of [`ACCEPTED_OPTIONS`]) takes `--option`.
+fn accepts(command: &str, option: &str) -> Option<bool> {
+    let (_, accepted) = ACCEPTED_OPTIONS.iter().find(|(c, _)| *c == command)?;
+    Some(accepted.split_whitespace().any(|a| a == option))
+}
+
+/// Rejects an option the command does not read, naming the first in
+/// sorted order. Commands and scenario actions missing from
+/// [`ACCEPTED_OPTIONS`] pass, to fail with their own error.
+fn check_options(args: &Args) -> Result<(), CliError> {
+    let command = match (args.command.as_str(), args.positional.first()) {
+        ("scenario", Some(action)) => format!("scenario {action}"),
+        (command, _) => command.to_owned(),
+    };
+    match args
+        .options
+        .keys()
+        .filter(|k| accepts(&command, k) == Some(false))
+        .min()
+    {
+        Some(key) => Err(CliError::new(format!(
+            "'{command}' does not take --{key}; try 'msccl help'"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Dispatches a parsed command line; returns the text to print.
 ///
 /// # Errors
@@ -177,6 +246,7 @@ COMMANDS:
 /// Returns a [`CliError`] describing what went wrong, suitable for
 /// printing to stderr.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
+    check_options(args)?;
     match args.command.as_str() {
         "help" | "--help" => Ok(HELP.to_owned()),
         "list" => Ok(list()),
@@ -574,19 +644,6 @@ fn cmd_profile(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// Parses `--epochs off|auto|N` into an [`EpochMode`]; `Off` when the
-/// flag is absent.
-fn epoch_mode_opt(args: &Args) -> Result<EpochMode, CliError> {
-    match args.options.get("epochs") {
-        None => Ok(EpochMode::Off),
-        Some(v) => EpochMode::parse(v).ok_or_else(|| {
-            CliError::new(format!(
-                "invalid value '{v}' for --epochs (expected off, auto or a boundary count)"
-            ))
-        }),
-    }
-}
-
 /// Resolves `--fault-seed N` or `--fault-plan FILE` into a validated
 /// [`FaultPlan`] for `ir`; `None` when neither flag was given.
 fn load_fault_plan(args: &Args, ir: &IrProgram) -> Result<Option<FaultPlan>, CliError> {
@@ -914,7 +971,7 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
             .get("size")
             .ok_or_else(|| CliError::new("--size is required"))?,
     )?;
-    let mut cfg = SimConfig::new(machine).with_epochs(epoch_mode_opt(args)?);
+    let mut cfg = SimConfig::new(machine);
     if let Some(p) = args.options.get("protocol") {
         cfg = cfg.with_protocol(
             Protocol::parse(p).ok_or_else(|| CliError::new(format!("unknown protocol '{p}'")))?,
@@ -955,16 +1012,8 @@ fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         std::fs::write(path, csv)?;
     }
     let ntbs = ir.num_threadblocks().max(1) as f64;
-    let epochs = if r.epoch_boundaries > 0 {
-        format!(
-            ", {} epoch snapshot(s) +{:.1} us",
-            r.epoch_boundaries, r.epoch_us
-        )
-    } else {
-        String::new()
-    };
     Ok(format!(
-        "{}: {:.1} us at {} bytes ({} protocol, {} tiles, {} transfers, utilization {:.0}%{epochs})\n{}{extra}",
+        "{}: {:.1} us at {} bytes ({} protocol, {} tiles, {} transfers, utilization {:.0}%)\n{}{extra}",
         ir.name,
         r.total_us,
         bytes,
@@ -1656,28 +1705,70 @@ mod tests {
         let _ = std::fs::remove_file(trace);
     }
 
-    /// `simulate --epochs`: a forced count charges the simulator's
-    /// snapshot model; an invalid value is rejected with a pointer at the
-    /// flag.
+    /// An option the command does not read is an error, not silently
+    /// dropped: a flag that was removed, and a typo.
     #[test]
-    fn simulate_epoch_flag_charges_the_snapshot_model() {
-        let path = tmp("epochs.xml");
+    fn options_a_command_does_not_take_are_rejected() {
+        let path = tmp("strict.xml");
         let _ = run(&format!("compile ring-allreduce --ranks 4 -o {path}")).unwrap();
-        // 1 MB fits in one tile so there is no interior frontier to cut
-        // at; 16 MB tiles into 8 and the forced schedule places both.
-        let s = run(&format!(
-            "simulate {path} --machine ndv4:1 --size 16MB --epochs 2"
-        ))
-        .unwrap();
-        assert!(s.contains("2 epoch snapshot(s)"), "got: {s}");
-        let off = run(&format!("simulate {path} --machine ndv4:1 --size 16MB")).unwrap();
-        assert!(!off.contains("epoch snapshot"), "got: {off}");
         let err = run(&format!(
-            "simulate {path} --machine ndv4:1 --size 1MB --epochs banana"
+            "simulate {path} --machine ndv4:1 --size 1MB --epochs 2"
         ))
         .unwrap_err();
-        assert!(err.to_string().contains("--epochs"), "got: {err}");
+        assert_eq!(
+            err.to_string(),
+            "'simulate' does not take --epochs; try 'msccl help'"
+        );
+        let err = run(&format!("run {path} --threds 4")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "'run' does not take --threds; try 'msccl help'"
+        );
+        let err = run("scenario list scenarios --parallel 2").unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("'scenario list' does not take --parallel"));
+        assert!(run(&format!("run {path} --threads 2 --elems 8")).is_ok());
         let _ = std::fs::remove_file(path);
+    }
+
+    /// Every `--flag` on a command's usage lines in [`HELP`] is one that
+    /// command accepts.
+    #[test]
+    fn every_flag_in_help_is_accepted_by_its_command() {
+        let mut command = String::new();
+        let mut checked = 0;
+        for line in HELP.lines() {
+            let indent = line.len() - line.trim_start().len();
+            if indent == 4 {
+                let words: Vec<&str> = line.split_whitespace().collect();
+                command = match words[..] {
+                    ["scenario", action, ..] => format!("scenario {action}"),
+                    [name, ..] => name.to_owned(),
+                    [] => unreachable!("indented line has a word"),
+                };
+            } else if indent >= 35 || command.is_empty() {
+                // Descriptions mention other commands' flags.
+                continue;
+            }
+            let usage = if indent == 4 {
+                // The command line's own description starts after a
+                // run of spaces.
+                line.trim_start().split("  ").next().unwrap()
+            } else {
+                line
+            };
+            for token in usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = token.strip_prefix("--") {
+                    assert!(
+                        accepts(&command, flag) == Some(true),
+                        "'{command}' does not accept --{flag} listed in HELP"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 40, "only {checked} flags found in HELP");
     }
 
     #[test]

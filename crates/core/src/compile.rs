@@ -4,8 +4,7 @@
 use crate::dag::{ChunkDag, InstrDag};
 use crate::error::Result;
 use crate::ir::{IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock};
-use crate::lower::Lowered;
-use crate::passes::{self, fuse};
+use crate::passes::fuse;
 use crate::program::Program;
 use crate::schedule::{assign_channels, assign_threadblocks};
 use crate::verify;
@@ -224,7 +223,7 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<IrProgram> {
         });
     }
 
-    let mut ir = IrProgram {
+    let ir = IrProgram {
         name: program.name().to_owned(),
         collective: instr_dag.collective.clone(),
         protocol: program.protocol(),
@@ -233,10 +232,9 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<IrProgram> {
         gpus,
         epoch_cuts: Vec::new(),
     };
-    ir.epoch_cuts = passes::epochs::epoch_cuts(&Lowered::new(&ir)?);
-    ir.check_structure()?;
+    let lowered = ir.check_structure()?;
     if opts.verify {
-        verify::check(&ir, &verify::VerifyOptions::default())?;
+        verify::check_lowered(&ir, &lowered, &verify::VerifyOptions::default())?;
     }
     Ok(ir)
 }

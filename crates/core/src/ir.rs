@@ -287,18 +287,6 @@ pub struct IrGpu {
     pub threadblocks: Vec<IrThreadBlock>,
 }
 
-/// A consistent epoch cut: per-thread-block watermarks
-/// (`watermarks[rank][tb]` = instructions completed within one tile
-/// iteration) at which every connection is drained and every cross-block
-/// dependency satisfied, so rank memory alone captures the state. Emitted
-/// by [`crate::passes::epochs::epoch_cuts`], checked symbolically by
-/// [`crate::verify::check_epoch_cut`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochCut {
-    /// `watermarks[rank][tb]`: completed-instruction count of each block.
-    pub watermarks: Vec<Vec<usize>>,
-}
-
 /// A compiled MSCCL-IR program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrProgram {
@@ -315,10 +303,11 @@ pub struct IrProgram {
     pub refinement: usize,
     /// Per-GPU programs, indexed by rank.
     pub gpus: Vec<IrGpu>,
-    /// Chain of consistent epoch cuts within one tile iteration, strictly
-    /// increasing, ending at the full tile. Empty for hand-built or legacy
-    /// IR (the simulator then computes them on the fly).
-    pub epoch_cuts: Vec<EpochCut>,
+    /// Always empty: [`Infallible`](std::convert::Infallible) has no
+    /// values. The field remains only so that `IrProgram` literals written
+    /// when programs carried epoch cuts (`epoch_cuts: Vec::new()`) still
+    /// compile; delete it when the benchmark crate's literal next changes.
+    pub epoch_cuts: Vec<std::convert::Infallible>,
 }
 
 impl IrProgram {
@@ -371,8 +360,8 @@ impl IrProgram {
 
     /// Checks internal structural invariants — what
     /// [`Lowered::new`](crate::lower::Lowered::new) needs to index the
-    /// program, steps sequential, operands inside their buffers, and
-    /// well-shaped epoch cuts — and returns the program's lowering.
+    /// program, steps sequential and operands inside their buffers — and
+    /// returns the program's lowering.
     ///
     /// # Errors
     ///
@@ -428,68 +417,6 @@ impl IrProgram {
                     {
                         return fail(format!(
                             "rank {r} tb {t} step {s}: dependency target lacks has_dep"
-                        ));
-                    }
-                }
-            }
-        }
-        // Epoch cuts, when present, must form a well-shaped strictly
-        // increasing chain ending at the full tile. Consistency of each
-        // cut (drained connections, dependency closure) is the verifier's
-        // job; shape is structural.
-        let mut prev: Vec<Vec<usize>> = self
-            .gpus
-            .iter()
-            .map(|g| vec![0; g.threadblocks.len()])
-            .collect();
-        for (c, cut) in self.epoch_cuts.iter().enumerate() {
-            if cut.watermarks.len() != self.gpus.len() {
-                return fail(format!(
-                    "epoch cut {c}: {} rank entries for {} ranks",
-                    cut.watermarks.len(),
-                    self.gpus.len()
-                ));
-            }
-            let mut advanced = false;
-            for (r, gpu) in self.gpus.iter().enumerate() {
-                let marks = &cut.watermarks[r];
-                if marks.len() != gpu.threadblocks.len() {
-                    return fail(format!(
-                        "epoch cut {c} rank {r}: {} watermarks for {} thread blocks",
-                        marks.len(),
-                        gpu.threadblocks.len()
-                    ));
-                }
-                for (t, (&w, tb)) in marks.iter().zip(&gpu.threadblocks).enumerate() {
-                    if w > tb.instructions.len() {
-                        return fail(format!(
-                            "epoch cut {c} rank {r} tb {t}: watermark {w} beyond {} instructions",
-                            tb.instructions.len()
-                        ));
-                    }
-                    if w < prev[r][t] {
-                        return fail(format!(
-                            "epoch cut {c} rank {r} tb {t}: watermark {w} regresses below {}",
-                            prev[r][t]
-                        ));
-                    }
-                    advanced |= w > prev[r][t];
-                }
-            }
-            let is_empty_program = self.num_instructions() == 0;
-            if !advanced && !is_empty_program {
-                return fail(format!("epoch cut {c} does not advance the frontier"));
-            }
-            prev = cut.watermarks.clone();
-        }
-        if let Some(last) = self.epoch_cuts.last() {
-            for (r, gpu) in self.gpus.iter().enumerate() {
-                for (t, tb) in gpu.threadblocks.iter().enumerate() {
-                    if last.watermarks[r][t] != tb.instructions.len() {
-                        return fail(format!(
-                            "final epoch cut leaves rank {r} tb {t} at {} of {} instructions",
-                            last.watermarks[r][t],
-                            tb.instructions.len()
                         ));
                     }
                 }

@@ -80,20 +80,6 @@ pub fn to_xml(ir: &IrProgram) -> String {
         }
         let _ = writeln!(out, "  </gpu>");
     }
-    for cut in &ir.epoch_cuts {
-        let marks = cut
-            .watermarks
-            .iter()
-            .map(|g| {
-                g.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .collect::<Vec<_>>()
-            .join(";");
-        let _ = writeln!(out, r#"  <epoch marks="{marks}"/>"#);
-    }
     let _ = writeln!(out, "</algo>");
     out
 }
@@ -373,20 +359,16 @@ pub fn from_xml(xml: &str) -> Result<IrProgram> {
     )?;
 
     let mut gpus: Vec<IrGpu> = Vec::new();
-    let mut epoch_cuts: Vec<crate::ir::EpochCut> = Vec::new();
     loop {
         match iter.next() {
             Some(Token::Close(n)) if n == "algo" => break,
+            // Epoch cuts, which earlier compilers annotated, are skipped
+            // unread.
             Some(Token::Open {
                 name,
-                attrs,
                 self_closing: true,
-            }) if name == "epoch" => {
-                let a = Attrs(&attrs);
-                epoch_cuts.push(crate::ir::EpochCut {
-                    watermarks: parse_marks(a.str("marks")?)?,
-                });
-            }
+                ..
+            }) if name == "epoch" => {}
             Some(Token::Open {
                 name,
                 attrs,
@@ -479,31 +461,10 @@ pub fn from_xml(xml: &str) -> Result<IrProgram> {
         num_channels,
         refinement,
         gpus,
-        epoch_cuts,
+        epoch_cuts: Vec::new(),
     };
     ir.check_structure()?;
     Ok(ir)
-}
-
-/// Parses an `<epoch marks>` value: per-rank groups separated by `;`,
-/// per-thread-block watermarks separated by `,`; an empty group is a rank
-/// with no thread blocks.
-fn parse_marks(marks: &str) -> Result<Vec<Vec<usize>>> {
-    marks
-        .split(';')
-        .map(|group| {
-            if group.is_empty() {
-                return Ok(Vec::new());
-            }
-            group
-                .split(',')
-                .map(|w| {
-                    w.parse()
-                        .map_err(|_| parse_err("epoch watermark is not a non-negative integer"))
-                })
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]

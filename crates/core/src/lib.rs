@@ -62,9 +62,7 @@ pub use collective::{Collective, CollectiveKind, Space};
 pub use compile::{compile, CompileOptions};
 pub use error::{Error, ErrorLoc, Result};
 pub use ir::{
-    EpochCut, IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode, StepRule,
-    StepValue,
+    IrDep, IrGpu, IrInstruction, IrLoc, IrProgram, IrThreadBlock, OpCode, StepRule, StepValue,
 };
 pub use ir_stats::IrStats;
-pub use passes::epochs::EpochMode;
 pub use program::{ChunkRef, Program, TraceOp, TraceOpKind};

@@ -20,7 +20,7 @@
 //!   semaphore waits all induce ordering);
 //! * **uninitialized reads** at the instruction level.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::buffer::BufferKind;
 use crate::chunk::ChunkValue;
@@ -188,8 +188,17 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
             message: "slots must be at least 1".to_owned(),
         });
     }
-    let lowered = Lowered::new(ir)?;
-    check_epoch_cuts(ir)?;
+    check_lowered(ir, &Lowered::new(ir)?, opts)
+}
+
+/// [`check`] over a lowering of `ir` the caller already holds (`compile`
+/// has the one [`IrProgram::check_structure`] returned). `opts.slots`
+/// must be at least 1.
+pub(crate) fn check_lowered(
+    ir: &IrProgram,
+    lowered: &Lowered<'_>,
+    opts: &VerifyOptions,
+) -> Result<VerifyReport> {
     let collective = &ir.collective;
     let num_ranks = ir.num_ranks();
     let slots = opts.slots;
@@ -560,96 +569,6 @@ pub fn check(ir: &IrProgram, opts: &VerifyOptions) -> Result<VerifyReport> {
         max_queue_depth,
         rounds,
     })
-}
-
-/// Symbolically checks that `cut` is a consistent epoch frontier of `ir`:
-/// no send crosses it in flight (on every connection, sends before the
-/// cut equal receives before the cut, so every FIFO is empty at the cut)
-/// and no semaphore wait spans it (every dependency of an instruction
-/// before the cut is itself before the cut). See
-/// [`crate::passes::epochs`].
-///
-/// # Errors
-///
-/// Returns [`Error::Verification`] naming the first dependency crossing
-/// the cut or, failing that, the first connection in `(src, dst,
-/// channel)` order left with an in-flight message.
-pub fn check_epoch_cut(ir: &IrProgram, cut: &crate::ir::EpochCut) -> Result<()> {
-    let fail = |message: String| Err(Error::Verification { message });
-    if cut.watermarks.len() != ir.gpus.len() {
-        return fail(format!(
-            "epoch cut covers {} ranks, program has {}",
-            cut.watermarks.len(),
-            ir.gpus.len()
-        ));
-    }
-    // In-flight messages: count sends and receives before the cut on each
-    // connection; any imbalance is a message crossing the frontier (or a
-    // receive waiting on one).
-    let mut balance: BTreeMap<(usize, usize, usize), (usize, usize)> = BTreeMap::new();
-    for (r, gpu) in ir.gpus.iter().enumerate() {
-        let marks = &cut.watermarks[r];
-        if marks.len() != gpu.threadblocks.len() {
-            return fail(format!(
-                "epoch cut rank {r}: {} watermarks for {} thread blocks",
-                marks.len(),
-                gpu.threadblocks.len()
-            ));
-        }
-        for (tb, &w) in gpu.threadblocks.iter().zip(marks) {
-            if w > tb.instructions.len() {
-                return fail(format!(
-                    "epoch cut rank {r} tb {}: watermark {w} beyond {} instructions",
-                    tb.id,
-                    tb.instructions.len()
-                ));
-            }
-            for instr in &tb.instructions[..w] {
-                if instr.op.has_send() {
-                    let key = (r, tb.send_peer.expect("structure checked"), tb.channel);
-                    balance.entry(key).or_default().0 += 1;
-                }
-                if instr.op.has_recv() {
-                    let key = (tb.recv_peer.expect("structure checked"), r, tb.channel);
-                    balance.entry(key).or_default().1 += 1;
-                }
-                // Quiesced semaphores: every producer this instruction
-                // waited on must also be before the cut.
-                for d in &instr.deps {
-                    if cut.watermarks[r][d.tb] < d.step + 1 {
-                        return fail(format!(
-                            "epoch cut rank {r} tb {} step {}: dependency on tb {} step {} \
-                             crosses the cut",
-                            tb.id, instr.step, d.tb, d.step
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    for ((s, d, ch), (sends, recvs)) in &balance {
-        if sends != recvs {
-            return fail(format!(
-                "epoch cut leaves connection ({s} -> {d}, ch {ch}) with {sends} sends \
-                 but {recvs} receives: a message is in flight across the cut"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Checks every epoch cut annotated on `ir` with [`check_epoch_cut`].
-///
-/// # Errors
-///
-/// Returns [`Error::Verification`] for the first inconsistent cut.
-pub fn check_epoch_cuts(ir: &IrProgram) -> Result<()> {
-    for (i, cut) in ir.epoch_cuts.iter().enumerate() {
-        check_epoch_cut(ir, cut).map_err(|e| Error::Verification {
-            message: format!("epoch cut {i}: {e}"),
-        })?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

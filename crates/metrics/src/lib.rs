@@ -69,9 +69,6 @@ pub mod names {
     pub const RECOVERY_FALLBACKS: &str = "msccl_recovery_fallbacks_total";
     /// Counter, no labels: attempts cancelled by a worker failure.
     pub const RECOVERY_CANCELLATIONS: &str = "msccl_recovery_cancellations_total";
-    /// Counter, no labels: epoch checkpoints the simulator's cost model
-    /// charged (one per epoch boundary, `simulate --epochs`).
-    pub const EPOCHS_COMPLETED: &str = "msccl_epochs_completed_total";
     /// Counter, no labels: tasks taken from another worker's deque by the
     /// work-stealing scheduler.
     pub const SCHED_STEALS: &str = "msccl_sched_steals_total";

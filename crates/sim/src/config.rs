@@ -4,7 +4,6 @@ use std::fmt;
 
 use msccl_faults::FaultPlan;
 use msccl_topology::{Machine, Protocol};
-use mscclang::EpochMode;
 
 /// Configuration of one simulation: the machine, the protocol and a few
 /// model knobs.
@@ -59,14 +58,6 @@ pub struct SimConfig {
     /// are timing no-ops here since the simulator moves no data — use the
     /// threaded runtime to observe them.
     pub fault_plan: Option<FaultPlan>,
-    /// Epoch checkpoint schedule to model. `Auto` resolves through the
-    /// compiler's traffic-budget cost model ([`EpochMode::resolve`]);
-    /// each boundary charges a global barrier plus a memory snapshot at
-    /// [`SimConfig::snapshot_gbps`].
-    pub epochs: EpochMode,
-    /// Rank-memory copy bandwidth the epoch snapshot model assumes, in
-    /// GB/s (device-memory `memcpy`, so well above link bandwidth).
-    pub snapshot_gbps: f64,
     /// Workers for the round loop, the calling thread included; `None`
     /// (or `Some(1)`) selects the serial oracle. The parallel engine shards the event
     /// loop by node under conservative lookahead synchronization and is
@@ -95,8 +86,6 @@ impl SimConfig {
             tile_overhead_us: None,
             direct_copy: false,
             fault_plan: None,
-            epochs: EpochMode::Off,
-            snapshot_gbps: 8.0,
             parallel: None,
         }
     }
@@ -156,20 +145,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the epoch checkpoint schedule (see [`SimConfig::epochs`]).
-    #[must_use]
-    pub fn with_epochs(mut self, epochs: EpochMode) -> Self {
-        self.epochs = epochs;
-        self
-    }
-
-    /// Sets the snapshot copy bandwidth (see [`SimConfig::snapshot_gbps`]).
-    #[must_use]
-    pub fn with_snapshot_gbps(mut self, gbps: f64) -> Self {
-        self.snapshot_gbps = gbps;
         self
     }
 

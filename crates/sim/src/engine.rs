@@ -9,11 +9,11 @@
 //! whichever backend executed the rounds.
 
 use msccl_faults::FaultInjector;
-use msccl_metrics::{names, MetricsSnapshot, Registry};
+use msccl_metrics::{MetricsSnapshot, Registry};
 use msccl_topology::{Protocol, TransferPath};
 use msccl_trace::{ClockDomain, EventKind, Trace, TraceEvent};
 use mscclang::lower::Lowered;
-use mscclang::{EpochMode, IrProgram};
+use mscclang::IrProgram;
 
 use crate::actor::{Dep, Shard, Step, Tb};
 use crate::config::{SimConfig, SimError};
@@ -84,14 +84,6 @@ pub struct SimReport {
     /// [`SimConfig::record_trace`] is set): the same event vocabulary the
     /// threaded runtime emits, timestamped by the discrete-event clock.
     pub trace: Option<Trace>,
-    /// Epoch boundaries the configured [`SimConfig::epochs`] schedule
-    /// placed (after `Auto` resolution).
-    pub epoch_boundaries: usize,
-    /// Virtual time charged to epoch checkpointing — per boundary, a
-    /// global barrier plus every rank's memory copied at
-    /// [`SimConfig::snapshot_gbps`] — already included in
-    /// [`SimReport::total_us`].
-    pub epoch_us: f64,
     /// Always-on metrics in the same vocabulary the threaded runtime
     /// records (`msccl_metrics::names`), measured on the virtual clock:
     /// every `*_NS` value is virtual microseconds × 1000. The simulator
@@ -107,7 +99,6 @@ struct Built {
     params: msccl_topology::ProtocolParams,
     num_tiles: usize,
     tile_bytes: f64,
-    chunk_bytes: f64,
     /// Minimum cross-node message latency (`alpha × alpha_factor`) over
     /// all split connections — the conservative lookahead. `None` when
     /// no connection crosses nodes (one round processes everything).
@@ -312,16 +303,14 @@ fn build(ir: &IrProgram, config: &SimConfig, buffer_bytes: u64) -> Result<Built,
         params,
         num_tiles,
         tile_bytes,
-        chunk_bytes,
         lookahead,
         prelude,
     })
 }
 
-/// Merges the per-shard results into one report, folds the shards'
-/// metric tallies into one registry, and charges the epoch checkpoint
-/// model.
-fn assemble(ir: &IrProgram, config: &SimConfig, mut built: Built) -> SimReport {
+/// Merges the per-shard results into one report and folds the shards'
+/// metric tallies into one registry.
+fn assemble(config: &SimConfig, mut built: Built) -> SimReport {
     let registry = Registry::new(1);
     for shard in &built.shards {
         shard.fold_metrics(&registry);
@@ -330,45 +319,8 @@ fn assemble(ir: &IrProgram, config: &SimConfig, mut built: Built) -> SimReport {
         ref mut shards,
         protocol,
         num_tiles,
-        chunk_bytes,
         ..
     } = built;
-
-    // ---- Epoch checkpoint cost. The schedule resolves from the
-    // program's verified cut chain and the compiler's Auto traffic
-    // budget.
-    let chunk_elems = ((chunk_bytes / std::mem::size_of::<f32>() as f64).ceil() as usize).max(1);
-    let epoch_mode = config.epochs.resolve(ir, chunk_elems);
-    let epoch_boundaries = if matches!(epoch_mode, EpochMode::Off | EpochMode::Count(0)) {
-        0
-    } else {
-        let computed;
-        let cuts = if ir.epoch_cuts.is_empty() {
-            let lowered = Lowered::new(ir).expect("`build` lowered the program");
-            computed = mscclang::passes::epoch_cuts(&lowered);
-            &computed
-        } else {
-            &ir.epoch_cuts
-        };
-        mscclang::passes::schedule_epochs(ir, cuts, num_tiles, epoch_mode).len()
-    };
-    let epoch_us = if epoch_boundaries > 0 {
-        // Per boundary: a global barrier (every block pays roughly one
-        // decode round to park and release) plus each rank's memory
-        // copied at snapshot bandwidth. The model charges the full
-        // per-rank copy serially — a conservative ceiling. GB/s is
-        // bytes/µs × 1000.
-        let snap_bytes = mscclang::passes::snapshot_bytes(ir, chunk_elems) as f64;
-        let barrier_us = config.instr_overhead_us;
-        epoch_boundaries as f64 * (barrier_us + snap_bytes / (config.snapshot_gbps * 1000.0))
-    } else {
-        0.0
-    };
-    if epoch_boundaries > 0 {
-        registry
-            .counter(names::EPOCHS_COMPLETED, &[])
-            .add(0, epoch_boundaries as u64);
-    }
 
     let last_time = shards
         .iter()
@@ -378,8 +330,7 @@ fn assemble(ir: &IrProgram, config: &SimConfig, mut built: Built) -> SimReport {
         .iter()
         .flat_map(|s| s.tbs.iter())
         .map(|t| t.finish_time)
-        .fold(last_time, f64::max)
-        + epoch_us;
+        .fold(last_time, f64::max);
     let timeline = shards
         .iter_mut()
         .flat_map(|s| std::mem::take(&mut s.timeline))
@@ -438,8 +389,6 @@ fn assemble(ir: &IrProgram, config: &SimConfig, mut built: Built) -> SimReport {
         timeline,
         resource_usage,
         trace,
-        epoch_boundaries,
-        epoch_us,
         metrics: registry.snapshot(),
     }
 }
@@ -477,7 +426,7 @@ pub fn simulate(
         injector: built.injector.as_ref(),
     };
     parallel::run(&mut built.shards, threads, built.lookahead, &ctx)?;
-    Ok(assemble(ir, config, built))
+    Ok(assemble(config, built))
 }
 
 /// A simulation engine selector: the serial oracle or the sharded
@@ -560,8 +509,6 @@ pub fn simulate_sequence(
     let mut busy = 0.0;
     let mut events = 0;
     let mut max_heap = 0;
-    let mut epoch_boundaries = 0;
-    let mut epoch_us = 0.0;
     let mut metrics = MetricsSnapshot::default();
     for &(ir, bytes) in kernels {
         let r = simulate(ir, config, bytes)?;
@@ -574,8 +521,6 @@ pub fn simulate_sequence(
         busy += r.busy_us;
         events += r.events;
         max_heap = max_heap.max(r.max_heap);
-        epoch_boundaries += r.epoch_boundaries;
-        epoch_us += r.epoch_us;
         metrics = metrics.merge(&r.metrics);
     }
     Ok(SimReport {
@@ -591,8 +536,6 @@ pub fn simulate_sequence(
         timeline: Vec::new(),
         resource_usage: Vec::new(),
         trace: None,
-        epoch_boundaries,
-        epoch_us,
         metrics,
     })
 }
@@ -965,57 +908,6 @@ mod tests {
             }
             other => panic!("expected BadFaultPlan, got {other}"),
         }
-    }
-
-    /// Epoch checkpointing costs virtual time proportional to the
-    /// boundary count, and `Auto` resolves through the compiler's
-    /// traffic budget: large buffers checkpoint, the epochs-off baseline
-    /// never does.
-    #[test]
-    fn epoch_model_charges_snapshot_cost() {
-        let ir = ring(8, 1, 1);
-        let bytes = 1u64 << 24;
-        let off = simulate(&ir, &ndv4_config(), bytes).unwrap();
-        assert_eq!(off.epoch_boundaries, 0);
-        assert_eq!(off.epoch_us, 0.0);
-        assert_eq!(off.metrics.counter(names::EPOCHS_COMPLETED, &[]), 0);
-
-        // Auto resolves through the compiler's cost-model helpers,
-        // whatever they decide for this program and size.
-        let auto = simulate(&ir, &ndv4_config().with_epochs(EpochMode::Auto), bytes).unwrap();
-        let chunk_elems = (bytes as usize / ir.collective.in_chunks()) / 4;
-        let expected = mscclang::passes::auto_boundaries(
-            mscclang::passes::traffic_bytes(&ir, chunk_elems),
-            mscclang::passes::snapshot_bytes(&ir, chunk_elems),
-        );
-        assert_eq!(auto.epoch_boundaries.min(1), expected.min(1));
-
-        // A forced 2-boundary schedule charges its snapshot cost into
-        // the total, visibly and exactly.
-        let two = simulate(&ir, &ndv4_config().with_epochs(EpochMode::Count(2)), bytes).unwrap();
-        assert_eq!(two.epoch_boundaries, 2);
-        assert!(two.epoch_us > 0.0);
-        assert!(two.total_us > off.total_us);
-        assert!((two.total_us - off.total_us - two.epoch_us).abs() < 1e-6);
-        assert_eq!(
-            two.metrics.counter(names::EPOCHS_COMPLETED, &[]),
-            two.epoch_boundaries as u64
-        );
-
-        // More boundaries, more cost; the schedule is clamped by the
-        // positions available, so an absurd request stays finite.
-        let many = simulate(
-            &ir,
-            &ndv4_config().with_epochs(EpochMode::Count(10_000)),
-            bytes,
-        )
-        .unwrap();
-        assert!(many.epoch_boundaries >= two.epoch_boundaries);
-        assert!(many.epoch_us >= two.epoch_us);
-
-        // A tiny buffer cannot afford snapshots: Auto declines.
-        let tiny = simulate(&ir, &ndv4_config().with_epochs(EpochMode::Auto), 1 << 10).unwrap();
-        assert_eq!(tiny.epoch_boundaries, 0);
     }
 
     /// The backend selectors override [`SimConfig::parallel`] and agree

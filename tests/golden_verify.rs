@@ -52,19 +52,16 @@ fn pick<T: Copy>(rng: &mut Splitmix64, items: &[T]) -> Option<T> {
     (!items.is_empty()).then(|| items[rng.below(items.len() as u64) as usize])
 }
 
-/// The seeded mutations, each applied to a copy of `ir` with its epoch
-/// cuts cleared so that only the verifier's execution judges it. A
-/// mutation with no candidate site leaves the program as it is.
+/// The seeded mutations, each applied to a copy of `ir`. A mutation with
+/// no candidate site leaves the program as it is.
 fn mutants(ir: &IrProgram, seed: u64) -> Vec<(&'static str, IrProgram)> {
     let mut rng = Splitmix64::new(seed);
-    let mut base = ir.clone();
-    base.epoch_cuts.clear();
 
     // Drop one dependency edge.
-    let mut drop_dep = base.clone();
+    let mut drop_dep = ir.clone();
     if let Some((r, t, s)) = pick(
         &mut rng,
-        &steps(&base, |tb, s| !tb.instructions[s].deps.is_empty()),
+        &steps(ir, |tb, s| !tb.instructions[s].deps.is_empty()),
     ) {
         let deps = &mut drop_dep.gpus[r].threadblocks[t].instructions[s].deps;
         let d = rng.below(deps.len() as u64) as usize;
@@ -72,11 +69,8 @@ fn mutants(ir: &IrProgram, seed: u64) -> Vec<(&'static str, IrProgram)> {
     }
 
     // Swap two adjacent steps of one thread block.
-    let mut swap = base.clone();
-    if let Some((r, t, s)) = pick(
-        &mut rng,
-        &steps(&base, |tb, s| s + 1 < tb.instructions.len()),
-    ) {
+    let mut swap = ir.clone();
+    if let Some((r, t, s)) = pick(&mut rng, &steps(ir, |tb, s| s + 1 < tb.instructions.len())) {
         let instrs = &mut swap.gpus[r].threadblocks[t].instructions;
         instrs.swap(s, s + 1);
         instrs[s].step = s;
@@ -84,7 +78,7 @@ fn mutants(ir: &IrProgram, seed: u64) -> Vec<(&'static str, IrProgram)> {
     }
 
     // Shift one destination index.
-    let mut shift = base;
+    let mut shift = ir.clone();
     if let Some((r, t, s)) = pick(
         &mut rng,
         &steps(&shift, |tb, s| tb.instructions[s].dst.is_some()),

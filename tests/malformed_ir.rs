@@ -3,8 +3,8 @@
 //! `Error::Verification` — by `check_structure`, by the XML loader (which
 //! runs it) and by the symbolic verifier, which must return the error
 //! rather than panic on an out-of-range index. Every rejection's exact
-//! message is pinned, and must not vary between repeats in one process;
-//! an inconsistent epoch cut likewise. Both engines return an error
+//! message is pinned, and must not vary between repeats in one process.
+//! Both engines return an error
 //! instead of panicking: the runtime rejects every such program with the
 //! structure check's message, and the simulator, which never reads
 //! operands, rejects the ones it cannot lower.
@@ -14,8 +14,8 @@ use msccl_sim::{simulate, SimConfig, SimError};
 use msccl_topology::Machine;
 use mscclang::lower::Lowered;
 use mscclang::{
-    ir_xml, verify, BufferKind, Collective, EpochCut, Error, IrDep, IrGpu, IrInstruction, IrLoc,
-    IrProgram, IrThreadBlock, OpCode,
+    ir_xml, verify, BufferKind, Collective, Error, IrDep, IrGpu, IrInstruction, IrLoc, IrProgram,
+    IrThreadBlock, OpCode,
 };
 
 fn loc(buffer: BufferKind, index: usize) -> Option<IrLoc> {
@@ -255,56 +255,4 @@ fn in_range_operands_still_pass_the_structure_check() {
     local(OpCode::Copy, loc(i, 0), loc(s, 0))
         .check_structure()
         .unwrap();
-}
-
-/// A cut that leaves two connections with a message in flight names the
-/// first of them in `(src, dst, channel)` order, whatever order the thread
-/// blocks list them in, and names the same one on every check.
-#[test]
-fn epoch_cut_names_the_first_connection_in_flight() {
-    let (i, o) = (BufferKind::Input, BufferKind::Output);
-    let on = |id: usize, channel: usize, mut tb: IrThreadBlock| {
-        tb.id = id;
-        tb.channel = channel;
-        tb
-    };
-    // Rank 0's first thread block sends on channel 1, its second on 0.
-    let ir = program(
-        vec![
-            on(
-                0,
-                1,
-                tb(Some(1), None, vec![instr(0, OpCode::Send, loc(i, 0), None)]),
-            ),
-            on(
-                1,
-                0,
-                tb(Some(1), None, vec![instr(0, OpCode::Send, loc(i, 0), None)]),
-            ),
-        ],
-        vec![
-            on(
-                0,
-                1,
-                tb(None, Some(0), vec![instr(0, OpCode::Recv, None, loc(o, 0))]),
-            ),
-            on(
-                1,
-                0,
-                tb(None, Some(0), vec![instr(0, OpCode::Recv, None, loc(o, 1))]),
-            ),
-        ],
-    );
-    ir.check_structure().unwrap();
-    let cut = EpochCut {
-        watermarks: vec![vec![1, 1], vec![0, 0]],
-    };
-    for _ in 0..20 {
-        let err = verify::check_epoch_cut(&ir, &cut).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "verification failed: epoch cut leaves connection (0 -> 1, ch 0) with 1 sends \
-             but 0 receives: a message is in flight across the cut"
-        );
-    }
 }

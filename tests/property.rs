@@ -476,79 +476,6 @@ proptest! {
         prop_assert_eq!(recycled, expected);
     }
 
-    /// Every epoch cut the compiler emits for an arbitrary random program
-    /// is a consistent frontier: the symbolic checker proves no message is
-    /// in flight and no dependency crosses it, the chain shape (strictly
-    /// advancing, ending at the full tile) holds structurally, and the
-    /// cuts survive an XML round-trip bit-exactly.
-    #[test]
-    fn epoch_cuts_of_random_programs_are_consistent(
-        intents in proptest::collection::vec(intent_strategy(4, 4), 1..25),
-        instances in 1usize..3,
-        fuse in any::<bool>(),
-    ) {
-        let Some(program) = build_program(4, 4, &intents) else { return Ok(()) };
-        let ir = compile(
-            &program,
-            &CompileOptions::default()
-                .with_verify(false)
-                .with_instances(instances)
-                .with_fuse(fuse),
-        )
-        .expect("compiles");
-        prop_assert!(!ir.epoch_cuts.is_empty(), "compile must emit an epoch chain");
-        ir.check_structure().expect("chain shape");
-        for cut in &ir.epoch_cuts {
-            verify::check_epoch_cut(&ir, cut).expect("every cut is a consistent frontier");
-        }
-    }
-
-    /// The same epoch-cut consistency over the full algorithm catalog —
-    /// all 15 collectives, at random instance counts, fused or not —
-    /// plus XML round-trip preservation (custom collectives cannot be
-    /// reconstructed from XML, so the round-trip leg lives here).
-    #[test]
-    fn epoch_cuts_of_every_algorithm_are_consistent(
-        algo in 0usize..15,
-        instances in 1usize..3,
-        fuse in any::<bool>(),
-    ) {
-        let program = match algo {
-            0 => msccl_algos::ring_all_reduce(4, 1),
-            1 => msccl_algos::allpairs_all_reduce(4),
-            2 => msccl_algos::hierarchical_all_reduce(2, 2),
-            3 => msccl_algos::two_step_all_to_all(2, 2),
-            4 => msccl_algos::one_step_all_to_all(2, 2),
-            5 => msccl_algos::all_to_next(2, 2),
-            6 => msccl_algos::hcm_allgather(),
-            7 => msccl_algos::recursive_doubling_all_gather(4),
-            8 => msccl_algos::binary_tree_all_reduce(4, 1),
-            9 => msccl_algos::double_binary_tree_all_reduce(4, 2),
-            10 => msccl_algos::rabenseifner_all_reduce(4),
-            11 => msccl_algos::binomial_broadcast(4, 1, 0),
-            12 => msccl_algos::binomial_reduce(4, 1, 0),
-            13 => msccl_algos::linear_gather(4, 1, 0),
-            _ => msccl_algos::linear_scatter(4, 1, 0),
-        }
-        .expect("builds");
-        let ir = compile(
-            &program,
-            &CompileOptions::default()
-                .with_verify(false)
-                .with_instances(instances)
-                .with_fuse(fuse),
-        )
-        .expect("compiles");
-        prop_assert!(!ir.epoch_cuts.is_empty());
-        ir.check_structure().expect("chain shape");
-        for cut in &ir.epoch_cuts {
-            verify::check_epoch_cut(&ir, cut).expect("every cut is a consistent frontier");
-        }
-        let back = mscclang::ir_xml::from_xml(&mscclang::ir_xml::to_xml(&ir))
-            .expect("round-trips");
-        prop_assert_eq!(back.epoch_cuts, ir.epoch_cuts);
-    }
-
     /// Compiler optimizations are semantics-preserving: the same program
     /// executed with and without fusion and aggregation produces identical
     /// floating-point results.

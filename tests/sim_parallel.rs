@@ -5,7 +5,7 @@
 //! Both backends drive the same per-node shards through the same
 //! conservative rounds (see `docs/simulator.md`), so everything in the
 //! [`msccl_sim::SimReport`] — total and per-interval times, event and
-//! heap statistics, epoch boundaries, the metrics snapshot, the full
+//! heap statistics, the metrics snapshot, the full
 //! virtual-time trace — and every structured `SimError` must compare
 //! exactly equal, not approximately. Any divergence means the round
 //! drivers scheduled observable work differently, which is precisely the
@@ -14,7 +14,7 @@
 use msccl_faults::{FaultPlan, FaultUniverse};
 use msccl_sim::{simulate, ParallelBackend, SerialBackend, SimBackend, SimConfig, SimError};
 use msccl_topology::{LinkParams, Machine, Protocol};
-use mscclang::{compile, CompileOptions, EpochMode, IrProgram, Program};
+use mscclang::{compile, CompileOptions, IrProgram, Program};
 use proptest::prelude::*;
 
 /// Two nodes of two GPUs each, NVLink inside and one NIC per node —
@@ -138,18 +138,16 @@ fn all_algorithms_agree_across_protocols_and_thread_counts() {
     }
 }
 
-/// Multi-tile pipelines (large buffer), single-tile runs (tiny buffer)
-/// and epoch checkpoint schedules all survive the differential exactly.
+/// Multi-tile pipelines (large buffer) and single-tile runs (tiny
+/// buffer) both survive the differential exactly.
 #[test]
-fn buffer_sizes_and_epochs_agree() {
+fn buffer_sizes_agree() {
     for (program, machine) in &catalog() {
         let ir = compiled(program);
         for bytes in [4096u64, 1 << 21] {
             let cfg = SimConfig::new(machine.clone()).with_trace(true);
             assert_backends_agree(program.name(), &ir, &cfg, bytes);
         }
-        let cfg = SimConfig::new(machine.clone()).with_epochs(EpochMode::Count(2));
-        assert_backends_agree(program.name(), &ir, &cfg, 1 << 20);
     }
 }
 
