@@ -442,10 +442,14 @@ fn read_input(path: &str, what: &str) -> Result<String, CliError> {
         .map_err(|e| CliError::new(format!("cannot read {what} '{path}': {e}")))
 }
 
+/// Reads and parses an MSCCL-IR file; errors name `what` and the path.
+fn read_ir(path: &str, what: &str) -> Result<IrProgram, CliError> {
+    let xml = read_input(path, what)?;
+    ir_xml::from_xml(&xml).map_err(|e| CliError::new(format!("{what} '{path}': {e}")))
+}
+
 fn load_ir(args: &Args) -> Result<IrProgram, CliError> {
-    let path = args.positional1("MSCCL-IR XML file")?;
-    let xml = read_input(path, "MSCCL-IR XML file")?;
-    ir_xml::from_xml(&xml).map_err(|e| CliError::new(format!("{path}: {e}")))
+    read_ir(args.positional1("MSCCL-IR XML file")?, "MSCCL-IR XML file")
 }
 
 fn cmd_verify(args: &Args) -> Result<String, CliError> {
@@ -1046,9 +1050,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     let fallback = args
         .options
         .get("fallback")
-        .map(|path| -> Result<IrProgram, CliError> {
-            Ok(ir_xml::from_xml(&std::fs::read_to_string(path)?)?)
-        })
+        .map(|path| read_ir(path, "--fallback MSCCL-IR XML file"))
         .transpose()?;
     if plan.is_some() || retries.is_some() || fallback.is_some() {
         return run_with_recovery(
@@ -1300,6 +1302,34 @@ mod tests {
         assert!(err.contains("/no/such/faults.plan"), "error: {err}");
         assert!(err.contains("fault plan"), "error: {err}");
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn missing_fallback_error_names_the_option_and_path() {
+        let path = tmp("fallback-target.xml");
+        let _ = run(&format!("compile ring-allreduce --ranks 4 -o {path}")).unwrap();
+        let err = run(&format!("run {path} --fallback /no/such/fallback.xml"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("/no/such/fallback.xml"), "error: {err}");
+        assert!(err.contains("--fallback"), "error: {err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn malformed_fallback_error_names_the_option_and_path() {
+        let path = tmp("fallback-primary.xml");
+        let bad = tmp("fallback-malformed.xml");
+        let _ = run(&format!("compile ring-allreduce --ranks 4 -o {path}")).unwrap();
+        std::fs::write(&bad, "<algo name=\"broken\"").unwrap();
+        let err = run(&format!("run {path} --fallback {bad}"))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(&bad), "error: {err}");
+        assert!(err.contains("--fallback"), "error: {err}");
+        assert!(err.contains("parse"), "error: {err}");
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(bad);
     }
 
     #[test]

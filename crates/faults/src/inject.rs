@@ -177,12 +177,6 @@ impl FaultInjector {
             .collect()
     }
 
-    /// Whether any planned fault has fired yet.
-    #[must_use]
-    pub fn any_fired(&self) -> bool {
-        self.fired.iter().any(|f| f.load(Ordering::Relaxed))
-    }
-
     fn consume(&self, i: usize) -> bool {
         !self.fired[i].swap(true, Ordering::Relaxed)
     }
@@ -267,10 +261,8 @@ mod tests {
     #[test]
     fn fired_reports_what_struck() {
         let inj = FaultInjector::new(&one_of_each());
-        assert!(!inj.any_fired());
         assert!(inj.fired().is_empty());
         let _ = inj.on_block(1, 0, 3);
-        assert!(inj.any_fired());
         let fired = inj.fired();
         assert_eq!(fired.len(), 1);
         assert!(fired[0].contains("kill block r1 tb0 step3"), "{fired:?}");

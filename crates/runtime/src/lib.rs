@@ -22,7 +22,8 @@
 //! [`RunReport`] carries everything the run produced. [`execute`],
 //! [`execute_in_arena`] and [`execute_with_metrics`] are shorthands for
 //! the commonest shapes; [`execute_with_recovery`] runs the same request
-//! under the retry/fallback ladder.
+//! under the retry/fallback ladder, [`recover`], which the scenario
+//! simulator also runs.
 //!
 //! # Example
 //!
@@ -75,4 +76,5 @@ pub use flight::{
 pub use memory::{RankMemory, SpaceBuffers};
 pub use plan::worker_pool_size;
 pub use pool::{PoolStats, PooledTile, TilePool};
-pub use recovery::{execute_with_recovery, RecoveryPolicy, RecoveryReport, RecoveryStep};
+pub use recovery::{execute_with_recovery, recover, Attempts, Clock};
+pub use recovery::{RecoveryPolicy, RecoveryReport, RecoveryStep};

@@ -1,39 +1,42 @@
-//! Collective-level recovery: an escalation ladder for transient
+//! Collective-level recovery: one escalation ladder for transient
 //! failures — full retry with capped-and-jittered exponential backoff,
-//! then graceful degradation to a fallback algorithm — under one
-//! whole-recovery deadline budget.
+//! verification of every completed attempt, then one attempt at a
+//! fallback algorithm — under one whole-recovery deadline budget.
 //!
-//! The policy leans on two guarantees from the layers below. First,
-//! errors are classified at the source: [`RuntimeError::is_transient`]
-//! separates timing/fault failures (worth retrying) from structural
-//! rejections (not). Second, injected faults are one-shot *per injector*
+//! The ladder ([`recover`]) is generic over an [`Attempts`] back end,
+//! which runs the primary or the fallback program, and a [`Clock`].
+//! [`execute_with_recovery`] runs it on the threaded runtime and the
+//! wall clock; the scenario simulator runs the same loop over simulated
+//! attempts and a virtual clock, so both engines decide in one place.
+//!
+//! The policy leans on two guarantees from the layers below. Errors are
+//! classified at the source ([`RuntimeError::is_transient`]), and
+//! injected faults are one-shot *per injector*
 //! ([`msccl_faults::FaultInjector`]), so a retry over the same injector
-//! runs without the faults that already struck — precisely the
-//! semantics of a transient fault in a real fabric. A compiled program
-//! is deadlock-free and a call is short, so running it again from
-//! scratch is the whole recovery.
+//! runs without the faults that already struck — the semantics of a
+//! transient fault in a real fabric. A compiled program is
+//! deadlock-free and a call is short, so running it again from scratch
+//! is the whole recovery. Verification closes the loop on *corrupting*
+//! faults, which raise no error, only wrong numbers: an attempt counts
+//! only when its outputs match the collective's reference semantics.
 //!
-//! Verification closes the loop on *corrupting* faults: a bit-flip or a
-//! duplicated delivery produces no error at all, only wrong numbers, so
-//! an attempt counts as successful only when its outputs match the
-//! collective's reference semantics ([`reference::check_outputs`]).
-//!
-//! When [`RunOptions::deadline`] is set, it is the budget for the whole
-//! recovery, attempts and backoff sleeps together: each attempt runs
-//! under the *remaining* budget (sleeps are not double-counted against
-//! it), and when the remainder is smaller than the next backoff the
-//! loop fails fast with [`RuntimeError::RecoveryBudgetExhausted`]
-//! instead of sleeping past its own deadline.
-//!
-//! [`reference::check_outputs`]: crate::reference::check_outputs
+//! A budget (`RunOptions::deadline` on the runtime) covers attempts and
+//! backoff sleeps together: each attempt runs under the *remaining*
+//! budget, and when the remainder cannot cover the next backoff the
+//! loop fails fast with [`RuntimeError::RecoveryBudgetExhausted`].
 
+use std::fmt;
 use std::time::{Duration, Instant};
 
 use msccl_metrics::{names, MetricsSnapshot, Registry};
 use msccl_trace::{ClockDomain, EventKind, RecoveryDecision, Trace, TraceEvent};
 use mscclang::IrProgram;
 
-use crate::executor::{run, Run, RunOptions, RuntimeError};
+use crate::executor::{run, Run, RuntimeError};
+
+/// Ceiling the exponential backoff saturates at, so a long ladder
+/// degrades to fixed-interval retries instead of absurd sleeps.
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
 /// How the recovery loop reacts to failed attempts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,11 +44,9 @@ pub struct RecoveryPolicy {
     /// How many times to re-run the primary algorithm after its first
     /// failed attempt (0 = no retries).
     pub max_retries: usize,
-    /// Backoff before the first retry; doubles each further retry.
+    /// Backoff before the first retry; doubles each further retry, up
+    /// to 500 ms.
     pub backoff: Duration,
-    /// Ceiling the exponential backoff saturates at, so a long ladder
-    /// degrades to fixed-interval retries instead of absurd sleeps.
-    pub max_backoff: Duration,
     /// Seed for the deterministic ±25% backoff jitter. Jitter
     /// desynchronizes retry herds; deriving it from a seed (no `rand`)
     /// keeps every run reproducible.
@@ -60,7 +61,6 @@ impl Default for RecoveryPolicy {
         Self {
             max_retries: 2,
             backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
             jitter_seed: 0,
             verify: true,
         }
@@ -69,14 +69,11 @@ impl Default for RecoveryPolicy {
 
 /// The delay before retry number `attempt + 1`: exponential in the
 /// attempt (shift capped at 30 bits, multiplication saturating),
-/// clamped to [`RecoveryPolicy::max_backoff`], then jittered ±25%
-/// deterministically from the policy's seed and the attempt index.
+/// clamped to [`MAX_BACKOFF`], then jittered ±25% deterministically
+/// from the policy's seed and the attempt index.
 fn backoff_delay(policy: &RecoveryPolicy, attempt: usize) -> Duration {
     let exp = u32::try_from(attempt.min(30)).expect("bounded by min");
-    let base = policy
-        .backoff
-        .saturating_mul(1u32 << exp)
-        .min(policy.max_backoff);
+    let base = policy.backoff.saturating_mul(1u32 << exp).min(MAX_BACKOFF);
     let nanos = u64::try_from(base.as_nanos()).unwrap_or(u64::MAX);
     let quarter = nanos / 4;
     if quarter == 0 {
@@ -89,6 +86,63 @@ fn backoff_delay(policy: &RecoveryPolicy, attempt: usize) -> Duration {
     // this small is irrelevant for desynchronization.
     let jittered = (nanos - quarter).saturating_add(r % (2 * quarter + 1));
     Duration::from_nanos(jittered)
+}
+
+/// The ladder's time source. An [`Instant`] is the wall clock since
+/// that instant and sleeps the thread; an `f64` is a virtual clock in
+/// microseconds, which attempts advance by their modeled cost and
+/// backoffs by their delay.
+pub trait Clock {
+    /// Time since recovery began.
+    fn elapsed(&self) -> Duration;
+    /// Waits out `delay`.
+    fn sleep(&mut self, delay: Duration);
+}
+
+impl Clock for Instant {
+    fn elapsed(&self) -> Duration {
+        Instant::elapsed(self)
+    }
+
+    fn sleep(&mut self, delay: Duration) {
+        std::thread::sleep(delay);
+    }
+}
+
+impl Clock for f64 {
+    fn elapsed(&self) -> Duration {
+        Duration::from_secs_f64(*self / 1e6)
+    }
+
+    fn sleep(&mut self, delay: Duration) {
+        *self += delay.as_secs_f64() * 1e6;
+    }
+}
+
+/// A back end the ladder runs attempts on.
+pub trait Attempts<C: Clock> {
+    /// What a completed attempt yields.
+    type Output;
+    /// Why an attempt failed. The ladder's own verdicts (verification
+    /// rejected, budget exhausted) arrive as [`RuntimeError`]s.
+    type Error: fmt::Display + From<RuntimeError>;
+
+    /// Runs the primary program, or the fallback when `fallback` is set,
+    /// under `budget` (what remains of the whole-recovery budget). A
+    /// back end on a virtual clock advances it by the attempt's cost.
+    fn attempt(
+        &mut self,
+        fallback: bool,
+        budget: Option<Duration>,
+        clock: &mut C,
+    ) -> Result<Self::Output, Self::Error>;
+
+    /// Whether another attempt can help after `err`.
+    fn is_transient(err: &Self::Error) -> bool;
+
+    /// Checks a completed attempt of the primary (or the fallback)
+    /// against the collective's reference semantics.
+    fn verify(&self, fallback: bool, output: &Self::Output) -> Result<(), String>;
 }
 
 /// One logged decision of the recovery loop.
@@ -106,9 +160,10 @@ pub struct RecoveryStep {
 
 /// What a recovered execution produced and how it got there.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryReport {
-    /// Each rank's verified (or at least completed) output buffer.
-    pub outputs: Vec<Vec<f32>>,
+pub struct RecoveryReport<T = Vec<Vec<f32>>> {
+    /// What the accepted attempt produced: on the runtime, each rank's
+    /// verified (or at least completed) output buffer.
+    pub outputs: T,
     /// Total executions performed, primary and fallback together.
     pub attempts: usize,
     /// Whether the outputs came from the fallback algorithm.
@@ -122,7 +177,7 @@ pub struct RecoveryReport {
     pub metrics: MetricsSnapshot,
 }
 
-impl RecoveryReport {
+impl<T> RecoveryReport<T> {
     /// The decision log as a wall-clock [`Trace`] (rank 0, tb 0:
     /// recovery is collective-level, not per-block), mergeable with
     /// execution traces and exportable like any other.
@@ -155,80 +210,191 @@ fn metrics_of(steps: &[RecoveryStep], attempts: usize) -> MetricsSnapshot {
     reg.counter(names::RECOVERY_ATTEMPTS, &[])
         .add(0, attempts as u64);
     for step in steps {
-        match step.decision {
-            RecoveryDecision::Accept => {}
-            RecoveryDecision::Retry => reg.counter(names::RECOVERY_RETRIES, &[]).inc(0),
-            RecoveryDecision::Fallback => reg.counter(names::RECOVERY_FALLBACKS, &[]).inc(0),
-            RecoveryDecision::GiveUp => {}
-        }
-        if step.decision != RecoveryDecision::Accept {
-            // Every non-accept decision follows exactly one attempt that
-            // was torn down (cancelled) without a usable result.
-            reg.counter(names::RECOVERY_CANCELLATIONS, &[]).inc(0);
-        }
+        let name = match step.decision {
+            RecoveryDecision::Accept => continue,
+            RecoveryDecision::Retry => names::RECOVERY_RETRIES,
+            RecoveryDecision::Fallback => names::RECOVERY_FALLBACKS,
+        };
+        reg.counter(name, &[]).inc(0);
+        // Every retry or fallback follows exactly one attempt that was
+        // torn down (cancelled) without a usable result.
+        reg.counter(names::RECOVERY_CANCELLATIONS, &[]).inc(0);
     }
     reg.snapshot()
 }
 
-/// One attempt: run the request, then verify if asked.
-fn run_attempt(attempt: Run<'_>, verify: bool) -> Result<Vec<Vec<f32>>, RuntimeError> {
-    let (collective, inputs) = (&attempt.ir.collective, attempt.inputs);
-    let (chunk_elems, op) = (attempt.chunk_elems, attempt.opts.reduce_op);
-    run(attempt).result.and_then(|outputs| {
-        if verify {
-            crate::reference::check_outputs(collective, inputs, &outputs, chunk_elems, op)
-                .map_err(|message| RuntimeError::VerificationFailed { message })?;
+/// The escalation ladder on any back end: run the primary; retry a
+/// transient failure (a verification rejection is one) after a capped,
+/// jittered backoff while `policy.max_retries` allows; then, when
+/// `has_fallback`, give the fallback one attempt — the faults that broke
+/// the primary are spent, and a fallback that fails on a clean run is
+/// not worth iterating on. `budget` bounds the whole recovery.
+///
+/// # Errors
+///
+/// The first permanent error, [`RuntimeError::RecoveryBudgetExhausted`],
+/// or the last transient error once every rung is spent.
+pub fn recover<C: Clock, A: Attempts<C>>(
+    backend: &mut A,
+    clock: &mut C,
+    has_fallback: bool,
+    policy: &RecoveryPolicy,
+    budget: Option<Duration>,
+) -> Result<RecoveryReport<A::Output>, A::Error> {
+    let remaining = |clock: &C| budget.map(|b| b.saturating_sub(clock.elapsed()));
+    let accepted = if policy.verify {
+        "verified"
+    } else {
+        "completed"
+    };
+    let mut steps = Vec::new();
+    let mut attempt = 0;
+    let mut on_fallback = false;
+    loop {
+        let result = backend.attempt(on_fallback, remaining(clock), clock);
+        let result = result.and_then(|out| match policy.verify {
+            true => match backend.verify(on_fallback, &out) {
+                Ok(()) => Ok(out),
+                Err(message) => Err(RuntimeError::VerificationFailed { message }.into()),
+            },
+            false => Ok(out),
+        });
+        let err = match result {
+            Ok(outputs) => {
+                steps.push(RecoveryStep {
+                    ts_us: clock.elapsed().as_secs_f64() * 1e6,
+                    attempt,
+                    decision: RecoveryDecision::Accept,
+                    detail: accepted.into(),
+                });
+                return Ok(RecoveryReport {
+                    outputs,
+                    attempts: attempt + 1,
+                    used_fallback: on_fallback,
+                    metrics: metrics_of(&steps, attempt + 1),
+                    steps,
+                });
+            }
+            Err(e) if !A::is_transient(&e) => return Err(e),
+            Err(e) => e,
+        };
+        let decision = if !on_fallback && attempt < policy.max_retries {
+            RecoveryDecision::Retry
+        } else if !on_fallback && has_fallback {
+            RecoveryDecision::Fallback
+        } else {
+            return Err(err);
+        };
+        steps.push(RecoveryStep {
+            ts_us: clock.elapsed().as_secs_f64() * 1e6,
+            attempt,
+            decision,
+            detail: err.to_string(),
+        });
+        if decision == RecoveryDecision::Retry {
+            let delay = backoff_delay(policy, attempt);
+            if let Some(left) = remaining(clock).filter(|left| *left < delay) {
+                // Fail fast: sleeping would overrun the budget, so
+                // surface a structured, permanent error now instead of
+                // a deadline failure later.
+                let ms = |d: Duration| u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
+                return Err(RuntimeError::RecoveryBudgetExhausted {
+                    attempts: attempt + 1,
+                    next_backoff_ms: ms(delay),
+                    remaining_ms: ms(left),
+                    last_error: err.to_string(),
+                }
+                .into());
+            }
+            clock.sleep(delay);
         }
-        Ok(outputs)
-    })
+        on_fallback = decision == RecoveryDecision::Fallback;
+        attempt += 1;
+    }
 }
 
-/// Executes the request's program under the escalation ladder: transient
-/// failures retry from scratch with capped, jittered exponential
-/// backoff, and degrade to `fallback` once retries are exhausted.
+/// The threaded runtime as a ladder back end: every attempt is the
+/// request's [`Run`] with only the deadline and (for the fallback) the
+/// program replaced.
+struct Threaded<'a> {
+    request: Run<'a>,
+    fallback: Option<&'a IrProgram>,
+}
+
+impl<'a> Threaded<'a> {
+    fn program(&self, fallback: bool) -> &'a IrProgram {
+        self.fallback
+            .filter(|_| fallback)
+            .unwrap_or(self.request.ir)
+    }
+}
+
+impl Attempts<Instant> for Threaded<'_> {
+    type Output = Vec<Vec<f32>>;
+    type Error = RuntimeError;
+
+    fn attempt(
+        &mut self,
+        fallback: bool,
+        budget: Option<Duration>,
+        _: &mut Instant,
+    ) -> Result<Vec<Vec<f32>>, RuntimeError> {
+        let mut opts = self.request.opts.clone();
+        if let Some(left) = budget {
+            // Never pass a zero deadline (the executor rejects it): an
+            // exhausted budget surfaces as DeadlineExceeded from the
+            // attempt itself, then fails fast in the ladder.
+            opts.deadline = Some(left.max(Duration::from_millis(1)));
+        }
+        let ir = self.program(fallback);
+        let r = &mut self.request;
+        run(Run {
+            arena: r.arena.as_deref_mut(),
+            injector: r.injector,
+            ..Run::new(ir, r.inputs, r.chunk_elems, &opts)
+        })
+        .result
+    }
+
+    fn is_transient(err: &RuntimeError) -> bool {
+        err.is_transient()
+    }
+
+    fn verify(&self, fallback: bool, outputs: &Vec<Vec<f32>>) -> Result<(), String> {
+        let r = &self.request;
+        crate::reference::check_outputs(
+            &self.program(fallback).collective,
+            r.inputs,
+            outputs,
+            r.chunk_elems,
+            r.opts.reduce_op,
+        )
+    }
+}
+
+/// Executes the request's program under the escalation ladder
+/// ([`recover`]) on the threaded runtime and the wall clock, with
+/// `opts.deadline` as the whole-recovery budget. `fallback` must
+/// implement the same collective over the same ranks.
 ///
 /// Every attempt is the same [`Run`] with only the deadline and (for the
-/// fallback) the program replaced: attempts run in the request's arena
-/// when it has one — the `msccl serve` daemon keeps one per executor
-/// worker, so steady-state traffic allocates nothing on the data path
-/// whatever rung serves it — and under its fault injector. [`Run::trace`]
-/// and [`Run::snapshot`] describe a single run and are not collected
-/// across attempts; the ladder's own record is the report's decision log
-/// and metrics.
-///
-/// `fallback` must implement the same collective over the same ranks
-/// (its outputs are interchangeable with the primary's); it gets a
-/// single attempt — under one-shot injection the faults that broke the
-/// primary are already spent, and a fallback that also fails on a clean
-/// run is not worth iterating on.
-///
-/// When `opts.deadline` is set it bounds the *whole recovery* — every
-/// attempt runs under the remaining budget, and the loop fails fast with
-/// [`RuntimeError::RecoveryBudgetExhausted`] rather than start a backoff
-/// sleep the budget cannot cover.
-///
-/// Every decision is logged in the returned [`RecoveryReport`] (and
-/// convertible to trace events via [`RecoveryReport::decision_trace`]).
+/// fallback) the program replaced: it runs in the request's arena when
+/// it has one — the `msccl serve` daemon keeps one per execution slot,
+/// so steady-state traffic allocates nothing whatever rung serves it —
+/// and under its fault injector. [`Run::trace`] and [`Run::snapshot`]
+/// are not collected across attempts; the ladder's own record is the
+/// report's decision log and metrics.
 ///
 /// # Errors
 ///
 /// Returns the first permanent [`RuntimeError`] immediately, or the last
 /// transient one once every attempt — retries and fallback — is spent.
-#[allow(clippy::too_many_lines)]
 pub fn execute_with_recovery(
     request: Run<'_>,
     fallback: Option<&IrProgram>,
     policy: &RecoveryPolicy,
 ) -> Result<RecoveryReport, RuntimeError> {
-    let Run {
-        ir: primary,
-        inputs,
-        chunk_elems,
-        opts,
-        mut arena,
-        injector,
-        ..
-    } = request;
+    let primary = request.ir;
     if let Some(fb) = fallback {
         if fb.num_ranks() != primary.num_ranks()
             || fb.collective.in_chunks() != primary.collective.in_chunks()
@@ -242,153 +408,20 @@ pub fn execute_with_recovery(
             });
         }
     }
-    let epoch = Instant::now();
-    // The whole-recovery budget: attempts and sleeps all draw from it.
-    let budget_end = opts.deadline.map(|d| epoch + d);
-    // Each attempt gets the budget *remaining at its start* as its
-    // deadline, so backoff sleeps are charged exactly once — by the
-    // clock — instead of once per layer.
-    let attempt_opts = || -> RunOptions {
-        let mut o = opts.clone();
-        if let Some(end) = budget_end {
-            o.deadline = Some(end.saturating_duration_since(Instant::now()).max(
-                // Never pass a zero deadline (the executor rejects it):
-                // an exhausted budget surfaces as DeadlineExceeded from
-                // the attempt itself, then fails fast below.
-                Duration::from_millis(1),
-            ));
-        }
-        o
-    };
-    let mut steps: Vec<RecoveryStep> = Vec::new();
-    let record = |steps: &mut Vec<RecoveryStep>,
-                  attempt: usize,
-                  decision: RecoveryDecision,
-                  detail: String| {
-        steps.push(RecoveryStep {
-            ts_us: epoch.elapsed().as_secs_f64() * 1e6,
-            attempt,
-            decision,
-            detail,
-        });
-    };
-
-    let mut attempt = 0usize;
-    let mut last_err: RuntimeError;
-    loop {
-        let result = run_attempt(
-            Run {
-                arena: arena.as_deref_mut(),
-                injector,
-                ..Run::new(primary, inputs, chunk_elems, &attempt_opts())
-            },
-            policy.verify,
-        );
-        match result {
-            Ok(outputs) => {
-                let detail = if policy.verify {
-                    "verified"
-                } else {
-                    "completed"
-                };
-                record(&mut steps, attempt, RecoveryDecision::Accept, detail.into());
-                let metrics = metrics_of(&steps, attempt + 1);
-                return Ok(RecoveryReport {
-                    outputs,
-                    attempts: attempt + 1,
-                    used_fallback: false,
-                    steps,
-                    metrics,
-                });
-            }
-            Err(e) if !e.is_transient() => return Err(e),
-            Err(e) => last_err = e,
-        }
-        if attempt < policy.max_retries {
-            record(
-                &mut steps,
-                attempt,
-                RecoveryDecision::Retry,
-                last_err.to_string(),
-            );
-            let delay = backoff_delay(policy, attempt);
-            if let Some(end) = budget_end {
-                let remaining = end.saturating_duration_since(Instant::now());
-                if remaining < delay {
-                    // Fail fast: sleeping would overrun the budget, so
-                    // surface a structured, permanent error now instead
-                    // of a deadline failure later.
-                    let err = RuntimeError::RecoveryBudgetExhausted {
-                        attempts: attempt + 1,
-                        next_backoff_ms: u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
-                        remaining_ms: u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX),
-                        last_error: last_err.to_string(),
-                    };
-                    record(
-                        &mut steps,
-                        attempt,
-                        RecoveryDecision::GiveUp,
-                        err.to_string(),
-                    );
-                    return Err(err);
-                }
-            }
-            std::thread::sleep(delay);
-            attempt += 1;
-            continue;
-        }
-        break;
-    }
-
-    if let Some(fb) = fallback {
-        record(
-            &mut steps,
-            attempt,
-            RecoveryDecision::Fallback,
-            last_err.to_string(),
-        );
-        attempt += 1;
-        let result = run_attempt(
-            Run {
-                arena,
-                injector,
-                ..Run::new(fb, inputs, chunk_elems, &attempt_opts())
-            },
-            policy.verify,
-        );
-        match result {
-            Ok(outputs) => {
-                let detail = if policy.verify {
-                    "verified"
-                } else {
-                    "completed"
-                };
-                record(&mut steps, attempt, RecoveryDecision::Accept, detail.into());
-                let metrics = metrics_of(&steps, attempt + 1);
-                return Ok(RecoveryReport {
-                    outputs,
-                    attempts: attempt + 1,
-                    used_fallback: true,
-                    steps,
-                    metrics,
-                });
-            }
-            Err(e) if !e.is_transient() => return Err(e),
-            Err(e) => last_err = e,
-        }
-    }
-    record(
-        &mut steps,
-        attempt,
-        RecoveryDecision::GiveUp,
-        last_err.to_string(),
-    );
-    Err(last_err)
+    let budget = request.opts.deadline;
+    recover(
+        &mut Threaded { request, fallback },
+        &mut Instant::now(),
+        fallback.is_some(),
+        policy,
+        budget,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOptions;
     use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
     use mscclang::{compile, CompileOptions};
 
@@ -609,7 +642,7 @@ mod tests {
         let injector = FaultInjector::new(&kill_plan(1));
         let opts = RunOptions {
             timeout: Duration::from_secs(5),
-            deadline: Some(Duration::from_secs(2)),
+            deadline: Some(Duration::from_millis(200)),
             ..RunOptions::default()
         };
         let started = Instant::now();
@@ -620,10 +653,11 @@ mod tests {
             },
             None,
             &RecoveryPolicy {
-                // A backoff no 2s budget can cover forces the decision
-                // right after the first (fast) failed attempt.
+                // Capped at MAX_BACKOFF and jittered, the first backoff
+                // is at least 375 ms: no 200 ms budget can cover it, so
+                // the decision comes right after the first (fast) failed
+                // attempt.
                 backoff: Duration::from_secs(3600),
-                max_backoff: Duration::from_secs(3600),
                 ..RecoveryPolicy::default()
             },
         )
@@ -642,18 +676,17 @@ mod tests {
         assert!(last_error.contains("kill block"));
         assert!(!err.is_transient(), "budget exhaustion is permanent");
         assert!(
-            started.elapsed() < Duration::from_secs(2),
+            started.elapsed() < MAX_BACKOFF.mul_f64(0.75),
             "must fail fast, not sleep out the backoff"
         );
     }
 
     /// Backoff delays are deterministic in the seed, jittered within
-    /// ±25%, and capped by `max_backoff` even at absurd attempt counts.
+    /// ±25%, and capped by `MAX_BACKOFF` even at absurd attempt counts.
     #[test]
     fn backoff_is_jittered_capped_and_deterministic() {
         let policy = RecoveryPolicy {
             backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(2),
             jitter_seed: 42,
             ..RecoveryPolicy::default()
         };
@@ -663,14 +696,14 @@ mod tests {
             let base = policy
                 .backoff
                 .saturating_mul(1u32 << u32::try_from(attempt.min(30)).unwrap())
-                .min(policy.max_backoff);
+                .min(MAX_BACKOFF);
             let lo = base.mul_f64(0.75);
             let hi = base.mul_f64(1.2500001);
             assert!(
                 d >= lo && d <= hi,
                 "attempt {attempt}: {d:?} not in [{lo:?}, {hi:?}]"
             );
-            assert!(d <= policy.max_backoff.mul_f64(1.2500001));
+            assert!(d <= MAX_BACKOFF.mul_f64(1.2500001));
         }
         // Different seeds actually move the delay (herd desync works).
         let other = RecoveryPolicy {

@@ -28,6 +28,6 @@ pub mod slo;
 
 pub use format::{Arrival, Engine, FaultEnv, Recovery, Scenario, ScenarioError, Traffic};
 pub use report::{RepStats, ScenarioReport, SloResult};
-pub use runner::{check_scenario, run_scenario, RunConfig};
+pub use runner::{check_scenario, run_scenario, RunConfig, SimEngine, SimFailure};
 pub use service::{drive_scenario, DriveConfig, DriveReport, TenantDrive};
 pub use slo::{Assertion, Cmp, METRICS};

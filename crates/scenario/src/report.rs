@@ -14,7 +14,7 @@ use msccl_metrics::json_escape;
 use crate::slo::{fmt_f64, Assertion, METRICS};
 
 /// Per-repetition outcome, kept for the report's breakdown table.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepStats {
     /// Whether a fault plan was active this repetition.
     pub faulted: bool,

@@ -20,31 +20,39 @@
 //! runtime engine the recovery decisions and counts are deterministic
 //! but latencies are wall-clock measurements.
 //!
-//! # The virtual recovery ladder
+//! # One recovery ladder
 //!
-//! The simulator executes one attempt; recovery is *modeled* on top of
-//! its outcome, mirroring the runtime's ladder
-//! ([`msccl_runtime::execute_with_recovery`]). When a faulted attempt
-//! fails at virtual time `t`: with no retry budget the op falls back (one
-//! fallback execution) or fails; with budget, a retry charges
-//! detection + backoff + a full clean run. Injected
-//! faults are one-shot, so the re-attempt runs clean — exactly the
-//! runtime's semantics. Persistent faults (stragglers, link spikes) are
-//! environment, not events: they slow every attempt, including the
-//! "clean" ones.
+//! Both engines run every op through the runtime's escalation ladder
+//! ([`msccl_runtime::recover`]) under one policy: the runtime engine via
+//! [`msccl_runtime::execute_with_recovery`] on the wall clock, the sim
+//! engine over simulated attempts on a virtual clock. A sim attempt
+//! costs its simulated time (clean attempts are cached); one that an
+//! injected fault aborts or wedges at `t` costs `t` plus a detection
+//! margin; a backoff costs the ladder's jittered delay. Injected faults
+//! are one-shot, so only an op's first attempt runs its plan, and a
+//! completed attempt whose plan held a corrupting fault fails
+//! verification. Persistent faults (stragglers, link spikes) are
+//! environment, not events: they slow every attempt.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::time::{Duration, Instant};
 
 use msccl_algos::{build_by_name, AlgoSpec};
-use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse};
-use msccl_runtime::{execute_with_recovery, reference, RecoveryPolicy, Run, RunOptions};
+use msccl_faults::{
+    FaultClass, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse,
+};
+use msccl_metrics::{names, MetricsSnapshot};
+use msccl_runtime::{
+    execute_with_recovery, recover, reference, Attempts, RecoveryPolicy, Run, RunOptions,
+    RuntimeError,
+};
 use msccl_sim::{simulate, SimConfig, SimError};
 use msccl_topology::Machine;
 use mscclang::rng::{mix, Splitmix64};
 use mscclang::{compile, CompileOptions, IrProgram};
 
-use crate::format::{Arrival, Engine, FaultEnv, Scenario, ScenarioError};
+use crate::format::{Arrival, Engine, Scenario, ScenarioError};
 use crate::report::{RepStats, ScenarioReport};
 
 /// What an engine hands back to [`run_scenario`]: per-op latencies,
@@ -52,7 +60,7 @@ use crate::report::{RepStats, ScenarioReport};
 type EngineOutput = (Vec<f64>, Vec<RepStats>, Vec<usize>, u64);
 
 /// Virtual microseconds between a failure and the recovery loop acting
-/// on it (detection margin charged by the modeled ladder).
+/// on it (the detection margin a failed sim attempt costs).
 const DETECT_MARGIN_US: f64 = 5.0;
 
 /// Per-chunk element cap for the runtime engine, bounding wall-clock
@@ -89,9 +97,11 @@ struct Preflight {
     /// Compiled collectives, indexed like `traffic.collectives`; the
     /// fallback (when configured) is appended at the end.
     programs: Vec<Compiled>,
+    /// The fallback's index in `programs`, when configured.
+    fallback: Option<usize>,
     /// The environment plan applied to every attempt of every op:
-    /// persistent stragglers and link spikes.
-    env_specs: Vec<FaultSpec>,
+    /// persistent stragglers and link spikes (`None` when there are none).
+    env: Option<FaultPlan>,
     /// The explicit per-fault plan, when `plan_file` is set.
     file_plan: Option<FaultPlan>,
 }
@@ -104,38 +114,41 @@ fn engine_err(m: impl std::fmt::Display) -> ScenarioError {
     ScenarioError::Engine(m.to_string())
 }
 
-/// Builds the persistent-fault environment specs for `machine`.
-fn env_specs(f: &FaultEnv, machine: &Machine) -> Result<Vec<FaultSpec>, ScenarioError> {
+/// Builds the persistent-fault environment plan for `machine`.
+fn env_plan(sc: &Scenario, machine: &Machine) -> Result<Option<FaultPlan>, ScenarioError> {
+    let (f, n) = (&sc.faults, machine.num_ranks());
+    let permille = |factor: f64| (factor * 1000.0).round() as u32;
     let mut specs = Vec::new();
     if let Some(rank) = f.straggler_rank {
-        if rank >= machine.num_ranks() {
+        if rank >= n {
             return Err(invalid(format!(
-                "straggler_rank {rank} out of range for {} ranks",
-                machine.num_ranks()
+                "straggler_rank {rank} out of range for {n} ranks"
             )));
         }
+        let permille = permille(f.straggler_factor);
+        let kind = FaultKind::StragglerRank { permille };
         specs.push(FaultSpec {
             site: FaultSite::Rank { rank },
-            kind: FaultKind::StragglerRank {
-                permille: (f.straggler_factor * 1000.0).round() as u32,
-            },
+            kind,
         });
     }
     if let Some((src, dst)) = f.spike_link {
-        if src >= machine.num_ranks() || dst >= machine.num_ranks() {
+        if src >= n || dst >= n {
             return Err(invalid(format!(
-                "spike_link {src}->{dst} out of range for {} ranks",
-                machine.num_ranks()
+                "spike_link {src}->{dst} out of range for {n} ranks"
             )));
         }
+        let permille = permille(f.spike_factor);
+        let kind = FaultKind::LinkLatencySpike { permille };
         specs.push(FaultSpec {
             site: FaultSite::Link { src, dst },
-            kind: FaultKind::LinkLatencySpike {
-                permille: (f.spike_factor * 1000.0).round() as u32,
-            },
+            kind,
         });
     }
-    Ok(specs)
+    Ok((!specs.is_empty()).then_some(FaultPlan {
+        seed: sc.seed,
+        specs,
+    }))
 }
 
 /// Compiles the scenario's traffic mix and validates everything that can
@@ -175,7 +188,7 @@ fn preflight(sc: &Scenario, cfg: &RunConfig) -> Result<Preflight, ScenarioError>
             ir,
         });
     }
-    let env_specs = env_specs(&sc.faults, &machine)?;
+    let env = env_plan(sc, &machine)?;
     let file_plan = sc
         .faults
         .plan_file
@@ -193,13 +206,8 @@ fn preflight(sc: &Scenario, cfg: &RunConfig) -> Result<Preflight, ScenarioError>
     // Every environment site and plan-file site must validate against
     // every program it can strike (the environment strikes all of them).
     for c in &programs {
-        if !env_specs.is_empty() {
-            let probe = FaultPlan {
-                seed: sc.seed,
-                specs: env_specs.clone(),
-            };
-            probe
-                .validate(&c.ir)
+        if let Some(env) = &env {
+            env.validate(&c.ir)
                 .map_err(|e| invalid(format!("fault environment vs '{}': {e}", c.name)))?;
         }
         if let Some(fp) = &file_plan {
@@ -209,8 +217,9 @@ fn preflight(sc: &Scenario, cfg: &RunConfig) -> Result<Preflight, ScenarioError>
     }
     Ok(Preflight {
         machine,
+        fallback: sc.recovery.fallback.as_ref().map(|_| programs.len() - 1),
         programs,
-        env_specs,
+        env,
         file_plan,
     })
 }
@@ -280,194 +289,84 @@ fn gap_us(arrival: Arrival, mean: f64, roll: f64) -> f64 {
     }
 }
 
-struct SimCtx<'a> {
-    sc: &'a Scenario,
-    pre: &'a Preflight,
-    threads: Option<usize>,
-    /// Service time of a clean (environment-only) simulation of
-    /// `(collective, size)`. Cached — the mix is small and every
-    /// repetition re-uses the same attempts.
-    clean_cache: HashMap<(usize, u64), f64>,
-}
-
-impl SimCtx<'_> {
-    fn sim_config(&self, plan: Option<FaultPlan>) -> SimConfig {
-        let mut cfg = SimConfig::new(self.pre.machine.clone());
-        if let Some(threads) = self.threads {
-            cfg = cfg.with_parallel(threads);
-        }
-        if let Some(plan) = plan {
-            cfg = cfg.with_faults(plan);
-        }
-        cfg
-    }
-
-    fn env_plan(&self) -> Option<FaultPlan> {
-        if self.pre.env_specs.is_empty() {
-            None
-        } else {
-            Some(FaultPlan {
-                seed: self.sc.seed,
-                specs: self.pre.env_specs.clone(),
-            })
-        }
-    }
-
-    /// Simulates `(coll, size)` under the environment only.
-    fn clean(&mut self, coll: usize, size: u64) -> Result<f64, ScenarioError> {
-        if let Some(&us) = self.clean_cache.get(&(coll, size)) {
-            return Ok(us);
-        }
-        let cfg = self.sim_config(self.env_plan());
-        let report = simulate(&self.pre.programs[coll].ir, &cfg, size).map_err(engine_err)?;
-        self.clean_cache.insert((coll, size), report.total_us);
-        Ok(report.total_us)
-    }
-}
-
-/// The outcome of one op's (possibly recovered) virtual execution.
-struct OpOutcome {
-    service_us: f64,
-    retries: u64,
-    fallbacks: u64,
-    failures: u64,
-}
-
-/// Runs one op on the sim engine, modeling the recovery ladder on
-/// failure (see the module docs).
-fn sim_op(
-    ctx: &mut SimCtx<'_>,
-    coll: usize,
-    size: u64,
-    fault_plan: Option<&FaultPlan>,
-) -> Result<OpOutcome, ScenarioError> {
-    let clean_us = ctx.clean(coll, size)?;
-    let mut out = OpOutcome {
-        service_us: clean_us,
-        retries: 0,
-        fallbacks: 0,
-        failures: 0,
-    };
-    let Some(plan) = fault_plan else {
-        return Ok(out);
-    };
-    // The faulted attempt: environment plus the one-shot plan.
-    let mut specs = ctx.pre.env_specs.clone();
-    specs.extend(plan.specs.iter().copied());
-    let full = FaultPlan {
-        seed: plan.seed,
-        specs,
-    };
-    full.validate(&ctx.pre.programs[coll].ir).map_err(|e| {
-        invalid(format!(
-            "fault plan vs '{}': {e}",
-            ctx.pre.programs[coll].name
-        ))
-    })?;
-    let cfg = ctx.sim_config(Some(full));
-    let failed_at = match simulate(&ctx.pre.programs[coll].ir, &cfg, size) {
-        // Benign/corrupting plans complete, just slower; charge the
-        // perturbed time.
-        Ok(report) => {
-            out.service_us = report.total_us;
-            return Ok(out);
-        }
-        Err(SimError::InjectedFault { at_us, .. } | SimError::Stuck { at_us, .. }) => {
-            at_us.as_f64()
-        }
-        Err(other) => return Err(engine_err(other)),
-    };
-    let detect_us = failed_at + DETECT_MARGIN_US;
-    let backoff_us = ctx.sc.recovery.backoff_ms as f64 * 1000.0;
-    if ctx.sc.recovery.retries == 0 {
-        // No retry budget: one shot at the fallback, or an outright
-        // failure (the runtime ladder's last rungs).
-        match ctx.sc.recovery.fallback.is_some() {
-            true => {
-                let fb = ctx.pre.programs.len() - 1;
-                let fb_us = ctx.clean(fb, size)?;
-                out.service_us = detect_us + backoff_us + fb_us;
-                out.fallbacks = 1;
-            }
-            false => {
-                out.service_us = detect_us;
-                out.failures = 1;
-            }
-        }
-        return Ok(out);
-    }
-    // Injected faults are one-shot, so the retry runs clean (over the
-    // persistent environment) and repeats everything.
-    out.service_us = detect_us + backoff_us + clean_us;
-    out.retries = 1;
-    Ok(out)
-}
-
-/// Builds the one-shot fault plan for a repetition's faulted op, from
-/// the plan file or a generated plan.
-fn rep_fault_plan(pre: &Preflight, draw: &RepDraw, coll: usize) -> Option<FaultPlan> {
-    if !draw.faulted {
+/// The fault plan op `i` of a repetition first runs under: the
+/// persistent environment plus the repetition's one-shot faults (from
+/// the plan file or generated; preflight validated both sources). `None`
+/// for every op but the repetition's faulted one.
+fn faulted_plan(pre: &Preflight, draw: &RepDraw, i: usize, coll: usize) -> Option<FaultPlan> {
+    if !draw.faulted || i != draw.fault_op {
         return None;
     }
-    if let Some(fp) = &pre.file_plan {
-        return Some(fp.clone());
+    let mut specs = pre.env.as_ref().map_or_else(Vec::new, |e| e.specs.clone());
+    match &pre.file_plan {
+        Some(fp) => specs.extend(&fp.specs),
+        None => {
+            let universe = FaultUniverse::from_ir(&pre.programs[coll].ir);
+            specs.extend(FaultPlan::generate(draw.plan_seed, &universe).specs);
+        }
     }
-    Some(FaultPlan::generate(
-        draw.plan_seed,
-        &FaultUniverse::from_ir(&pre.programs[coll].ir),
-    ))
+    Some(FaultPlan {
+        seed: draw.plan_seed,
+        specs,
+    })
 }
 
-/// Runs every repetition on the simulator, returning per-op latencies
-/// (arrival to finish, queueing included) and per-rep stats.
-fn run_sim(
+/// Runs every repetition on either engine: `serve` runs op `i` under
+/// its repetition's recovery policy and returns its service time (µs)
+/// and the ladder's metrics, `None` when the op failed. With `queued`
+/// (the sim's virtual clock) ops arrive on the arrival process and
+/// serialize on the fabric; without it (the runtime's wall clock) a
+/// latency is the op's own duration.
+fn run_reps(
     sc: &Scenario,
-    pre: &Preflight,
-    threads: Option<usize>,
+    queued: bool,
+    mut serve: impl FnMut(
+        &RecoveryPolicy,
+        &RepDraw,
+        usize,
+        &mut RepStats,
+    ) -> Result<(f64, Option<MetricsSnapshot>), ScenarioError>,
 ) -> Result<EngineOutput, ScenarioError> {
-    let mut ctx = SimCtx {
-        sc,
-        pre,
-        threads,
-        clean_cache: HashMap::new(),
-    };
     let mut latencies = Vec::with_capacity(sc.repetitions * sc.traffic.ops);
     let mut reps = Vec::with_capacity(sc.repetitions);
     let mut tenant_counts = vec![0usize; sc.traffic.tenants.len()];
     let mut total_bytes = 0u64;
     for rep in 0..sc.repetitions {
         let draw = draw_rep(sc, rep);
+        let policy = RecoveryPolicy {
+            max_retries: sc.recovery.retries,
+            backoff: Duration::from_millis(sc.recovery.backoff_ms),
+            jitter_seed: mix(sc.seed ^ rep as u64),
+            ..RecoveryPolicy::default()
+        };
         let mut stats = RepStats {
             faulted: draw.faulted,
-            retries: 0,
-            fallbacks: 0,
-            failures: 0,
-            makespan_us: 0.0,
-            blackboxes: Vec::new(),
+            ..RepStats::default()
         };
         let mut arrival = 0.0f64;
         let mut finish = 0.0f64;
         for (i, op) in draw.ops.iter().enumerate() {
-            arrival += gap_us(sc.traffic.arrival, sc.traffic.mean_gap_us, op.gap_roll);
-            let size = sc.traffic.sizes[op.size];
-            total_bytes += size;
+            total_bytes += sc.traffic.sizes[op.size];
             if !tenant_counts.is_empty() {
                 let n = tenant_counts.len() as u64;
                 tenant_counts[(op.tenant_roll % n) as usize] += 1;
             }
-            let plan = if i == draw.fault_op {
-                rep_fault_plan(pre, &draw, op.coll)
+            let (service_us, metrics) = serve(&policy, &draw, i, &mut stats)?;
+            match metrics {
+                Some(m) => {
+                    stats.retries += m.counter_total(names::RECOVERY_RETRIES);
+                    stats.fallbacks += m.counter_total(names::RECOVERY_FALLBACKS);
+                }
+                None => stats.failures += 1,
+            }
+            if queued {
+                arrival += gap_us(sc.traffic.arrival, sc.traffic.mean_gap_us, op.gap_roll);
+                finish = arrival.max(finish) + service_us;
+                latencies.push(finish - arrival);
             } else {
-                None
-            };
-            let outcome = sim_op(&mut ctx, op.coll, size, plan.as_ref())?;
-            // Ops serialize on the (single) fabric: service starts when
-            // the op arrives or the previous one finishes.
-            finish = arrival.max(finish) + outcome.service_us;
-            latencies.push(finish - arrival);
-            stats.retries += outcome.retries;
-            stats.fallbacks += outcome.fallbacks;
-            stats.failures += outcome.failures;
+                finish += service_us;
+                latencies.push(service_us);
+            }
         }
         stats.makespan_us = finish;
         reps.push(stats);
@@ -475,105 +374,173 @@ fn run_sim(
     Ok((latencies, reps, tenant_counts, total_bytes))
 }
 
-/// Runs every repetition on the threaded runtime. Latencies are
-/// wall-clock per-op durations (arrival gaps are not slept through);
-/// decisions and counts are deterministic, timings are not.
+/// The simulator as a back end of the recovery ladder
+/// ([`msccl_runtime::recover`]), serving one op at a time: the sim engine
+/// runs every op through it.
+pub struct SimEngine<'a> {
+    /// The programs ops run; a fallback attempt runs `programs[fallback]`.
+    pub programs: Vec<&'a IrProgram>,
+    /// The fallback's index in `programs`, when there is one.
+    pub fallback: Option<usize>,
+    /// Machine and backend, with the persistent environment as fault plan.
+    pub base: SimConfig,
+    /// Clean (environment-only) service time of `(program, size)`.
+    pub clean_cache: HashMap<(usize, u64), f64>,
+    /// The op in flight: program, size and the plan its first attempt
+    /// takes (injected faults are one-shot).
+    pub op: (usize, u64, Option<FaultPlan>),
+}
+
+/// A failed sim attempt, and whether another attempt can help: an
+/// injected fault that aborted or wedged the run, or a rejected
+/// verification, is transient; any other engine error is not.
+pub struct SimFailure(pub ScenarioError, pub bool);
+
+impl From<RuntimeError> for SimFailure {
+    fn from(e: RuntimeError) -> Self {
+        SimFailure(engine_err(&e), e.is_transient())
+    }
+}
+
+impl fmt::Display for SimFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl Attempts<f64> for SimEngine<'_> {
+    /// The corrupting fault a completed attempt ran under, if any.
+    type Output = Option<FaultSpec>;
+    type Error = SimFailure;
+
+    fn attempt(
+        &mut self,
+        fallback: bool,
+        _: Option<Duration>,
+        clock: &mut f64,
+    ) -> Result<Option<FaultSpec>, SimFailure> {
+        let permanent = |e: SimError| SimFailure(engine_err(e), false);
+        let coll = self.fallback.filter(|_| fallback).unwrap_or(self.op.0);
+        let (ir, size) = (self.programs[coll], self.op.1);
+        let Some(plan) = self.op.2.take() else {
+            let us = match self.clean_cache.get(&(coll, size)) {
+                Some(&us) => us,
+                None => simulate(ir, &self.base, size).map_err(permanent)?.total_us,
+            };
+            self.clean_cache.insert((coll, size), us);
+            *clock += us;
+            return Ok(None);
+        };
+        let corrupting = plan
+            .specs
+            .iter()
+            .find(|s| s.kind.class() == FaultClass::Corrupting)
+            .copied();
+        let cfg = SimConfig {
+            fault_plan: Some(plan),
+            ..self.base.clone()
+        };
+        match simulate(ir, &cfg, size) {
+            Ok(report) => {
+                *clock += report.total_us;
+                Ok(corrupting)
+            }
+            Err(e @ (SimError::InjectedFault { at_us, .. } | SimError::Stuck { at_us, .. })) => {
+                *clock += at_us.as_f64() + DETECT_MARGIN_US;
+                Err(SimFailure(engine_err(e), true))
+            }
+            Err(e) => Err(permanent(e)),
+        }
+    }
+
+    fn is_transient(err: &SimFailure) -> bool {
+        err.1
+    }
+
+    fn verify(&self, _: bool, corrupting: &Option<FaultSpec>) -> Result<(), String> {
+        match corrupting {
+            Some(spec) => Err(format!("a corrupting fault struck: {spec}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Runs every repetition on the simulator (see the module docs).
+fn run_sim(
+    sc: &Scenario,
+    pre: &Preflight,
+    threads: Option<usize>,
+) -> Result<EngineOutput, ScenarioError> {
+    let mut engine = SimEngine {
+        programs: pre.programs.iter().map(|c| &c.ir).collect(),
+        fallback: pre.fallback,
+        base: SimConfig {
+            fault_plan: pre.env.clone(),
+            parallel: threads,
+            ..SimConfig::new(pre.machine.clone())
+        },
+        clean_cache: HashMap::new(),
+        op: (0, 0, None),
+    };
+    let has_fallback = engine.fallback.is_some();
+    run_reps(sc, true, |policy, draw, i, _| {
+        let op = &draw.ops[i];
+        let plan = faulted_plan(pre, draw, i, op.coll);
+        engine.op = (op.coll, sc.traffic.sizes[op.size], plan);
+        let mut clock = 0.0;
+        let metrics = match recover(&mut engine, &mut clock, has_fallback, policy, None) {
+            Ok(report) => Some(report.metrics),
+            Err(SimFailure(e, false)) => return Err(e),
+            Err(_) => None,
+        };
+        Ok((clock, metrics))
+    })
+}
+
+/// Runs every repetition on the threaded runtime: decisions and counts
+/// are deterministic, wall-clock timings are not.
 fn run_runtime(
     sc: &Scenario,
     pre: &Preflight,
     blackbox_dir: Option<&std::path::Path>,
 ) -> Result<EngineOutput, ScenarioError> {
-    let mut latencies = Vec::with_capacity(sc.repetitions * sc.traffic.ops);
-    let mut reps = Vec::with_capacity(sc.repetitions);
-    let mut tenant_counts = vec![0usize; sc.traffic.tenants.len()];
-    let mut total_bytes = 0u64;
-    let fallback_ir = sc
-        .recovery
-        .fallback
-        .as_ref()
-        .map(|_| &pre.programs[pre.programs.len() - 1].ir);
-    for rep in 0..sc.repetitions {
-        let draw = draw_rep(sc, rep);
-        let mut stats = RepStats {
-            faulted: draw.faulted,
-            retries: 0,
-            fallbacks: 0,
-            failures: 0,
-            makespan_us: 0.0,
-            blackboxes: Vec::new(),
+    let fallback_ir = pre.fallback.map(|fb| &pre.programs[fb].ir);
+    let opts = RunOptions {
+        blackbox_dir: blackbox_dir.map(Into::into),
+        ..RunOptions::default()
+    };
+    run_reps(sc, false, |policy, draw, i, stats| {
+        let op = &draw.ops[i];
+        let ir = &pre.programs[op.coll].ir;
+        let size = sc.traffic.sizes[op.size];
+        let chunk_elems =
+            (size as usize / (ir.collective.in_chunks() * 4)).clamp(1, MAX_CHUNK_ELEMS);
+        let inputs = reference::random_inputs(ir, chunk_elems, op.input_seed);
+        let plan = faulted_plan(pre, draw, i, op.coll).or_else(|| pre.env.clone());
+        let injector = plan.as_ref().map(FaultInjector::new);
+        let started = Instant::now();
+        let result = execute_with_recovery(
+            Run {
+                injector: injector.as_ref(),
+                ..Run::new(ir, &inputs, chunk_elems, &opts)
+            },
+            fallback_ir,
+            policy,
+        );
+        let metrics = match result {
+            Ok(report) => Some(report.metrics),
+            // The ladder ran dry: the op failed, the storm goes on.
+            // Keep the black-box path (if a dump directory was given)
+            // so the report points straight at the evidence.
+            Err(e) => {
+                if let Some(p) = e.blackbox_path() {
+                    stats.blackboxes.push(p.display().to_string());
+                }
+                None
+            }
         };
-        for (i, op) in draw.ops.iter().enumerate() {
-            let ir = &pre.programs[op.coll].ir;
-            let size = sc.traffic.sizes[op.size];
-            total_bytes += size;
-            if !tenant_counts.is_empty() {
-                let n = tenant_counts.len() as u64;
-                tenant_counts[(op.tenant_roll % n) as usize] += 1;
-            }
-            let chunk_elems =
-                (size as usize / (ir.collective.in_chunks() * 4)).clamp(1, MAX_CHUNK_ELEMS);
-            let inputs = reference::random_inputs(ir, chunk_elems, op.input_seed);
-            let opts = RunOptions {
-                blackbox_dir: blackbox_dir.map(Into::into),
-                ..RunOptions::default()
-            };
-            let policy = RecoveryPolicy {
-                max_retries: sc.recovery.retries,
-                backoff: Duration::from_millis(sc.recovery.backoff_ms),
-                jitter_seed: mix(sc.seed ^ rep as u64),
-                ..RecoveryPolicy::default()
-            };
-            let mut specs = pre.env_specs.clone();
-            let plan = if i == draw.fault_op {
-                rep_fault_plan(pre, &draw, op.coll)
-            } else {
-                None
-            };
-            if let Some(p) = &plan {
-                specs.extend(p.specs.iter().copied());
-            }
-            let injector = if specs.is_empty() {
-                None
-            } else {
-                let full = FaultPlan {
-                    seed: draw.plan_seed,
-                    specs,
-                };
-                full.validate(ir)
-                    .map_err(|e| invalid(format!("fault plan vs '{}': {e}", ir.name)))?;
-                Some(FaultInjector::new(&full))
-            };
-            let started = Instant::now();
-            match execute_with_recovery(
-                Run {
-                    injector: injector.as_ref(),
-                    ..Run::new(ir, &inputs, chunk_elems, &opts)
-                },
-                fallback_ir,
-                &policy,
-            ) {
-                Ok(report) => {
-                    use msccl_metrics::names;
-                    stats.retries += report.metrics.counter_total(names::RECOVERY_RETRIES);
-                    stats.fallbacks += report.metrics.counter_total(names::RECOVERY_FALLBACKS);
-                }
-                // The ladder ran dry: the op failed, the storm goes on.
-                // Keep the black-box path (if a dump directory was
-                // given) so the report points straight at the evidence.
-                Err(e) => {
-                    stats.failures += 1;
-                    if let Some(p) = e.blackbox_path() {
-                        stats.blackboxes.push(p.display().to_string());
-                    }
-                }
-            }
-            let us = started.elapsed().as_secs_f64() * 1e6;
-            latencies.push(us);
-            stats.makespan_us += us;
-        }
-        reps.push(stats);
-    }
-    Ok((latencies, reps, tenant_counts, total_bytes))
+        Ok((started.elapsed().as_secs_f64() * 1e6, metrics))
+    })
 }
 
 /// Runs a scenario end to end and evaluates its SLOs.

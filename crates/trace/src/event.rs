@@ -163,8 +163,6 @@ pub enum RecoveryDecision {
     Retry,
     /// Retries are exhausted; switch to the fallback algorithm.
     Fallback,
-    /// Nothing left to try; surface the error.
-    GiveUp,
 }
 
 impl RecoveryDecision {
@@ -175,7 +173,6 @@ impl RecoveryDecision {
             RecoveryDecision::Accept => "accept",
             RecoveryDecision::Retry => "retry",
             RecoveryDecision::Fallback => "fallback",
-            RecoveryDecision::GiveUp => "give_up",
         }
     }
 }

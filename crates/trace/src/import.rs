@@ -116,7 +116,6 @@ impl Trace {
                         "accept" => RecoveryDecision::Accept,
                         "retry" => RecoveryDecision::Retry,
                         "fallback" => RecoveryDecision::Fallback,
-                        "give_up" => RecoveryDecision::GiveUp,
                         other => {
                             return Err(format!("line {line_no}: bad recovery decision {other:?}"))
                         }

@@ -11,13 +11,17 @@
 //! here is reproducible with `msccl faults <ir.xml> --seed N`. The
 //! proptest tier layers randomized seeds on top of the pinned sweep.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse};
-use msccl_runtime::{
-    execute, execute_with_recovery, reference, run, Blackbox, RecoveryPolicy, Run, RunOptions,
-    RuntimeError, StallKind,
+use msccl_faults::{
+    FaultClass, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultUniverse,
 };
+use msccl_runtime::{
+    execute, execute_with_recovery, recover, reference, run, Blackbox, RecoveryPolicy,
+    RecoveryReport, Run, RunOptions, RuntimeError, StallKind,
+};
+use msccl_scenario::{SimEngine, SimFailure};
 use msccl_sim::{ParallelBackend, SerialBackend, SimBackend, SimConfig};
 use msccl_topology::{LinkParams, Machine};
 use msccl_trace::RecoveryDecision;
@@ -626,4 +630,198 @@ proptest! {
         prop_assert_eq!(parsed.to_text(), plan.to_text());
         parsed.validate(&ir).unwrap();
     }
+}
+
+/// The ladder differential's two policies, `(retries, fallback)`: one
+/// retry and no fallback, or no retry and the program itself as its own
+/// fallback.
+const LADDERS: [(usize, bool); 2] = [(1, false), (0, true)];
+
+/// The policy a `(retries, fallback)` ladder runs under.
+fn ladder_policy((retries, _): (usize, bool)) -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_retries: retries,
+        backoff: Duration::from_millis(1),
+        ..RecoveryPolicy::default()
+    }
+}
+
+/// One back end's decision sequence: the report's log when the ladder
+/// served the op, `[verify]` marking a rung a verification rejection
+/// triggered; else every rung `ladder` allows and then `give_up` — a
+/// transient last error means the ladder skipped none.
+fn decisions<T, E: std::fmt::Display>(
+    result: Result<RecoveryReport<T>, E>,
+    transient: impl Fn(&E) -> bool,
+    (retries, fallback): (usize, bool),
+) -> String {
+    let labels: Vec<String> = match result {
+        Ok(report) => report
+            .steps
+            .iter()
+            .map(|s| match s.detail.contains("verification failed") {
+                true => format!("{}[verify]", s.decision.label()),
+                false => s.decision.label().to_string(),
+            })
+            .collect(),
+        Err(e) => {
+            assert!(transient(&e), "permanent failure: {e}");
+            let mut rungs = vec![RecoveryDecision::Retry.label().to_string(); retries];
+            rungs.extend(fallback.then(|| RecoveryDecision::Fallback.label().to_string()));
+            rungs.push("give_up".to_string());
+            rungs
+        }
+    };
+    labels.join(",")
+}
+
+/// The pinned plan for `seed` through the threaded runtime's recovery
+/// ladder, with `chaos_invariant`'s short step timeout.
+fn runtime_ladder(ir: &IrProgram, seed: u64, ladder: (usize, bool)) -> String {
+    let plan = FaultPlan::generate(seed, &FaultUniverse::from_ir(ir));
+    let chunk_elems = 8;
+    let inputs = reference::random_inputs(ir, chunk_elems, seed ^ 0x00C0_FFEE);
+    let opts = RunOptions {
+        timeout: Duration::from_millis(250),
+        deadline: Some(Duration::from_secs(5)),
+        ..RunOptions::default()
+    };
+    let injector = FaultInjector::new(&plan);
+    let result = execute_with_recovery(
+        Run {
+            injector: Some(&injector),
+            ..Run::new(ir, &inputs, chunk_elems, &opts)
+        },
+        ladder.1.then_some(ir),
+        &ladder_policy(ladder),
+    );
+    decisions(result, RuntimeError::is_transient, ladder)
+}
+
+/// The same plan through the scenario simulator's ladder, on the machine
+/// `sim_chaos_invariant` uses.
+fn sim_ladder(index: usize, ir: &IrProgram, seed: u64, ladder: (usize, bool)) -> String {
+    let plan = FaultPlan::generate(seed, &FaultUniverse::from_ir(ir));
+    let mut engine = SimEngine {
+        programs: vec![ir],
+        fallback: ladder.1.then_some(0),
+        base: SimConfig::new(sim_machine(index)),
+        clean_cache: HashMap::new(),
+        op: (0, 1 << 18, Some(plan)),
+    };
+    let result = recover(
+        &mut engine,
+        &mut 0.0,
+        ladder.1,
+        &ladder_policy(ladder),
+        None,
+    );
+    decisions(result, |e: &SimFailure| e.1, ladder)
+}
+
+/// Plans whose corruption the runtime's verifier does not see: the
+/// flipped bit stays within its 1e-3 relative tolerance, or the
+/// duplicated or corrupted tile is never read (for example a duplicate
+/// of a connection's last tile). The runtime accepts the first attempt;
+/// the simulator, which moves no data, rejects every completed attempt
+/// a corrupting fault struck and takes the next rung.
+const UNSEEN_CORRUPTION: [u64; 42] = [
+    1, 2, 11, 1000, 1005, 1007, 1011, 2005, 2007, 2012, 2013, 3000, 4001, 4005, 4007, 4010, 4011,
+    5000, 5005, 6000, 6001, 7003, 8003, 9002, 9005, 9007, 10006, 10011, 11003, 11005, 11006, 11010,
+    11011, 12000, 12004, 12006, 12012, 13002, 13007, 13009, 13013, 14012,
+];
+
+/// Whether a plan's first attempt races: a disruptive fault (kill or
+/// drop) plus another corrupting or disruptive one. Whether the second
+/// strikes before the first aborts the attempt depends on thread timing;
+/// when it does not, it strikes the runtime's re-attempt (one-shot per
+/// injector, not per attempt), which then gives up, while the
+/// simulator's re-attempt always runs clean.
+fn races(plan: &FaultPlan) -> bool {
+    let classes: Vec<FaultClass> = plan.specs.iter().map(|s| s.kind.class()).collect();
+    classes.contains(&FaultClass::Disruptive)
+        && classes.iter().filter(|&&c| c != FaultClass::Benign).count() >= 2
+}
+
+/// Ladder differential: every pinned chaos plan yields the same decision
+/// sequence from the runtime's recovery ladder and the simulator's
+/// under both policies, except the disagreements pinned above, which
+/// must take their pinned shape.
+#[test]
+fn runtime_and_sim_ladders_decide_alike() {
+    let mut unexplained = Vec::new();
+    for (index, program) in catalog().iter().enumerate() {
+        let ir = compiled(program);
+        for seed in (0..14u64).map(|i| index as u64 * 1000 + i) {
+            let plan = FaultPlan::generate(seed, &FaultUniverse::from_ir(&ir));
+            for ladder in LADDERS {
+                let rung = if ladder.1 { "fallback" } else { "retry" };
+                let (rt, sim) = (
+                    runtime_ladder(&ir, seed, ladder),
+                    sim_ladder(index, &ir, seed, ladder),
+                );
+                let explained = if races(&plan) {
+                    sim == format!("{rung},accept")
+                        && (rt == sim || rt == format!("{rung},give_up"))
+                } else if UNSEEN_CORRUPTION.contains(&seed) {
+                    rt == "accept" && sim == format!("{rung}[verify],accept")
+                } else {
+                    rt == sim
+                };
+                if !explained {
+                    unexplained.push(format!(
+                        "{} seed {seed} {ladder:?}: runtime {rt}, sim {sim}\n{}",
+                        program.name(),
+                        plan.to_text()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(unexplained.is_empty(), "{}", unexplained.join("\n"));
+}
+
+fn census_path() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("recovery_census.txt")
+}
+
+/// Which rungs fire: the count of each simulator decision sequence over
+/// the 210 pinned plans, per policy, against
+/// `tests/fixtures/recovery_census.txt` (regenerate with
+/// `MSCCL_UPDATE_GOLDEN=1`). The differential above ties the runtime to
+/// the same counts, less its pinned disagreements.
+#[test]
+fn recovery_census_matches_fixture() {
+    let mut counts = std::collections::BTreeMap::new();
+    for (index, program) in catalog().iter().enumerate() {
+        let ir = compiled(program);
+        for seed in (0..14u64).map(|i| index as u64 * 1000 + i) {
+            for ladder in LADDERS {
+                let key = (ladder.0, ladder.1, sim_ladder(index, &ir, seed, ladder));
+                *counts.entry(key).or_insert(0usize) += 1;
+            }
+        }
+    }
+    let mut got = String::from(
+        "# Simulator recovery-ladder decision sequences over the 210 pinned\n\
+         # chaos plans (tests/chaos.rs), per policy; [verify] marks a rung a\n\
+         # verification rejection triggered. Regenerate with\n\
+         # MSCCL_UPDATE_GOLDEN=1 cargo test --release --test chaos recovery_census\n",
+    );
+    for ((retries, fallback, sequence), n) in counts {
+        let fallback = if fallback { "self" } else { "none" };
+        got.push_str(&format!(
+            "retries={retries} fallback={fallback} {sequence} {n}\n"
+        ));
+    }
+    if std::env::var_os("MSCCL_UPDATE_GOLDEN").is_some() {
+        std::fs::write(census_path(), &got).unwrap();
+        return;
+    }
+    let pinned = std::fs::read_to_string(census_path())
+        .expect("fixture missing; regenerate with MSCCL_UPDATE_GOLDEN=1");
+    assert_eq!(got, pinned, "the recovery census drifted from its fixture");
 }
