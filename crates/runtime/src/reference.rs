@@ -7,7 +7,9 @@
 //! reduction operator. This makes the reference automatically correct for
 //! every collective the verifier can express, including custom ones.
 
-use mscclang::{ChunkValue, Collective, IrProgram, ReduceOp};
+use std::collections::hash_map::{Entry, HashMap};
+
+use mscclang::{ChunkValue, Collective, InputId, IrProgram, ReduceOp};
 
 /// Deterministic pseudo-random input buffers for every rank of `ir`
 /// (`in_chunks * chunk_elems` elements each).
@@ -32,6 +34,12 @@ pub fn random_inputs(ir: &IrProgram, chunk_elems: usize, seed: u64) -> Vec<Vec<f
         .collect()
 }
 
+/// Rank `id.rank`'s input chunk `id.index`, in place.
+fn input_chunk(inputs: &[Vec<f32>], id: InputId, chunk_elems: usize) -> &[f32] {
+    let base = id.index * chunk_elems;
+    &inputs[id.rank][base..base + chunk_elems]
+}
+
 /// Evaluates a symbolic chunk value over concrete inputs.
 fn eval_chunk(
     value: &ChunkValue,
@@ -41,23 +49,12 @@ fn eval_chunk(
 ) -> Option<Vec<f32>> {
     match value {
         ChunkValue::Uninit => None,
-        ChunkValue::Input(id) => {
-            let base = id.index * chunk_elems;
-            Some(inputs[id.rank][base..base + chunk_elems].to_vec())
-        }
+        ChunkValue::Input(id) => Some(input_chunk(inputs, *id, chunk_elems).to_vec()),
         ChunkValue::Reduction(set) => {
             let mut it = set.inputs().iter();
-            let first = it.next()?;
-            let mut acc = {
-                let base = first.index * chunk_elems;
-                inputs[first.rank][base..base + chunk_elems].to_vec()
-            };
-            for id in it {
-                let base = id.index * chunk_elems;
-                for (a, &b) in acc
-                    .iter_mut()
-                    .zip(&inputs[id.rank][base..base + chunk_elems])
-                {
+            let mut acc = input_chunk(inputs, *it.next()?, chunk_elems).to_vec();
+            for &id in it {
+                for (a, &b) in acc.iter_mut().zip(input_chunk(inputs, id, chunk_elems)) {
                     *a = op.apply(*a, b);
                 }
             }
@@ -66,12 +63,30 @@ fn eval_chunk(
     }
 }
 
+/// Whether an output element `a` verifies against the reference `x`:
+/// equal (so `inf` matches `inf` and `-0.0` matches `0.0`), both NaN, or
+/// a finite `x` within `1e-3 * max(|x|, 1)`. A NaN output never matches a
+/// number, and an infinite reference is matched only by itself. Written
+/// with non-short-circuit operators so a chunk's pass has no branches.
+#[inline]
+fn matches(a: f32, x: f32) -> bool {
+    let tol = 1e-3 * x.abs().max(1.0);
+    (a == x) | (a.is_nan() & x.is_nan()) | (x.is_finite() & ((a - x).abs() <= tol))
+}
+
 /// Checks every constrained output chunk of every rank against the
 /// postcondition-derived golden value.
 ///
+/// Each distinct postcondition value is evaluated once per call (an
+/// allreduce names the same reduction at a chunk index on every rank),
+/// and an `Input` value is compared against `inputs` in place. A chunk
+/// is checked with one branch-free pass; only a chunk that fails it is
+/// walked element by element to name the first mismatch.
+///
 /// # Errors
 ///
-/// Returns a description of the first mismatching element.
+/// Returns a description of the first mismatching element, in (rank,
+/// chunk, element) order.
 pub fn check_outputs(
     collective: &Collective,
     inputs: &[Vec<f32>],
@@ -86,6 +101,7 @@ pub fn check_outputs(
             collective.num_ranks()
         ));
     }
+    let mut folded: HashMap<&ChunkValue, Vec<f32>> = HashMap::new();
     for (rank, out) in outputs.iter().enumerate() {
         let expect_len = collective.out_chunks() * chunk_elems;
         if out.len() != expect_len {
@@ -95,20 +111,37 @@ pub fn check_outputs(
             ));
         }
         for index in 0..collective.out_chunks() {
-            let Some(expected_value) = collective.postcondition(rank, index) else {
+            let Some(value) = collective.postcondition(rank, index) else {
                 continue;
             };
-            let expected = eval_chunk(expected_value, inputs, chunk_elems, op)
-                .ok_or_else(|| format!("postcondition of rank {rank} chunk {index} is uninit"))?;
+            let expected: &[f32] = if let ChunkValue::Input(id) = value {
+                input_chunk(inputs, *id, chunk_elems)
+            } else {
+                match folded.entry(value) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        e.insert(eval_chunk(value, inputs, chunk_elems, op).ok_or_else(|| {
+                            format!("postcondition of rank {rank} chunk {index} is uninit")
+                        })?)
+                    }
+                }
+            };
             let base = index * chunk_elems;
             let actual = &out[base..base + chunk_elems];
-            for (e, (&a, &x)) in actual.iter().zip(&expected).enumerate() {
-                let tol = 1e-3 * x.abs().max(1.0);
-                if (a - x).abs() > tol {
-                    return Err(format!(
-                        "rank {rank} output chunk {index} element {e}: got {a}, expected {x}"
-                    ));
-                }
+            let bad = actual
+                .iter()
+                .zip(expected)
+                .fold(0u32, |bad, (&a, &x)| bad | u32::from(!matches(a, x)));
+            if bad != 0 {
+                let (e, (a, x)) = actual
+                    .iter()
+                    .zip(expected)
+                    .enumerate()
+                    .find(|(_, (&a, &x))| !matches(a, x))
+                    .expect("the chunk's pass found a mismatch");
+                return Err(format!(
+                    "rank {rank} output chunk {index} element {e}: got {a}, expected {x}"
+                ));
             }
         }
     }
@@ -197,7 +230,6 @@ pub fn replay_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mscclang::InputId;
 
     #[test]
     fn eval_input_chunk_slices_correctly() {
@@ -242,6 +274,48 @@ mod tests {
         assert!(check_outputs(&coll, &inputs, &good, 1, ReduceOp::Sum).is_ok());
         let err = check_outputs(&coll, &inputs, &bad, 1, ReduceOp::Sum).unwrap_err();
         assert!(err.contains("rank 1"));
+    }
+
+    #[test]
+    fn check_outputs_on_non_finite_and_signed_zero() {
+        // Does output `a` verify where the reference is `x`? Rank 1's
+        // output chunk 0 of a 2-rank allgather is rank 0's input.
+        let verifies = |x: f32, a: f32| {
+            let coll = Collective::all_gather(2, 1, false);
+            let inputs = vec![vec![x], vec![0.0]];
+            let outs = vec![vec![x, 0.0], vec![a, 0.0]];
+            check_outputs(&coll, &inputs, &outs, 1, ReduceOp::Sum).is_ok()
+        };
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        for (x, a, ok) in [
+            (1.0, nan, false),
+            (nan, 1.0, false),
+            (nan, nan, true),
+            (1.0, inf, false),
+            (1.0, -inf, false),
+            (inf, inf, true),
+            (-inf, -inf, true),
+            (inf, -inf, false),
+            (inf, f32::MAX, false),
+            (-inf, nan, false),
+            (0.0, -0.0, true),
+            (-0.0, 0.0, true),
+            (0.0, 1e-4, true),
+            (0.0, 2e-3, false),
+        ] {
+            assert_eq!(verifies(x, a), ok, "expected {x}, got {a}");
+        }
+    }
+
+    #[test]
+    fn check_outputs_names_the_first_mismatch_in_a_chunk() {
+        let coll = Collective::all_gather(2, 1, false);
+        let inputs = vec![vec![1.0; 40], vec![2.0; 40]];
+        let mut outs = vec![[vec![1.0; 40], vec![2.0; 40]].concat(); 2];
+        outs[1][40 + 33] = 7.0;
+        outs[1][40 + 9] = 8.0;
+        let err = check_outputs(&coll, &inputs, &outs, 40, ReduceOp::Sum).unwrap_err();
+        assert_eq!(err, "rank 1 output chunk 1 element 9: got 8, expected 2");
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
+use std::time::Duration;
 
 use msccl_topology::Protocol;
 use mscclang::IrProgram;
@@ -154,37 +155,44 @@ impl IrCache {
         }
     }
 
-    /// Returns the cached program for `key`, or builds, inserts and
-    /// returns it (evicting the least-recently-used entry when over
-    /// capacity). The `bool` is true on a hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `build`'s error; the cache is unchanged then (the
-    /// miss is still counted — a failing key that is retried forever
-    /// should be visible in the miss counter, not hidden).
-    pub fn get_or_try_insert<E>(
-        &mut self,
-        key: &CacheKey,
-        build: impl FnOnce() -> Result<IrProgram, E>,
-    ) -> Result<(Arc<IrProgram>, bool), E> {
+    /// Returns the cached program for `key` and refreshes its recency,
+    /// counting a hit; on a miss returns `None` and counts the miss. A
+    /// caller that misses compiles without holding the cache and then
+    /// calls [`insert`](Self::insert); a compile that fails is still
+    /// counted as a miss, so a failing key that is retried forever shows
+    /// in the miss counter.
+    pub fn lookup(&mut self, key: &CacheKey) -> Option<Arc<IrProgram>> {
         self.tick += 1;
         if let Some(slot) = self.map.get_mut(key) {
             slot.last_used = self.tick;
             self.hits += 1;
-            return Ok((Arc::clone(&slot.ir), true));
+            return Some(Arc::clone(&slot.ir));
         }
         self.misses += 1;
-        let t0 = std::time::Instant::now();
-        let ir = Arc::new(build()?);
-        self.compile_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.map.insert(
-            key.clone(),
-            Slot {
-                ir: Arc::clone(&ir),
-                last_used: self.tick,
-            },
-        );
+        None
+    }
+
+    /// Inserts `ir`, compiled for `key` in `compile_time` after a missed
+    /// [`lookup`](Self::lookup), evicting the least-recently-used entry
+    /// when over capacity, and returns the resident program. When two
+    /// callers missed the same key and compiled it at once, the first
+    /// insert wins: the later one gets the resident program back and its
+    /// own copy is dropped (its compile time still counts).
+    pub fn insert(
+        &mut self,
+        key: CacheKey,
+        ir: IrProgram,
+        compile_time: Duration,
+    ) -> Arc<IrProgram> {
+        self.tick += 1;
+        self.compile_ns += u64::try_from(compile_time.as_nanos()).unwrap_or(u64::MAX);
+        let tick = self.tick;
+        let slot = self.map.entry(key).or_insert_with(|| Slot {
+            ir: Arc::new(ir),
+            last_used: tick,
+        });
+        slot.last_used = tick;
+        let ir = Arc::clone(&slot.ir);
         while self.map.len() > self.capacity {
             // O(n) min-scan; n is the cache capacity (tens).
             let coldest = self
@@ -196,7 +204,7 @@ impl IrCache {
             self.map.remove(&coldest);
             self.evictions += 1;
         }
-        Ok((ir, false))
+        ir
     }
 }
 
@@ -230,58 +238,73 @@ mod tests {
         assert_eq!(size_class(0), 0);
     }
 
+    /// Looks `k` up and, on a miss, compiles and inserts it; true on a hit.
+    fn access(cache: &mut IrCache, k: &CacheKey) -> bool {
+        if cache.lookup(k).is_some() {
+            return true;
+        }
+        cache.insert(k.clone(), tiny_ir(), Duration::ZERO);
+        false
+    }
+
     #[test]
     fn hit_on_second_lookup_miss_on_first() {
         let mut cache = IrCache::new(4);
         let k = key("ring-allreduce", 2, 6);
-        let (a, hit) = cache.get_or_try_insert::<()>(&k, || Ok(tiny_ir())).unwrap();
-        assert!(!hit);
-        let (b, hit) = cache
-            .get_or_try_insert::<()>(&k, || panic!("must not rebuild"))
-            .unwrap();
-        assert!(hit);
+        assert!(cache.lookup(&k).is_none());
+        let a = cache.insert(k.clone(), tiny_ir(), Duration::from_nanos(5));
+        let b = cache.lookup(&k).expect("inserted key hits");
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!((s.hits, s.misses, s.entries, s.compile_ns), (1, 1, 1, 5));
     }
 
     #[test]
     fn lru_evicts_the_coldest() {
         let mut cache = IrCache::new(2);
         let (k1, k2, k3) = (key("a", 2, 1), key("a", 2, 2), key("a", 2, 3));
-        for k in [&k1, &k2] {
-            cache.get_or_try_insert::<()>(k, || Ok(tiny_ir())).unwrap();
-        }
+        assert!(!access(&mut cache, &k1));
+        assert!(!access(&mut cache, &k2));
         // Touch k1 so k2 is the coldest.
-        cache
-            .get_or_try_insert::<()>(&k1, || panic!("hit expected"))
-            .unwrap();
-        cache
-            .get_or_try_insert::<()>(&k3, || Ok(tiny_ir()))
-            .unwrap();
+        assert!(access(&mut cache, &k1));
+        assert!(!access(&mut cache, &k3));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // k2 was evicted; k1 and k3 still hit.
-        cache
-            .get_or_try_insert::<()>(&k1, || panic!("k1 evicted"))
-            .unwrap();
-        cache
-            .get_or_try_insert::<()>(&k3, || panic!("k3 evicted"))
-            .unwrap();
-        let (_, hit) = cache
-            .get_or_try_insert::<()>(&k2, || Ok(tiny_ir()))
-            .unwrap();
-        assert!(!hit);
+        assert!(access(&mut cache, &k1));
+        assert!(access(&mut cache, &k3));
+        assert!(!access(&mut cache, &k2));
     }
 
     #[test]
     fn failed_build_leaves_cache_unchanged() {
         let mut cache = IrCache::new(2);
         let k = key("a", 2, 1);
-        let r = cache.get_or_try_insert(&k, || Err("compile failed"));
-        assert_eq!(r.err(), Some("compile failed"));
+        // A miss whose compile fails inserts nothing.
+        assert!(cache.lookup(&k).is_none());
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn raced_insert_keeps_the_first_program() {
+        let mut cache = IrCache::new(2);
+        let k = key("a", 2, 1);
+        // Two callers miss the same key and both compile it.
+        assert!(cache.lookup(&k).is_none());
+        assert!(cache.lookup(&k).is_none());
+        let first = cache.insert(k.clone(), tiny_ir(), Duration::from_nanos(3));
+        let second = cache.insert(k.clone(), tiny_ir(), Duration::from_nanos(4));
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "the raced duplicate is dropped"
+        );
+        assert!(Arc::ptr_eq(&first, &cache.lookup(&k).expect("resident")));
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.entries, s.evictions, s.compile_ns),
+            (1, 2, 1, 0, 7)
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! draining check, per-tenant token bucket, bounded per-tenant queue —
 //! each rejection is *structured* (reason + honest retry-after hint)
 //! rather than a dropped connection, because a client that knows why it
-//! was shed can back off correctly. Compilation happens *outside* the
-//! admission lock against the LRU [`IrCache`]; a queue place is
-//! reserved first so a slow compile cannot over-admit past the bound.
+//! was shed can back off correctly. Compilation happens *outside* both
+//! the admission lock and the lock of the LRU [`IrCache`], which is held
+//! only to look a program up and to insert one (the first of two raced
+//! compiles of one key wins); a queue place is reserved first so a slow
+//! compile cannot over-admit past the bound.
 //!
 //! The queue holds waiting callers, not work: `exec_workers` execution
 //! slots each own one warm [`ExecArena`], a caller of
@@ -180,8 +182,8 @@ pub struct OkReply {
     pub tenant: String,
     /// Whether the program came from the cache.
     pub cache_hit: bool,
-    /// FNV-1a checksum over the output bit patterns of every rank —
-    /// the determinism witness (same request, same checksum).
+    /// [`output_checksum`] of every rank's outputs — the determinism
+    /// witness (same request, same checksum).
     pub checksum: u64,
     /// Recovery-ladder attempts consumed.
     pub attempts: usize,
@@ -629,8 +631,9 @@ impl ServiceCore {
             .counter(names::SERVICE_ADMITTED, &[("tenant", &req.tenant)])
             .inc(0);
 
-        // Compile (or hit the cache) outside the admission lock; the
-        // reserved slot keeps the queue bound honest meanwhile.
+        // Compile (or hit the cache) outside the admission lock and the
+        // cache's lock; the reserved slot keeps the queue bound honest
+        // meanwhile.
         let key = CacheKey {
             collective: req.algorithm.clone(),
             ranks: req
@@ -641,14 +644,22 @@ impl ServiceCore {
             topology: self.cfg.topology.clone(),
             protocol: req.protocol,
         };
-        let built = {
-            let mut cache = self.cache.lock().expect("cache poisoned");
-            cache.get_or_try_insert(&key, || {
-                let program = msccl_algos::build_by_name(&req.algorithm, &req.spec)
-                    .map_err(|e| format!("cannot build '{}': {e}", req.algorithm))?;
-                compile(&program, &CompileOptions::default())
-                    .map_err(|e| format!("cannot compile '{}': {e}", req.algorithm))
-            })
+        let cached = self.cache.lock().expect("cache poisoned").lookup(&key);
+        let built = match cached {
+            Some(ir) => Ok((ir, true)),
+            None => {
+                let t0 = Instant::now();
+                msccl_algos::build_by_name(&req.algorithm, &req.spec)
+                    .map_err(|e| format!("cannot build '{}': {e}", req.algorithm))
+                    .and_then(|program| {
+                        compile(&program, &CompileOptions::default())
+                            .map_err(|e| format!("cannot compile '{}': {e}", req.algorithm))
+                    })
+                    .map(|ir| {
+                        let mut cache = self.cache.lock().expect("cache poisoned");
+                        (cache.insert(key, ir, t0.elapsed()), false)
+                    })
+            }
         };
         let (ir, cache_hit) = match built {
             Ok(pair) => pair,
@@ -942,24 +953,37 @@ impl ServiceCore {
     }
 }
 
-/// FNV-1a over every rank's output bit patterns (rank-delimited), the
-/// service's determinism witness: two executions of the same request
+/// The service's determinism witness: two executions of the same request
 /// are bit-exact iff their checksums agree.
+///
+/// Each rank's output is hashed as `f32` bit patterns, one `u32` word at a
+/// time, into four independent FNV-style lanes (word `i` goes to lane
+/// `i % 4`), so the multiply chains overlap instead of serialising.
+/// The lanes, then the words left over past the last full group, then the
+/// rank's length and a rank delimiter fold into the running hash in that
+/// order. Every step is a bijection of the state it updates, so changing
+/// any one element always changes the checksum.
 #[must_use]
 pub fn output_checksum(outputs: &[Vec<f32>]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const LANES: usize = 4;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
     let mut h = OFFSET;
     for out in outputs {
-        for v in out {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
+        let mut lanes: [u64; LANES] = std::array::from_fn(|i| OFFSET.rotate_left(16 * i as u32));
+        let groups = out.chunks_exact(LANES);
+        let rest = groups.remainder();
+        for group in groups {
+            for (lane, v) in lanes.iter_mut().zip(group) {
+                *lane = step(*lane, u64::from(v.to_bits()));
             }
         }
+        h = lanes.into_iter().fold(h, step);
+        h = rest.iter().fold(h, |h, v| step(h, u64::from(v.to_bits())));
+        h = step(h, out.len() as u64);
         // Rank delimiter: [1.0, 2.0] ++ [] must differ from [1.0] ++ [2.0].
-        h ^= 0xff;
-        h = h.wrapping_mul(PRIME);
+        h = step(h, 0xff);
     }
     h
 }
@@ -997,6 +1021,67 @@ mod tests {
         assert_eq!(
             output_checksum(&[vec![1.0, 2.0]]),
             output_checksum(&[vec![1.0, 2.0]])
+        );
+    }
+
+    /// Output lengths around the lane count and its remainder.
+    fn checksum_lengths() -> impl Iterator<Item = usize> {
+        (0..=9).chain(31..=33)
+    }
+
+    fn sample_output(len: usize) -> Vec<f32> {
+        (0..len).map(|i| i as f32 * 1.5 - 3.0).collect()
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_of_every_element() {
+        for len in checksum_lengths() {
+            let out = sample_output(len);
+            let base = output_checksum(&[out.clone(), vec![7.0]]);
+            for i in 0..len {
+                for bit in 0..32 {
+                    let mut flipped = out.clone();
+                    flipped[i] = f32::from_bits(flipped[i].to_bits() ^ (1 << bit));
+                    assert_ne!(
+                        output_checksum(&[flipped, vec![7.0]]),
+                        base,
+                        "length {len}: flipping bit {bit} of element {i} went unseen"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_sees_two_elements_swapped() {
+        for len in checksum_lengths() {
+            let out = sample_output(len);
+            let base = output_checksum(std::slice::from_ref(&out));
+            for i in 0..len {
+                for j in i + 1..len {
+                    let mut swapped = out.clone();
+                    swapped.swap(i, j);
+                    assert_ne!(
+                        output_checksum(&[swapped]),
+                        base,
+                        "length {len}: swapping elements {i} and {j} went unseen"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_value_is_pinned() {
+        // The value on the wire: a change here is a protocol change.
+        let outputs = [
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+            vec![],
+            vec![-0.0, f32::INFINITY],
+        ];
+        assert_eq!(
+            format!("{:016x}", output_checksum(&outputs)),
+            "c5479ed07fa4e230"
         );
     }
 
