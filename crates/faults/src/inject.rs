@@ -1,9 +1,10 @@
 //! The injector: the runtime- and simulator-facing view of a plan.
 //!
 //! Every planned fault is *one-shot*: it fires the first time execution
-//! reaches its site and is consumed, so a retry of the same collective
-//! over the same injector runs clean — which is exactly the semantics of
-//! a transient fault and what makes bounded retry a sound recovery.
+//! reaches its site and is consumed. A plan describes one incident: the
+//! runtime's recovery ladder hands the injector to an op's first attempt
+//! only, so a retry runs clean — which is exactly the semantics of a
+//! transient fault and what makes bounded retry a sound recovery.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

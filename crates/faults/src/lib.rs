@@ -11,8 +11,9 @@
 //! Plans serialize to a line-based text format and parse back bit-for-bit
 //! ([`FaultPlan::to_text`] / [`FaultPlan::parse`]), so any chaos-test
 //! failure reproduces from its seed alone. Every fault is one-shot: it
-//! fires once and is consumed, giving retries the semantics of recovering
-//! from a *transient* fault.
+//! fires once and is consumed, and a plan describes one incident — the
+//! recovery ladder arms it for an op's first attempt only — giving
+//! retries the semantics of recovering from a *transient* fault.
 //!
 //! The taxonomy splits into three [`FaultClass`]es, which drive the
 //! runtime's recovery policy:

@@ -98,6 +98,9 @@ pub mod names {
     pub const SERVICE_CACHE_MISSES: &str = "msccl_service_cache_misses_total";
     /// Counter, no labels: cache entries evicted by LRU pressure.
     pub const SERVICE_CACHE_EVICTIONS: &str = "msccl_service_cache_evictions_total";
+    /// Counter, no labels: execution plans the slots' arenas built — one
+    /// per request whose program its slot did not hold a plan for.
+    pub const SERVICE_PLAN_BUILDS: &str = "msccl_service_plan_builds_total";
     /// Gauge, no labels: requests queued across all tenants right now.
     pub const SERVICE_QUEUE_DEPTH: &str = "msccl_service_queue_depth";
     /// Gauge, no labels: requests executing right now.

@@ -17,8 +17,9 @@
 //!
 //! Nothing about the *program* is derived per call: the lowered
 //! instruction tables, connection and task indices, FIFOs, semaphores,
-//! tasks and scheduler live in an [`ExecPlan`] cached in the
-//! [`ExecArena`] (see [`crate::plan`]), and the pool's workers `1..N`
+//! tasks and scheduler live in an [`ExecPlan`] held in the
+//! [`ExecArena`] with those of the other recently run programs (see
+//! [`crate::plan`]), and the pool's workers `1..N`
 //! are threads resident in the arena. A run on a matching plan is reset,
 //! load inputs, wake the workers, interpret, extract; a request without
 //! an arena takes the same path in a throwaway one.
@@ -447,17 +448,27 @@ fn tile_pool_for(ir: &IrProgram, opts: &RunOptions) -> Arc<TilePool> {
     TilePool::new(tile_elems * max_count)
 }
 
+/// How many execution plans one [`ExecArena`] keeps: the plan of the
+/// program that ran last plus the most recently run others, parked. A
+/// run of a program whose plan is held, by content (see [`crate::plan`]),
+/// builds nothing; past this bound the least recently run plan is
+/// dropped. 64 is `msccl serve`'s default IR-cache capacity, so a slot
+/// keeps a plan for every program its cache can hold.
+pub const ARENA_PLANS: usize = 64;
+
 /// Warm, reusable execution state: the tile pool, recycled rank memory
-/// spaces and (optionally) result vectors, the cached execution plan of
-/// the program that last ran here, and the worker pool's resident
-/// threads. A [`Run`] with [`Run::arena`] set draws every buffer of the
-/// data path from here and stashes the space buffers back after the run,
-/// so repeated executions of the same program allocate nothing on the data
-/// path in steady state — not tiles, not rank memory, and, when finished
-/// outputs are handed back with
-/// [`recycle_outputs`](ExecArena::recycle_outputs), not result buffers
-/// either — and rebuild nothing about the program: a run on a matching
-/// plan is reset, load inputs, wake the workers, interpret, extract.
+/// spaces and (optionally) result vectors, the execution plans of the
+/// programs that ran here most recently (at most [`ARENA_PLANS`]), and
+/// the worker pool's resident threads. A [`Run`] with [`Run::arena`] set
+/// draws every buffer of the data path from here and stashes the space
+/// buffers back after the run, so repeated executions of the same
+/// program allocate nothing on the data path in steady state — not
+/// tiles, not rank memory, and, when finished outputs are handed back
+/// with [`recycle_outputs`](ExecArena::recycle_outputs), not result
+/// buffers either — and rebuild nothing about the program: a run on a
+/// held plan is reset, load inputs, wake the workers, interpret,
+/// extract. Programs that alternate in one arena — a recovery ladder's
+/// primary and fallback, a daemon slot's traffic — each keep their plan.
 /// Beyond skipping `malloc`, reuse keeps the pages faulted in: for large
 /// buffers that is worth more than the allocation itself.
 ///
@@ -467,9 +478,13 @@ pub struct ExecArena {
     pool: Arc<TilePool>,
     spares: Vec<SpaceBuffers>,
     outputs: Vec<Vec<f32>>,
-    /// The one cached plan: kept while runs match it (by content — see
-    /// [`crate::plan`]), replaced by the first run that does not.
-    plan: Option<Box<ExecPlan>>,
+    /// The held plans, in no order: a plan stays where it was built, and
+    /// a dropped plan's slot takes the next one built.
+    plans: Vec<ExecPlan>,
+    /// Indices into `plans`, most recently run first: the front one is
+    /// the last run's, possibly left dirty by a failure; the rest are
+    /// parked with no tile out of the pool. See [`take_plan`].
+    recent: Vec<usize>,
     counters: PlanCounters,
     workers: Workers,
 }
@@ -477,16 +492,18 @@ pub struct ExecArena {
 impl ExecArena {
     /// An arena whose tile pool is sized for `ir` under `opts` (one
     /// maximal tile per buffer). Memory-space and output buffers are adopted
-    /// from whatever program runs in it, and the plan is built by the
-    /// first run, so one arena can serve different programs of similar
-    /// size — each change of program costs one plan build.
+    /// from whatever program runs in it, and a program's plan is built by
+    /// its first run, so one arena can serve different programs of similar
+    /// size — each program costs one plan build while it stays among the
+    /// [`ARENA_PLANS`] most recently run.
     #[must_use]
     pub fn new(ir: &IrProgram, opts: &RunOptions) -> Self {
         Self {
             pool: tile_pool_for(ir, opts),
             spares: Vec::new(),
             outputs: Vec::new(),
-            plan: None,
+            plans: Vec::new(),
+            recent: Vec::new(),
             counters: PlanCounters::default(),
             workers: Workers::new(),
         }
@@ -499,11 +516,67 @@ impl ExecArena {
         &self.pool
     }
 
+    /// How many execution plans this arena has built so far: one per
+    /// run of a program whose plan it did not hold. A warm arena's count
+    /// stands still.
+    #[must_use]
+    pub fn plans_built(&self) -> u64 {
+        self.counters.plans_built
+    }
+
     /// Hands finished output buffers back for reuse as the next run's
     /// result vectors.
     pub fn recycle_outputs(&mut self, outputs: Vec<Vec<f32>>) {
         self.outputs.extend(outputs);
     }
+}
+
+/// The held plan matching `(ir, num_slots, pool_threads)`, built when
+/// none matches, now first in `recent` — checked most recent first, so
+/// a run of the last program costs the one compare it always did. The
+/// plan it displaces from the front is parked: its FIFOs and tasks give
+/// back any tile a failed run stranded there, so parked plans hold
+/// nothing of the pool. Past [`ARENA_PLANS`] a new plan replaces the
+/// least recently run one. Only indices move; a plan never does.
+fn take_plan<'p>(
+    plans: &'p mut Vec<ExecPlan>,
+    recent: &mut Vec<usize>,
+    counters: &mut PlanCounters,
+    ir: &IrProgram,
+    num_slots: usize,
+    pool_threads: usize,
+) -> mscclang::Result<&'p mut ExecPlan> {
+    match recent
+        .iter()
+        .position(|&i| plans[i].matches(ir, num_slots, pool_threads))
+    {
+        Some(0) => {}
+        Some(held) => {
+            plans[recent[0]].release_tiles();
+            recent[..=held].rotate_right(1);
+        }
+        None => {
+            let built = ExecPlan::build(ir, num_slots, pool_threads, counters)?;
+            if let Some(&front) = recent.first() {
+                plans[front].release_tiles();
+            }
+            let slot = if plans.len() < ARENA_PLANS {
+                plans.push(built);
+                plans.len() - 1
+            } else {
+                let lru = recent.pop().expect("a full arena holds plans");
+                plans[lru] = built;
+                lru
+            };
+            recent.insert(0, slot);
+        }
+    }
+    debug_assert!(plans.len() <= ARENA_PLANS && recent.len() == plans.len());
+    debug_assert!(
+        recent[1..].iter().all(|&i| !plans[i].holds_tiles()),
+        "a parked plan holds tiles"
+    );
+    Ok(&mut plans[recent[0]])
 }
 
 impl fmt::Debug for ExecArena {
@@ -514,7 +587,7 @@ impl fmt::Debug for ExecArena {
             .field("pool", &self.pool.stats())
             .field("spare_memories", &self.spares.len())
             .field("spare_outputs", &self.outputs.len())
-            .field("plan_cached", &self.plan.is_some())
+            .field("plans_held", &self.plans.len())
             .field("plans_built", &self.counters.plans_built)
             .field("elision_scans", &self.counters.elision_scans)
             .field("tasks_built", &self.counters.tasks_built)
@@ -761,9 +834,12 @@ pub struct Run<'a> {
     /// rebuilds nothing about the program. `None` runs in a throwaway arena: plan built, used once
     /// and dropped, threads spawned and joined.
     pub arena: Option<&'a mut ExecArena>,
-    /// Inject deterministic faults. Injection is one-shot per spec
-    /// *across the injector's lifetime*: running again with the same
-    /// injector models a retry after a transient fault. A disruptive
+    /// Inject deterministic faults. A fault plan describes one incident:
+    /// injection is one-shot per spec *across the injector's lifetime*,
+    /// and the recovery ladder ([`crate::execute_with_recovery`]) hands
+    /// the injector to its first attempt only, so neither a retry nor
+    /// the fallback meets a fault — persistent benign ones (a straggler,
+    /// a latency spike) included. A disruptive
     /// fault surfaces as a structured error whose context names the
     /// faults that struck; a corrupting fault surfaces only through
     /// output verification (see
@@ -952,8 +1028,8 @@ fn validate(run: &Run<'_>) -> Result<(), RuntimeError> {
 /// Everything a caller can ask of an execution is a field of [`Run`];
 /// everything it can get back is a field of [`RunReport`].
 ///
-/// The run path is: validate, take (or build) the arena's execution
-/// plan, load the input chunks the plan reads from memory into recycled
+/// The run path is: validate, take the arena's held execution plan for
+/// the program (or build one), load the input chunks the plan reads from memory into recycled
 /// rank memory, reset the plan, interpret on the worker pool, extract
 /// outputs, stash the buffers back.
 #[must_use]
@@ -1003,7 +1079,8 @@ pub fn run(req: Run<'_>) -> RunReport {
         pool,
         spares,
         outputs: spare_outs,
-        plan,
+        plans,
+        recent,
         counters,
         workers,
     } = arena;
@@ -1012,25 +1089,19 @@ pub fn run(req: Run<'_>) -> RunReport {
     // stats.
     let pool_base = pool.stats();
 
-    // ---- The plan: kept on a content match, rebuilt otherwise. Tasks
-    // outnumbering workers is the normal case — oversubscription is
-    // handled by cooperative yields, not by the OS scheduler thrashing
-    // between threads.
+    // ---- The plan: a held one on a content match, built otherwise.
+    // Tasks outnumbering workers is the normal case — oversubscription
+    // is handled by cooperative yields, not by the OS scheduler
+    // thrashing between threads.
     let pool_threads = worker_pool_size(opts.worker_threads, ir.num_threadblocks());
-    if !plan
-        .as_ref()
-        .is_some_and(|p| p.matches(ir, params.num_slots, pool_threads))
-    {
-        match ExecPlan::build(ir, params.num_slots, pool_threads, counters) {
-            Ok(built) => *plan = Some(Box::new(built)),
-            Err(e) => {
-                return RunReport::rejected(RuntimeError::InvalidProgram {
-                    message: e.to_string(),
-                })
-            }
+    let plan = match take_plan(plans, recent, counters, ir, params.num_slots, pool_threads) {
+        Ok(plan) => plan,
+        Err(e) => {
+            return RunReport::rejected(RuntimeError::InvalidProgram {
+                message: e.to_string(),
+            })
         }
-    }
-    let plan = plan.as_deref_mut().expect("plan ensured above");
+    };
     // Worker 0 runs inline on the calling thread — a one-worker pool has
     // no threads at all. Workers 1.. are resident in the arena.
     workers.resize(pool_threads - 1);
@@ -1836,7 +1907,8 @@ mod tests {
     /// chunk size, tile size and metering, none of which is part of the
     /// plan's shape — the arena builds no plan (so runs no lowering, no
     /// `HashMap`, no `TbTask::new`, no happens-before sweep), spawns no
-    /// thread and never asks the OS for its parallelism again.
+    /// thread and never asks the OS for its parallelism again; nor does
+    /// a run of a program whose plan another program's run parked.
     #[test]
     fn warm_runs_build_no_plan_and_spawn_no_thread() {
         use std::sync::atomic::Ordering;
@@ -1908,7 +1980,12 @@ mod tests {
         let inputs = crate::reference::random_inputs(&other, 32, 8);
         execute_in_arena(&other, &inputs, 32, &opts, &mut arena).unwrap();
         assert_eq!(arena.counters.plans_built, 2);
+        // The first program's plan was parked, not dropped: running it
+        // again builds nothing.
+        run(&mut arena, 9, 32, &opts);
+        assert_eq!(arena.plans_built(), 2);
         assert!(format!("{arena:?}").contains("plans_built: 2"));
+        assert!(format!("{arena:?}").contains("plans_held: 2"));
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod workers;
 pub use cancel::{FailureCause, FailureOrigin};
 pub use executor::{
     execute, execute_in_arena, execute_with_metrics, run, ExecArena, ExecStats, Run, RunOptions,
-    RunReport, RuntimeError,
+    RunReport, RuntimeError, ARENA_PLANS,
 };
 pub use flight::{
     Blackbox, BlackboxConn, BlackboxFailure, BlackboxSched, BlockedOn, FlightRecord,

@@ -1,5 +1,5 @@
 //! The execution plan: everything about a run that is a function of the
-//! program and of the pool shape, built once and kept in the
+//! program and of the pool shape, built once and held in the
 //! [`ExecArena`](crate::ExecArena).
 //!
 //! The paper's runtime (§6) loads MSCCL-IR once at communicator init;
@@ -18,11 +18,16 @@
 //! un-zeroed. A run on a matching plan is [`ExecPlan::reset`], load what
 //! the sweep left to load, interpret, extract.
 //!
-//! **The match rule** is by content, never by address: the plan keeps
-//! its own copy of the IR and a hit requires `plan.ir == *ir`, the same
+//! **The match rule** is by content, never by address: a plan keeps its
+//! own copy of the IR and a hit requires `plan.ir == *ir`, the same
 //! FIFO slot count (the only thing the protocol contributes to the
-//! shape) and the same resolved worker-pool size. Everything else in
-//! [`RunOptions`](crate::RunOptions) — tile and chunk size, reduce
+//! shape) and the same resolved worker-pool size. An arena holds the
+//! plans of its [`ARENA_PLANS`](crate::ARENA_PLANS) most recently run
+//! programs and checks them most recent first, so programs that
+//! alternate in one arena each keep theirs, and an IR recompiled into a
+//! new allocation — a daemon's cache entry evicted and rebuilt, or the
+//! same program cached under several keys — still hits. Everything else
+//! in [`RunOptions`](crate::RunOptions) — tile and chunk size, reduce
 //! operator, timeouts, whether this run meters or records — is a
 //! per-run scalar applied by `reset`, so alternating such options in one
 //! arena keeps hitting.
@@ -313,6 +318,30 @@ impl ExecPlan {
             metrics: None,
             flight: None,
         })
+    }
+
+    /// Gives back to the pool every tile a failed run stranded in the
+    /// plan's FIFOs and task slots, before the plan is parked in its
+    /// arena; `reset` does the rest when it runs next.
+    pub(crate) fn release_tiles(&mut self) {
+        for fifo in &self.fifos {
+            fifo.clear();
+        }
+        for task in &mut self.tasks {
+            task.get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .release_tiles();
+        }
+    }
+
+    /// Whether any tile of the pool sits in the plan's FIFOs or tasks.
+    pub(crate) fn holds_tiles(&self) -> bool {
+        self.fifos.iter().any(|f| !f.is_empty())
+            || self.tasks.iter().any(|t| {
+                t.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .holds_tiles()
+            })
     }
 
     /// Returns the reusable half of the plan to the state `build` left

@@ -9,12 +9,15 @@
 //! wall clock; the scenario simulator runs the same loop over simulated
 //! attempts and a virtual clock, so both engines decide in one place.
 //!
-//! The policy leans on two guarantees from the layers below. Errors are
-//! classified at the source ([`RuntimeError::is_transient`]), and
-//! injected faults are one-shot *per injector*
-//! ([`msccl_faults::FaultInjector`]), so a retry over the same injector
-//! runs without the faults that already struck — the semantics of a
-//! transient fault in a real fabric. A compiled program is
+//! The policy leans on two guarantees. Errors are classified at the
+//! source ([`RuntimeError::is_transient`]), and a fault plan describes
+//! one incident: the ladder arms the request's injector
+//! ([`msccl_faults::FaultInjector`]) for the first attempt only, as the
+//! scenario simulator does, so every retry and the fallback run without
+//! it — the semantics of a transient fault in a real fabric. A fault the
+//! aborted first attempt never reached does not strike a later one, and
+//! persistent benign faults (a straggler, a latency spike) end with the
+//! first attempt too. A compiled program is
 //! deadlock-free and a call is short, so running it again from scratch
 //! is the whole recovery. Verification closes the loop on *corrupting*
 //! faults, which raise no error, only wrong numbers: an attempt counts
@@ -315,7 +318,7 @@ pub fn recover<C: Clock, A: Attempts<C>>(
 
 /// The threaded runtime as a ladder back end: every attempt is the
 /// request's [`Run`] with only the deadline and (for the fallback) the
-/// program replaced.
+/// program replaced, and the injector taken by the first attempt.
 struct Threaded<'a> {
     request: Run<'a>,
     fallback: Option<&'a IrProgram>,
@@ -350,7 +353,7 @@ impl Attempts<Instant> for Threaded<'_> {
         let r = &mut self.request;
         run(Run {
             arena: r.arena.as_deref_mut(),
-            injector: r.injector,
+            injector: r.injector.take(),
             ..Run::new(ir, r.inputs, r.chunk_elems, &opts)
         })
         .result
@@ -380,8 +383,10 @@ impl Attempts<Instant> for Threaded<'_> {
 /// Every attempt is the same [`Run`] with only the deadline and (for the
 /// fallback) the program replaced: it runs in the request's arena when
 /// it has one — the `msccl serve` daemon keeps one per execution slot,
-/// so steady-state traffic allocates nothing whatever rung serves it —
-/// and under its fault injector. [`Run::trace`] and [`Run::snapshot`]
+/// and the arena holds the primary's and the fallback's plans side by
+/// side, so steady-state traffic allocates and builds nothing whatever
+/// rung serves it. The request's fault injector is armed for the first
+/// attempt only (see the module docs). [`Run::trace`] and [`Run::snapshot`]
 /// are not collected across attempts; the ladder's own record is the
 /// report's decision log and metrics.
 ///

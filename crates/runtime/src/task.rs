@@ -216,10 +216,7 @@ impl TbTask {
         self.blocked_at = None;
         self.block_emitted = false;
         self.instr_start = None;
-        self.inbox.clear();
-        self.inbound = None;
-        self.outbound = None;
-        self.dup_pending = None;
+        self.release_tiles();
         self.xmit_bytes = 0;
         self.rec.enabled = tracing;
         self.rec.epoch = clock_epoch;
@@ -228,6 +225,22 @@ impl TbTask {
         self.frozen = None;
         self.done = false;
         self.dead = false;
+    }
+
+    /// Drops every tile the task holds back into the pool.
+    pub(crate) fn release_tiles(&mut self) {
+        self.inbox.clear();
+        self.inbound = None;
+        self.outbound = None;
+        self.dup_pending = None;
+    }
+
+    /// Whether the task holds a tile of the pool.
+    pub(crate) fn holds_tiles(&self) -> bool {
+        !self.inbox.is_empty()
+            || self.inbound.is_some()
+            || self.outbound.is_some()
+            || self.dup_pending.is_some()
     }
 
     /// Each blocking wait runs against min(step deadline, global

@@ -28,11 +28,13 @@
 //! engine over simulated attempts on a virtual clock. A sim attempt
 //! costs its simulated time (clean attempts are cached); one that an
 //! injected fault aborts or wedges at `t` costs `t` plus a detection
-//! margin; a backoff costs the ladder's jittered delay. Injected faults
-//! are one-shot, so only an op's first attempt runs its plan, and a
+//! margin; a backoff costs the ladder's jittered delay. A fault plan is
+//! one incident, so only an op's first attempt runs its plan, and a
 //! completed attempt whose plan held a corrupting fault fails
 //! verification. Persistent faults (stragglers, link spikes) are
-//! environment, not events: they slow every attempt.
+//! environment, not events: they slow every sim attempt. The runtime's
+//! ladder arms an op's injector for its first attempt only, so there
+//! they slow the first attempt, and a retry runs at full speed.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -294,6 +294,7 @@ struct AdmissionState {
     served: u64,
     shed: u64,
     failed: u64,
+    plan_builds: u64,
     /// Exponentially weighted mean execution time, for queue-full
     /// retry-after hints. Microseconds; 0 until the first completion.
     ewma_exec_us: f64,
@@ -335,6 +336,9 @@ pub struct ServiceStats {
     pub shed: u64,
     /// Admitted requests failed since start.
     pub failed: u64,
+    /// Execution plans built since start: the requests whose slot held
+    /// no plan for their program.
+    pub plan_builds: u64,
     /// Compile-cache counters.
     pub cache: CacheStats,
     /// Per-tenant breakdown, round-robin order.
@@ -348,14 +352,16 @@ impl ServiceStats {
         let mut s = String::with_capacity(512);
         s.push_str(&format!(
             "{{\"draining\": {}, \"queued\": {}, \"inflight\": {}, \
-             \"admitted\": {}, \"served\": {}, \"shed\": {}, \"failed\": {}",
+             \"admitted\": {}, \"served\": {}, \"shed\": {}, \"failed\": {}, \
+             \"plan_builds\": {}",
             self.draining,
             self.queued,
             self.inflight,
             self.admitted,
             self.served,
             self.shed,
-            self.failed
+            self.failed,
+            self.plan_builds
         ));
         s.push_str(&format!(
             ", \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
@@ -460,6 +466,7 @@ impl ServiceCore {
                 served: 0,
                 shed: 0,
                 failed: 0,
+                plan_builds: 0,
                 ewma_exec_us: 0.0,
             }),
             cv: Condvar::new(),
@@ -832,6 +839,7 @@ impl ServiceCore {
         };
         let inputs = reference::random_inputs(&job.ir, job.req.chunk_elems, job.req.seed);
         let arena = arena.get_or_insert_with(|| ExecArena::new(&job.ir, &opts));
+        let plans_built = arena.plans_built();
         let t0 = Instant::now();
         let result = execute_with_recovery(
             Run {
@@ -842,8 +850,13 @@ impl ServiceCore {
             &policy,
         );
         let exec_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let plan_builds = arena.plans_built() - plans_built;
+        self.registry
+            .counter(names::SERVICE_PLAN_BUILDS, &[])
+            .add(0, plan_builds);
         {
             let mut st = self.state.lock().expect("state poisoned");
+            st.plan_builds += plan_builds;
             // EWMA with alpha 1/8: smooth enough for a hint, cheap.
             st.ewma_exec_us = if st.ewma_exec_us == 0.0 {
                 exec_us as f64
@@ -932,6 +945,7 @@ impl ServiceCore {
             served: st.served,
             shed: st.shed,
             failed: st.failed,
+            plan_builds: st.plan_builds,
             cache,
             tenants: st
                 .order
@@ -1105,6 +1119,48 @@ mod tests {
         core.wait_drained();
     }
 
+    /// A slot builds one plan per program, not per cache key or per
+    /// program switch: four size classes of one program are four cache
+    /// entries and one plan, and alternating with a second program, or
+    /// recompiling the first after its entries are evicted, builds
+    /// nothing more.
+    #[test]
+    fn a_slot_builds_one_plan_per_program() {
+        let core = ServiceCore::new(ServiceConfig {
+            cache_capacity: 2,
+            ..quick_cfg()
+        });
+        let sized = |elems: usize, ranks: usize| CollectiveRequest {
+            chunk_elems: elems,
+            spec: AlgoSpec {
+                ranks: Some(ranks),
+                ..AlgoSpec::default()
+            },
+            ..req("t")
+        };
+        for round in 0..2 {
+            for elems in [8, 16, 32, 64] {
+                for ranks in [2, 4] {
+                    let reply = core.call(sized(elems, ranks));
+                    assert!(matches!(reply, Reply::Ok(_)), "{round}: {reply:?}");
+                }
+            }
+        }
+        let stats = core.stats();
+        assert_eq!(stats.served, 16);
+        assert_eq!(stats.cache.misses, 16, "every key evicts another");
+        assert_eq!(stats.plan_builds, 2);
+        assert!(stats.to_json().contains("\"plan_builds\": 2"));
+        assert_eq!(
+            core.registry()
+                .snapshot()
+                .counter(names::SERVICE_PLAN_BUILDS, &[]),
+            2
+        );
+        core.drain();
+        core.wait_drained();
+    }
+
     #[test]
     fn unknown_algorithm_is_bad_request() {
         let core = ServiceCore::new(quick_cfg());
@@ -1176,6 +1232,7 @@ mod tests {
             served: 0,
             shed: 0,
             failed: 0,
+            plan_builds: 0,
             ewma_exec_us: 0.0,
         }
     }

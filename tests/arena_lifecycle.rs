@@ -1,14 +1,16 @@
 //! Arena lifecycle tier: a *dirty* execution plan, and the resident
 //! worker threads, must never leak into the next run.
 //!
-//! An `ExecArena` keeps one execution plan — FIFOs, semaphores, tasks,
-//! the scheduler's wait and timer slots, the cancel token — and the
-//! pool's resident threads across runs. A run that fails leaves all of
-//! that mid-flight: tiles stranded in FIFOs and task inboxes, tasks
-//! parked on keys nobody will wake, armed hang deadlines, a tripped
-//! token, poisoned memory locks. Each case here fails a run one way,
-//! then requires the *next* run in the same arena to be bit-exact
-//! against the replay oracle with no error and no diagnosis attached.
+//! An `ExecArena` keeps the execution plans of the programs it ran most
+//! recently — FIFOs, semaphores, tasks, the scheduler's wait and timer
+//! slots, the cancel token — and the pool's resident threads across
+//! runs. A run that fails leaves its plan mid-flight: tiles stranded in
+//! FIFOs and task inboxes, tasks parked on keys nobody will wake, armed
+//! hang deadlines, a tripped token, poisoned memory locks. Each case
+//! here fails a run one way, then requires the *next* run of that plan
+//! in the same arena — at once, or after other programs parked it — to
+//! be bit-exact against the replay oracle with no error and no
+//! diagnosis attached.
 //!
 //! Every test takes [`SERIAL`]: the thread-count case counts this
 //! process's `msccl-worker-*` threads, which a sibling test's arena
@@ -21,7 +23,7 @@ use std::time::Duration;
 use msccl_faults::{FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
 use msccl_runtime::{
     execute_in_arena, execute_with_recovery, reference, run, ExecArena, ExecStats, RecoveryPolicy,
-    Run, RunOptions, RuntimeError,
+    Run, RunOptions, RuntimeError, ARENA_PLANS,
 };
 use mscclang::{compile, CompileOptions, IrProgram, Program, ReduceOp};
 
@@ -252,9 +254,9 @@ fn run_after_a_worker_panic_is_clean() {
     }
 }
 
-/// The recovery ladder in one arena: the primary is killed, retried and
-/// killed again, the fallback — a different program, so a different
-/// plan — completes, and the primary then runs clean on the same arena.
+/// The recovery ladder in one arena: the primary is killed, the
+/// fallback — a different program, so a different plan — completes, and
+/// the primary then runs clean on the same arena from its parked plan.
 #[test]
 fn retry_then_fallback_then_original_in_one_arena() {
     let _serial = serial();
@@ -276,11 +278,11 @@ fn retry_then_fallback_then_original_in_one_arena() {
             CHUNK_ELEMS * ir.refinement,
             ReduceOp::Sum,
         );
-        // One-shot kills: the first attempt dies at step 0, the retry at
-        // step 1; the fallback finds both spent.
+        // The plan strikes the first attempt only; with no retry budget
+        // the ladder falls back at once.
         let plan = FaultPlan {
             seed: 0,
-            specs: vec![kill_at(1, 0), kill_at(1, 1)],
+            specs: vec![kill_at(1, 0)],
         };
         let injector = FaultInjector::new(&plan);
         let report = execute_with_recovery(
@@ -291,7 +293,7 @@ fn retry_then_fallback_then_original_in_one_arena() {
             },
             Some(&fallback),
             &RecoveryPolicy {
-                max_retries: 1,
+                max_retries: 0,
                 backoff: Duration::from_millis(1),
                 verify: true,
                 ..RecoveryPolicy::default()
@@ -299,9 +301,10 @@ fn retry_then_fallback_then_original_in_one_arena() {
         )
         .unwrap_or_else(|e| panic!("pool={pool}: ladder must end in the fallback, got {e}"));
         assert!(report.used_fallback, "pool={pool}: {:?}", report.steps);
-        assert_eq!(report.attempts, 3);
+        assert_eq!(report.attempts, 2);
         assert_eq!(report.outputs, golden, "pool={pool}: fallback outputs");
         arena.recycle_outputs(report.outputs);
+        assert_eq!(arena.plans_built(), 2, "pool={pool}: {arena:?}");
 
         clean_run(
             &format!("pool={pool} original after fallback"),
@@ -311,17 +314,132 @@ fn retry_then_fallback_then_original_in_one_arena() {
             &opts,
             &mut arena,
         );
+        assert_eq!(
+            arena.plans_built(),
+            2,
+            "pool={pool}: the original's plan was parked, not dropped"
+        );
     }
 }
 
-/// The rank memories stashed in `arena`, from its `Debug` rendering.
-fn spare_memories(arena: &ExecArena) -> usize {
+/// A program whose run was killed leaves its plan dirty; another
+/// program's run parks it. Parking gives every stranded tile back to the
+/// pool, and the killed program's next run resets the parked plan: it is
+/// bit-exact, builds no plan and allocates no tile.
+#[test]
+fn dirty_plan_parked_by_another_program_runs_clean() {
+    let _serial = serial();
+    let (a_program, a) = ring(4);
+    let b_program = msccl_algos::ring_all_reduce(4, 2).unwrap();
+    let b = compile(&b_program, &CompileOptions::default()).expect("compiles");
+    for pool in pool_sizes() {
+        let opts = opts(pool);
+        let mut arena = ExecArena::new(&a, &opts);
+        clean_run("warm-up a", &a_program, &a, 7, &opts, &mut arena);
+        clean_run("warm-up b", &b_program, &b, 8, &opts, &mut arena);
+        assert_eq!(arena.plans_built(), 2, "pool={pool}: {arena:?}");
+
+        let plan = FaultPlan {
+            seed: 0,
+            specs: vec![kill_at(2, 1)],
+        };
+        let err = faulted_run(&a, 100, &opts, &plan, &mut arena);
+        assert!(
+            matches!(err, RuntimeError::InjectedFault { .. }),
+            "pool={pool}: {err}"
+        );
+        clean_run(
+            &format!("pool={pool} b parks a"),
+            &b_program,
+            &b,
+            101,
+            &opts,
+            &mut arena,
+        );
+        let tiles = arena.pool().stats();
+        assert_eq!(
+            tiles.free, tiles.allocated,
+            "pool={pool}: a tile is stranded out of the pool: {tiles:?}"
+        );
+        let stats = clean_run(
+            &format!("pool={pool} a from its parked dirty plan"),
+            &a_program,
+            &a,
+            102,
+            &opts,
+            &mut arena,
+        );
+        assert_eq!(arena.plans_built(), 2, "pool={pool}: {arena:?}");
+        assert_eq!(stats.pool.allocated, 0, "pool={pool}: {stats:?}");
+    }
+}
+
+/// An arena holds at most `ARENA_PLANS` plans. After that many distinct
+/// programs plus one, the least recently run is the one dropped: every
+/// other program runs again without a build, and only the dropped one
+/// rebuilds (evicting the next least recently run in turn).
+#[test]
+fn arena_keeps_at_most_arena_plans_and_drops_the_least_recent() {
+    let _serial = serial();
+    let (program, ir) = ring(4);
+    // Programs equal to `ir` but for their name: distinct plans by
+    // content, one replay oracle for all.
+    let programs: Vec<IrProgram> = (0..=ARENA_PLANS)
+        .map(|i| IrProgram {
+            name: format!("{}-{i}", ir.name),
+            ..ir.clone()
+        })
+        .collect();
+    let opts = opts(1);
+    let mut arena = ExecArena::new(&ir, &opts);
+    let run_all = |arena: &mut ExecArena, which: &mut dyn Iterator<Item = usize>| {
+        for i in which {
+            clean_run(
+                &format!("program {i}"),
+                &program,
+                &programs[i],
+                i as u64,
+                &opts,
+                arena,
+            );
+            assert!(held_plans(arena) <= ARENA_PLANS, "{arena:?}");
+        }
+    };
+    run_all(&mut arena, &mut (0..=ARENA_PLANS));
+    let built = ARENA_PLANS as u64 + 1;
+    assert_eq!(arena.plans_built(), built);
+    assert_eq!(held_plans(&arena), ARENA_PLANS);
+    // Program 0 was dropped; 1..=N are held.
+    run_all(&mut arena, &mut (1..=ARENA_PLANS));
+    assert_eq!(arena.plans_built(), built, "a held plan was rebuilt");
+    run_all(&mut arena, &mut (0..1));
+    assert_eq!(arena.plans_built(), built + 1, "the dropped plan rebuilds");
+    // That build dropped program 1, now the least recently run.
+    run_all(&mut arena, &mut (2..=ARENA_PLANS).chain(0..1));
+    assert_eq!(arena.plans_built(), built + 1);
+    run_all(&mut arena, &mut (1..2));
+    assert_eq!(arena.plans_built(), built + 2);
+    assert_eq!(held_plans(&arena), ARENA_PLANS);
+}
+
+/// A count from the arena's `Debug` rendering.
+fn shown_count(arena: &ExecArena, field: &str) -> usize {
     let shown = format!("{arena:?}");
     shown
-        .split_once("spare_memories: ")
+        .split_once(&format!("{field}: "))
         .and_then(|(_, after)| after.split(|c: char| !c.is_ascii_digit()).next())
         .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no spare_memories count in {shown}"))
+        .unwrap_or_else(|| panic!("no {field} count in {shown}"))
+}
+
+/// The rank memories stashed in `arena`.
+fn spare_memories(arena: &ExecArena) -> usize {
+    shown_count(arena, "spare_memories")
+}
+
+/// The execution plans `arena` holds.
+fn held_plans(arena: &ExecArena) -> usize {
+    shown_count(arena, "plans_held")
 }
 
 /// A request with invalid options is rejected before the arena is
